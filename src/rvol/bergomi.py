@@ -8,6 +8,9 @@ multifactor sampler that replaces the fractional kernel by an
 exponential sum whose factor integrals admit an exact per-step Gaussian
 recursion. The variance compensator is computed in closed form in both
 cases so the simulated variance is an exact exponential martingale.
+
+The samplers follow the step-major layout of :mod:`rvol.schemes`:
+(paths, N, ...) arrays in and out, (N, ..., paths) buffers inside.
 """
 
 from __future__ import annotations
@@ -106,35 +109,47 @@ def sample_factors_exact(
     previous value by exp(-r_i dt) and adds the one-step innovation
     drawn exactly via :func:`factor_step_law`.
 
-    Supply either ``rng`` (a numpy Generator) with ``n_paths``, or a
-    ``normals`` array of shape (paths, N, n+1) whose component 0 drives
-    the Brownian increments. Returns ``(factors, dw)`` with shapes
-    (paths, N, n) and (paths, N); ``factors[:, l-1]`` holds the values
-    at t_l.
+    Supply either ``rng`` (a numpy Generator) with ``n_paths``, or
+    ``normals``: an array of shape (paths, N, n+1) whose component 0
+    drives the Brownian increments, or the pair ``(z0, z)`` of that
+    component, shape (paths, N), and the n others, shape (paths, N, n),
+    so that a caller whose layout interleaves further components passes
+    views instead of a copy. Returns ``(factors, dw)`` with shapes
+    (paths, N, n) and (paths, N), transposed views of step-major
+    buffers; ``factors[:, l-1]`` holds the values at t_l.
     """
     n = kernel.n
     if normals is None:
         if rng is None or n_paths is None:
             raise ValueError("supply either normals or (rng and n_paths)")
         normals = rng.standard_normal((n_paths, grid.N, n + 1))
-    normals = np.asarray(normals, dtype=float)
-    if normals.ndim != 3 or normals.shape[1:] != (grid.N, n + 1):
-        raise ValueError(f"normals must have shape (paths, {grid.N}, {n + 1})")
+    shape_error = ValueError(f"normals must have shape (paths, {grid.N}, {n + 1})")
+    if not isinstance(normals, tuple):
+        normals = np.asarray(normals, dtype=float)
+        if normals.ndim != 3:
+            raise shape_error
+        normals = (normals[:, :, 0], normals[:, :, 1:])
+    z0, z = (np.asarray(part, dtype=float) for part in normals)
+    if z.ndim != 3 or z.shape[1:] != (grid.N, n) or z0.shape != z.shape[:2]:
+        raise shape_error
     dt = grid.dt
     cross_coef, cond_factor = factor_step_law(kernel, dt)
-    damp = np.exp(-kernel.rates * dt)
-    n_paths = normals.shape[0]
-    factors = np.empty((n_paths, grid.N, n))
-    dw = normals[:, :, 0] * math.sqrt(dt)
-    current = np.zeros((n_paths, n))
+    cross_col = cross_coef[:, None]
+    damp_col = np.exp(-kernel.rates * dt)[:, None]
+    z0_steps = z0.T  # (N, paths)
+    z_steps = z.transpose(1, 2, 0)  # (N, n, paths)
+    factors = np.empty((grid.N, n, z.shape[0]))
+    scratch = np.empty((n, z.shape[0]))
     for k in range(grid.N):
-        innovation = (
-            normals[:, k, 0][:, None] * cross_coef[None, :]
-            + normals[:, k, 1:] @ cond_factor.T
-        )
-        current = damp[None, :] * current + innovation
-        factors[:, k, :] = current
-    return factors, dw
+        current = factors[k]
+        np.matmul(cond_factor, z_steps[k], out=current)
+        np.multiply(cross_col, z0_steps[k], out=scratch)
+        current += scratch
+        if k:
+            np.multiply(damp_col, factors[k - 1], out=scratch)
+            current += scratch
+    dw = z0_steps * math.sqrt(dt)
+    return factors.transpose(2, 0, 1), dw.T
 
 
 @lru_cache(maxsize=8)
@@ -201,12 +216,13 @@ def sample_fractional_exact(
         raise ValueError(f"normals must have shape (paths, {grid.N}, 2)")
     cov = fractional_joint_covariance(spec, grid)
     factor = psd_factorize(cov, pivot=False)
-    z = np.concatenate([normals[:, :, 0], normals[:, :, 1]], axis=1)
-    joint = z @ factor.T
-    w_path = joint[:, : grid.N]
-    fractional = joint[:, grid.N :]
-    dw = np.diff(w_path, axis=1, prepend=0.0)
-    return fractional, dw
+    # step-major (2N, paths): Brownian rows, then fractional rows, per grid time
+    z = np.concatenate([normals[:, :, 0].T, normals[:, :, 1].T])
+    joint = factor @ z
+    w_path = joint[: grid.N]
+    fractional = joint[grid.N :]
+    dw = np.diff(w_path, axis=0, prepend=0.0)
+    return fractional.T, dw.T
 
 
 def _expsum_sq_integral(kernel: ExpSumKernel, t: float) -> float:
@@ -251,39 +267,40 @@ def simulate_bergomi(
     n_paths = normals.shape[0]
     t = np.arange(1, grid.N + 1) * grid.dt
 
+    # step-major throughout: rows are grid times, paths are contiguous
     if exact_mode:
         fractional, dw = sample_fractional_exact(
-            params.spec, grid, normals=normals[:, :, [0, 2]]
+            params.spec, grid, normals=normals[:, :, 0::2]
         )
         # variance exponent: eta sqrt(2H) I_t with Var = eta^2 t^{2H}
-        exponent = params.eta * math.sqrt(2.0 * params.H) * fractional
+        exponent = params.eta * math.sqrt(2.0 * params.H) * fractional.T
         compensator = 0.5 * params.eta**2 * t ** (2.0 * params.H)
     else:
-        factor_normals = np.concatenate(
-            [normals[:, :, 0:1], normals[:, :, 2:]], axis=2
+        factors, dw = sample_factors_exact(
+            kernel, grid, normals=(normals[:, :, 0], normals[:, :, 2:])
         )
-        factors, dw = sample_factors_exact(kernel, grid, normals=factor_normals)
         scale = params.vol_scale
-        exponent = scale * (factors @ kernel.weights)
+        exponent = scale * (kernel.weights @ factors.transpose(1, 2, 0))
         compensator = 0.5 * scale**2 * np.array(
             [_expsum_sq_integral(kernel, tl) for tl in t]
         )
+    dw = dw.T
 
-    variance = np.empty((n_paths, grid.N + 1))
-    variance[:, 0] = params.v0
-    variance[:, 1:] = params.v0 * np.exp(exponent - compensator[None, :])
+    variance = np.empty((grid.N + 1, n_paths))
+    variance[0] = params.v0
+    variance[1:] = params.v0 * np.exp(exponent - compensator[:, None])
 
-    dw_perp = normals[:, :, 1] * math.sqrt(grid.dt)
+    dw_perp = normals[:, :, 1].T * math.sqrt(grid.dt)
     rho = params.rho
     rho_perp = math.sqrt(1.0 - rho * rho)
-    log_price = np.empty((n_paths, grid.N + 1))
-    log_price[:, 0] = math.log(params.S0)
-    vol_prev = np.sqrt(variance[:, :-1])
+    log_price = np.empty((grid.N + 1, n_paths))
+    log_price[0] = math.log(params.S0)
+    vol_prev = np.sqrt(variance[:-1])
     log_increments = (
-        vol_prev * (rho * dw + rho_perp * dw_perp) - 0.5 * variance[:, :-1] * grid.dt
+        vol_prev * (rho * dw + rho_perp * dw_perp) - 0.5 * variance[:-1] * grid.dt
     )
-    log_price[:, 1:] = math.log(params.S0) + np.cumsum(log_increments, axis=1)
-    return HestonPaths(log_price=log_price, variance=variance)
+    log_price[1:] = math.log(params.S0) + np.cumsum(log_increments, axis=0)
+    return HestonPaths(log_price=log_price.T, variance=variance.T)
 
 
 _SQRT2 = math.sqrt(2.0)

@@ -7,6 +7,16 @@ matter how paths are partitioned across workers, and two schemes priced
 with the same seed consume common random numbers wherever their draw
 layouts agree. Gaussians come from the inverse normal CDF applied to
 the hashed uniforms.
+
+Layout: :meth:`CounterRng.normals_block` fills a C-ordered
+(components, steps, paths) buffer and returns it as a transposed
+(paths, steps, components) view. Every per-component slice
+``normals[:, :, c]`` is then a (paths, steps) array whose transpose is
+C-ordered, which is the step-major layout the engines of
+:mod:`rvol.schemes` and :mod:`rvol.bergomi` work in. Descriptors pass
+such slices (or elementwise functions of them) straight through;
+callers may equally pass C-ordered arrays of the same shapes, at the
+cost of one transposing copy inside the engine.
 """
 
 from __future__ import annotations
@@ -64,6 +74,9 @@ _COMP_STRIDE = 4096  # max components per step
 
 # Fixed reduction granularity: results are identical for any worker count.
 _BLOCK = 16384
+# Entries hashed per tile in normals_block: the tile's uint64 and float64
+# scratch stay resident in L2 cache.
+_CHUNK = 16384
 
 
 def _mix_scalar(x: int) -> int:
@@ -73,13 +86,16 @@ def _mix_scalar(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def _mix_array(x: np.ndarray) -> np.ndarray:
-    x = x.copy()
-    x ^= x >> np.uint64(30)
+def _mix_inplace(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """:func:`_mix_scalar` on a uint64 array, in place; ``tmp`` is same-shape scratch."""
+    np.right_shift(x, np.uint64(30), out=tmp)
+    x ^= tmp
     x *= _MIX_M1
-    x ^= x >> np.uint64(27)
+    np.right_shift(x, np.uint64(27), out=tmp)
+    x ^= tmp
     x *= _MIX_M2
-    x ^= x >> np.uint64(31)
+    np.right_shift(x, np.uint64(31), out=tmp)
+    x ^= tmp
     return x
 
 
@@ -89,22 +105,44 @@ class CounterRng:
     def __init__(self, seed: int):
         self._base = _mix_scalar((int(seed) & _MASK) ^ _SEED_SALT)
 
-    def _key(self, step: int, comp: int) -> int:
-        counter = step * _COMP_STRIDE + comp
-        return _mix_scalar(self._base ^ ((counter * _KEY_SALT) & _MASK))
+    def _keys(self, n_steps: int, n_comp: int) -> np.ndarray:
+        """Per-(component, step) stream keys, shape (n_comp, n_steps)."""
+        counter = np.arange(n_comp, dtype=np.uint64)[:, None] + np.arange(
+            n_steps, dtype=np.uint64
+        )[None, :] * np.uint64(_COMP_STRIDE)
+        keys = np.uint64(self._base) ^ (counter * np.uint64(_KEY_SALT))
+        return _mix_inplace(keys, np.empty_like(keys))
 
     def normals_block(self, path_ids: np.ndarray, n_steps: int, n_comp: int):
-        """Standard normals of shape (len(path_ids), n_steps, n_comp)."""
+        """Standard normals of shape (len(path_ids), n_steps, n_comp).
+
+        The result is a transposed view of a C-ordered (n_comp, n_steps,
+        paths) buffer: ``normals[:, k, c]`` is a contiguous row, and
+        ``normals[:, :, c].T`` a C-ordered (n_steps, paths) array.
+        """
         if n_comp >= _COMP_STRIDE:
             raise ValueError(f"at most {_COMP_STRIDE - 1} components per step")
-        keys = np.array(
-            [[self._key(s, c) for c in range(n_comp)] for s in range(n_steps)],
-            dtype=np.uint64,
-        )
-        offsets = path_ids.astype(np.uint64) * _GOLDEN
-        hashed = _mix_array(offsets[:, None, None] + keys[None, :, :])
-        uniforms = ((hashed >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-        return ndtri(uniforms)
+        keys = self._keys(n_steps, n_comp).reshape(-1, 1)
+        offsets = np.asarray(path_ids).astype(np.uint64) * _GOLDEN
+        n_paths = offsets.size
+        out = np.empty((n_comp, n_steps, n_paths))
+        rows = out.reshape(-1, n_paths)
+        # each chunk is a (row_step, col_step) tile of at most _CHUNK entries
+        col_step = max(1, min(n_paths, _CHUNK))
+        row_step = max(1, _CHUNK // col_step)
+        hashed = np.empty(row_step * col_step, dtype=np.uint64)
+        scratch = np.empty_like(hashed)
+        for r0 in range(0, rows.shape[0], row_step):
+            for c0 in range(0, n_paths, col_step):
+                tile = rows[r0 : r0 + row_step, c0 : c0 + col_step]
+                h = hashed[: tile.size].reshape(tile.shape)
+                np.add(keys[r0 : r0 + row_step], offsets[c0 : c0 + col_step], out=h)
+                _mix_inplace(h, scratch[: tile.size].reshape(tile.shape))
+                h >>= np.uint64(11)
+                np.add(h, 0.5, out=tile)
+                tile *= 2.0**-53
+                ndtri(tile, out=tile)
+        return out.transpose(2, 1, 0)
 
 
 @dataclass(frozen=True)
@@ -346,29 +384,44 @@ def simulate_stats(model, grid: GridSpec, cfg: McConfig) -> PathStats:
     return PathStats(terminal=terminal, running_max=running_max)
 
 
-def _report(values: np.ndarray, wall: float, cfg: McConfig, label: str) -> McReport:
-    mean = float(values.mean())
-    if values.size > 1:
-        half_width = 1.96 * float(values.std(ddof=1)) / math.sqrt(values.size)
-    else:
-        half_width = 0.0
+def _half_width(values: np.ndarray) -> float:
+    """95% confidence half-width of the mean of ``values`` (0 for one value)."""
+    if values.size < 2:
+        return 0.0
+    return 1.96 * float(values.std(ddof=1)) / math.sqrt(values.size)
+
+
+def _finite(values: np.ndarray, descriptor: str) -> np.ndarray:
+    """``values``, after checking that every payoff is finite."""
+    bad = values.size - int(np.count_nonzero(np.isfinite(values)))
+    if bad:
+        raise ValueError(f"{descriptor}: {bad} of {values.size} payoff values are not finite")
+    return values
+
+
+def _label(model, payoff: Payoff) -> str:
+    return f"{model.label}|{payoff.kind}({payoff.strike})"
+
+
+def price(model, payoff: Payoff, grid: GridSpec, cfg: McConfig) -> McReport:
+    """Monte Carlo price of the payoff under the descriptor's scheme.
+
+    Raises ``ValueError`` naming the descriptor if any payoff value is
+    NaN or infinite.
+    """
+    start = time.perf_counter()
+    stats = simulate_stats(model, grid, cfg)
+    label = _label(model, payoff)
+    values = _finite(payoff.evaluate(stats), label)
+    wall = time.perf_counter() - start
     return McReport(
-        mean=mean,
-        half_width_95=half_width,
+        mean=float(values.mean()),
+        half_width_95=_half_width(values),
         paths=int(values.size),
         wall_seconds=wall,
         seed=cfg.seed,
         descriptor=label,
     )
-
-
-def price(model, payoff: Payoff, grid: GridSpec, cfg: McConfig) -> McReport:
-    """Monte Carlo price of the payoff under the descriptor's scheme."""
-    start = time.perf_counter()
-    stats = simulate_stats(model, grid, cfg)
-    values = payoff.evaluate(stats)
-    wall = time.perf_counter() - start
-    return _report(values, wall, cfg, f"{model.label}|{payoff.kind}({payoff.strike})")
 
 
 def paired_compare(model_a, model_b, payoff: Payoff, grid: GridSpec, cfg: McConfig):
@@ -379,14 +432,12 @@ def paired_compare(model_a, model_b, payoff: Payoff, grid: GridSpec, cfg: McConf
     """
     if model_a.components_per_step(grid) != model_b.components_per_step(grid):
         raise ValueError("incompatible increment stream shapes")
-    stats_a = simulate_stats(model_a, grid, cfg)
-    stats_b = simulate_stats(model_b, grid, cfg)
-    diff = payoff.evaluate(stats_a) - payoff.evaluate(stats_b)
-    mean = float(diff.mean())
-    half_width = (
-        1.96 * float(diff.std(ddof=1)) / math.sqrt(diff.size) if diff.size > 1 else 0.0
+    payoff_a, payoff_b = (
+        _finite(payoff.evaluate(simulate_stats(model, grid, cfg)), _label(model, payoff))
+        for model in (model_a, model_b)
     )
-    return mean, half_width
+    diff = payoff_a - payoff_b
+    return float(diff.mean()), _half_width(diff)
 
 
 def rate_factor_estimate(err_n: float, err_2n: float, H: float) -> float:
@@ -421,9 +472,10 @@ def bergomi_smile(
         stats = simulate_stats(model, grid, cfg)
         for k in np.atleast_1d(np.asarray(log_strikes, dtype=float)):
             strike = math.exp(float(k))
-            values = np.maximum(stats.terminal - strike, 0.0)
+            values = _finite(
+                np.maximum(stats.terminal - strike, 0.0), f"{model.label}|euro_call({strike})"
+            )
             mean = float(values.mean())
-            half_width = 1.96 * float(values.std(ddof=1)) / math.sqrt(values.size)
             vol = implied_vol(mean, params.S0, strike, grid.T)
-            rows.append((mode, float(k), mean, half_width, vol))
+            rows.append((mode, float(k), mean, _half_width(values), vol))
     return rows

@@ -15,6 +15,15 @@ the time integral of the variance and its martingale parts instead.
 
 All engines are deterministic functions of their increments; random
 number generation lives in :mod:`rvol.mc`.
+
+Layout: the batched engines take increments of shape (paths, N) and
+return paths of shape (paths, N+1), but work step-major inside: each
+increment array is viewed as (N, paths) with paths contiguous (a free
+view for the slices of :meth:`rvol.mc.CounterRng.normals_block`, one
+transposing copy for a C-ordered array), factor states are (n, paths)
+arrays, and every step reads one contiguous increment row and ends in
+one ``weights @ factors`` product. The returned arrays are transposed
+views of the step-major (N+1, paths) buffers, not copies.
 """
 
 from __future__ import annotations
@@ -238,15 +247,21 @@ def multifactor_euler(
 
 
 def _check_increments(grid: GridSpec, *arrays):
+    """Validate (paths, N) increment arrays; return them step-major, (N, paths).
+
+    The step-major copies are C-ordered, so each step reads one
+    contiguous row. For the transposed views that
+    :meth:`rvol.mc.CounterRng.normals_block` hands out this costs no copy.
+    """
     first = np.asarray(arrays[0], dtype=float)
     if first.ndim != 2 or first.shape[1] != grid.N:
         raise ValueError(f"increments must have shape (paths, {grid.N})")
-    out = [first]
-    for arr in arrays[1:]:
+    out = []
+    for arr in arrays:
         arr = np.asarray(arr, dtype=float)
         if arr.shape != first.shape:
             raise ValueError("all increment arrays must share one shape")
-        out.append(arr)
+        out.append(np.ascontiguousarray(arr.T))
     return out
 
 
@@ -263,12 +278,10 @@ def heston_volterra_euler(
     """
     dw, dw_perp = _check_increments(grid, dw, dw_perp)
     g_tab = _kernel_table(kernel, grid)
-    n_paths = dw.shape[0]
+    n_paths = dw.shape[1]
     dt = grid.dt
-    # step-major internal layout and preallocated scratch: every
-    # per-step slice is a contiguous row, the convolution a contiguous
-    # mat-vec product, and the loop allocates nothing
-    dw_steps = np.ascontiguousarray(dw.T)
+    # the convolution is a contiguous mat-vec product over the
+    # step-major history, and the loop allocates nothing
     g_rev = np.ascontiguousarray(g_tab[::-1])
     variance = np.empty((grid.N + 1, n_paths))
     variance[0] = params.V0
@@ -278,33 +291,43 @@ def heston_volterra_euler(
     for k in range(grid.N):
         np.maximum(variance[k], 0.0, out=drift)  # positive part of V
         np.sqrt(drift, out=shock)
-        shock *= dw_steps[k]
+        shock *= dw[k]
         shock *= params.sigma
         drift *= -params.lam * dt
         drift += params.theta * dt
         np.add(drift, shock, out=history[k])
         np.dot(g_rev[grid.N - 1 - k :], history[: k + 1], out=variance[k + 1])
         variance[k + 1] += params.V0
-    variance = np.ascontiguousarray(variance.T)
-    return HestonPaths(
-        log_price=_heston_log_price(params, grid, variance, dw, dw_perp),
-        variance=variance,
-    )
+    return _heston_paths(params, grid, variance, dw, dw_perp)
 
 
-def _heston_log_price(params, grid, variance, dw, dw_perp):
-    """Explicit log-price recursion given the simulated variance path."""
+def _heston_paths(params, grid, variance, dw, dw_perp) -> HestonPaths:
+    """Log-price recursion on a step-major variance path, as (paths, N+1) views.
+
+    ``variance`` has shape (N+1, paths) and the increments (N, paths).
+    The log price is log S0 plus the running sum of the explicit steps
+    -V^+ dt / 2 + sqrt(V^+) (rho dW + rho_perp dW_perp).
+    """
     rho = params.rho
     rho_perp = math.sqrt(1.0 - rho * rho)
-    v_pos = np.maximum(variance[:, :-1], 0.0)
-    increments = -0.5 * v_pos * grid.dt + np.sqrt(v_pos) * (
-        rho * dw + rho_perp * dw_perp
-    )
-    log_price = np.empty((variance.shape[0], grid.N + 1))
-    log_price[:, 0] = math.log(params.S0)
-    np.cumsum(increments, axis=1, out=log_price[:, 1:])
-    log_price[:, 1:] += math.log(params.S0)
-    return log_price
+    log_s0 = math.log(params.S0)
+    log_price = np.empty_like(variance)
+    log_price[0] = log_s0
+    v_pos, vol, mix, shock = (np.empty(variance.shape[1]) for _ in range(4))
+    total = np.zeros(variance.shape[1])
+    for k in range(grid.N):
+        np.maximum(variance[k], 0.0, out=v_pos)
+        np.sqrt(v_pos, out=vol)
+        np.multiply(dw[k], rho, out=mix)
+        np.multiply(dw_perp[k], rho_perp, out=shock)
+        mix += shock
+        vol *= mix
+        v_pos *= -0.5
+        v_pos *= grid.dt
+        v_pos += vol
+        total += v_pos
+        np.add(total, log_s0, out=log_price[k + 1])
+    return HestonPaths(log_price=log_price.T, variance=variance.T)
 
 
 def heston_multifactor_euler(
@@ -318,23 +341,28 @@ def heston_multifactor_euler(
     factors that vanish within one time step.
     """
     dw, dw_perp = _check_increments(grid, dw, dw_perp)
-    n_paths = dw.shape[0]
+    n_paths = dw.shape[1]
     dt = grid.dt
-    damp = np.exp(-kernel.rates * dt)
-    variance = np.empty((n_paths, grid.N + 1))
-    variance[:, 0] = params.V0
-    factors = np.zeros((n_paths, kernel.n))
+    damp = np.exp(-kernel.rates * dt)[:, None]
+    variance = np.empty((grid.N + 1, n_paths))
+    variance[0] = params.V0
+    factors = np.zeros((kernel.n, n_paths))
+    step = np.empty(n_paths)
+    vol = np.empty(n_paths)
     for k in range(grid.N):
-        v_pos = np.maximum(variance[:, k], 0.0)
-        vol = np.sqrt(v_pos)
-        step = (params.theta - params.lam * v_pos) * dt + params.sigma * vol * dw[:, k]
-        factors += step[:, None]
-        factors *= damp[None, :]
-        variance[:, k + 1] = params.V0 + factors @ kernel.weights
-    return HestonPaths(
-        log_price=_heston_log_price(params, grid, variance, dw, dw_perp),
-        variance=variance,
-    )
+        np.maximum(variance[k], 0.0, out=step)  # positive part of V
+        np.sqrt(step, out=vol)
+        vol *= params.sigma
+        vol *= dw[k]
+        step *= -params.lam
+        step += params.theta
+        step *= dt
+        step += vol
+        factors += step
+        factors *= damp
+        np.dot(kernel.weights, factors, out=variance[k + 1])
+        variance[k + 1] += params.V0
+    return _heston_paths(params, grid, variance, dw, dw_perp)
 
 
 def hybrid_step_covariance(spec: RoughKernelSpec, dt: float) -> np.ndarray:
@@ -370,38 +398,108 @@ def heston_hybrid_multifactor(
     per :func:`hybrid_step_covariance`.
     """
     dw, dw_perp, d_frac = _check_increments(grid, dw, dw_perp, d_frac)
-    n_paths = dw.shape[0]
+    n_paths = dw.shape[1]
     dt = grid.dt
     a = spec.H + 0.5
     drift_weight = dt**a / (a * spec.gamma_head)
-    damp_rational = 1.0 / (1.0 + kernel.rates * dt)
+    damp_rational = (1.0 / (1.0 + kernel.rates * dt))[:, None]
     agg_weights = kernel.weights * np.exp(-kernel.rates * dt)
-    variance = np.empty((n_paths, grid.N + 1))
-    variance[:, 0] = params.V0
-    factors = np.zeros((n_paths, kernel.n))
+    variance = np.empty((grid.N + 1, n_paths))
+    variance[0] = params.V0
+    factors = np.zeros((kernel.n, n_paths))
+    drift = np.empty(n_paths)
+    vol = np.empty(n_paths)
+    shock = np.empty(n_paths)
     for k in range(grid.N):
-        v_pos = np.maximum(variance[:, k], 0.0)
-        vol = np.sqrt(v_pos)
-        predicted = params.V0 + factors @ agg_weights
-        drift = params.theta - params.lam * v_pos
-        variance[:, k + 1] = (
-            predicted + drift * drift_weight + params.sigma * vol * d_frac[:, k]
-        )
-        factors += (drift * dt + params.sigma * vol * dw[:, k])[:, None]
-        factors *= damp_rational[None, :]
-    return HestonPaths(
-        log_price=_heston_log_price(params, grid, variance, dw, dw_perp),
-        variance=variance,
-    )
+        v_next = variance[k + 1]
+        np.maximum(variance[k], 0.0, out=drift)  # positive part of V
+        np.sqrt(drift, out=vol)
+        vol *= params.sigma
+        drift *= -params.lam
+        drift += params.theta
+        # factor prediction, plus the last step's drift and shock taken exactly
+        np.dot(agg_weights, factors, out=v_next)
+        v_next += params.V0
+        np.multiply(drift, drift_weight, out=shock)
+        v_next += shock
+        np.multiply(vol, d_frac[k], out=shock)
+        v_next += shock
+        drift *= dt
+        np.multiply(vol, dw[k], out=shock)
+        drift += shock
+        factors += drift
+        factors *= damp_rational
+    return _heston_paths(params, grid, variance, dw, dw_perp)
 
 
 _DRIFT_FLOORS = ("runmax", "positive_part")
 
 
-def _floored(raw, running_max, drift_floor):
-    if drift_floor == "runmax":
-        return running_max
-    return np.maximum(raw, 0.0)
+class _IntegratedState:
+    """Step-major state shared by the two integrated-variance engines.
+
+    Holds the raw and running-max integrated variance and the log price,
+    each of shape (N+1, paths), plus the two martingale parts. The
+    engines fill ``raw[k+1]`` from :meth:`drift_term`; :meth:`advance`
+    then moves the running maximum, the martingales and the log price.
+    """
+
+    def __init__(self, params: HestonParams, grid: GridSpec, n_paths: int, drift_floor):
+        if drift_floor not in _DRIFT_FLOORS:
+            raise ValueError(f"drift_floor must be one of {_DRIFT_FLOORS}")
+        self.params = params
+        self.dt = grid.dt
+        self.runmax_floor = drift_floor == "runmax"
+        self.rho_perp = math.sqrt(1.0 - params.rho * params.rho)
+        self.log_s0 = math.log(params.S0)
+        self.raw = np.zeros((grid.N + 1, n_paths))
+        self.clamped = np.zeros((grid.N + 1, n_paths))
+        self.log_price = np.empty((grid.N + 1, n_paths))
+        self.log_price[0] = self.log_s0
+        self.mart = np.zeros(n_paths)
+        self.mart_perp = np.zeros(n_paths)
+        self.step = np.empty(n_paths)
+        self.increment = np.empty(n_paths)
+        self.scratch = np.empty(n_paths)
+
+    def drift_term(self, k: int) -> np.ndarray:
+        """(theta t_k - lam X_k^+ + sigma M_k) dt, with X_k^+ the floored state."""
+        p, step = self.params, self.step
+        if self.runmax_floor:
+            np.multiply(self.clamped[k], p.lam, out=step)
+        else:
+            np.maximum(self.raw[k], 0.0, out=step)
+            step *= p.lam
+        np.subtract(p.theta * (k * self.dt), step, out=step)
+        np.multiply(self.mart, p.sigma, out=self.scratch)
+        step += self.scratch
+        step *= self.dt
+        return step
+
+    def advance(self, k: int, z_k: np.ndarray, z_perp_k: np.ndarray):
+        """Running max, martingale parts and log price at t_{k+1}."""
+        clamped, inc, tmp = self.clamped, self.increment, self.scratch
+        np.maximum(clamped[k], self.raw[k + 1], out=clamped[k + 1])
+        np.subtract(clamped[k + 1], clamped[k], out=inc)
+        np.sqrt(inc, out=inc)
+        np.multiply(inc, z_k, out=tmp)
+        self.mart += tmp
+        np.multiply(inc, z_perp_k, out=tmp)
+        self.mart_perp += tmp
+        lp = self.log_price[k + 1]
+        np.multiply(clamped[k + 1], -0.5, out=lp)
+        lp += self.log_s0
+        np.multiply(self.mart, self.params.rho, out=tmp)
+        lp += tmp
+        np.multiply(self.mart_perp, self.rho_perp, out=tmp)
+        lp += tmp
+
+    def paths(self) -> IntegratedPaths:
+        return IntegratedPaths(
+            log_price=self.log_price.T,
+            integrated_variance=self.clamped.T,
+            raw_integrated=self.raw.T,
+        )
 
 
 def heston_integrated_volterra(
@@ -423,39 +521,16 @@ def heston_integrated_volterra(
     reversion term: its running maximum (default) or its positive part
     (matching :func:`heston_integrated_multifactor`).
     """
-    if drift_floor not in _DRIFT_FLOORS:
-        raise ValueError(f"drift_floor must be one of {_DRIFT_FLOORS}")
     z, z_perp = _check_increments(grid, z, z_perp)
+    state = _IntegratedState(params, grid, z.shape[1], drift_floor)
     g_tab = _kernel_table(kernel, grid)
-    n_paths = z.shape[0]
     dt = grid.dt
-    rho = params.rho
-    rho_perp = math.sqrt(1.0 - rho * rho)
-    log_price = np.empty((n_paths, grid.N + 1))
-    log_price[:, 0] = math.log(params.S0)
-    clamped = np.zeros((n_paths, grid.N + 1))
-    raw = np.zeros((n_paths, grid.N + 1))
-    history = np.empty((n_paths, grid.N))
-    mart = np.zeros(n_paths)
-    mart_perp = np.zeros(n_paths)
+    history = np.empty((z.shape[1], grid.N))
     for k in range(grid.N):
-        t_k = k * dt
-        state = _floored(raw[:, k], clamped[:, k], drift_floor)
-        history[:, k] = (params.theta * t_k - params.lam * state + params.sigma * mart) * dt
-        raw[:, k + 1] = params.V0 * (t_k + dt) + history[:, : k + 1] @ g_tab[k::-1]
-        clamped[:, k + 1] = np.maximum(clamped[:, k], raw[:, k + 1])
-        increment = np.sqrt(clamped[:, k + 1] - clamped[:, k])
-        mart = mart + increment * z[:, k]
-        mart_perp = mart_perp + increment * z_perp[:, k]
-        log_price[:, k + 1] = (
-            math.log(params.S0)
-            - 0.5 * clamped[:, k + 1]
-            + rho * mart
-            + rho_perp * mart_perp
-        )
-    return IntegratedPaths(
-        log_price=log_price, integrated_variance=clamped, raw_integrated=raw
-    )
+        history[:, k] = state.drift_term(k)
+        state.raw[k + 1] = params.V0 * (k * dt + dt) + history[:, : k + 1] @ g_tab[k::-1]
+        state.advance(k, z[k], z_perp[k])
+    return state.paths()
 
 
 def heston_integrated_multifactor(
@@ -473,38 +548,16 @@ def heston_integrated_multifactor(
     reversion uses the positive part of the aggregated state by default;
     set ``drift_floor='runmax'`` to mirror the direct scheme exactly.
     """
-    if drift_floor not in _DRIFT_FLOORS:
-        raise ValueError(f"drift_floor must be one of {_DRIFT_FLOORS}")
     z, z_perp = _check_increments(grid, z, z_perp)
-    n_paths = z.shape[0]
+    state = _IntegratedState(params, grid, z.shape[1], drift_floor)
     dt = grid.dt
-    rho = params.rho
-    rho_perp = math.sqrt(1.0 - rho * rho)
-    damp = np.exp(-kernel.rates * dt)
-    log_price = np.empty((n_paths, grid.N + 1))
-    log_price[:, 0] = math.log(params.S0)
-    clamped = np.zeros((n_paths, grid.N + 1))
-    raw = np.zeros((n_paths, grid.N + 1))
-    factors = np.zeros((n_paths, kernel.n))
-    mart = np.zeros(n_paths)
-    mart_perp = np.zeros(n_paths)
+    damp = np.exp(-kernel.rates * dt)[:, None]
+    factors = np.zeros((kernel.n, z.shape[1]))
     for k in range(grid.N):
-        t_k = k * dt
-        state = _floored(raw[:, k], clamped[:, k], drift_floor)
-        step = (params.theta * t_k - params.lam * state + params.sigma * mart) * dt
-        factors += step[:, None]
-        factors *= damp[None, :]
-        raw[:, k + 1] = params.V0 * (t_k + dt) + factors @ kernel.weights
-        clamped[:, k + 1] = np.maximum(clamped[:, k], raw[:, k + 1])
-        increment = np.sqrt(clamped[:, k + 1] - clamped[:, k])
-        mart = mart + increment * z[:, k]
-        mart_perp = mart_perp + increment * z_perp[:, k]
-        log_price[:, k + 1] = (
-            math.log(params.S0)
-            - 0.5 * clamped[:, k + 1]
-            + rho * mart
-            + rho_perp * mart_perp
-        )
-    return IntegratedPaths(
-        log_price=log_price, integrated_variance=clamped, raw_integrated=raw
-    )
+        factors += state.drift_term(k)
+        factors *= damp
+        raw = state.raw[k + 1]
+        np.dot(kernel.weights, factors, out=raw)
+        raw += params.V0 * (k * dt + dt)
+        state.advance(k, z[k], z_perp[k])
+    return state.paths()

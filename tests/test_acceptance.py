@@ -357,11 +357,13 @@ def test_criterion_11_complexity_scaling():
             ):
                 best = math.inf
                 for _ in range(3):
-                    # CPU time: single-threaded work, immune to scheduling noise
-                    start = time.process_time()
+                    # CPU time of this thread: immune to scheduling noise, and
+                    # blind to BLAS worker threads that earlier tests left
+                    # spin-waiting (process_time would charge their spin here)
+                    start = time.thread_time()
                     for dw in draws:
                         run(dw)
-                    best = min(best, time.process_time() - start)
+                    best = min(best, time.thread_time() - start)
                 timings[(name, N)] = best
         volterra_ratio = timings[("volterra", 320)] / timings[("volterra", 80)]
         multifactor_ratio = timings[("multifactor", 320)] / timings[("multifactor", 80)]

@@ -266,3 +266,54 @@ class TestImpliedVol:
             implied_vol(1.1, 1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             implied_vol(0.1, 1.2, 1.0, 1.0)
+
+
+class TestNormalsLayout:
+    """Samplers give the same output for C-ordered and step-major normals."""
+
+    def _normals(self, paths, steps, comps):
+        from rvol.mc import CounterRng
+
+        view = CounterRng(17).normals_block(np.arange(paths, dtype=np.uint64), steps, comps)
+        copy = np.ascontiguousarray(view)
+        assert not view.flags.c_contiguous and copy.flags.c_contiguous
+        return view, copy
+
+    def test_factor_sampler(self):
+        kernel = ExpSumKernel([0.8, 0.4, 0.2, 0.1], [0.5, 6.0, 40.0, 41.0])
+        grid = GridSpec(T=0.5, N=12)
+        view, copy = self._normals(50, grid.N, kernel.n + 1)
+        f_view, dw_view = sample_factors_exact(kernel, grid, normals=view)
+        f_copy, dw_copy = sample_factors_exact(kernel, grid, normals=copy)
+        f_pair, dw_pair = sample_factors_exact(
+            kernel, grid, normals=(copy[:, :, 0], copy[:, :, 1:])
+        )
+        assert f_view.shape == (50, grid.N, kernel.n) and dw_view.shape == (50, grid.N)
+        assert np.allclose(f_view, f_copy, rtol=0.0, atol=1e-14)
+        assert np.array_equal(f_copy, f_pair)
+        assert np.array_equal(dw_view, dw_copy) and np.array_equal(dw_copy, dw_pair)
+
+    def test_factor_sampler_shape_validation(self):
+        kernel = ExpSumKernel([0.8, 0.4], [0.5, 6.0])
+        grid = GridSpec(T=0.5, N=4)
+        with pytest.raises(ValueError):
+            sample_factors_exact(kernel, grid, normals=np.zeros((3, 4, 2)))
+        with pytest.raises(ValueError):
+            sample_factors_exact(kernel, grid, normals=np.zeros(4))
+        with pytest.raises(ValueError):
+            sample_factors_exact(kernel, grid, normals=(np.zeros((3, 4)), np.zeros((2, 4, 2))))
+
+    @pytest.mark.parametrize("mode", ["exact", "multifactor"])
+    def test_simulate(self, mode):
+        from rvol.mc import systematic_kernel
+
+        params = BergomiParams()
+        grid = GridSpec(T=0.041, N=10)
+        kernel = None if mode == "exact" else systematic_kernel(params.H, 10, grid.T)
+        comps = 3 if kernel is None else kernel.n + 2
+        view, copy = self._normals(60, grid.N, comps)
+        a = simulate_bergomi(params, grid, kernel=kernel, normals=view)
+        b = simulate_bergomi(params, grid, kernel=kernel, normals=copy)
+        for name in ("log_price", "variance"):
+            assert getattr(a, name).shape == (60, grid.N + 1)
+            assert np.allclose(getattr(a, name), getattr(b, name), rtol=1e-14, atol=0.0)

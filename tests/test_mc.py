@@ -1,15 +1,22 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import ndtri
 
+from rvol import mc
+from rvol.bergomi import BergomiParams
 from rvol.kernel import ExpSumKernel
 from rvol.mc import (
     BergomiModel,
     CounterRng,
     HestonModel,
     McConfig,
+    PathStats,
     bergomi_smile,
     euro_call,
     lookback_call,
@@ -19,6 +26,28 @@ from rvol.mc import (
     systematic_kernel,
 )
 from rvol.schemes import GridSpec, HestonParams
+
+_MASK = 2**64 - 1
+
+
+def scalar_normal(seed: int, path: int, step: int, comp: int) -> float:
+    """The stream's defining formula, one draw at a time in Python integers."""
+    base = mc._mix_scalar((seed & _MASK) ^ 0x5851F42D4C957F2D)
+    key = mc._mix_scalar(base ^ (((step * 4096 + comp) * 0xD1342543DE82EF95) & _MASK))
+    hashed = mc._mix_scalar(path * 0x9E3779B97F4A7C15 + key)
+    return ndtri(((hashed >> 11) + 0.5) * 2.0**-53)
+
+
+def assert_matches_scalar(seed, path_ids, n_steps, n_comp):
+    got = CounterRng(seed).normals_block(np.asarray(path_ids, dtype=np.uint64), n_steps, n_comp)
+    assert got.shape == (len(path_ids), n_steps, n_comp)
+    want = np.array(
+        [
+            [[scalar_normal(seed, p, s, c) for c in range(n_comp)] for s in range(n_steps)]
+            for p in path_ids
+        ]
+    ).reshape(got.shape)
+    assert np.array_equal(got, want)
 
 
 class TestCounterRng:
@@ -53,6 +82,31 @@ class TestCounterRng:
         # neighbouring components are uncorrelated
         corr = np.corrcoef(draws[:, 0, 0], draws[:, 0, 1])[0, 1]
         assert abs(corr) <= 4.0 / math.sqrt(draws.shape[0])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(-(2**63), 2**64 - 1),
+        path_ids=st.lists(st.integers(0, 2**48), min_size=1, max_size=40, unique=True),
+        n_steps=st.integers(1, 4),
+        n_comp=st.integers(1, 50),
+        chunk=st.integers(1, 96),
+    )
+    def test_matches_scalar_formula(self, seed, path_ids, n_steps, n_comp, chunk):
+        # a small tile size makes the generated path sets straddle tile edges
+        with mock.patch.object(mc, "_CHUNK", chunk):
+            assert_matches_scalar(seed, path_ids, n_steps, n_comp)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_matches_scalar_formula_at_tile_edge(self, offset):
+        paths = mc._CHUNK + offset
+        assert_matches_scalar(2024, list(range(3, 3 + paths)), 2, 1)
+
+    def test_single_path(self):
+        assert_matches_scalar(5, [123456789], 30, 7)
+
+    def test_step_major_view(self):
+        draws = CounterRng(3).normals_block(np.arange(10, dtype=np.uint64), 4, 3)
+        assert draws[:, :, 1].T.flags.c_contiguous
 
     def test_finite_extremes(self):
         draws = CounterRng(1).normals_block(np.arange(1_000_000, dtype=np.uint64), 1, 1)
@@ -114,6 +168,44 @@ class TestPrice:
         euro = price(model, euro_call(1.0), grid, cfg)
         look = price(model, lookback_call(1.0), grid, cfg)
         assert look.mean >= euro.mean
+
+
+class _NanTerminal:
+    """Stub descriptor whose first path ends at NaN."""
+
+    label = "stub:nan"
+
+    def components_per_step(self, grid):
+        return 2
+
+    def simulate(self, grid, normals):
+        terminal = np.ones(normals.shape[0])
+        terminal[0] = np.nan
+        return PathStats(terminal=terminal, running_max=terminal.copy())
+
+
+class TestNonFinitePayoffs:
+    def test_price_raises(self):
+        cfg = McConfig(paths=100, seed=0)
+        with pytest.raises(ValueError, match=r"stub:nan\|euro_call"):
+            price(_NanTerminal(), euro_call(1.0), GridSpec(T=1.0, N=2), cfg)
+
+    def test_paired_compare_raises(self):
+        finite = HestonModel(scheme="volterra", kernel=ExpSumKernel([1.0], [1.0]))
+        cfg = McConfig(paths=100, seed=0)
+        with pytest.raises(ValueError, match="stub:nan"):
+            paired_compare(finite, _NanTerminal(), euro_call(1.0), GridSpec(T=1.0, N=2), cfg)
+
+    def test_smile_raises(self, monkeypatch):
+        def infinite(self, grid, normals):
+            terminal = np.full(normals.shape[0], np.inf)
+            return PathStats(terminal=terminal, running_max=terminal)
+
+        monkeypatch.setattr(BergomiModel, "simulate", infinite)
+        with pytest.raises(ValueError, match="bergomi:exact"):
+            bergomi_smile(
+                BergomiParams(), GridSpec(T=0.041, N=4), McConfig(paths=50, seed=0), [0.0]
+            )
 
 
 class TestPairedCompare:

@@ -21,12 +21,13 @@ from rvol.schemes import (
 
 
 def _timed(fn):
-    # CPU time: immune to scheduling noise for single-threaded work
+    # CPU time of this thread: immune to scheduling noise and to BLAS
+    # worker threads left spin-waiting by earlier tests
     import time
 
-    start = time.process_time()
+    start = time.thread_time()
     fn()
-    return time.process_time() - start
+    return time.thread_time() - start
 
 
 def random_kernels(rng, n_max=8, shared=True):
@@ -398,4 +399,66 @@ class TestIntegratedSchemes:
             heston_integrated_volterra(
                 params, RoughKernelSpec(0.1), grid, np.zeros((1, 4)), np.zeros((1, 4)),
                 drift_floor="clip",
+            )
+
+
+class TestIncrementLayout:
+    """Engines give the same paths for C-ordered and step-major increments."""
+
+    N = 24
+
+    def _normals(self, comps):
+        from rvol.mc import CounterRng
+
+        view = CounterRng(31).normals_block(np.arange(40, dtype=np.uint64), self.N, comps)
+        copy = np.ascontiguousarray(view)
+        assert not view.flags.c_contiguous and copy.flags.c_contiguous
+        return view, copy
+
+    def _assert_same(self, run, comps):
+        view, copy = self._normals(comps)
+        a, b = run(view), run(copy)
+        for name in vars(a):
+            assert getattr(a, name).shape == (40, self.N + 1)
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+    def test_variance_engines(self):
+        params = HestonParams()
+        grid = GridSpec(T=1.0, N=self.N)
+        kernel = ExpSumKernel([0.9, 0.6, 0.3], [0.2, 3.0, 25.0])
+        sq = math.sqrt(grid.dt)
+        for engine, kern in (
+            (heston_volterra_euler, RoughKernelSpec(0.1)),
+            (heston_volterra_euler, kernel),
+            (heston_multifactor_euler, kernel),
+        ):
+            self._assert_same(
+                lambda z: engine(params, kern, grid, sq * z[:, :, 0], sq * z[:, :, 1]), 2
+            )
+
+    def test_hybrid_engine(self):
+        params = HestonParams()
+        spec = RoughKernelSpec(0.1)
+        grid = GridSpec(T=1.0, N=self.N)
+        kernel = ExpSumKernel([0.9, 0.6, 0.3], [0.2, 3.0, 25.0])
+        sq = math.sqrt(grid.dt)
+        self._assert_same(
+            lambda z: heston_hybrid_multifactor(
+                params, spec, kernel, grid, sq * z[:, :, 0], sq * z[:, :, 1], 0.1 * z[:, :, 2]
+            ),
+            3,
+        )
+
+    @pytest.mark.parametrize("floor", ["runmax", "positive_part"])
+    def test_integrated_engines(self, floor):
+        params = HestonParams()
+        grid = GridSpec(T=1.0, N=self.N)
+        kernel = ExpSumKernel([0.9, 0.5, 0.2], [0.4, 5.0, 30.0])
+        for engine, kern in (
+            (heston_integrated_volterra, RoughKernelSpec(0.1)),
+            (heston_integrated_multifactor, kernel),
+        ):
+            self._assert_same(
+                lambda z: engine(params, kern, grid, z[:, :, 0], z[:, :, 1], drift_floor=floor),
+                2,
             )
