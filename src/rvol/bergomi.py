@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .kernel import ExpSumKernel, RoughKernelSpec
+from .kernel import ExpSumKernel, RoughKernelSpec, _phi
 from .numerics import QuadTolerance, integrate, psd_factorize
 from .schemes import GridSpec, HestonPaths
 
@@ -81,15 +81,14 @@ def factor_step_law(kernel: ExpSumKernel, dt: float):
 
     reproduce that law exactly. The conditional covariance of the
     innovations is factorized with pivoting (it is numerically
-    rank-deficient for near-collinear factors).
+    rank-deficient for near-collinear factors), so the columns of
+    ``cond_factor`` past its rank are zero.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     r = kernel.rates
-    with np.errstate(over="ignore"):
-        pair = r[:, None] + r[None, :]
-        cov = np.where(pair > 0.0, -np.expm1(-pair * dt) / np.where(pair > 0.0, pair, 1.0), dt)
-        cross = np.where(r > 0.0, -np.expm1(-r * dt) / np.where(r > 0.0, r, 1.0), dt)
+    cov = dt * _phi((r[:, None] + r[None, :]) * dt)
+    cross = dt * _phi(r * dt)
     cond_cov = cov - np.outer(cross, cross) / dt
     cond_factor = psd_factorize(cond_cov)
     return cross / math.sqrt(dt), cond_factor
@@ -134,6 +133,9 @@ def sample_factors_exact(
         raise shape_error
     dt = grid.dt
     cross_coef, cond_factor = factor_step_law(kernel, dt)
+    # only the first `rank` normals of each step reach a nonzero column
+    rank = int(np.count_nonzero(cond_factor.any(axis=0)))
+    cond_factor = np.ascontiguousarray(cond_factor[:, :rank])
     cross_col = cross_coef[:, None]
     damp_col = np.exp(-kernel.rates * dt)[:, None]
     z0_steps = z0.T  # (N, paths)
@@ -142,7 +144,7 @@ def sample_factors_exact(
     scratch = np.empty((n, z.shape[0]))
     for k in range(grid.N):
         current = factors[k]
-        np.matmul(cond_factor, z_steps[k], out=current)
+        np.matmul(cond_factor, z_steps[k, :rank], out=current)
         np.multiply(cross_col, z0_steps[k], out=scratch)
         current += scratch
         if k:
@@ -225,13 +227,11 @@ def sample_fractional_exact(
     return fractional.T, dw.T
 
 
-def _expsum_sq_integral(kernel: ExpSumKernel, t: float) -> float:
-    """Integral of the squared exponential sum over (0, t), closed form."""
-    r = kernel.rates
-    pair = r[:, None] + r[None, :]
-    with np.errstate(over="ignore"):
-        gram = np.where(pair > 0.0, -np.expm1(-pair * t) / np.where(pair > 0.0, pair, 1.0), t)
-    return float(kernel.weights @ gram @ kernel.weights)
+def _expsum_sq_integral(kernel: ExpSumKernel, t):
+    """Integral of the squared exponential sum over (0, t), closed form, for each t."""
+    w, r = kernel.weights, kernel.rates
+    t = np.asarray(t, dtype=float)[..., None, None]
+    return t * _phi((r[:, None] + r[None, :]) * t) @ w @ w
 
 
 def simulate_bergomi(
@@ -281,9 +281,7 @@ def simulate_bergomi(
         )
         scale = params.vol_scale
         exponent = scale * (kernel.weights @ factors.transpose(1, 2, 0))
-        compensator = 0.5 * scale**2 * np.array(
-            [_expsum_sq_integral(kernel, tl) for tl in t]
-        )
+        compensator = 0.5 * scale**2 * _expsum_sq_integral(kernel, t)
     dw = dw.T
 
     variance = np.empty((grid.N + 1, n_paths))

@@ -16,14 +16,16 @@ the time integral of the variance and its martingale parts instead.
 All engines are deterministic functions of their increments; random
 number generation lives in :mod:`rvol.mc`.
 
-Layout: the batched engines take increments of shape (paths, N) and
-return paths of shape (paths, N+1), but work step-major inside: each
-increment array is viewed as (N, paths) with paths contiguous (a free
-view for the slices of :meth:`rvol.mc.CounterRng.normals_block`, one
-transposing copy for a C-ordered array), factor states are (n, paths)
-arrays, and every step reads one contiguous increment row and ends in
-one ``weights @ factors`` product. The returned arrays are transposed
-views of the step-major (N+1, paths) buffers, not copies.
+Layout: the batched engines take (paths, N) increments and return
+(paths, N+1) paths, transposed views of step-major (N+1, paths)
+buffers. Inside, each increment array is an (N, paths) view (free for
+the slices of :meth:`rvol.mc.CounterRng.normals_block`, one transposing
+copy for a C-ordered array). Each engine is one step loop over a memory
+term, run in blocks of ``_BLOCK`` steps: every step adds a near window
+(the block's step terms against the first ``_BLOCK`` kernel lags), and
+the far memory enters once per block as one matrix product with the
+(n, paths) factors or the (N, paths) history of step terms; the factor
+engines keep the block's step terms in one (``_BLOCK``, paths) array.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 
 from .kernel import ExpSumKernel, RoughKernelSpec, expsum_eval, rough_kernel_eval
 
@@ -265,6 +268,130 @@ def _check_increments(grid: GridSpec, *arrays):
     return out
 
 
+_BLOCK = 16  # steps per block of the step loop (16/32/64 sweep: see CHANGES.md)
+
+
+class _BlockedMemory:
+    """Convolution of step terms with a kernel, advanced block by block.
+
+    ``result[k+1]`` accumulates the sum over j <= k of the kernel at lag
+    (k + 1 - j) dt times the step term S_j (row 0 is left alone). At the
+    start of block b, :meth:`term` writes the far part (j < b) of all the
+    block's rows with one product (:meth:`_far`); :meth:`convolve` then
+    adds the near window (b <= j <= k) with the first ``_BLOCK`` lags.
+    """
+
+    def __init__(self, near, n_steps: int, n_paths: int, terms):
+        self.near_rev = np.ascontiguousarray(near[::-1])
+        self.result = np.zeros((n_steps + 1, n_paths))
+        self.terms = terms  # rows of the current block's step terms
+        self.row = np.empty(n_paths)
+
+    def term(self, k: int) -> np.ndarray:
+        """Row to fill with S_k, after step k-1's :meth:`convolve`."""
+        i = k % _BLOCK
+        if i == 0 and k:
+            self._far(k, self.result[k + 1 : k + 1 + _BLOCK])
+        return self.terms[i]
+
+    def convolve(self, k: int):
+        i = k % _BLOCK
+        np.dot(self.near_rev[-1 - i :], self.terms[: i + 1], out=self.row)
+        self.result[k + 1] += self.row
+
+
+class _HistoryMemory(_BlockedMemory):
+    """Direct scheme: the (N, paths) history of all step terms.
+
+    The far part of block b is one Toeplitz product: row i weighs the
+    history rows j < b with the kernel values at lags b + i + 1 - j.
+    """
+
+    def __init__(self, kernel_values, n_paths: int):
+        n_steps = kernel_values.size
+        self.kernel_values = kernel_values
+        self.history = np.empty((n_steps, n_paths))
+        super().__init__(kernel_values[:_BLOCK], n_steps, n_paths, self.history)
+
+    def _far(self, b: int, rows):
+        lags = b + np.arange(rows.shape[0])[:, None] - np.arange(b)[None, :]
+        np.matmul(self.kernel_values[lags], self.history[:b], out=rows)
+        self.terms = self.history[b:]
+
+
+class _FactorMemory(_BlockedMemory):
+    """Multifactor scheme: (n, paths) factors f damped by ``damp`` per step.
+
+    Step b + i reads (u damp^i) . f with f taken at the block start, so
+    the kernel at lag m is u . damp^(m-1), the exponential sum on the
+    grid. A full block moves f to damp^B f + sum_j damp^(B-j) S_j. With
+    ``exact_last_step`` the lag-one weight is zero (the caller adds it).
+    """
+
+    def __init__(self, u, damp, n_steps: int, n_paths: int, exact_last_step=False):
+        powers = damp[None, :] ** np.arange(_BLOCK + 1)[:, None]
+        self.far_weights = u * powers[:-1]
+        near = self.far_weights.sum(axis=1)
+        if exact_last_step:
+            near[0] = 0.0
+        self.carry = np.ascontiguousarray(powers[:0:-1].T)  # column j: damp^(B-j)
+        self.block_damp = powers[-1][:, None]
+        self.factors = np.zeros((damp.size, n_paths))
+        super().__init__(near, n_steps, n_paths, np.empty((_BLOCK, n_paths)))
+
+    def _far(self, b: int, rows):
+        f = self.factors
+        f *= self.block_damp
+        # f.T += S.T @ carry.T, accumulated in place by BLAS on the F-ordered views
+        dgemm(1.0, self.terms.T, self.carry.T, beta=1.0, c=f.T, overwrite_c=True)
+        np.matmul(self.far_weights[: rows.shape[0]], f, out=rows)
+
+
+def _heston_variance(params, grid, memory, dw, dw_perp, exact=None) -> HestonPaths:
+    """Step loop of the variance engines, which differ only in their memory.
+
+    V_{k+1} = V0 + convolution of S_j = (theta - lam V_j^+) dt
+    + sigma sqrt(V_j^+) dW_j; ``exact = (drift_weight, d_frac)`` adds
+    the hybrid scheme's exact last step (theta - lam V_k^+) drift_weight
+    + sigma sqrt(V_k^+) d_frac_k. The log price is log S0 plus the
+    running sum of -V_k^+ dt / 2 + sqrt(V_k^+) (rho dW_k + rho_perp dW_perp_k).
+    """
+    rho_perp = math.sqrt(1.0 - params.rho * params.rho)
+    log_s0 = math.log(params.S0)
+    variance = memory.result
+    variance[0] = params.V0
+    log_price = np.empty_like(variance)
+    log_price[0] = log_s0
+    vol, mix, shock = (np.empty(dw.shape[1]) for _ in range(3))
+    total = np.zeros(dw.shape[1])
+    for k in range(grid.N):
+        step = memory.term(k)
+        np.maximum(variance[k], 0.0, out=step)  # positive part of V
+        np.sqrt(step, out=vol)
+        np.multiply(dw[k], params.rho, out=mix)
+        np.multiply(dw_perp[k], rho_perp, out=shock)
+        mix += shock
+        mix *= vol
+        np.multiply(step, -0.5 * grid.dt, out=shock)
+        mix += shock
+        total += mix
+        np.add(total, log_s0, out=log_price[k + 1])
+        vol *= params.sigma
+        step *= -params.lam
+        step += params.theta
+        if exact is not None:
+            np.multiply(step, exact[0], out=shock)
+            variance[k + 1] += shock
+            np.multiply(vol, exact[1][k], out=shock)
+            variance[k + 1] += shock
+        step *= grid.dt
+        np.multiply(vol, dw[k], out=shock)
+        step += shock
+        memory.convolve(k)
+        variance[k + 1] += params.V0
+    return HestonPaths(log_price=log_price.T, variance=variance.T)
+
+
 def heston_volterra_euler(
     params: HestonParams, kernel, grid: GridSpec, dw, dw_perp
 ) -> HestonPaths:
@@ -277,57 +404,8 @@ def heston_volterra_euler(
     ``dw`` and ``dw_perp`` are Brownian increments of shape (paths, N).
     """
     dw, dw_perp = _check_increments(grid, dw, dw_perp)
-    g_tab = _kernel_table(kernel, grid)
-    n_paths = dw.shape[1]
-    dt = grid.dt
-    # the convolution is a contiguous mat-vec product over the
-    # step-major history, and the loop allocates nothing
-    g_rev = np.ascontiguousarray(g_tab[::-1])
-    variance = np.empty((grid.N + 1, n_paths))
-    variance[0] = params.V0
-    history = np.empty((grid.N, n_paths))
-    drift = np.empty(n_paths)
-    shock = np.empty(n_paths)
-    for k in range(grid.N):
-        np.maximum(variance[k], 0.0, out=drift)  # positive part of V
-        np.sqrt(drift, out=shock)
-        shock *= dw[k]
-        shock *= params.sigma
-        drift *= -params.lam * dt
-        drift += params.theta * dt
-        np.add(drift, shock, out=history[k])
-        np.dot(g_rev[grid.N - 1 - k :], history[: k + 1], out=variance[k + 1])
-        variance[k + 1] += params.V0
-    return _heston_paths(params, grid, variance, dw, dw_perp)
-
-
-def _heston_paths(params, grid, variance, dw, dw_perp) -> HestonPaths:
-    """Log-price recursion on a step-major variance path, as (paths, N+1) views.
-
-    ``variance`` has shape (N+1, paths) and the increments (N, paths).
-    The log price is log S0 plus the running sum of the explicit steps
-    -V^+ dt / 2 + sqrt(V^+) (rho dW + rho_perp dW_perp).
-    """
-    rho = params.rho
-    rho_perp = math.sqrt(1.0 - rho * rho)
-    log_s0 = math.log(params.S0)
-    log_price = np.empty_like(variance)
-    log_price[0] = log_s0
-    v_pos, vol, mix, shock = (np.empty(variance.shape[1]) for _ in range(4))
-    total = np.zeros(variance.shape[1])
-    for k in range(grid.N):
-        np.maximum(variance[k], 0.0, out=v_pos)
-        np.sqrt(v_pos, out=vol)
-        np.multiply(dw[k], rho, out=mix)
-        np.multiply(dw_perp[k], rho_perp, out=shock)
-        mix += shock
-        vol *= mix
-        v_pos *= -0.5
-        v_pos *= grid.dt
-        v_pos += vol
-        total += v_pos
-        np.add(total, log_s0, out=log_price[k + 1])
-    return HestonPaths(log_price=log_price.T, variance=variance.T)
+    memory = _HistoryMemory(_kernel_table(kernel, grid), dw.shape[1])
+    return _heston_variance(params, grid, memory, dw, dw_perp)
 
 
 def heston_multifactor_euler(
@@ -341,28 +419,9 @@ def heston_multifactor_euler(
     factors that vanish within one time step.
     """
     dw, dw_perp = _check_increments(grid, dw, dw_perp)
-    n_paths = dw.shape[1]
-    dt = grid.dt
-    damp = np.exp(-kernel.rates * dt)[:, None]
-    variance = np.empty((grid.N + 1, n_paths))
-    variance[0] = params.V0
-    factors = np.zeros((kernel.n, n_paths))
-    step = np.empty(n_paths)
-    vol = np.empty(n_paths)
-    for k in range(grid.N):
-        np.maximum(variance[k], 0.0, out=step)  # positive part of V
-        np.sqrt(step, out=vol)
-        vol *= params.sigma
-        vol *= dw[k]
-        step *= -params.lam
-        step += params.theta
-        step *= dt
-        step += vol
-        factors += step
-        factors *= damp
-        np.dot(kernel.weights, factors, out=variance[k + 1])
-        variance[k + 1] += params.V0
-    return _heston_paths(params, grid, variance, dw, dw_perp)
+    damp = np.exp(-kernel.rates * grid.dt)
+    memory = _FactorMemory(kernel.weights * damp, damp, grid.N, dw.shape[1])
+    return _heston_variance(params, grid, memory, dw, dw_perp)
 
 
 def hybrid_step_covariance(spec: RoughKernelSpec, dt: float) -> np.ndarray:
@@ -398,108 +457,65 @@ def heston_hybrid_multifactor(
     per :func:`hybrid_step_covariance`.
     """
     dw, dw_perp, d_frac = _check_increments(grid, dw, dw_perp, d_frac)
-    n_paths = dw.shape[1]
     dt = grid.dt
-    a = spec.H + 0.5
-    drift_weight = dt**a / (a * spec.gamma_head)
-    damp_rational = (1.0 / (1.0 + kernel.rates * dt))[:, None]
-    agg_weights = kernel.weights * np.exp(-kernel.rates * dt)
-    variance = np.empty((grid.N + 1, n_paths))
-    variance[0] = params.V0
-    factors = np.zeros((kernel.n, n_paths))
-    drift = np.empty(n_paths)
-    vol = np.empty(n_paths)
-    shock = np.empty(n_paths)
-    for k in range(grid.N):
-        v_next = variance[k + 1]
-        np.maximum(variance[k], 0.0, out=drift)  # positive part of V
-        np.sqrt(drift, out=vol)
-        vol *= params.sigma
-        drift *= -params.lam
-        drift += params.theta
-        # factor prediction, plus the last step's drift and shock taken exactly
-        np.dot(agg_weights, factors, out=v_next)
-        v_next += params.V0
-        np.multiply(drift, drift_weight, out=shock)
-        v_next += shock
-        np.multiply(vol, d_frac[k], out=shock)
-        v_next += shock
-        drift *= dt
-        np.multiply(vol, dw[k], out=shock)
-        drift += shock
-        factors += drift
-        factors *= damp_rational
-    return _heston_paths(params, grid, variance, dw, dw_perp)
+    exact = (hybrid_step_covariance(spec, dt)[0, 1], d_frac)
+    predict = kernel.weights * np.exp(-kernel.rates * dt)  # w e^{-r dt}
+    damp = 1.0 / (1.0 + kernel.rates * dt)
+    memory = _FactorMemory(predict, damp, grid.N, dw.shape[1], exact_last_step=True)
+    return _heston_variance(params, grid, memory, dw, dw_perp, exact)
 
 
 _DRIFT_FLOORS = ("runmax", "positive_part")
 
 
-class _IntegratedState:
-    """Step-major state shared by the two integrated-variance engines.
+def _integrated_loop(params, grid, memory, z, z_perp, drift_floor) -> IntegratedPaths:
+    """Step loop of the integrated-variance engines; they differ only in memory.
 
-    Holds the raw and running-max integrated variance and the log price,
-    each of shape (N+1, paths), plus the two martingale parts. The
-    engines fill ``raw[k+1]`` from :meth:`drift_term`; :meth:`advance`
-    then moves the running maximum, the martingales and the log price.
+    X_{k+1} = V0 t_{k+1} + convolution of (theta t_j - lam X_j^+ + sigma M_j) dt,
+    X^+ being the running max of X or its positive part; M and M_perp
+    grow by sqrt(increase of max X) times z and z_perp.
     """
-
-    def __init__(self, params: HestonParams, grid: GridSpec, n_paths: int, drift_floor):
-        if drift_floor not in _DRIFT_FLOORS:
-            raise ValueError(f"drift_floor must be one of {_DRIFT_FLOORS}")
-        self.params = params
-        self.dt = grid.dt
-        self.runmax_floor = drift_floor == "runmax"
-        self.rho_perp = math.sqrt(1.0 - params.rho * params.rho)
-        self.log_s0 = math.log(params.S0)
-        self.raw = np.zeros((grid.N + 1, n_paths))
-        self.clamped = np.zeros((grid.N + 1, n_paths))
-        self.log_price = np.empty((grid.N + 1, n_paths))
-        self.log_price[0] = self.log_s0
-        self.mart = np.zeros(n_paths)
-        self.mart_perp = np.zeros(n_paths)
-        self.step = np.empty(n_paths)
-        self.increment = np.empty(n_paths)
-        self.scratch = np.empty(n_paths)
-
-    def drift_term(self, k: int) -> np.ndarray:
-        """(theta t_k - lam X_k^+ + sigma M_k) dt, with X_k^+ the floored state."""
-        p, step = self.params, self.step
-        if self.runmax_floor:
-            np.multiply(self.clamped[k], p.lam, out=step)
+    if drift_floor not in _DRIFT_FLOORS:
+        raise ValueError(f"drift_floor must be one of {_DRIFT_FLOORS}")
+    p, dt = params, grid.dt
+    rho_perp = math.sqrt(1.0 - p.rho * p.rho)
+    log_s0 = math.log(p.S0)
+    raw = memory.result
+    clamped = np.zeros_like(raw)
+    log_price = np.empty_like(raw)
+    log_price[0] = log_s0
+    mart, mart_perp, inc, tmp = (np.zeros(raw.shape[1]) for _ in range(4))
+    for k in range(grid.N):
+        step = memory.term(k)
+        if drift_floor == "runmax":
+            np.multiply(clamped[k], p.lam, out=step)
         else:
-            np.maximum(self.raw[k], 0.0, out=step)
+            np.maximum(raw[k], 0.0, out=step)
             step *= p.lam
-        np.subtract(p.theta * (k * self.dt), step, out=step)
-        np.multiply(self.mart, p.sigma, out=self.scratch)
-        step += self.scratch
-        step *= self.dt
-        return step
-
-    def advance(self, k: int, z_k: np.ndarray, z_perp_k: np.ndarray):
-        """Running max, martingale parts and log price at t_{k+1}."""
-        clamped, inc, tmp = self.clamped, self.increment, self.scratch
-        np.maximum(clamped[k], self.raw[k + 1], out=clamped[k + 1])
+        np.subtract(p.theta * (k * dt), step, out=step)
+        np.multiply(mart, p.sigma, out=tmp)
+        step += tmp
+        step *= dt
+        memory.convolve(k)
+        raw[k + 1] += p.V0 * (k * dt + dt)
+        # running max, martingale parts and log price at t_{k+1}
+        np.maximum(clamped[k], raw[k + 1], out=clamped[k + 1])
         np.subtract(clamped[k + 1], clamped[k], out=inc)
         np.sqrt(inc, out=inc)
-        np.multiply(inc, z_k, out=tmp)
-        self.mart += tmp
-        np.multiply(inc, z_perp_k, out=tmp)
-        self.mart_perp += tmp
-        lp = self.log_price[k + 1]
+        np.multiply(inc, z[k], out=tmp)
+        mart += tmp
+        np.multiply(inc, z_perp[k], out=tmp)
+        mart_perp += tmp
+        lp = log_price[k + 1]
         np.multiply(clamped[k + 1], -0.5, out=lp)
-        lp += self.log_s0
-        np.multiply(self.mart, self.params.rho, out=tmp)
+        lp += log_s0
+        np.multiply(mart, p.rho, out=tmp)
         lp += tmp
-        np.multiply(self.mart_perp, self.rho_perp, out=tmp)
+        np.multiply(mart_perp, rho_perp, out=tmp)
         lp += tmp
-
-    def paths(self) -> IntegratedPaths:
-        return IntegratedPaths(
-            log_price=self.log_price.T,
-            integrated_variance=self.clamped.T,
-            raw_integrated=self.raw.T,
-        )
+    return IntegratedPaths(
+        log_price=log_price.T, integrated_variance=clamped.T, raw_integrated=raw.T
+    )
 
 
 def heston_integrated_volterra(
@@ -522,15 +538,8 @@ def heston_integrated_volterra(
     (matching :func:`heston_integrated_multifactor`).
     """
     z, z_perp = _check_increments(grid, z, z_perp)
-    state = _IntegratedState(params, grid, z.shape[1], drift_floor)
-    g_tab = _kernel_table(kernel, grid)
-    dt = grid.dt
-    history = np.empty((z.shape[1], grid.N))
-    for k in range(grid.N):
-        history[:, k] = state.drift_term(k)
-        state.raw[k + 1] = params.V0 * (k * dt + dt) + history[:, : k + 1] @ g_tab[k::-1]
-        state.advance(k, z[k], z_perp[k])
-    return state.paths()
+    memory = _HistoryMemory(_kernel_table(kernel, grid), z.shape[1])
+    return _integrated_loop(params, grid, memory, z, z_perp, drift_floor)
 
 
 def heston_integrated_multifactor(
@@ -549,15 +558,6 @@ def heston_integrated_multifactor(
     set ``drift_floor='runmax'`` to mirror the direct scheme exactly.
     """
     z, z_perp = _check_increments(grid, z, z_perp)
-    state = _IntegratedState(params, grid, z.shape[1], drift_floor)
-    dt = grid.dt
-    damp = np.exp(-kernel.rates * dt)[:, None]
-    factors = np.zeros((kernel.n, z.shape[1]))
-    for k in range(grid.N):
-        factors += state.drift_term(k)
-        factors *= damp
-        raw = state.raw[k + 1]
-        np.dot(kernel.weights, factors, out=raw)
-        raw += params.V0 * (k * dt + dt)
-        state.advance(k, z[k], z_perp[k])
-    return state.paths()
+    damp = np.exp(-kernel.rates * grid.dt)
+    memory = _FactorMemory(kernel.weights * damp, damp, grid.N, z.shape[1])
+    return _integrated_loop(params, grid, memory, z, z_perp, drift_floor)

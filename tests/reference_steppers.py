@@ -55,3 +55,29 @@ def scalar_multifactor_variance(params, weights, rates, dt, dw):
         variance = params.V0 + acc
         path.append(variance)
     return path
+
+
+def scalar_hybrid_variance(params, weights, rates, dt, drift_weight, dw, d_frac):
+    """Hybrid multifactor recursion, one path. O(n N) operations.
+
+    Factors are damped by 1/(1 + r dt); the most recent step enters
+    exactly, through ``drift_weight`` and the increments ``d_frac``.
+    """
+    damp = [1.0 / (1.0 + r * dt) for r in rates]
+    predict = [w * math.exp(-r * dt) for w, r in zip(weights, rates)]
+    factors = [0.0] * len(weights)
+    path = [params.V0]
+    variance = params.V0
+    for k in range(len(dw)):
+        v_pos = variance if variance > 0.0 else 0.0
+        shock = params.sigma * math.sqrt(v_pos)
+        drift = params.theta - params.lam * v_pos
+        acc = 0.0
+        for i in range(len(factors)):
+            acc += predict[i] * factors[i]
+        variance = params.V0 + acc + drift * drift_weight + shock * d_frac[k]
+        step = drift * dt + shock * dw[k]
+        for i in range(len(factors)):
+            factors[i] = damp[i] * (factors[i] + step)
+        path.append(variance)
+    return path

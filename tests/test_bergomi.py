@@ -237,9 +237,15 @@ class TestSimulate:
         from rvol.kernel import expsum_eval
 
         kernel = ExpSumKernel([0.7, 0.5, 0.1], [0.0, 2.0, 15.0])
-        for t in (0.25, 1.0):
+        times = (0.25, 1.0)
+        for t in times:
             oracle = integrate(lambda s: expsum_eval(kernel, s) ** 2, 0.0, t, TIGHT)
             assert abs(_expsum_sq_integral(kernel, t) - oracle) <= 1e-10
+        # one broadcast over a time grid gives the same values
+        batched = _expsum_sq_integral(kernel, np.array(times))
+        assert batched.shape == (2,)
+        singles = [_expsum_sq_integral(kernel, t) for t in times]
+        assert np.allclose(batched, singles, rtol=1e-14, atol=0.0)
 
 
 class TestImpliedVol:

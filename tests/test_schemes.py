@@ -1,8 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rvol import schemes
 from rvol.kernel import ExpSumKernel, RoughKernelSpec, expsum_eval, rough_kernel_eval
 from rvol.numerics import QuadTolerance, integrate
 from rvol.schemes import (
@@ -241,14 +245,15 @@ class TestHestonVariance:
     def test_multifactor_matches_direct_on_expsum(self):
         params = HestonParams()
         kernel = ExpSumKernel([0.9, 0.6, 0.3], [0.2, 3.0, 25.0])
-        grid = GridSpec(T=1.0, N=40)
         rng = np.random.default_rng(5)
-        dw = rng.standard_normal((64, 40)) * math.sqrt(grid.dt)
-        dwp = rng.standard_normal((64, 40)) * math.sqrt(grid.dt)
-        direct = heston_volterra_euler(params, kernel, grid, dw, dwp)
-        fast = heston_multifactor_euler(params, kernel, grid, dw, dwp)
-        assert np.max(np.abs(direct.variance - fast.variance)) <= 1e-10
-        assert np.max(np.abs(direct.log_price - fast.log_price)) <= 1e-10
+        for N in (40, 100):
+            grid = GridSpec(T=1.0, N=N)
+            dw = rng.standard_normal((64, N)) * math.sqrt(grid.dt)
+            dwp = rng.standard_normal((64, N)) * math.sqrt(grid.dt)
+            direct = heston_volterra_euler(params, kernel, grid, dw, dwp)
+            fast = heston_multifactor_euler(params, kernel, grid, dw, dwp)
+            assert np.max(np.abs(direct.variance - fast.variance)) <= 1e-10
+            assert np.max(np.abs(direct.log_price - fast.log_price)) <= 1e-10
 
     def test_no_nan_for_extreme_draws(self):
         params = HestonParams()
@@ -383,14 +388,15 @@ class TestIntegratedSchemes:
     def test_multifactor_matches_direct_on_expsum(self, floor):
         params = HestonParams()
         kernel = ExpSumKernel([0.9, 0.5, 0.2], [0.4, 5.0, 30.0])
-        grid = GridSpec(T=1.0, N=32)
         rng = np.random.default_rng(8)
-        z = rng.standard_normal((64, 32))
-        zp = rng.standard_normal((64, 32))
-        direct = heston_integrated_volterra(params, kernel, grid, z, zp, drift_floor=floor)
-        fast = heston_integrated_multifactor(params, kernel, grid, z, zp, drift_floor=floor)
-        assert np.max(np.abs(direct.raw_integrated - fast.raw_integrated)) <= 1e-10
-        assert np.max(np.abs(direct.log_price - fast.log_price)) <= 1e-10
+        for N in (32, 100):
+            grid = GridSpec(T=1.0, N=N)
+            z = rng.standard_normal((64, N))
+            zp = rng.standard_normal((64, N))
+            direct = heston_integrated_volterra(params, kernel, grid, z, zp, drift_floor=floor)
+            fast = heston_integrated_multifactor(params, kernel, grid, z, zp, drift_floor=floor)
+            assert np.max(np.abs(direct.raw_integrated - fast.raw_integrated)) <= 1e-10
+            assert np.max(np.abs(direct.log_price - fast.log_price)) <= 1e-10
 
     def test_floor_validation(self):
         params = HestonParams()
@@ -462,3 +468,81 @@ class TestIncrementLayout:
                 lambda z: engine(params, kern, grid, z[:, :, 0], z[:, :, 1], drift_floor=floor),
                 2,
             )
+
+
+@st.composite
+def blocked_grids(draw):
+    """A block size of 1-7 steps and a step count on or next to its block edges."""
+    block = draw(st.integers(1, 7))
+    edges = [1, max(block - 1, 1), block, block + 1, 2 * block + 1]
+    n_steps = draw(st.one_of(st.sampled_from(edges), st.integers(1, 3 * block + 2)))
+    return block, GridSpec(T=1.0, N=n_steps)
+
+
+@st.composite
+def expsum_kernels(draw):
+    """Exponential sums of 1-8 factors with rates in [0, 50]."""
+    n = draw(st.integers(1, 8))
+    rates = draw(st.lists(st.floats(0.0, 50.0), min_size=n, max_size=n, unique=True))
+    weights = draw(st.lists(st.floats(0.05, 2.0), min_size=n, max_size=n))
+    return ExpSumKernel(weights, sorted(rates))
+
+
+class TestBlockedStepLoop:
+    """Engines agree with each other and with per-step recursions for any block size."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=blocked_grids(), kernel=expsum_kernels(), seed=st.integers(0, 2**32 - 1))
+    def test_variance_engines(self, case, kernel, seed):
+        from reference_steppers import scalar_multifactor_variance, scalar_volterra_variance
+
+        block, grid = case
+        params = HestonParams()
+        rng = np.random.default_rng(seed)
+        dw, dwp = rng.standard_normal((2, 4, grid.N)) * math.sqrt(grid.dt)
+        with mock.patch.object(schemes, "_BLOCK", block):
+            direct = heston_volterra_euler(params, kernel, grid, dw, dwp)
+            fast = heston_multifactor_euler(params, kernel, grid, dw, dwp)
+        assert np.max(np.abs(direct.variance - fast.variance)) <= 1e-10
+        assert np.max(np.abs(direct.log_price - fast.log_price)) <= 1e-10
+        g_tab = [float(expsum_eval(kernel, m * grid.dt)) for m in range(1, grid.N + 1)]
+        for p in range(4):
+            ref_direct = scalar_volterra_variance(params, g_tab, grid.dt, list(dw[p]))
+            ref_fast = scalar_multifactor_variance(
+                params, list(kernel.weights), list(kernel.rates), grid.dt, list(dw[p])
+            )
+            assert np.allclose(direct.variance[p], ref_direct, rtol=0.0, atol=1e-12)
+            assert np.allclose(fast.variance[p], ref_fast, rtol=0.0, atol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=blocked_grids(), kernel=expsum_kernels(), seed=st.integers(0, 2**32 - 1))
+    def test_hybrid_engine(self, case, kernel, seed):
+        from reference_steppers import scalar_hybrid_variance
+
+        block, grid = case
+        params = HestonParams()
+        spec = RoughKernelSpec(0.1)
+        rng = np.random.default_rng(seed)
+        dw, dwp, d_frac = rng.standard_normal((3, 4, grid.N)) * math.sqrt(grid.dt)
+        with mock.patch.object(schemes, "_BLOCK", block):
+            paths = heston_hybrid_multifactor(params, spec, kernel, grid, dw, dwp, d_frac)
+        drift_weight = hybrid_step_covariance(spec, grid.dt)[0, 1]
+        weights, rates = list(kernel.weights), list(kernel.rates)
+        for p in range(4):
+            ref = scalar_hybrid_variance(
+                params, weights, rates, grid.dt, drift_weight, list(dw[p]), list(d_frac[p])
+            )
+            assert np.allclose(paths.variance[p], ref, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("floor", ["runmax", "positive_part"])
+    @settings(max_examples=30, deadline=None)
+    @given(case=blocked_grids(), kernel=expsum_kernels(), seed=st.integers(0, 2**32 - 1))
+    def test_integrated_engines(self, floor, case, kernel, seed):
+        block, grid = case
+        params = HestonParams()
+        z, zp = np.random.default_rng(seed).standard_normal((2, 4, grid.N))
+        with mock.patch.object(schemes, "_BLOCK", block):
+            direct = heston_integrated_volterra(params, kernel, grid, z, zp, drift_floor=floor)
+            fast = heston_integrated_multifactor(params, kernel, grid, z, zp, drift_floor=floor)
+        assert np.max(np.abs(direct.raw_integrated - fast.raw_integrated)) <= 1e-10
+        assert np.max(np.abs(direct.log_price - fast.log_price)) <= 1e-10
