@@ -275,10 +275,10 @@ class _BlockedMemory:
     """Convolution of step terms with a kernel, advanced block by block.
 
     ``result[k+1]`` accumulates the sum over j <= k of the kernel at lag
-    (k + 1 - j) dt times the step term S_j (row 0 is left alone). At the
-    start of block b, :meth:`term` writes the far part (j < b) of all the
-    block's rows with one product (:meth:`_far`); :meth:`convolve` then
-    adds the near window (b <= j <= k) with the first ``_BLOCK`` lags.
+    (k + 1 - j) dt times the step term S_j; row 0 stays zero for the
+    caller. At the start of block b, :meth:`term` writes the far part
+    (j < b) of all the block's rows with one product (:meth:`_far`);
+    :meth:`convolve` then adds the near window (b <= j <= k).
     """
 
     def __init__(self, near, n_steps: int, n_paths: int, terms):
