@@ -157,6 +157,13 @@ def sample_factors_exact(
 @lru_cache(maxsize=8)
 def _fractional_joint_covariance_cached(H: float, T: float, N: int):
     spec = RoughKernelSpec(H)
+    tol = QuadTolerance(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=400)
+    e = H - 0.5
+
+    def piece(i, j):  # unit piece P(i, j): s^e (s + j)^e integrated over (i - 1, i)
+        return integrate(lambda s: s**e * (s + j) ** e, i - 1.0, float(i), tol)
+
+    pieces = [[piece(i, j) for i in range(1, N - j + 1)] for j in range(1, N)]
     t = np.arange(1, N + 1) * (T / N)
     a = H + 0.5
     cov = np.empty((2 * N, 2 * N))
@@ -167,16 +174,14 @@ def _fractional_joint_covariance_cached(H: float, T: float, N: int):
     overlap = np.minimum(t_l, t[None, :])
     cov[N:, :N] = (t_l**a - (t_l - overlap) ** a) / a
     cov[:N, N:] = cov[N:, :N].T
-    # fractional block: same-time entries in closed form, cross-time by quadrature
-    tol = QuadTolerance(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=400)
-    for l in range(N):
-        cov[N + l, N + l] = t[l] ** (2.0 * H) / (2.0 * H)
-        for m in range(l + 1, N):
-            gap = t[m] - t[l]
-            value = integrate(
-                lambda u: u ** (H - 0.5) * (u + gap) ** (H - 0.5), 0.0, t[l], tol
-            )
-            cov[N + l, N + m] = cov[N + m, N + l] = value
+    # fractional block: same-time entries in closed form, cross-time entry
+    # (l, l + j) is dt^(2H) times the sum of pieces i <= l + 1 at lag j
+    frac = cov[N:, N:]
+    np.fill_diagonal(frac, t ** (2.0 * H) / (2.0 * H))
+    scale = (T / N) ** (2.0 * H)
+    for j, lag_pieces in enumerate(pieces, start=1):
+        rows = np.arange(N - j)
+        frac[rows, rows + j] = frac[rows + j, rows] = scale * np.cumsum(lag_pieces)
     cov.setflags(write=False)
     return cov, spec
 
@@ -187,9 +192,11 @@ def fractional_joint_covariance(spec: RoughKernelSpec, grid: GridSpec) -> np.nda
     Ordered with the Brownian block first so that an unpivoted Cholesky
     factor maps the first N standard normals to the Brownian path. The
     fractional integral here carries the bare power kernel (t-s)^(H-1/2)
-    without the gamma normalization. Cross-time fractional entries have
-    no elementary closed form and are computed once by adaptive
-    quadrature; the result is cached per (H, T, N).
+    without the gamma normalization. Cross-time entry (l, l+j) is
+    dt^(2H) sum_{i<=l+1} P(i, j) with unit pieces P(i, j) = integral over
+    (i-1, i) of s^(H-1/2) (s+j)^(H-1/2) ds: one adaptive quadrature per
+    i + j <= N, of which only i = 1 meets the singularity, summed
+    cumulatively over i. The result is cached per (H, T, N).
     """
     return _fractional_joint_covariance_cached(spec.H, grid.T, grid.N)[0]
 

@@ -12,8 +12,10 @@ evaluated as a quadratic form in a joint Gaussian covariance matrix.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -158,29 +160,43 @@ def expsum_eval(kernel: ExpSumKernel, t):
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
 
-def lambda_mass(spec: RoughKernelSpec, a: float, b: float) -> float:
+def _intervals(a, b):
+    """Interval ends as float arrays, checked for 0 <= a < b elementwise."""
+    a_arr, b_arr = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if not np.all((0.0 <= a_arr) & (a_arr < b_arr)):
+        raise ValueError(f"need 0 <= a < b, got [{a}, {b})")
+    return a_arr, b_arr
+
+
+def lambda_mass(spec: RoughKernelSpec, a, b):
     """Spectral density mass of [a, b): integral of c_H rho^(-H-1/2).
 
-    Closed form c_H (b^(1/2-H) - a^(1/2-H)) / (1/2 - H).
+    Closed form c_H (b^(1/2-H) - a^(1/2-H)) / (1/2 - H). Accepts arrays
+    of interval ends (one mass per interval); scalar ends give a float.
     """
-    if not 0.0 <= a < b:
-        raise ValueError(f"need 0 <= a < b, got [{a}, {b})")
+    a_arr, b_arr = _intervals(a, b)
     e = 0.5 - spec.H
-    return spec.density_const * (b**e - a**e) / e
+    out = spec.density_const * (b_arr**e - a_arr**e) / e
+    return float(out) if np.ndim(out) == 0 else out
 
 
-def barycenter(spec: RoughKernelSpec, a: float, b: float) -> float:
+def barycenter(spec: RoughKernelSpec, a, b):
     """Density-weighted mean of rho over [a, b]; lies strictly inside.
 
     Closed form (1/2-H)/(3/2-H) * (b^(3/2-H) - a^(3/2-H)) /
     (b^(1/2-H) - a^(1/2-H)). Picking this node cancels the first-order
-    term of the discretization error on the interval.
+    term of the discretization error on the interval. Accepts arrays
+    like :func:`lambda_mass`. Raises ``ValueError`` for an interval so
+    narrow that b^(1/2-H) and a^(1/2-H) round to the same float.
     """
-    if not 0.0 <= a < b:
-        raise ValueError(f"need 0 <= a < b, got [{a}, {b}]")
+    a_arr, b_arr = _intervals(a, b)
     e = 0.5 - spec.H
     f = 1.5 - spec.H
-    return (e / f) * (b**f - a**f) / (b**e - a**e)
+    spread = b_arr**e - a_arr**e
+    if not np.all(spread > 0.0):
+        raise ValueError(f"interval [{a}, {b}] too narrow for the barycenter closed form")
+    out = (e / f) * (b_arr**f - a_arr**f) / spread
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def truncation_error_bound(spec: RoughKernelSpec, cutoff: float) -> float:
@@ -197,8 +213,29 @@ def truncation_error_bound(spec: RoughKernelSpec, cutoff: float) -> float:
 def _phi(x):
     """(1 - exp(-x)) / x with the removable singularity at 0 filled in."""
     x = np.asarray(x, dtype=float)
-    out = np.where(x > 0.0, -np.expm1(-x) / np.where(x > 0.0, x, 1.0), 1.0)
-    return out
+    out = np.full_like(x, -1.0)
+    np.divide(np.expm1(-x), x, out=out, where=x > 0.0)
+    return np.negative(out, out=out)
+
+
+@lru_cache(maxsize=64)
+def _strict_upper(m: int) -> np.ndarray:
+    """Boolean mask of the strict upper triangle of an m x m matrix."""
+    return np.triu(np.ones((m, m), dtype=bool), 1)
+
+
+def _quadratic_form_fsum(v: np.ndarray, matrix: np.ndarray) -> float:
+    """v' M v for a symmetric M, correctly rounded by ``math.fsum``.
+
+    The terms v_i v_j M_ij are exactly symmetric and doubling is exact,
+    so fsum over the diagonal and the doubled strict upper half, read
+    from a float buffer, equals fsum over all m^2 terms, bit for bit.
+    """
+    terms = np.multiply.outer(v, v)
+    terms *= matrix
+    doubled = terms[_strict_upper(v.size)]
+    doubled *= 2.0
+    return math.fsum(itertools.chain(terms.diagonal().tolist(), memoryview(doubled)))
 
 
 def _fractional_cross_column(spec: RoughKernelSpec, rates: np.ndarray, t: float):
@@ -242,12 +279,13 @@ def l2_error_exact(spec: RoughKernelSpec, kernel: ExpSumKernel, t: float) -> flo
     Evaluated as v' Sigma v with v = (weights, -1) in the joint Gaussian
     covariance, summed with exact (Shewchuk) accumulation and clamped at
     zero: for accurate kernels the result sits many orders of magnitude
-    below the individual matrix entries.
+    below the individual matrix entries. Sigma is symmetric, so the sum
+    runs over its diagonal and doubled strict upper half; the result is
+    the same correctly rounded value as the sum over every entry.
     """
     cov = build_joint_covariance(spec, kernel.rates, t)
     v = np.concatenate([kernel.weights, [-1.0]])
-    terms = (v[:, None] * v[None, :] * cov.matrix).ravel()
-    return max(math.fsum(terms.tolist()), 0.0)
+    return max(_quadratic_form_fsum(v, cov.matrix), 0.0)
 
 
 def l2_error_discrete(
@@ -276,7 +314,7 @@ def expsum_inner_products(spec: RoughKernelSpec, kernel: ExpSumKernel, T: float)
     w, r = kernel.weights, kernel.rates
     pair_sums = r[:, None] + r[None, :]
     gram = T * _phi(pair_sums * T)
-    self_product = math.fsum((w[:, None] * w[None, :] * gram).ravel().tolist())
+    self_product = _quadratic_form_fsum(w, gram)
     cross_col = _fractional_cross_column(spec, r, T)
     cross_product = math.fsum((w * cross_col).tolist())
     rough_product = T ** (2.0 * spec.H) / (2.0 * spec.H * spec.gamma_head**2)

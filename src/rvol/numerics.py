@@ -1,7 +1,8 @@
 """Low-level numerical routines shared by the rest of the package.
 
 Gamma functions, a one-dimensional golden-section minimizer, an adaptive
-quadrature wrapper used as an independent cross-check in the test suite,
+quadrature wrapper that builds the cross-time entries of the exact rough
+Bergomi covariance and serves the test suite as an independent oracle,
 and a clipped Cholesky factorization for nearly positive semidefinite
 covariance matrices.
 """
@@ -13,7 +14,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate as _scipy_integrate
+from scipy.special import gammainc
 
 __all__ = [
     "QuadTolerance",
@@ -59,63 +60,17 @@ def gamma_fn(a: float) -> float:
     return math.gamma(a)
 
 
-def lower_incomplete_gamma(a: float, x: float, tol: float = 1e-15) -> float:
+def lower_incomplete_gamma(a: float, x: float) -> float:
     """Lower incomplete gamma integral of s^(a-1) exp(-s) over (0, x).
 
-    Series expansion for x < a + 1, continued fraction (modified Lentz)
-    for the upper tail otherwise; both converge quickly for the shape
-    parameters a in (0, 2) used throughout this package.
+    The regularized integral ``scipy.special.gammainc`` times Gamma(a).
+    NaN arguments raise instead of propagating.
     """
-    if a <= 0.0:
+    if not a > 0.0:
         raise ValueError(f"lower_incomplete_gamma requires a > 0, got {a}")
-    if x < 0.0:
+    if not x >= 0.0:
         raise ValueError(f"lower_incomplete_gamma requires x >= 0, got {x}")
-    if x == 0.0:
-        return 0.0
-    if math.isinf(x):
-        return gamma_fn(a)
-
-    if x < a + 1.0:
-        # gamma(a, x) = x^a e^-x sum_k x^k / (a (a+1) ... (a+k))
-        term = 1.0 / a
-        total = term
-        denom = a
-        for _ in range(500):
-            denom += 1.0
-            term *= x / denom
-            total += term
-            if abs(term) < abs(total) * tol:
-                break
-        else:
-            raise ArithmeticError("incomplete gamma series did not converge")
-        log_scale = a * math.log(x) - x
-        return total * math.exp(log_scale)
-
-    # Upper tail Q(a, x) via continued fraction, then gamma(a) - Q.
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 500):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < tol:
-            break
-    else:
-        raise ArithmeticError("incomplete gamma continued fraction did not converge")
-    log_scale = a * math.log(x) - x
-    upper = math.exp(log_scale) * h if log_scale > -745.0 else 0.0
-    return gamma_fn(a) - upper
+    return float(gammainc(a, x)) * math.gamma(a)
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -158,13 +113,15 @@ def integrate(f, lo: float, hi: float, tol: QuadTolerance = QuadTolerance()) -> 
     Thin wrapper over QUADPACK (scipy.integrate.quad) exposing the
     package-wide tolerance type. Integrable endpoint singularities of
     type s^beta with beta > -1 at ``lo`` are handled by the adaptive
-    subdivision with extrapolation. This routine serves as an
-    independent oracle for closed-form quantities; it is not used in
-    simulation hot paths.
+    subdivision with extrapolation. It builds the exact rough Bergomi
+    covariance once per grid and checks closed forms in the tests; it
+    is not used in simulation hot paths.
     """
+    from scipy import integrate as scipy_integrate  # slow import, needed only here
+
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", _scipy_integrate.IntegrationWarning)
-        value, abserr, info, *rest = _scipy_integrate.quad(
+        warnings.simplefilter("ignore", scipy_integrate.IntegrationWarning)
+        value, abserr, info, *rest = scipy_integrate.quad(
             f,
             lo,
             hi,

@@ -157,11 +157,11 @@ def newton_cotes_coefficients(J: int) -> tuple:
 
 def _interval_part(spec: RoughKernelSpec, n: int, upper: float, node_rule: str):
     edges = np.linspace(0.0, upper, n + 1)
-    weights = np.array([lambda_mass(spec, edges[i], edges[i + 1]) for i in range(n)])
+    weights = lambda_mass(spec, edges[:-1], edges[1:])
     if node_rule == "midpoint":
         rates = 0.5 * (edges[:-1] + edges[1:])
     else:
-        rates = np.array([barycenter(spec, edges[i], edges[i + 1]) for i in range(n)])
+        rates = barycenter(spec, edges[:-1], edges[1:])
     return weights, rates
 
 
@@ -217,13 +217,8 @@ def build_geometric(spec: RoughKernelSpec, cfg: GeometricConfig) -> ExpSumKernel
                 f"geometric endpoint K*A^n overflows for K={cfg.K}, A={cfg.A}, n={cfg.n}"
             )
         edges.append(top)
-    weights = np.array(
-        [lambda_mass(spec, edges[i], edges[i + 1]) for i in range(2 * cfg.n)]
-    )
-    rates = np.array(
-        [barycenter(spec, edges[i], edges[i + 1]) for i in range(2 * cfg.n)]
-    )
-    return ExpSumKernel(weights, rates)
+    lo, hi = np.array(edges[:-1]), np.array(edges[1:])
+    return ExpSumKernel(lambda_mass(spec, lo, hi), barycenter(spec, lo, hi))
 
 
 def optimize_tail_ratio(

@@ -116,6 +116,38 @@ class TestFractionalSampling:
                 ) / a
                 assert math.isclose(cov[6 + l, 6 + m], closed, rel_tol=1e-9)
 
+    def test_cross_time_against_per_entry_quadrature(self):
+        # oracle: each entry integrated over (0, t_l) in one piece, through
+        # the singularity at 0, as the covariance was once built
+        from rvol.kernel import RoughKernelSpec
+
+        H, N = 0.07, 12
+        grid = GridSpec(T=1.0, N=N)
+        cov = fractional_joint_covariance(RoughKernelSpec(H), grid)
+        t = np.arange(1, N + 1) * grid.dt
+        tol = QuadTolerance(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=400)
+        for l in range(N):
+            for m in range(l + 1, N):
+                gap = t[m] - t[l]
+                oracle = integrate(
+                    lambda u: u ** (H - 0.5) * (u + gap) ** (H - 0.5), 0.0, t[l], tol
+                )
+                assert abs(cov[N + l, N + m] - oracle) <= 1e-11
+                assert cov[N + m, N + l] == cov[N + l, N + m]
+
+    @pytest.mark.parametrize("H", [0.01, 0.07, 0.25, 0.45])
+    @pytest.mark.parametrize("N", [6, 20, 40])
+    def test_unit_pieces_against_hypergeometric(self, H, N):
+        from rvol.kernel import RoughKernelSpec
+
+        grid = GridSpec(T=1.0, N=N)
+        frac = fractional_joint_covariance(RoughKernelSpec(H), grid)[N:, N:]
+        t = np.arange(1, N + 1) * grid.dt
+        l, m = np.triu_indices(N, 1)
+        a = H + 0.5
+        closed = t[l] ** a * t[m] ** (H - 0.5) * hyp2f1(1.0, 0.5 - H, 1.5 + H, t[l] / t[m]) / a
+        assert np.allclose(frac[l, m], closed, rtol=1e-11, atol=0.0)
+
     def test_near_half_hurst_degenerates_to_brownian(self):
         from rvol.kernel import RoughKernelSpec
 

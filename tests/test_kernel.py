@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rvol.kernel import (
     ExpSumKernel,
@@ -22,6 +24,22 @@ from rvol.numerics import QuadTolerance, gamma_fn, integrate
 
 TIGHT = QuadTolerance(abs_tol=1e-13, rel_tol=1e-13, max_subdivisions=400)
 ZETA_TOL = QuadTolerance(abs_tol=1e-9, rel_tol=1e-9, max_subdivisions=400)
+
+
+def full_matrix_fsum(v, matrix):
+    """v' M v summed by math.fsum over every one of the m^2 terms."""
+    return math.fsum((v[:, None] * v[None, :] * matrix).ravel().tolist())
+
+
+@st.composite
+def expsum_kernels(draw):
+    """Random exp-sum kernels: 1-60 factors, rates over seven decades, maybe a zero rate."""
+    n = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rates = np.unique(10.0 ** rng.uniform(-3.0, 4.0, n))
+    if draw(st.booleans()):
+        rates[0] = 0.0
+    return ExpSumKernel(rng.uniform(0.0, 2.0, rates.size), rates)
 
 
 def quad_l2_gap(spec, kernel, t):
@@ -135,6 +153,37 @@ class TestDensityGeometry:
             mid = barycenter(spec, a, b)
             assert a < mid < b
 
+    @settings(max_examples=50, deadline=None)
+    @given(
+        H=st.floats(0.01, 0.49),
+        start=st.floats(0.0, 1e3),
+        widths=st.lists(st.floats(1e-6, 1e3), min_size=1, max_size=40),
+    )
+    def test_array_rules_match_scalar_calls(self, H, start, widths):
+        spec = RoughKernelSpec(H)
+        edges = start + np.concatenate([[0.0], np.cumsum(widths)])
+        lo, hi = edges[:-1], edges[1:]
+        masses = lambda_mass(spec, lo, hi)
+        nodes = barycenter(spec, lo, hi)
+        for i in range(lo.size):
+            mass = lambda_mass(spec, float(lo[i]), float(hi[i]))
+            node = barycenter(spec, float(lo[i]), float(hi[i]))
+            assert type(mass) is float and type(node) is float
+            assert math.isclose(masses[i], mass, rel_tol=1e-14)
+            assert math.isclose(nodes[i], node, rel_tol=1e-14)
+
+    def test_array_rules_validate_every_interval(self):
+        spec = RoughKernelSpec(0.2)
+        with pytest.raises(ValueError):
+            lambda_mass(spec, np.array([0.0, 2.0]), np.array([1.0, 2.0]))
+        with pytest.raises(ValueError):
+            barycenter(spec, np.array([-1.0, 1.0]), np.array([1.0, 2.0]))
+
+    def test_barycenter_rejects_interval_below_resolution(self):
+        # one ulp wide: both powers round to 1.0 and the closed form is 0/0
+        with pytest.raises(ValueError, match="too narrow"):
+            barycenter(RoughKernelSpec(0.45), 1.0, math.nextafter(1.0, 2.0))
+
     def test_barycenter_against_quadrature(self):
         spec = RoughKernelSpec(0.1)
         num = integrate(lambda r: r * r ** (-0.6), 2.0, 5.0, TIGHT)
@@ -236,6 +285,17 @@ class TestL2Error:
             exact = l2_error_exact(spec, kernel, t)
             oracle = quad_l2_gap(spec, kernel, t)
             assert abs(exact - oracle) <= 1e-6
+
+    @settings(max_examples=60, deadline=None)
+    @given(kernel=expsum_kernels(), H=st.floats(0.01, 0.49), t=st.floats(0.01, 10.0))
+    def test_half_matrix_sum_is_bit_identical(self, kernel, H, t):
+        spec = RoughKernelSpec(H)
+        sigma = build_joint_covariance(spec, kernel.rates, t).matrix
+        v = np.concatenate([kernel.weights, [-1.0]])
+        assert l2_error_exact(spec, kernel, t) == max(full_matrix_fsum(v, sigma), 0.0)
+        self_product, _, _ = expsum_inner_products(spec, kernel, t)
+        n = kernel.n
+        assert self_product == full_matrix_fsum(kernel.weights, sigma[:n, :n])
 
     def test_discrete_hand_sum(self):
         spec = RoughKernelSpec(0.2)

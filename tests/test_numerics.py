@@ -1,8 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import rvol
 from rvol.kernel import RoughKernelSpec, l2_error_exact
 from rvol.numerics import (
     IntegrationError,
@@ -21,6 +27,11 @@ LOWER_GAMMA_06_15 = 1.3292217692426947203269351973
 LOWER_GAMMA_075_2 = 1.1211882539168982203378008768
 
 TIGHT = QuadTolerance(abs_tol=1e-13, rel_tol=1e-13, max_subdivisions=400)
+
+SHAPES = st.floats(0.5, 1.5, exclude_min=True, exclude_max=True)
+# subnormal x would put x^a below the normal range, where neither the
+# closed form nor the oracle keeps relative accuracy
+POINTS = st.floats(0.0, 50.0, allow_subnormal=False)
 
 
 class TestGamma:
@@ -79,6 +90,38 @@ class TestLowerIncompleteGamma:
         with pytest.raises(ValueError):
             lower_incomplete_gamma(0.5, -1.0)
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="a > 0, got nan"):
+            lower_incomplete_gamma(math.nan, 1.0)
+        with pytest.raises(ValueError, match="x >= 0, got nan"):
+            lower_incomplete_gamma(0.5, math.nan)
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=SHAPES, x=POINTS)
+    def test_matches_quadrature_oracle(self, a, x):
+        # substituting s = x u keeps the oracle's relative accuracy at small x
+        scaled = integrate(lambda u: u ** (a - 1.0) * math.exp(-x * u), 0.0, 1.0, TIGHT)
+        assert math.isclose(
+            lower_incomplete_gamma(a, x),
+            x**a * scaled,
+            rel_tol=1e-12,
+            abs_tol=sys.float_info.min,
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(a=SHAPES, x=POINTS)
+    def test_recurrence(self, a, x):
+        # gamma(a+1, x) = a gamma(a, x) - x^a e^-x, to rounding of the two terms
+        lower = lower_incomplete_gamma(a, x)
+        boundary = x**a * math.exp(-x)
+        gap = lower_incomplete_gamma(a + 1.0, x) - (a * lower - boundary)
+        assert abs(gap) <= 1e-12 * (a * lower + boundary) + sys.float_info.min
+
+    @settings(max_examples=20, deadline=None)
+    @given(a=SHAPES)
+    def test_huge_argument_returns_gamma(self, a):
+        assert lower_incomplete_gamma(a, 1e300) == gamma_fn(a)
+
 
 class TestMinimizeScalar:
     def test_quadratic(self):
@@ -135,6 +178,18 @@ class TestIntegrate:
         with pytest.raises(IntegrationError) as err:
             integrate(lambda t: math.sin(50.0 / (t + 1e-3)), 0.0, 1.0, tol)
         assert math.isfinite(err.value.best_estimate)
+
+
+def test_package_import_leaves_out_scipy_integrate():
+    # scipy.integrate (and the scipy.optimize and scipy.sparse it imports)
+    # loads only when a quadrature first runs
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rvol.__file__)))
+    probe = "import sys, rvol; print('scipy.integrate' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 class TestPsdFactorize:
