@@ -10,7 +10,11 @@ recursion. The variance compensator is computed in closed form in both
 cases so the simulated variance is an exact exponential martingale.
 
 The samplers follow the step-major layout of :mod:`rvol.schemes`:
-(paths, N, ...) arrays in and out, (N, ..., paths) buffers inside.
+(paths, N, ...) arrays in and out, step-major (N, paths) buffers
+inside. The multifactor sampler carries its factors as one (n, paths)
+state rolled from step to step and, when pricing, keeps only the
+weighted factor sum of each step, so its memory is O(n paths) rather
+than O(N n paths).
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .kernel import ExpSumKernel, RoughKernelSpec, _phi
+from .kernel import ExpSumKernel, RoughKernelSpec, _pair_gram, _phi
 from .numerics import QuadTolerance, integrate, psd_factorize
 from .schemes import GridSpec, HestonPaths
 
@@ -87,10 +91,12 @@ def factor_step_law(kernel: ExpSumKernel, dt: float):
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     r = kernel.rates
-    cov = dt * _phi((r[:, None] + r[None, :]) * dt)
+    cov = _pair_gram(r, dt)
     cross = dt * _phi(r * dt)
     cond_cov = cov - np.outer(cross, cross) / dt
-    cond_factor = psd_factorize(cond_cov)
+    # entries are differences of terms up to dt: a lone slow factor, nearly
+    # fixed by the increment, leaves a conditional variance of rounding size
+    cond_factor = psd_factorize(cond_cov, floor=1e-6 * dt)
     return cross / math.sqrt(dt), cond_factor
 
 
@@ -100,24 +106,38 @@ def sample_factors_exact(
     n_paths: int | None = None,
     rng=None,
     normals=None,
+    weights=None,
 ):
     """Exact joint sample of factor integrals and Brownian increments.
 
     Factor i at grid time t_l is the integral of exp(-r_i (t_l - s))
     against the Brownian motion up to t_l; the recursion damps the
     previous value by exp(-r_i dt) and adds the one-step innovation
-    drawn exactly via :func:`factor_step_law`.
+    drawn exactly via :func:`factor_step_law`, one (n, paths) factor
+    state per step.
 
     Supply either ``rng`` (a numpy Generator) with ``n_paths``, or
     ``normals``: an array of shape (paths, N, n+1) whose component 0
     drives the Brownian increments, or the pair ``(z0, z)`` of that
     component, shape (paths, N), and the n others, shape (paths, N, n),
     so that a caller whose layout interleaves further components passes
-    views instead of a copy. Returns ``(factors, dw)`` with shapes
+    views instead of a copy.
+
+    With ``weights=None`` returns ``(factors, dw)`` with shapes
     (paths, N, n) and (paths, N), transposed views of step-major
-    buffers; ``factors[:, l-1]`` holds the values at t_l.
+    buffers; ``factors[:, l-1]`` holds the values at t_l. With a finite
+    length-n ``weights`` vector w, two (n, paths) states are used in
+    turn, only ``w @ state`` is kept after each step, and
+    ``(w @ factors, dw)`` is returned, both (paths, N): no (N, n, paths)
+    buffer is built, so the memory held is O(n paths). Raises
+    ``ValueError`` for weights of another shape or with a non-finite
+    entry.
     """
     n = kernel.n
+    if weights is not None:
+        weights = np.asarray(weights, dtype=float)
+        if weights.shape != (n,) or not np.all(np.isfinite(weights)):
+            raise ValueError(f"weights must be a finite vector of length {n}")
     if normals is None:
         if rng is None or n_paths is None:
             raise ValueError("supply either normals or (rng and n_paths)")
@@ -140,18 +160,27 @@ def sample_factors_exact(
     damp_col = np.exp(-kernel.rates * dt)[:, None]
     z0_steps = z0.T  # (N, paths)
     z_steps = z.transpose(1, 2, 0)  # (N, n, paths)
-    factors = np.empty((grid.N, n, z.shape[0]))
-    scratch = np.empty((n, z.shape[0]))
+    n_paths = z.shape[0]
+    # every step's state, or two (n, paths) states used in turn
+    ring = grid.N if weights is None else 2
+    states = np.empty((ring, n, n_paths))
+    if weights is not None:
+        reduced = np.empty((grid.N, n_paths))
+    scratch = np.empty((n, n_paths))
     for k in range(grid.N):
-        current = factors[k]
+        current = states[k % ring]
         np.matmul(cond_factor, z_steps[k, :rank], out=current)
         np.multiply(cross_col, z0_steps[k], out=scratch)
         current += scratch
         if k:
-            np.multiply(damp_col, factors[k - 1], out=scratch)
+            np.multiply(damp_col, states[(k - 1) % ring], out=scratch)
             current += scratch
+        if weights is not None:
+            np.matmul(weights, current, out=reduced[k])
     dw = z0_steps * math.sqrt(dt)
-    return factors.transpose(2, 0, 1), dw.T
+    if weights is None:
+        return states.transpose(2, 0, 1), dw.T
+    return reduced.T, dw.T
 
 
 @lru_cache(maxsize=8)
@@ -283,11 +312,14 @@ def simulate_bergomi(
         exponent = params.eta * math.sqrt(2.0 * params.H) * fractional.T
         compensator = 0.5 * params.eta**2 * t ** (2.0 * params.H)
     else:
-        factors, dw = sample_factors_exact(
-            kernel, grid, normals=(normals[:, :, 0], normals[:, :, 2:])
+        factor_sum, dw = sample_factors_exact(
+            kernel,
+            grid,
+            normals=(normals[:, :, 0], normals[:, :, 2:]),
+            weights=kernel.weights,
         )
         scale = params.vol_scale
-        exponent = scale * (kernel.weights @ factors.transpose(1, 2, 0))
+        exponent = scale * factor_sum.T
         compensator = 0.5 * scale**2 * _expsum_sq_integral(kernel, t)
     dw = dw.T
 

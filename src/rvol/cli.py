@@ -49,7 +49,7 @@ from .quadrature import (
     build_simpson,
     build_systematic,
 )
-from .schemes import GridSpec
+from .schemes import GridSpec, IntegratedPaths
 from .tables import TABLE_IDS, table_rows
 
 _METHODS = ("riemann-mid", "riemann-bary", "simpson", "newton-cotes", "geometric", "systematic")
@@ -215,61 +215,10 @@ def _cmd_path_dump(args) -> int:
     normals = rng.normals_block(
         np.array([0], dtype=np.uint64), grid.N, model.components_per_step(grid)
     )
-    # rebuild the full trajectory rather than the terminal summary
-    from .bergomi import simulate_bergomi
-    from .mc import systematic_kernel
-
-    if args.model == "heston":
-        kern = model.resolve_kernel(grid)
-        sqrt_dt = math.sqrt(grid.dt)
-        if args.scheme in ("integrated-volterra", "integrated-multifactor"):
-            from .schemes import heston_integrated_multifactor, heston_integrated_volterra
-
-            fn = (
-                heston_integrated_volterra
-                if args.scheme == "integrated-volterra"
-                else heston_integrated_multifactor
-            )
-            paths = fn(model.params, kern, grid, normals[:, :, 0], normals[:, :, 1])
-            states = [np.exp(paths.log_price[0]), paths.integrated_variance[0]]
-            header = ["t", "price", "integrated_variance"]
-        elif args.scheme == "hybrid":
-            from .schemes import heston_hybrid_multifactor, hybrid_step_covariance
-
-            spec = RoughKernelSpec(model.hurst)
-            cov = hybrid_step_covariance(spec, grid.dt)
-            l11 = math.sqrt(cov[0, 0])
-            l21 = cov[0, 1] / l11
-            l22 = math.sqrt(cov[1, 1] - l21 * l21)
-            paths = heston_hybrid_multifactor(
-                model.params,
-                spec,
-                kern,
-                grid,
-                l11 * normals[:, :, 0],
-                sqrt_dt * normals[:, :, 1],
-                l21 * normals[:, :, 0] + l22 * normals[:, :, 2],
-            )
-            states = [np.exp(paths.log_price[0]), paths.variance[0]]
-            header = ["t", "price", "variance"]
-        else:
-            from .schemes import heston_multifactor_euler, heston_volterra_euler
-
-            fn = heston_volterra_euler if args.scheme == "volterra" else heston_multifactor_euler
-            paths = fn(
-                model.params, kern, grid, sqrt_dt * normals[:, :, 0], sqrt_dt * normals[:, :, 1]
-            )
-            states = [np.exp(paths.log_price[0]), paths.variance[0]]
-            header = ["t", "price", "variance"]
-    else:
-        kern = (
-            None
-            if args.scheme == "exact"
-            else systematic_kernel(model.params.H, model.kernel_factors, grid.T)
-        )
-        paths = simulate_bergomi(model.params, grid, kernel=kern, normals=normals)
-        states = [np.exp(paths.log_price[0]), paths.variance[0]]
-        header = ["t", "price", "variance"]
+    paths = model.simulate_paths(grid, normals)
+    column = "integrated_variance" if isinstance(paths, IntegratedPaths) else "variance"
+    states = [np.exp(paths.log_price[0]), getattr(paths, column)[0]]
+    header = ["t", "price", column]
     rows = [
         [t] + [component[i] for component in states]
         for i, t in enumerate(grid.times())

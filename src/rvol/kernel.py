@@ -210,12 +210,34 @@ def truncation_error_bound(spec: RoughKernelSpec, cutoff: float) -> float:
     return 0.5 * tail * tail
 
 
-def _phi(x):
-    """(1 - exp(-x)) / x with the removable singularity at 0 filled in."""
+def _phi(x, out=None):
+    """(1 - exp(-x)) / x with the removable singularity at 0 filled in.
+
+    ``out`` may be ``x`` itself: the result then overwrites x, and the
+    only full-size temporary is exp(-x) - 1.
+    """
     x = np.asarray(x, dtype=float)
-    out = np.full_like(x, -1.0)
-    np.divide(np.expm1(-x), x, out=out, where=x > 0.0)
+    if out is None:
+        out = np.empty_like(x)
+    numerator = np.negative(x, out=np.empty_like(x))
+    np.expm1(numerator, out=numerator)
+    positive = x > 0.0
+    np.divide(numerator, x, out=out, where=positive)
+    np.copyto(out, -1.0, where=~positive)
     return np.negative(out, out=out)
+
+
+def _pair_gram(rates: np.ndarray, t: float) -> np.ndarray:
+    """t phi((r_i + r_j) t), the Gram matrix of the damped factors on (0, t).
+
+    Built in place in the result: the only other m x m array alive is
+    the one temporary of :func:`_phi`.
+    """
+    out = np.add.outer(rates, rates)
+    out *= t
+    _phi(out, out=out)
+    out *= t
+    return out
 
 
 @lru_cache(maxsize=64)
@@ -265,9 +287,9 @@ def build_joint_covariance(spec: RoughKernelSpec, rates, t: float) -> JointCovar
     if t <= 0.0:
         raise ValueError("horizon t must be positive")
     n = r.size
-    sigma = np.empty((n + 1, n + 1))
-    pair_sums = r[:, None] + r[None, :]
-    sigma[:n, :n] = t * _phi(pair_sums * t)
+    # the Gram of the rates plus a dummy zero rate fills the whole (contiguous)
+    # matrix in place; the fractional entries then replace the dummy's row and column
+    sigma = _pair_gram(np.append(r, 0.0), t)
     sigma[:n, n] = sigma[n, :n] = _fractional_cross_column(spec, r, t)
     sigma[n, n] = t ** (2.0 * spec.H) / (2.0 * spec.H * spec.gamma_head**2)
     return JointCovariance(matrix=sigma, rates=r, H=spec.H, t=t)
@@ -312,9 +334,7 @@ def expsum_inner_products(spec: RoughKernelSpec, kernel: ExpSumKernel, T: float)
     if T <= 0.0:
         raise ValueError("horizon T must be positive")
     w, r = kernel.weights, kernel.rates
-    pair_sums = r[:, None] + r[None, :]
-    gram = T * _phi(pair_sums * T)
-    self_product = _quadratic_form_fsum(w, gram)
+    self_product = _quadratic_form_fsum(w, _pair_gram(r, T))
     cross_col = _fractional_cross_column(spec, r, T)
     cross_product = math.fsum((w * cross_col).tolist())
     rough_product = T ** (2.0 * spec.H) / (2.0 * spec.H * spec.gamma_head**2)

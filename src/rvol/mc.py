@@ -37,6 +37,8 @@ from .quadrature import build_systematic, truncate_factors
 from .schemes import (
     GridSpec,
     HestonParams,
+    HestonPaths,
+    IntegratedPaths,
     heston_hybrid_multifactor,
     heston_integrated_multifactor,
     heston_integrated_volterra,
@@ -213,6 +215,15 @@ class PathStats:
     running_max: np.ndarray
 
 
+def _path_stats(paths) -> PathStats:
+    """Terminal and running-max prices of a batch of (paths, N+1) log-price paths."""
+    log_price = paths.log_price
+    return PathStats(
+        terminal=np.exp(log_price[:, -1]),
+        running_max=np.exp(log_price.max(axis=1)),
+    )
+
+
 @lru_cache(maxsize=16)
 def systematic_kernel(H: float, n_total: int, T: float) -> ExpSumKernel:
     """Cached systematic kernel shared by the factor-based descriptors."""
@@ -268,41 +279,43 @@ class HestonModel:
             base, _ = truncate_factors(base, grid.T, grid.N, self.truncation_beta)
         return base
 
-    def simulate(self, grid: GridSpec, normals: np.ndarray) -> PathStats:
+    def simulate_paths(
+        self, grid: GridSpec, normals: np.ndarray
+    ) -> HestonPaths | IntegratedPaths:
+        """The scheme's paths from (paths, N, comps) normals.
+
+        The integrated schemes return :class:`IntegratedPaths`, the
+        others :class:`HestonPaths`.
+        """
         kern = self.resolve_kernel(grid)
+        if self.scheme == "integrated-volterra":
+            return heston_integrated_volterra(
+                self.params, kern, grid, normals[:, :, 0], normals[:, :, 1]
+            )
+        if self.scheme == "integrated-multifactor":
+            return heston_integrated_multifactor(
+                self.params, kern, grid, normals[:, :, 0], normals[:, :, 1]
+            )
         sqrt_dt = math.sqrt(grid.dt)
-        if self.scheme in ("integrated-volterra", "integrated-multifactor"):
-            z, z_perp = normals[:, :, 0], normals[:, :, 1]
-            if self.scheme == "integrated-volterra":
-                paths = heston_integrated_volterra(self.params, kern, grid, z, z_perp)
-            else:
-                paths = heston_integrated_multifactor(self.params, kern, grid, z, z_perp)
-            log_price = paths.log_price
-        elif self.scheme == "hybrid":
+        dw_perp = sqrt_dt * normals[:, :, 1]
+        if self.scheme == "hybrid":
             spec = RoughKernelSpec(self.hurst)
             cov = hybrid_step_covariance(spec, grid.dt)
             l11 = math.sqrt(cov[0, 0])
             l21 = cov[0, 1] / l11
             l22 = math.sqrt(cov[1, 1] - l21 * l21)
             dw = l11 * normals[:, :, 0]
-            dw_perp = sqrt_dt * normals[:, :, 1]
             d_frac = l21 * normals[:, :, 0] + l22 * normals[:, :, 2]
-            paths = heston_hybrid_multifactor(
+            return heston_hybrid_multifactor(
                 self.params, spec, kern, grid, dw, dw_perp, d_frac
             )
-            log_price = paths.log_price
-        else:
-            dw = sqrt_dt * normals[:, :, 0]
-            dw_perp = sqrt_dt * normals[:, :, 1]
-            if self.scheme == "volterra":
-                paths = heston_volterra_euler(self.params, kern, grid, dw, dw_perp)
-            else:
-                paths = heston_multifactor_euler(self.params, kern, grid, dw, dw_perp)
-            log_price = paths.log_price
-        return PathStats(
-            terminal=np.exp(log_price[:, -1]),
-            running_max=np.exp(log_price.max(axis=1)),
-        )
+        dw = sqrt_dt * normals[:, :, 0]
+        if self.scheme == "volterra":
+            return heston_volterra_euler(self.params, kern, grid, dw, dw_perp)
+        return heston_multifactor_euler(self.params, kern, grid, dw, dw_perp)
+
+    def simulate(self, grid: GridSpec, normals: np.ndarray) -> PathStats:
+        return _path_stats(self.simulate_paths(grid, normals))
 
 
 BERGOMI_MODES = ("exact", "multifactor")
@@ -336,17 +349,17 @@ class BergomiModel:
         kern = systematic_kernel(self.params.H, self.kernel_factors, grid.T)
         return kern.n + 2
 
-    def simulate(self, grid: GridSpec, normals: np.ndarray) -> PathStats:
+    def simulate_paths(self, grid: GridSpec, normals: np.ndarray) -> HestonPaths:
+        """Price and variance paths from (paths, N, comps) normals."""
         kern = (
             None
             if self.mode == "exact"
             else systematic_kernel(self.params.H, self.kernel_factors, grid.T)
         )
-        paths = simulate_bergomi(self.params, grid, kernel=kern, normals=normals)
-        return PathStats(
-            terminal=np.exp(paths.log_price[:, -1]),
-            running_max=np.exp(paths.log_price.max(axis=1)),
-        )
+        return simulate_bergomi(self.params, grid, kernel=kern, normals=normals)
+
+    def simulate(self, grid: GridSpec, normals: np.ndarray) -> PathStats:
+        return _path_stats(self.simulate_paths(grid, normals))
 
 
 def _block_ranges(paths: int):

@@ -141,7 +141,11 @@ def integrate(f, lo: float, hi: float, tol: QuadTolerance = QuadTolerance()) -> 
 
 
 def psd_factorize(
-    matrix, neg_tol: float = 1e-6, zero_tol: float = 1e-12, pivot: bool = True
+    matrix,
+    neg_tol: float = 1e-6,
+    zero_tol: float = 1e-12,
+    pivot: bool = True,
+    floor: float = 0.0,
 ):
     """Square-root factor of a nearly positive semidefinite matrix.
 
@@ -160,6 +164,12 @@ def psd_factorize(
     preserved). Raises ``ValueError`` if any candidate pivot falls below
     ``-neg_tol`` times the largest diagonal entry, i.e. the matrix is
     indefinite beyond rounding noise.
+
+    Both tolerances use ``floor`` in place of the largest diagonal entry
+    when that is smaller. A caller whose matrix is a difference of
+    larger terms passes a floor above their rounding noise and below
+    the variances it must keep, so that a difference that is zero up to
+    rounding factors to zero instead of reading as indefinite.
     """
     work = np.array(matrix, dtype=float, copy=True)
     if work.ndim != 2 or work.shape[0] != work.shape[1]:
@@ -170,7 +180,7 @@ def psd_factorize(
         raise ValueError("matrix must be symmetric")
     factor = np.zeros_like(work)
     perm = np.arange(m)
-    max_diag = max(float(work.diagonal().max(initial=0.0)), 0.0)
+    max_diag = max(float(work.diagonal().max(initial=0.0)), floor)
     for j in range(m):
         p = j + int(np.argmax(work.diagonal()[j:])) if pivot else j
         d = work[p, p]

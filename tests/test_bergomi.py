@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import hyp2f1
 
 from rvol.bergomi import (
@@ -50,6 +53,19 @@ class TestFactorSampling:
         cum = np.cumsum(dw, axis=1)
         assert np.allclose(factors[:, :, 0], cum, atol=1e-12)
 
+    @pytest.mark.parametrize("N", [5, 7, 10])
+    def test_lone_flat_factor_on_any_grid(self, N):
+        # the conditional variance is zero up to rounding, of either sign
+        kernel = ExpSumKernel([1.0], [0.0])
+        grid = GridSpec(T=1.0, N=N)
+        cross_coef, cond_factor = factor_step_law(kernel, grid.dt)
+        assert abs(cond_factor[0, 0]) <= 1e-7 * math.sqrt(grid.dt)
+        assert math.isclose(cross_coef[0], math.sqrt(grid.dt), rel_tol=1e-15)
+        factors, dw = sample_factors_exact(
+            kernel, grid, n_paths=200, rng=np.random.default_rng(N)
+        )
+        assert np.allclose(factors[:, :, 0], np.cumsum(dw, axis=1), atol=1e-12)
+
     def test_step_law_moments(self):
         kernel = ExpSumKernel([0.8, 0.4], [0.5, 6.0])
         dt = 0.125
@@ -86,6 +102,81 @@ class TestFactorSampling:
             got_cov = prod.mean()
             se_cov = prod.std(ddof=1) / math.sqrt(n_paths)
             assert abs(got_cov - want_cov) <= 3.0 * se_cov
+
+
+@st.composite
+def weighted_factor_cases(draw):
+    """A kernel of 1-12 factors, a grid of 1-25 steps, 1-300 paths and a weight vector."""
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rates = np.unique(10.0 ** rng.uniform(-2.0, 3.0, n))
+    if draw(st.booleans()):
+        rates[0] = 0.0
+    kernel = ExpSumKernel(rng.uniform(0.05, 2.0, rates.size), rates)
+    grid = GridSpec(T=draw(st.sampled_from([0.041, 1.0])), N=draw(st.integers(1, 25)))
+    normals = rng.standard_normal((draw(st.integers(1, 300)), grid.N, kernel.n + 1))
+    weights = rng.uniform(-2.0, 2.0, kernel.n)
+    return kernel, grid, normals, weights
+
+
+class TestWeightedFactorSum:
+    """``weights=`` keeps only the weighted factor sum of each step."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=weighted_factor_cases())
+    def test_matches_full_factors(self, case):
+        kernel, grid, normals, w = case
+        factors, dw = sample_factors_exact(kernel, grid, normals=normals)
+        reduced, dw_reduced = sample_factors_exact(kernel, grid, normals=normals, weights=w)
+        assert reduced.shape == dw_reduced.shape == (normals.shape[0], grid.N)
+        # 1e-13 of the magnitude of the terms summed, the scale of w . f's roundoff
+        scale = np.abs(factors) @ np.abs(w)
+        assert np.all(np.abs(reduced - factors @ w) <= 1e-13 * scale)
+        assert np.array_equal(dw_reduced, dw)
+
+    def test_one_hot_weights_pick_a_factor(self):
+        kernel = ExpSumKernel([0.8, 0.4, 0.2, 0.1], [0.0, 6.0, 40.0, 41.0])
+        grid = GridSpec(T=0.5, N=9)
+        normals = np.random.default_rng(3).standard_normal((37, grid.N, kernel.n + 1))
+        factors, _ = sample_factors_exact(kernel, grid, normals=normals)
+        for i in range(kernel.n):
+            picked, _ = sample_factors_exact(
+                kernel, grid, normals=normals, weights=np.eye(kernel.n)[i]
+            )
+            assert np.array_equal(picked, factors[:, :, i])
+
+    @pytest.mark.parametrize(
+        "weights",
+        [[1.0, 1.0], [1.0, 1.0, 1.0, 1.0], [[1.0, 1.0, 1.0]], [1.0, np.nan, 1.0], [np.inf, 0.0, 1.0]],
+    )
+    def test_weights_validation(self, weights):
+        kernel = ExpSumKernel([0.8, 0.4, 0.2], [0.5, 6.0, 40.0])
+        grid = GridSpec(T=0.5, N=4)
+        normals = np.zeros((3, grid.N, kernel.n + 1))
+        with pytest.raises(ValueError, match="weights"):
+            sample_factors_exact(kernel, grid, normals=normals, weights=weights)
+
+    def test_multifactor_simulation_memory(self):
+        # one warm N = 20, n = 40, 4096-path call holds O(n paths) memory; an
+        # (N, n, paths) factor record alone would be 25 MiB
+        from rvol.mc import CounterRng, systematic_kernel
+
+        params = BergomiParams()
+        grid = GridSpec(T=0.041, N=20)
+        kernel = systematic_kernel(params.H, 40, grid.T)
+        n_paths = 4096
+        normals = CounterRng(1).normals_block(
+            np.arange(n_paths, dtype=np.uint64), grid.N, kernel.n + 2
+        )
+        simulate_bergomi(params, grid, kernel=kernel, normals=normals)
+        tracemalloc.start()
+        try:
+            simulate_bergomi(params, grid, kernel=kernel, normals=normals)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert kernel.n == 40
+        assert peak < 8 * kernel.n * n_paths * 8
 
 
 class TestFractionalSampling:

@@ -207,7 +207,39 @@ class TestDensityGeometry:
             truncation_error_bound(spec, 0.0)
 
 
+def out_of_place_gram(rates, t):
+    """t (1 - exp(-x)) / x at x = (r_i + r_j) t, one temporary per operation."""
+    x = (rates[:, None] + rates[None, :]) * t
+    phi = np.full_like(x, -1.0)
+    np.divide(np.expm1(-x), x, out=phi, where=x > 0.0)
+    return t * np.negative(phi, out=phi)
+
+
 class TestJointCovariance:
+    def test_gram_block_built_in_place_is_bit_identical(self):
+        from rvol.quadrature import GeometricConfig, build_geometric
+
+        spec = RoughKernelSpec(0.1)
+        kernel = build_geometric(spec, GeometricConfig(n=100, K=100**0.8, A=1.5))
+        assert kernel.n == 200
+        flat = ExpSumKernel(np.linspace(0.1, 1.0, 5), [0.0, 0.5, 2.0, 30.0, 1e4])
+        for k, t in ((kernel, 1.0), (kernel, 0.041), (flat, 2.0)):
+            gram = out_of_place_gram(k.rates, t)
+            cov = build_joint_covariance(spec, k.rates, t).matrix
+            assert np.array_equal(cov[: k.n, : k.n], gram)
+            self_product, _, _ = expsum_inner_products(spec, k, t)
+            assert self_product == full_matrix_fsum(k.weights, gram)
+
+    def test_phi_in_place(self):
+        from rvol.kernel import _phi
+
+        x = np.array([0.0, 1e-300, 1e-8, 0.5, 3.0, 800.0, np.inf])
+        want = _phi(x.copy())
+        assert want[0] == 1.0 and want[-1] == 0.0
+        assert _phi(x, out=x) is x and np.array_equal(x, want)
+        scalar = _phi(0.25)
+        assert scalar.shape == () and scalar == -math.expm1(-0.25) / 0.25
+
     def test_zero_rate_limit(self):
         spec = RoughKernelSpec(0.3)
         for t in (0.5, 1.0, 2.0):

@@ -277,6 +277,59 @@ class TestDescriptors:
         assert coarse.n < fine.n <= 100
 
 
+class TestSimulatePaths:
+    """``simulate`` is the path-stats reduction of ``simulate_paths``."""
+
+    @pytest.mark.parametrize(
+        "model",
+        [HestonModel(scheme=s, kernel_factors=20) for s in mc.HESTON_SCHEMES]
+        + [BergomiModel(mode=m, kernel_factors=10) for m in mc.BERGOMI_MODES],
+        ids=lambda m: m.label,
+    )
+    def test_simulate_reduces_paths(self, model):
+        from rvol.schemes import HestonPaths, IntegratedPaths
+
+        grid = GridSpec(T=0.5, N=12)
+        normals = CounterRng(5).normals_block(
+            np.arange(40, dtype=np.uint64), grid.N, model.components_per_step(grid)
+        )
+        paths = model.simulate_paths(grid, normals)
+        integrated = getattr(model, "scheme", "").startswith("integrated")
+        assert isinstance(paths, IntegratedPaths if integrated else HestonPaths)
+        assert paths.log_price.shape == (40, grid.N + 1)
+        stats = model.simulate(grid, normals)
+        assert np.array_equal(stats.terminal, np.exp(paths.log_price[:, -1]))
+        assert np.array_equal(stats.running_max, np.exp(paths.log_price.max(axis=1)))
+
+    @pytest.mark.parametrize(
+        "scheme, engine",
+        [
+            ("volterra", "heston_volterra_euler"),
+            ("multifactor", "heston_multifactor_euler"),
+            ("hybrid", "heston_hybrid_multifactor"),
+            ("integrated-volterra", "heston_integrated_volterra"),
+            ("integrated-multifactor", "heston_integrated_multifactor"),
+        ],
+    )
+    def test_engines_looked_up_in_mc(self, monkeypatch, scheme, engine):
+        # profilers and tests swap the engines at their rvol.mc names
+        calls = []
+        original = getattr(mc, engine)
+
+        def spy(*args, **kwargs):
+            calls.append(engine)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(mc, engine, spy)
+        model = HestonModel(scheme=scheme, kernel_factors=20)
+        grid = GridSpec(T=0.5, N=6)
+        normals = CounterRng(1).normals_block(
+            np.arange(8, dtype=np.uint64), grid.N, model.components_per_step(grid)
+        )
+        model.simulate(grid, normals)
+        assert calls == [engine]
+
+
 class TestSmile:
     def test_rows_and_shapes(self):
         from rvol.bergomi import BergomiParams

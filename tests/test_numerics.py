@@ -233,6 +233,18 @@ class TestPsdFactorize:
         with pytest.raises(ValueError, match="not PSD"):
             psd_factorize(np.array([[1.0, 0.0], [0.0, -0.5]]))
 
+    def test_floor_sets_the_noise_scale(self):
+        # a zero matrix up to rounding of either sign, as left by a difference
+        noise = np.array([[-2.8e-17, 1e-18], [1e-18, -1e-17]])
+        with pytest.raises(ValueError, match="not PSD"):
+            psd_factorize(noise)
+        assert np.array_equal(psd_factorize(noise, floor=1e-7), np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="not PSD"):
+            psd_factorize(np.array([[1.0, 0.0], [0.0, -0.5]]), floor=1e-7)
+        # a floor below the largest diagonal entry changes nothing
+        S = np.array([[4.0, 2.0], [2.0, 2.0]])
+        assert np.array_equal(psd_factorize(S, floor=1.0), psd_factorize(S))
+
     def test_asymmetric_raises(self):
         with pytest.raises(ValueError, match="symmetric"):
             psd_factorize(np.array([[1.0, 0.5], [0.0, 1.0]]))
