@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .kernel import ExpSumKernel, RoughKernelSpec, _pair_gram, _phi
-from .numerics import QuadTolerance, integrate, psd_factorize
+from .numerics import QuadTolerance, integrate, psd_factorize, require_finite
 from .schemes import GridSpec, HestonPaths
 
 __all__ = [
@@ -52,6 +52,7 @@ class BergomiParams:
     H: float = 0.07
 
     def __post_init__(self):
+        require_finite(self)
         # eta = 0 is allowed: it degenerates to Black-Scholes, handy in tests
         if self.S0 <= 0.0 or self.v0 <= 0.0 or self.eta < 0.0:
             raise ValueError("S0 and v0 must be positive, eta nonnegative")

@@ -14,9 +14,15 @@ Layout: :meth:`CounterRng.normals_block` fills a C-ordered
 ``normals[:, :, c]`` is then a (paths, steps) array whose transpose is
 C-ordered, which is the step-major layout the engines of
 :mod:`rvol.schemes` and :mod:`rvol.bergomi` work in. Descriptors pass
-such slices (or elementwise functions of them) straight through;
-callers may equally pass C-ordered arrays of the same shapes, at the
-cost of one transposing copy inside the engine.
+such slices straight through, and scaled or mixed slices as
+:class:`rvol.schemes.StepIncrements`, which the engines form one step
+row at a time; callers may equally pass C-ordered arrays of the same
+shapes, at the cost of one transposing copy inside the engine. When
+only prices are needed (:meth:`HestonModel.simulate`), the engines run
+with ``prices_only=True`` and keep their state rows in a ring of two
+step blocks plus row 0, so a priced block holds the normals, the
+(N+1, paths) log price, and the (n, paths) factors of a factor scheme
+or the (N, paths) history of step terms of a direct one.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ from .schemes import (
     HestonParams,
     HestonPaths,
     IntegratedPaths,
+    StepIncrements,
     heston_hybrid_multifactor,
     heston_integrated_multifactor,
     heston_integrated_volterra,
@@ -287,35 +294,45 @@ class HestonModel:
         The integrated schemes return :class:`IntegratedPaths`, the
         others :class:`HestonPaths`.
         """
+        return self._run_engine(grid, normals, prices_only=False)
+
+    def simulate(self, grid: GridSpec, normals: np.ndarray) -> PathStats:
+        return _path_stats(self._run_engine(grid, normals, prices_only=True))
+
+    def _run_engine(self, grid: GridSpec, normals: np.ndarray, prices_only: bool):
+        """The scheme's engine on the normals' component slices.
+
+        Scaled and mixed increments go in as :class:`StepIncrements`, so
+        no (paths, N) increment array is formed.
+        """
         kern = self.resolve_kernel(grid)
+        z = [normals[:, :, c] for c in range(normals.shape[2])]
         if self.scheme == "integrated-volterra":
             return heston_integrated_volterra(
-                self.params, kern, grid, normals[:, :, 0], normals[:, :, 1]
+                self.params, kern, grid, z[0], z[1], prices_only=prices_only
             )
         if self.scheme == "integrated-multifactor":
             return heston_integrated_multifactor(
-                self.params, kern, grid, normals[:, :, 0], normals[:, :, 1]
+                self.params, kern, grid, z[0], z[1], prices_only=prices_only
             )
         sqrt_dt = math.sqrt(grid.dt)
-        dw_perp = sqrt_dt * normals[:, :, 1]
+        dw_perp = StepIncrements((sqrt_dt, z[1]))
         if self.scheme == "hybrid":
             spec = RoughKernelSpec(self.hurst)
             cov = hybrid_step_covariance(spec, grid.dt)
             l11 = math.sqrt(cov[0, 0])
             l21 = cov[0, 1] / l11
-            l22 = math.sqrt(cov[1, 1] - l21 * l21)
-            dw = l11 * normals[:, :, 0]
-            d_frac = l21 * normals[:, :, 0] + l22 * normals[:, :, 2]
+            # the exact radicand dt^(2H) (H - 1/2)^2 / (2H a^2 Gamma^2) is
+            # nonnegative, but rounds below zero within ~4e-9 of H = 1/2
+            l22 = math.sqrt(max(cov[1, 1] - l21 * l21, 0.0))
+            dw = StepIncrements((l11, z[0]))
+            d_frac = StepIncrements((l21, z[0]), (l22, z[2]))
             return heston_hybrid_multifactor(
-                self.params, spec, kern, grid, dw, dw_perp, d_frac
+                self.params, spec, kern, grid, dw, dw_perp, d_frac, prices_only=prices_only
             )
-        dw = sqrt_dt * normals[:, :, 0]
-        if self.scheme == "volterra":
-            return heston_volterra_euler(self.params, kern, grid, dw, dw_perp)
-        return heston_multifactor_euler(self.params, kern, grid, dw, dw_perp)
-
-    def simulate(self, grid: GridSpec, normals: np.ndarray) -> PathStats:
-        return _path_stats(self.simulate_paths(grid, normals))
+        dw = StepIncrements((sqrt_dt, z[0]))
+        engine = heston_volterra_euler if self.scheme == "volterra" else heston_multifactor_euler
+        return engine(self.params, kern, grid, dw, dw_perp, prices_only=prices_only)
 
 
 BERGOMI_MODES = ("exact", "multifactor")

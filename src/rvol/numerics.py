@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import gammainc
@@ -40,6 +40,17 @@ class QuadTolerance:
             raise ValueError("tolerances must be positive")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
+
+
+def require_finite(params) -> None:
+    """Raise ``ValueError`` naming the first non-finite field of a dataclass.
+
+    NaN fails no ordering comparison, so range checks alone let it through.
+    """
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
 class IntegrationError(RuntimeError):

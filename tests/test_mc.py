@@ -330,6 +330,65 @@ class TestSimulatePaths:
         assert calls == [engine]
 
 
+class TestStreamedHestonPricing:
+    """Pricing keeps no increment copies or state history, and the same bits."""
+
+    # price() of the euro call at strike 1, T = 1, N = 40 (the state ring
+    # wraps), 2048 paths, seed 7, default model, as given by engines that
+    # formed whole increment arrays and kept every state row; recorded
+    # with numpy 2.4, scipy 1.17 and OpenBLAS 0.3.31 on x86-64 with
+    # AVX-512 (another BLAS kernel or exp implementation may move the
+    # last bits)
+    GOLDEN = {
+        "volterra": (0.058979089917218015, 0.003235587513498669),
+        "multifactor": (0.05895109475098212, 0.0032338661040576563),
+        "multifactor-truncated": (0.05892654852163316, 0.0032338371240624854),
+        "hybrid": (0.06557515636394043, 0.0037147605519763523),
+        "integrated-volterra": (0.058824564734890214, 0.003209297253665509),
+        "integrated-multifactor": (0.05854980593582722, 0.003201594682890899),
+    }
+
+    @pytest.mark.parametrize("scheme", mc.HESTON_SCHEMES)
+    def test_golden_prices(self, scheme):
+        report = price(
+            HestonModel(scheme=scheme), euro_call(1.0), GridSpec(T=1.0, N=40),
+            McConfig(paths=2048, seed=7),
+        )
+        assert (report.mean, report.half_width_95) == self.GOLDEN[scheme]
+
+    @pytest.mark.parametrize("scheme", mc.HESTON_SCHEMES)
+    def test_pricing_peak_memory(self, scheme):
+        # one priced block holds the normals, the (N+1, paths) log price,
+        # the (n, paths) factors or the (N, paths) history of step terms,
+        # and rows of (paths,) scratch
+        import tracemalloc
+
+        paths, grid = 4096, GridSpec(T=1.0, N=160)
+        model = HestonModel(scheme=scheme)
+        comps = model.components_per_step(grid)
+        rng = CounterRng(3)
+        ids = np.arange(paths, dtype=np.uint64)
+        model.simulate(grid, rng.normals_block(ids[:8], grid.N, comps))  # warm the kernel caches
+        kernel = model.resolve_kernel(grid)
+        state_rows = kernel.n if hasattr(kernel, "n") else grid.N
+        budget = 8 * paths * (grid.N * comps + grid.N + 1 + state_rows)
+        tracemalloc.start()
+        try:
+            model.simulate(grid, rng.normals_block(ids, grid.N, comps))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        mib = 2.0**20
+        assert peak <= 1.15 * budget, f"peak {peak / mib:.1f} MiB, budget {budget / mib:.1f} MiB"
+
+    def test_hybrid_near_half(self):
+        # within ~4e-9 of H = 1/2 the hybrid step's Cholesky radicand
+        # (H - 1/2)^2 dt^(2H) / (2H a^2 Gamma^2) rounds below zero
+        model = HestonModel(scheme="hybrid", hurst=0.4999999965)
+        report = price(model, euro_call(1.0), GridSpec(T=1.0, N=160), McConfig(paths=64, seed=0))
+        assert math.isfinite(report.mean) and report.mean > 0.0
+
+
 class TestSmile:
     def test_rows_and_shapes(self):
         from rvol.bergomi import BergomiParams

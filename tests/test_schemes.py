@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rvol import schemes
+from rvol.bergomi import BergomiParams
 from rvol.kernel import ExpSumKernel, RoughKernelSpec, expsum_eval, rough_kernel_eval
 from rvol.numerics import QuadTolerance, integrate
 from rvol.schemes import (
     GridSpec,
     HestonParams,
+    StepIncrements,
     SvePlant,
     heston_hybrid_multifactor,
     heston_integrated_multifactor,
@@ -77,6 +79,26 @@ class TestGridAndTypes:
             HestonParams(rho=-1.5)
         with pytest.raises(ValueError):
             HestonParams(S0=0.0)
+
+    @pytest.mark.parametrize(
+        "make, field",
+        [
+            (lambda x: GridSpec(T=x, N=10), "T"),
+            (lambda x: HestonParams(V0=x), "V0"),
+            (lambda x: HestonParams(theta=x), "theta"),
+            (lambda x: HestonParams(lam=x), "lam"),
+            (lambda x: HestonParams(sigma=x), "sigma"),
+            (lambda x: HestonParams(S0=x), "S0"),
+            (lambda x: BergomiParams(S0=x), "S0"),
+            (lambda x: BergomiParams(v0=x), "v0"),
+            (lambda x: BergomiParams(eta=x), "eta"),
+        ],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_fields_rejected(self, make, field, value):
+        # NaN passes every ordering check, and +inf every lower bound
+        with pytest.raises(ValueError, match=field):
+            make(value)
 
 
 class TestVolterraEuler:
@@ -546,3 +568,63 @@ class TestBlockedStepLoop:
             fast = heston_integrated_multifactor(params, kernel, grid, z, zp, drift_floor=floor)
         assert np.max(np.abs(direct.raw_integrated - fast.raw_integrated)) <= 1e-10
         assert np.max(np.abs(direct.log_price - fast.log_price)) <= 1e-10
+
+
+class TestStreamedPricing:
+    """``StepIncrements`` and ``prices_only`` leave the log price bit-identical."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=blocked_grids(), kernel=expsum_kernels(), seed=st.integers(0, 2**32 - 1))
+    def test_variance_engines(self, case, kernel, seed):
+        block, grid = case
+        params = HestonParams()
+        spec = RoughKernelSpec(0.1)
+        z = np.random.default_rng(seed).standard_normal((3, 5, grid.N))
+        sq, l21, l22 = math.sqrt(grid.dt), 0.3, 0.7
+        whole = (sq * z[0], sq * z[1], l21 * z[0] + l22 * z[2])
+        streamed = (
+            StepIncrements((sq, z[0])),
+            StepIncrements((sq, z[1])),
+            StepIncrements((l21, z[0]), (l22, z[2])),
+        )
+        runs = (
+            lambda inc, **kw: heston_volterra_euler(params, kernel, grid, *inc[:2], **kw),
+            lambda inc, **kw: heston_multifactor_euler(params, kernel, grid, *inc[:2], **kw),
+            lambda inc, **kw: heston_hybrid_multifactor(params, spec, kernel, grid, *inc, **kw),
+        )
+        with mock.patch.object(schemes, "_BLOCK", block):
+            for run in runs:
+                full = run(whole)
+                priced = run(streamed, prices_only=True)
+                assert full.variance.shape == (5, grid.N + 1)
+                assert priced.variance is None
+                assert np.array_equal(priced.log_price, full.log_price)
+                assert np.array_equal(run(streamed).variance, full.variance)
+
+    @pytest.mark.parametrize("floor", ["runmax", "positive_part"])
+    @settings(max_examples=30, deadline=None)
+    @given(case=blocked_grids(), kernel=expsum_kernels(), seed=st.integers(0, 2**32 - 1))
+    def test_integrated_engines(self, floor, case, kernel, seed):
+        block, grid = case
+        params = HestonParams()
+        z, zp = np.random.default_rng(seed).standard_normal((2, 5, grid.N))
+        with mock.patch.object(schemes, "_BLOCK", block):
+            for engine in (heston_integrated_volterra, heston_integrated_multifactor):
+                full = engine(params, kernel, grid, z, zp, drift_floor=floor)
+                priced = engine(params, kernel, grid, z, zp, drift_floor=floor, prices_only=True)
+                assert priced.integrated_variance is None and priced.raw_integrated is None
+                assert np.array_equal(priced.log_price, full.log_price)
+
+    def test_increment_validation(self):
+        params = HestonParams()
+        grid = GridSpec(T=1.0, N=4)
+        kern = RoughKernelSpec(0.1)
+        with pytest.raises(ValueError):
+            StepIncrements()
+        mixed = StepIncrements((1.0, np.zeros((2, 4))), (1.0, np.zeros((3, 4))))
+        with pytest.raises(ValueError, match="share one shape"):
+            heston_volterra_euler(params, kern, grid, mixed, np.zeros((2, 4)))
+        with pytest.raises(ValueError, match="must have shape"):
+            heston_volterra_euler(
+                params, kern, grid, StepIncrements((1.0, np.zeros((2, 5)))), np.zeros((2, 5))
+            )
