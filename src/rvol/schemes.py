@@ -1,11 +1,9 @@
 """Time-discretization engines.
 
-Two generic single-path engines for convolution equations with scalar
-kernels: the direct Euler scheme, whose step k sums k kernel-weighted
-history terms (O(N^2) work), and the multifactor Euler scheme for
-exponential-sum kernels, which replaces the history sums by damped
-factor recursions (O(n N) work) and produces bit-for-bit the same
-trajectory up to float roundoff.
+Two generic single-path engines for d-dimensional convolution equations
+with scalar kernels, the direct Euler scheme (O(N^2) work) and the
+multifactor Euler scheme for exponential-sum kernels (O(n N) work), run
+one step loop over the history or factor memory of the Heston engines.
 
 On top of these sit the rough Heston engines, vectorized across a batch
 of Monte Carlo paths: the variance-process schemes (direct, multifactor
@@ -90,9 +88,9 @@ class GridSpec:
 class SvePlant:
     """State equation data: initial point, drift and diffusion maps.
 
-    ``drift`` maps a state vector to a state vector and ``diffusion``
-    maps a state vector to a d x d matrix; the engines assume both are
-    total on R^d and leave Lipschitz requirements to the caller.
+    ``x0`` is a finite length-d vector. ``drift`` maps a state to a (d,)
+    vector and ``diffusion`` to a (d, d) matrix, shapes the engines check;
+    both are assumed total on R^d, Lipschitz requirements left to the caller.
     """
 
     x0: np.ndarray
@@ -100,7 +98,10 @@ class SvePlant:
     diffusion: object
 
     def __post_init__(self):
-        object.__setattr__(self, "x0", np.atleast_1d(np.asarray(self.x0, dtype=float)))
+        x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
+        if x0.ndim != 1 or not np.isfinite(x0).all():
+            raise ValueError(f"x0 must be a finite 1-d vector, got {self.x0!r}")
+        object.__setattr__(self, "x0", x0)
 
     @property
     def dim(self) -> int:
@@ -173,6 +174,47 @@ def _kernel_table(kernel, grid: GridSpec) -> np.ndarray:
     return np.array([float(kernel(x)) for x in t])
 
 
+def _sve_loop(plant: SvePlant, grid: GridSpec, dw, memories):
+    """Step loop of the generic engines, which differ only in their memories.
+
+    Step k writes b(X_k) dt + sigma(X_k) dW_k into one memory (equal kernels)
+    or its two terms into a (drift, diffusion) pair, whose paths axis holds
+    the d state components; X_{k+1} is x0 plus their rows k+1. Returns the
+    states and the (N, 2, d) drift and diffusion terms.
+    """
+    d, dt, x0 = plant.dim, grid.dt, plant.x0
+    dw = np.asarray(dw, dtype=float)
+    if dw.shape != (grid.N, d) or not np.isfinite(dw).all():
+        raise ValueError(f"dw must be finite with shape ({grid.N}, {d}), got {dw.shape}")
+    states = np.empty((grid.N + 1, d))
+    states[0] = x0
+    terms = np.empty((grid.N, 2, d))
+    for k in range(grid.N):
+        b = np.asarray(plant.drift(states[k]), dtype=float)
+        s = np.asarray(plant.diffusion(states[k]), dtype=float)
+        if (b.shape, s.shape) != ((d,), (d, d)):
+            raise ValueError(f"drift(x) must have shape ({d},) and diffusion(x) ({d}, {d})")
+        step = terms[k]
+        np.multiply(b, dt, out=step[0])
+        np.dot(s, dw[k], out=step[1])
+        if len(memories) == 1:
+            np.add(step[0], step[1], out=memories[0].term(k))
+        else:
+            for memory, term in zip(memories, step):
+                memory.term(k)[:] = term
+        for memory in memories:
+            memory.convolve(k)
+        np.add(x0, memories[0].result[k + 1], out=states[k + 1])
+        for memory in memories[1:]:
+            states[k + 1] += memory.result[k + 1]
+    return states, terms
+
+
+def _distinct(a: np.ndarray, b: np.ndarray) -> tuple:
+    """Both kernels' arrays, or only the first when they are equal."""
+    return (a,) if np.array_equal(a, b) else (a, b)
+
+
 def volterra_euler(plant: SvePlant, g1, g2, grid: GridSpec, dw) -> SchemePath:
     """Euler scheme for the convolution equation with scalar kernels.
 
@@ -180,28 +222,9 @@ def volterra_euler(plant: SvePlant, g1, g2, grid: GridSpec, dw) -> SchemePath:
     drift terms b(X_j) dt and diffusion terms sigma(X_j) dW_j, with
     kernels evaluated at the elapsed lags (k+1-j) dt. Cost grows as N^2.
     """
-    dw = np.asarray(dw, dtype=float)
-    if dw.shape != (grid.N, plant.dim):
-        raise ValueError(f"dw must have shape ({grid.N}, {plant.dim}), got {dw.shape}")
-    g1_tab = _kernel_table(g1, grid)
-    g2_tab = _kernel_table(g2, grid)
-    d = plant.dim
-    states = np.zeros((grid.N + 1, d))
-    states[0] = plant.x0
-    drift_terms = np.zeros((grid.N, d))
-    diff_terms = np.zeros((grid.N, d))
-    dt = grid.dt
-    for k in range(grid.N):
-        x = states[k]
-        drift_terms[k] = np.asarray(plant.drift(x), dtype=float) * dt
-        diff_terms[k] = np.asarray(plant.diffusion(x), dtype=float) @ dw[k]
-        lags = g1_tab[k::-1]
-        states[k + 1] = (
-            plant.x0
-            + lags @ drift_terms[: k + 1]
-            + g2_tab[k::-1] @ diff_terms[: k + 1]
-        )
-    return SchemePath(grid=grid, states=states)
+    tables = _distinct(_kernel_table(g1, grid), _kernel_table(g2, grid))
+    memories = [_HistoryMemory(table, plant.dim, False) for table in tables]
+    return SchemePath(grid=grid, states=_sve_loop(plant, grid, dw, memories)[0])
 
 
 def multifactor_euler(
@@ -214,52 +237,28 @@ def multifactor_euler(
 ) -> SchemePath:
     """Damped-factor Euler scheme for exponential-sum kernels.
 
-    Each factor i evolves as a damped accumulator: multiply by
-    exp(-r_i dt) after adding the current drift (and, in the shared
-    kernel form, diffusion) term; the state is x0 plus the weighted
-    factor sums. Coincides with :func:`volterra_euler` run on the same
-    exponential sums, at O(n N) instead of O(N^2) cost.
+    The history sums of :func:`volterra_euler` become damped factor
+    recursions, one factor per exponential: on the same exponential sums
+    the same trajectory up to roundoff, at O(n N) instead of O(N^2) cost.
 
-    ``k1`` and ``k2`` weight the drift and diffusion convolutions; they
-    must share the same rates. When they are equal a single factor set
-    carries both terms.
+    ``k1`` and ``k2`` weight the drift and diffusion convolutions and must
+    share their rates; equal kernels share one factor set, whose (N+1, n)
+    states ``record_factors=True`` returns as ``factors`` (it raises
+    ``ValueError`` for unequal kernels or a state dimension d > 1).
     """
-    dw = np.asarray(dw, dtype=float)
-    if dw.shape != (grid.N, plant.dim):
-        raise ValueError(f"dw must have shape ({grid.N}, {plant.dim}), got {dw.shape}")
     if not np.array_equal(k1.rates, k2.rates):
         raise ValueError("drift and diffusion kernels must share the same rates")
-    shared = np.array_equal(k1.weights, k2.weights)
+    weights = _distinct(k1.weights, k2.weights)
+    if record_factors and (len(weights) > 1 or plant.dim > 1):
+        raise ValueError("record_factors needs equal kernels and a scalar state (d = 1)")
     damp = np.exp(-k1.rates * grid.dt)
-    n, d = k1.n, plant.dim
-    dt = grid.dt
-    states = np.zeros((grid.N + 1, d))
-    states[0] = plant.x0
+    memories = [_FactorMemory(w * damp, damp, grid.N, plant.dim, False) for w in weights]
+    states, terms = _sve_loop(plant, grid, dw, memories)
     factors = None
-    if record_factors and shared and d == 1:
-        factors = np.zeros((grid.N + 1, n))
-    if shared:
-        f = np.zeros((n, d))
+    if record_factors:
+        factors = np.zeros((grid.N + 1, k1.n))
         for k in range(grid.N):
-            x = states[k]
-            step = (
-                np.asarray(plant.drift(x), dtype=float) * dt
-                + np.asarray(plant.diffusion(x), dtype=float) @ dw[k]
-            )
-            f = damp[:, None] * (f + step[None, :])
-            states[k + 1] = plant.x0 + k1.weights @ f
-            if factors is not None:
-                factors[k + 1] = f[:, 0]
-    else:
-        f_drift = np.zeros((n, d))
-        f_diff = np.zeros((n, d))
-        for k in range(grid.N):
-            x = states[k]
-            b = np.asarray(plant.drift(x), dtype=float) * dt
-            s = np.asarray(plant.diffusion(x), dtype=float) @ dw[k]
-            f_drift = damp[:, None] * (f_drift + b[None, :])
-            f_diff = damp[:, None] * (f_diff + s[None, :])
-            states[k + 1] = plant.x0 + k1.weights @ f_drift + k2.weights @ f_diff
+            factors[k + 1] = damp * (factors[k] + terms[k].sum())
     return SchemePath(grid=grid, states=states, factors=factors)
 
 

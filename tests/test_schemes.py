@@ -61,6 +61,13 @@ def random_plant(rng, d):
     )
 
 
+FLAT = ExpSumKernel([1.0], [0.0])
+SVE_ENGINES = [  # both generic engines as run(plant, grid, dw), with the kernel 1
+    pytest.param(lambda p, g, dw: volterra_euler(p, FLAT, FLAT, g, dw), id="volterra"),
+    pytest.param(lambda p, g, dw: multifactor_euler(p, FLAT, FLAT, g, dw), id="multifactor"),
+]
+
+
 class TestGridAndTypes:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -99,6 +106,36 @@ class TestGridAndTypes:
         # NaN passes every ordering check, and +inf every lower bound
         with pytest.raises(ValueError, match=field):
             make(value)
+
+    @pytest.mark.parametrize(
+        "x0", [[0.0, math.nan], [math.inf], np.zeros((2, 2))], ids=["nan", "inf", "matrix"]
+    )
+    def test_sve_initial_point_rejected(self, x0):
+        with pytest.raises(ValueError, match="x0"):
+            SvePlant(x0=x0, drift=lambda x: x, diffusion=lambda x: np.eye(x.size))
+
+    @pytest.mark.parametrize("engine", SVE_ENGINES)
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_increments_rejected(self, engine, value):
+        plant = SvePlant(x0=np.zeros(2), drift=lambda x: x, diffusion=lambda x: np.eye(2))
+        dw = np.zeros((4, 2))
+        dw[2, 1] = value
+        with pytest.raises(ValueError, match="dw must be finite"):
+            engine(plant, GridSpec(T=1.0, N=4), dw)
+
+    @pytest.mark.parametrize("engine", SVE_ENGINES)
+    @pytest.mark.parametrize(
+        "drift, diffusion",
+        [
+            (lambda x: np.ones(1), lambda x: np.eye(2)),  # broadcasts over both components
+            (lambda x: np.zeros(2), lambda x: np.ones(2)),  # a vector, not a matrix
+        ],
+        ids=["drift", "diffusion"],
+    )
+    def test_plant_output_shapes_checked(self, engine, drift, diffusion):
+        plant = SvePlant(x0=np.zeros(2), drift=drift, diffusion=diffusion)
+        with pytest.raises(ValueError, match=r"\(2,\) and diffusion\(x\) \(2, 2\)"):
+            engine(plant, GridSpec(T=1.0, N=4), np.ones((4, 2)))
 
 
 class TestVolterraEuler:
@@ -146,6 +183,42 @@ class TestVolterraEuler:
             + g(0.5) * s0 * (-0.1)
         )
         assert np.allclose(path.states[:, 0], [x0, x1, x2], atol=1e-15)
+
+    @pytest.mark.parametrize("N", [1, 15, 16, 17, 33, 40])
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_matches_direct_double_sum_across_blocks(self, N, shared):
+        # the step loop runs in blocks of schemes._BLOCK steps; check rows on
+        # both sides of each block boundary against the plain double sum
+        rng = np.random.default_rng(N)
+        A = rng.standard_normal((2, 2)) * 0.5
+        C = rng.standard_normal((2, 2)) * 0.4
+        plant = SvePlant(
+            x0=np.array([0.3, -0.1]),
+            drift=lambda x: np.tanh(A @ x) - 0.2 * x,
+            diffusion=lambda x: C * (1.0 + 0.3 * np.tanh(x[0] - x[1])),
+        )
+        g1 = lambda t: t**-0.3 / math.gamma(0.7)
+        g2 = g1 if shared else (lambda t: math.exp(-2.0 * t) * (1.0 + t))
+        grid = GridSpec(T=1.0, N=N)
+        dw = rng.standard_normal((N, 2)) * math.sqrt(grid.dt)
+        dt = grid.dt
+        states, drifts, shocks = [list(plant.x0)], [], []
+        for k in range(N):
+            x = np.array(states[-1])
+            drifts.append([float(v) * dt for v in plant.drift(x)])
+            shocks.append([float(v) for v in plant.diffusion(x) @ dw[k]])
+            states.append(
+                [
+                    plant.x0[i]
+                    + sum(
+                        g1((k + 1 - j) * dt) * drifts[j][i] + g2((k + 1 - j) * dt) * shocks[j][i]
+                        for j in range(k + 1)
+                    )
+                    for i in range(2)
+                ]
+            )
+        path = volterra_euler(plant, g1, g2, grid, dw)
+        assert np.max(np.abs(path.states - np.array(states))) <= 1e-12
 
     def test_shape_validation(self):
         grid = GridSpec(T=1.0, N=4)
@@ -220,6 +293,37 @@ class TestMultifactorEuler:
         assert path.factors.shape == (5, 2)
         recon = 0.1 + path.factors @ kernel.weights
         assert np.allclose(recon, path.states[:, 0], atol=1e-14)
+        # unequal kernels or d > 1 have no single factor set to return
+        other = ExpSumKernel([0.5, 0.25], [1.0, 2.0])
+        with pytest.raises(ValueError, match="record_factors"):
+            multifactor_euler(
+                plant, kernel, other, grid, np.zeros((4, 1)), record_factors=True
+            )
+        plant2 = SvePlant(x0=np.zeros(2), drift=lambda x: x, diffusion=lambda x: np.eye(2))
+        with pytest.raises(ValueError, match="record_factors"):
+            multifactor_euler(
+                plant2, kernel, kernel, grid, np.zeros((4, 2)), record_factors=True
+            )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(1, 3),
+        N=st.integers(1, 70),
+        rates=st.lists(st.floats(0.0, 30.0), min_size=1, max_size=8, unique=True),
+        shared=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_direct_scheme_property(self, d, N, rates, shared, seed):
+        rng = np.random.default_rng(seed)
+        rates = np.sort(rates)
+        k1 = ExpSumKernel(rng.uniform(0.0, 2.0, rates.size), rates)
+        k2 = k1 if shared else ExpSumKernel(rng.uniform(0.0, 2.0, rates.size), rates)
+        plant = random_plant(rng, d)
+        grid = GridSpec(T=float(rng.uniform(0.25, 2.0)), N=N)
+        dw = rng.standard_normal((N, d)) * math.sqrt(grid.dt)
+        direct = volterra_euler(plant, k1, k2, grid, dw)
+        fast = multifactor_euler(plant, k1, k2, grid, dw)
+        assert np.max(np.abs(direct.states - fast.states)) <= 1e-9
 
 
 class TestHestonVariance:
