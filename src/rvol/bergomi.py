@@ -27,7 +27,7 @@ import numpy as np
 
 from .kernel import ExpSumKernel, RoughKernelSpec, _pair_gram, _phi
 from .numerics import QuadTolerance, integrate, psd_factorize, require_finite
-from .schemes import GridSpec, HestonPaths
+from .schemes import GridSpec, HestonPaths, _LogPrice
 
 __all__ = [
     "BergomiParams",
@@ -36,6 +36,7 @@ __all__ = [
     "fractional_joint_covariance",
     "sample_fractional_exact",
     "simulate_bergomi",
+    "step_components",
     "bs_call_price",
     "implied_vol",
 ]
@@ -101,6 +102,18 @@ def factor_step_law(kernel: ExpSumKernel, dt: float):
     return cross / math.sqrt(dt), cond_factor
 
 
+def _normals(grid: GridSpec, comps: int, normals, rng, n_paths) -> np.ndarray:
+    """``normals`` as a (paths, N, comps) float array, or that shape drawn from ``rng``."""
+    if normals is None:
+        if rng is None or n_paths is None:
+            raise ValueError("supply either normals or (rng and n_paths)")
+        normals = rng.standard_normal((n_paths, grid.N, comps))
+    normals = np.asarray(normals, dtype=float)
+    if normals.ndim != 3 or normals.shape[1:] != (grid.N, comps):
+        raise ValueError(f"normals must have shape (paths, {grid.N}, {comps})")
+    return normals
+
+
 def sample_factors_exact(
     kernel: ExpSumKernel,
     grid: GridSpec,
@@ -139,19 +152,12 @@ def sample_factors_exact(
         weights = np.asarray(weights, dtype=float)
         if weights.shape != (n,) or not np.all(np.isfinite(weights)):
             raise ValueError(f"weights must be a finite vector of length {n}")
-    if normals is None:
-        if rng is None or n_paths is None:
-            raise ValueError("supply either normals or (rng and n_paths)")
-        normals = rng.standard_normal((n_paths, grid.N, n + 1))
-    shape_error = ValueError(f"normals must have shape (paths, {grid.N}, {n + 1})")
     if not isinstance(normals, tuple):
-        normals = np.asarray(normals, dtype=float)
-        if normals.ndim != 3:
-            raise shape_error
+        normals = _normals(grid, n + 1, normals, rng, n_paths)
         normals = (normals[:, :, 0], normals[:, :, 1:])
     z0, z = (np.asarray(part, dtype=float) for part in normals)
     if z.ndim != 3 or z.shape[1:] != (grid.N, n) or z0.shape != z.shape[:2]:
-        raise shape_error
+        raise ValueError(f"normals must have shape (paths, {grid.N}, {n + 1})")
     dt = grid.dt
     cross_coef, cond_factor = factor_step_law(kernel, dt)
     # only the first `rank` normals of each step reach a nonzero column
@@ -186,7 +192,6 @@ def sample_factors_exact(
 
 @lru_cache(maxsize=8)
 def _fractional_joint_covariance_cached(H: float, T: float, N: int):
-    spec = RoughKernelSpec(H)
     tol = QuadTolerance(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=400)
     e = H - 0.5
 
@@ -213,7 +218,7 @@ def _fractional_joint_covariance_cached(H: float, T: float, N: int):
         rows = np.arange(N - j)
         frac[rows, rows + j] = frac[rows + j, rows] = scale * np.cumsum(lag_pieces)
     cov.setflags(write=False)
-    return cov, spec
+    return cov
 
 
 def fractional_joint_covariance(spec: RoughKernelSpec, grid: GridSpec) -> np.ndarray:
@@ -228,7 +233,7 @@ def fractional_joint_covariance(spec: RoughKernelSpec, grid: GridSpec) -> np.nda
     i + j <= N, of which only i = 1 meets the singularity, summed
     cumulatively over i. The result is cached per (H, T, N).
     """
-    return _fractional_joint_covariance_cached(spec.H, grid.T, grid.N)[0]
+    return _fractional_joint_covariance_cached(spec.H, grid.T, grid.N)
 
 
 def sample_fractional_exact(
@@ -246,13 +251,7 @@ def sample_fractional_exact(
     fractional block. Returns ``(fractional, dw)`` of shapes
     (paths, N) and (paths, N).
     """
-    if normals is None:
-        if rng is None or n_paths is None:
-            raise ValueError("supply either normals or (rng and n_paths)")
-        normals = rng.standard_normal((n_paths, grid.N, 2))
-    normals = np.asarray(normals, dtype=float)
-    if normals.ndim != 3 or normals.shape[1:] != (grid.N, 2):
-        raise ValueError(f"normals must have shape (paths, {grid.N}, 2)")
+    normals = _normals(grid, 2, normals, rng, n_paths)
     cov = fractional_joint_covariance(spec, grid)
     factor = psd_factorize(cov, pivot=False)
     # step-major (2N, paths): Brownian rows, then fractional rows, per grid time
@@ -269,6 +268,11 @@ def _expsum_sq_integral(kernel: ExpSumKernel, t):
     w, r = kernel.weights, kernel.rates
     t = np.asarray(t, dtype=float)[..., None, None]
     return t * _phi((r[:, None] + r[None, :]) * t) @ w @ w
+
+
+def step_components(kernel: ExpSumKernel | None) -> int:
+    """Normals per step of :func:`simulate_bergomi`: 3 with ``kernel=None``, else n + 2."""
+    return 3 if kernel is None else kernel.n + 2
 
 
 def simulate_bergomi(
@@ -290,17 +294,12 @@ def simulate_bergomi(
     ``normals`` layout per step: component 0 drives the variance
     Brownian motion, component 1 the orthogonal price component, and the
     remaining components (1 in exact mode, n in multifactor mode) feed
-    the variance sampler's conditional innovations.
+    the variance sampler's conditional innovations (see
+    :func:`step_components`). The log price takes the Euler step of the
+    rough Heston engines.
     """
     exact_mode = kernel is None
-    comps = 3 if exact_mode else kernel.n + 2
-    if normals is None:
-        if rng is None or n_paths is None:
-            raise ValueError("supply either normals or (rng and n_paths)")
-        normals = rng.standard_normal((n_paths, grid.N, comps))
-    normals = np.asarray(normals, dtype=float)
-    if normals.ndim != 3 or normals.shape[1:] != (grid.N, comps):
-        raise ValueError(f"normals must have shape (paths, {grid.N}, {comps})")
+    normals = _normals(grid, step_components(kernel), normals, rng, n_paths)
     n_paths = normals.shape[0]
     t = np.arange(1, grid.N + 1) * grid.dt
 
@@ -328,17 +327,12 @@ def simulate_bergomi(
     variance[0] = params.v0
     variance[1:] = params.v0 * np.exp(exponent - compensator[:, None])
 
-    dw_perp = normals[:, :, 1].T * math.sqrt(grid.dt)
-    rho = params.rho
-    rho_perp = math.sqrt(1.0 - rho * rho)
-    log_price = np.empty((grid.N + 1, n_paths))
-    log_price[0] = math.log(params.S0)
-    vol_prev = np.sqrt(variance[:-1])
-    log_increments = (
-        vol_prev * (rho * dw + rho_perp * dw_perp) - 0.5 * variance[:-1] * grid.dt
-    )
-    log_price[1:] = math.log(params.S0) + np.cumsum(log_increments, axis=0)
-    return HestonPaths(log_price=log_price.T, variance=variance.T)
+    prices = _LogPrice(params, grid, n_paths)
+    z_perp, sqrt_dt, dw_perp = normals[:, :, 1].T, math.sqrt(grid.dt), np.empty(n_paths)
+    for k in range(grid.N):
+        np.multiply(z_perp[k], sqrt_dt, out=dw_perp)
+        prices.step(k, variance[k], dw[k], dw_perp)
+    return HestonPaths(log_price=prices.path.T, variance=variance.T)
 
 
 _SQRT2 = math.sqrt(2.0)

@@ -28,8 +28,6 @@ from .kernel import (
     write_kernel_csv,
 )
 from .mc import (
-    BERGOMI_MODES,
-    HESTON_SCHEMES,
     BergomiModel,
     CounterRng,
     HestonModel,
@@ -48,6 +46,7 @@ from .quadrature import (
     build_riemann,
     build_simpson,
     build_systematic,
+    paper_truncation,
 )
 from .schemes import GridSpec, IntegratedPaths
 from .tables import TABLE_IDS, table_rows
@@ -55,11 +54,16 @@ from .tables import TABLE_IDS, table_rows
 _METHODS = ("riemann-mid", "riemann-bary", "simpson", "newton-cotes", "geometric", "systematic")
 
 
-def _default_workers() -> int:
-    env = os.environ.get("RVOL_WORKERS")
-    if env:
-        return max(1, int(env))
-    return 1
+def _workers(flag: int | None) -> int:
+    """Worker count: ``--workers``, else ``RVOL_WORKERS``, else 1."""
+    if flag is not None:
+        return flag
+    env = os.environ.get("RVOL_WORKERS", "")
+    if not env:
+        return 1
+    if not env.strip().isdecimal() or int(env) < 1:
+        raise ValueError(f"RVOL_WORKERS must be a positive integer, got {env!r}")
+    return int(env)
 
 
 def _build_kernel_from_config(config: dict) -> ExpSumKernel:
@@ -72,13 +76,12 @@ def _build_kernel_from_config(config: dict) -> ExpSumKernel:
     horizon = float(config.get("horizon", 1.0))
     if method in ("riemann-mid", "riemann-bary"):
         rule = "midpoint" if method == "riemann-mid" else "barycentric"
-        default_k = n ** (2.0 / 3.0) if rule == "midpoint" else n**0.8
+        default_k, _ = paper_truncation("interval", H, n, rule)
         cfg = RiemannConfig(n=n, K=float(config.get("truncation", default_k)), node_rule=rule)
         return build_riemann(spec, cfg)
     if method in ("simpson", "newton-cotes"):
         rule = config.get("node_rule", "midpoint")
-        default_k = n ** ((13.0 - 6.0 * H) / (15.0 - 6.0 * H))
-        default_beta = (10.0 - 6.0 * H) / (13.0 - 6.0 * H)
+        default_k, default_beta = paper_truncation("newton-cotes", H, n, rule)
         cfg = NewtonCotesConfig(
             n=n,
             K=float(config.get("truncation", default_k)),
@@ -90,7 +93,7 @@ def _build_kernel_from_config(config: dict) -> ExpSumKernel:
     if method == "geometric":
         cfg = GeometricConfig(
             n=n,
-            K=float(config.get("truncation", n**0.8)),
+            K=float(config.get("truncation", paper_truncation("interval", H, n)[0])),
             A=float(config.get("tail_ratio", 3.0)),
         )
         return build_geometric(spec, cfg)
@@ -102,22 +105,10 @@ def _cmd_kernel(args) -> int:
         with open(args.config, "r", encoding="utf-8") as fh:
             config = json.load(fh)
     else:
-        config = {
-            "method": args.method,
-            "hurst": args.hurst,
-            "n": args.n,
-            "horizon": args.horizon,
-        }
-        if args.truncation is not None:
-            config["truncation"] = args.truncation
-        if args.beta is not None:
-            config["beta"] = args.beta
-        if args.order is not None:
-            config["order"] = args.order
-        if args.tail_ratio is not None:
-            config["tail_ratio"] = args.tail_ratio
-        if args.node_rule is not None:
-            config["node_rule"] = args.node_rule
+        config = {key: getattr(args, key) for key in ("method", "hurst", "n", "horizon")}
+        for key in ("truncation", "beta", "order", "tail_ratio", "node_rule"):
+            if getattr(args, key) is not None:
+                config[key] = getattr(args, key)
     if config.get("method") is None:
         raise ValueError("a method is required (flag --method or config key)")
     kernel = _build_kernel_from_config(config)
@@ -157,27 +148,19 @@ def _cmd_table(args) -> int:
     return 0
 
 
-def _heston_model(args) -> HestonModel:
-    hurst = args.hurst if args.hurst is not None else 0.1
-    factors = args.factors if args.factors is not None else 100
-    return HestonModel(scheme=args.scheme, hurst=hurst, kernel_factors=factors)
-
-
-def _bergomi_model(args) -> BergomiModel:
+def _model(args) -> HestonModel | BergomiModel:
+    """The descriptor of ``--model`` and ``--scheme``, which rejects an unknown scheme."""
+    if args.model == "heston":
+        hurst = args.hurst if args.hurst is not None else 0.1
+        factors = args.factors if args.factors is not None else 100
+        return HestonModel(scheme=args.scheme, hurst=hurst, kernel_factors=factors)
     params = BergomiParams(H=args.hurst) if args.hurst is not None else BergomiParams()
     factors = args.factors if args.factors is not None else 40
     return BergomiModel(mode=args.scheme, params=params, kernel_factors=factors)
 
 
 def _cmd_price(args) -> int:
-    if args.model == "heston":
-        if args.scheme not in HESTON_SCHEMES:
-            raise ValueError(f"heston scheme must be one of {HESTON_SCHEMES}")
-        model = _heston_model(args)
-    else:
-        if args.scheme not in BERGOMI_MODES:
-            raise ValueError(f"bergomi scheme must be one of {BERGOMI_MODES}")
-        model = _bergomi_model(args)
+    model = _model(args)
     payoff = (euro_call if args.payoff == "euro-call" else lookback_call)(args.strike)
     grid = GridSpec(T=args.horizon, N=args.steps)
     paths = 1_000_000 if args.paper_scale else args.paths
@@ -188,6 +171,8 @@ def _cmd_price(args) -> int:
 
 
 def _cmd_smile(args) -> int:
+    if args.points < 1:
+        raise ValueError(f"need --points >= 1, got {args.points}")
     if not args.kmin < args.kmax and args.points > 1:
         raise ValueError("need kmin < kmax")
     params = BergomiParams(
@@ -207,10 +192,7 @@ def _cmd_smile(args) -> int:
 
 def _cmd_path_dump(args) -> int:
     grid = GridSpec(T=args.horizon, N=args.steps)
-    if args.model == "heston":
-        model = _heston_model(args)
-    else:
-        model = _bergomi_model(args)
+    model = _model(args)
     rng = CounterRng(args.seed)
     normals = rng.normals_block(
         np.array([0], dtype=np.uint64), grid.N, model.components_per_step(grid)
@@ -230,7 +212,7 @@ def _cmd_path_dump(args) -> int:
 def _add_mc_flags(parser):
     parser.add_argument("--paths", type=int, default=100_000)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=_default_workers())
+    parser.add_argument("--workers", type=int, default=None)
     parser.add_argument("--paper-scale", action="store_true", help="use 10^6 paths")
 
 
@@ -305,6 +287,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if "workers" in vars(args):
+            args.workers = _workers(args.workers)
         return args.func(args)
     except (ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

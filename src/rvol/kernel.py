@@ -63,6 +63,14 @@ class RoughKernelSpec:
         """c_H = 1 / (Gamma(H+1/2) Gamma(1/2-H))."""
         return 1.0 / (self.gamma_head * gamma_fn(0.5 - self.H))
 
+    def integral(self, t):
+        """Integral of the kernel over (0, t): t^(H+1/2) / ((H+1/2) Gamma(H+1/2))."""
+        return t ** (self.H + 0.5) / ((self.H + 0.5) * self.gamma_head)
+
+    def square_integral(self, t):
+        """Integral of the squared kernel over (0, t): t^(2H) / (2H Gamma(H+1/2)^2)."""
+        return t ** (2.0 * self.H) / (2.0 * self.H * self.gamma_head**2)
+
 
 class ExpSumKernel:
     """Finite exponential sum sum_i w_i exp(-r_i t).
@@ -264,14 +272,14 @@ def _fractional_cross_column(spec: RoughKernelSpec, rates: np.ndarray, t: float)
     """Covariances of each factor integral with the fractional integral.
 
     Entry i equals r_i^(-H-1/2) gamma(H+1/2, r_i t) / Gamma(H+1/2),
-    with the r -> 0 limit t^(H+1/2) / ((H+1/2) Gamma(H+1/2)).
+    with the r -> 0 limit the kernel's integral over (0, t).
     """
     a = spec.H + 0.5
     g_head = spec.gamma_head
     col = np.empty(rates.size)
     for i, r in enumerate(rates):
         if r == 0.0:
-            col[i] = t**a / (a * g_head)
+            col[i] = spec.integral(t)
         else:
             col[i] = r ** (-a) * lower_incomplete_gamma(a, r * t) / g_head
     return col
@@ -291,7 +299,7 @@ def build_joint_covariance(spec: RoughKernelSpec, rates, t: float) -> JointCovar
     # matrix in place; the fractional entries then replace the dummy's row and column
     sigma = _pair_gram(np.append(r, 0.0), t)
     sigma[:n, n] = sigma[n, :n] = _fractional_cross_column(spec, r, t)
-    sigma[n, n] = t ** (2.0 * spec.H) / (2.0 * spec.H * spec.gamma_head**2)
+    sigma[n, n] = spec.square_integral(t)
     return JointCovariance(matrix=sigma, rates=r, H=spec.H, t=t)
 
 
@@ -337,8 +345,7 @@ def expsum_inner_products(spec: RoughKernelSpec, kernel: ExpSumKernel, T: float)
     self_product = _quadratic_form_fsum(w, _pair_gram(r, T))
     cross_col = _fractional_cross_column(spec, r, T)
     cross_product = math.fsum((w * cross_col).tolist())
-    rough_product = T ** (2.0 * spec.H) / (2.0 * spec.H * spec.gamma_head**2)
-    return self_product, cross_product, rough_product
+    return self_product, cross_product, spec.square_integral(T)
 
 
 def write_kernel_csv(kernel: ExpSumKernel, path) -> None:

@@ -31,13 +31,13 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
 import numpy as np
 from scipy.special import ndtri
 
-from .bergomi import BergomiParams, simulate_bergomi, implied_vol
+from .bergomi import BergomiParams, implied_vol, simulate_bergomi, step_components
 from .kernel import ExpSumKernel, RoughKernelSpec
 from .quadrature import build_systematic, truncate_factors
 from .schemes import (
@@ -181,16 +181,7 @@ class McReport:
     descriptor: str | None = None
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "mean": self.mean,
-                "half_width_95": self.half_width_95,
-                "paths": self.paths,
-                "wall_seconds": self.wall_seconds,
-                "seed": self.seed,
-                "descriptor": self.descriptor,
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 @dataclass(frozen=True)
@@ -262,11 +253,12 @@ class HestonModel:
     hurst: float = 0.1
     kernel_factors: int = 100
     kernel: ExpSumKernel | None = None
-    truncation_beta: float = 1.0
 
     def __post_init__(self):
         if self.scheme not in HESTON_SCHEMES:
-            raise ValueError(f"unknown heston scheme {self.scheme!r}")
+            raise ValueError(
+                f"unknown heston scheme {self.scheme!r}; expected one of {HESTON_SCHEMES}"
+            )
 
     @property
     def label(self) -> str:
@@ -283,7 +275,7 @@ class HestonModel:
         else:
             base = systematic_kernel(self.hurst, self.kernel_factors, grid.T)
         if self.scheme in ("multifactor-truncated", "hybrid", "integrated-multifactor"):
-            base, _ = truncate_factors(base, grid.T, grid.N, self.truncation_beta)
+            base, _ = truncate_factors(base, grid.T, grid.N)
         return base
 
     def simulate_paths(
@@ -354,26 +346,26 @@ class BergomiModel:
 
     def __post_init__(self):
         if self.mode not in BERGOMI_MODES:
-            raise ValueError(f"unknown bergomi mode {self.mode!r}")
+            raise ValueError(
+                f"unknown bergomi mode {self.mode!r}; expected one of {BERGOMI_MODES}"
+            )
 
     @property
     def label(self) -> str:
         return f"bergomi:{self.mode}"
 
-    def components_per_step(self, grid: GridSpec) -> int:
+    def _kernel(self, grid: GridSpec) -> ExpSumKernel | None:
+        """The systematic kernel in multifactor mode, None in exact mode."""
         if self.mode == "exact":
-            return 3
-        kern = systematic_kernel(self.params.H, self.kernel_factors, grid.T)
-        return kern.n + 2
+            return None
+        return systematic_kernel(self.params.H, self.kernel_factors, grid.T)
+
+    def components_per_step(self, grid: GridSpec) -> int:
+        return step_components(self._kernel(grid))
 
     def simulate_paths(self, grid: GridSpec, normals: np.ndarray) -> HestonPaths:
         """Price and variance paths from (paths, N, comps) normals."""
-        kern = (
-            None
-            if self.mode == "exact"
-            else systematic_kernel(self.params.H, self.kernel_factors, grid.T)
-        )
-        return simulate_bergomi(self.params, grid, kernel=kern, normals=normals)
+        return simulate_bergomi(self.params, grid, kernel=self._kernel(grid), normals=normals)
 
     def simulate(self, grid: GridSpec, normals: np.ndarray) -> PathStats:
         return _path_stats(self.simulate_paths(grid, normals))
@@ -433,6 +425,12 @@ def _label(model, payoff: Payoff) -> str:
     return f"{model.label}|{payoff.kind}({payoff.strike})"
 
 
+def _estimate(model, payoff: Payoff, stats: PathStats) -> tuple[float, float]:
+    """Payoff mean and 95% half-width; ``ValueError`` if a payoff is not finite."""
+    values = _finite(payoff.evaluate(stats), _label(model, payoff))
+    return float(values.mean()), _half_width(values)
+
+
 def price(model, payoff: Payoff, grid: GridSpec, cfg: McConfig) -> McReport:
     """Monte Carlo price of the payoff under the descriptor's scheme.
 
@@ -440,17 +438,14 @@ def price(model, payoff: Payoff, grid: GridSpec, cfg: McConfig) -> McReport:
     NaN or infinite.
     """
     start = time.perf_counter()
-    stats = simulate_stats(model, grid, cfg)
-    label = _label(model, payoff)
-    values = _finite(payoff.evaluate(stats), label)
-    wall = time.perf_counter() - start
+    mean, half_width = _estimate(model, payoff, simulate_stats(model, grid, cfg))
     return McReport(
-        mean=float(values.mean()),
-        half_width_95=_half_width(values),
-        paths=int(values.size),
-        wall_seconds=wall,
+        mean=mean,
+        half_width_95=half_width,
+        paths=cfg.paths,
+        wall_seconds=time.perf_counter() - start,
         seed=cfg.seed,
-        descriptor=label,
+        descriptor=_label(model, payoff),
     )
 
 
@@ -502,10 +497,7 @@ def bergomi_smile(
         stats = simulate_stats(model, grid, cfg)
         for k in np.atleast_1d(np.asarray(log_strikes, dtype=float)):
             strike = math.exp(float(k))
-            values = _finite(
-                np.maximum(stats.terminal - strike, 0.0), f"{model.label}|euro_call({strike})"
-            )
-            mean = float(values.mean())
+            mean, half_width = _estimate(model, euro_call(strike), stats)
             vol = implied_vol(mean, params.S0, strike, grid.T)
-            rows.append((mode, float(k), mean, _half_width(values), vol))
+            rows.append((mode, float(k), mean, half_width, vol))
     return rows

@@ -151,29 +151,27 @@ def integrate(f, lo: float, hi: float, tol: QuadTolerance = QuadTolerance()) -> 
     return value
 
 
-def psd_factorize(
-    matrix,
-    neg_tol: float = 1e-6,
-    zero_tol: float = 1e-12,
-    pivot: bool = True,
-    floor: float = 0.0,
-):
+_NEG_TOL = 1e-6  # psd_factorize: relative pivot below which a matrix is indefinite
+_ZERO_TOL = 1e-12  # psd_factorize: relative pivot at or below which variance is noise
+
+
+def psd_factorize(matrix, pivot: bool = True, floor: float = 0.0):
     """Square-root factor of a nearly positive semidefinite matrix.
 
     Cholesky elimination with diagonal pivoting: at each step the
     largest remaining conditional variance is eliminated, which keeps
     the factorization stable on the severely rank-deficient covariance
     matrices of near-collinear exponential factors. Remaining pivots at
-    or below ``zero_tol`` times the largest diagonal entry are treated
-    as exact zeros (their rows are left at zero), discarding only
-    noise-level variance.
+    or below 1e-12 times the largest diagonal entry are treated as exact
+    zeros (their rows are left at zero), discarding only noise-level
+    variance.
 
     Returns a factor ``L`` with ``L @ L.T`` equal to the input up to the
     discarded noise; ``L`` is lower triangular up to a row permutation
     (exactly lower triangular with ``pivot=False``, appropriate for
     comfortably definite matrices whose component ordering must be
     preserved). Raises ``ValueError`` if any candidate pivot falls below
-    ``-neg_tol`` times the largest diagonal entry, i.e. the matrix is
+    -1e-6 times the largest diagonal entry, i.e. the matrix is
     indefinite beyond rounding noise.
 
     Both tolerances use ``floor`` in place of the largest diagonal entry
@@ -195,12 +193,12 @@ def psd_factorize(
     for j in range(m):
         p = j + int(np.argmax(work.diagonal()[j:])) if pivot else j
         d = work[p, p]
-        if d < -neg_tol * max_diag:
+        if d < -_NEG_TOL * max_diag:
             raise ValueError(
                 f"matrix not PSD within tolerance: pivot {d:.3e} "
-                f"below {-neg_tol * max_diag:.3e}"
+                f"below {-_NEG_TOL * max_diag:.3e}"
             )
-        if d <= zero_tol * max_diag:
+        if d <= _ZERO_TOL * max_diag:
             if pivot:
                 break  # everything left is noise-level; rows stay zero
             continue

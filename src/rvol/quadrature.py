@@ -33,6 +33,7 @@ __all__ = [
     "RiemannConfig",
     "NewtonCotesConfig",
     "GeometricConfig",
+    "paper_truncation",
     "newton_cotes_coefficients",
     "build_riemann",
     "build_simpson",
@@ -120,6 +121,25 @@ class GeometricConfig:
             raise ValueError("K must be positive")
         if self.A <= 1.0:
             raise ValueError("geometric ratio A must exceed 1")
+
+
+def paper_truncation(rule: str, H: float, n: int, node_rule: str = "barycentric"):
+    """The paper's truncation K and split exponent beta for n intervals: ``(K, beta)``.
+
+    ``rule="interval"``: K = n^(2/3) for midpoint nodes (table t1) and
+    n^(4/5) for barycentric ones (t2, and the geometric and systematic
+    kernels); beta is None. ``rule="newton-cotes"``: the exponents of
+    tables t3 (midpoint nodes) and t4 (barycentric nodes).
+    """
+    if rule not in ("interval", "newton-cotes"):
+        raise ValueError("rule must be 'interval' or 'newton-cotes'")
+    if rule == "interval":
+        return float(n) ** (2.0 / 3.0 if node_rule == "midpoint" else 0.8), None
+    if node_rule == "midpoint":
+        k_exp, beta = (13.0 - 6.0 * H) / (15.0 - 6.0 * H), (10.0 - 6.0 * H) / (13.0 - 6.0 * H)
+    else:
+        k_exp, beta = (22.0 - 4.0 * H) / (25.0 - 4.0 * H), (20.0 - 4.0 * H) / (22.0 - 4.0 * H)
+    return float(n) ** k_exp, beta
 
 
 def _solve_rational(matrix, rhs):
@@ -279,7 +299,7 @@ def build_systematic(
     if n_total < 2 or n_total % 2 != 0:
         raise ValueError("n_total must be an even integer >= 2")
     n = n_total // 2
-    K = float(n) ** 0.8
+    K, _ = paper_truncation("interval", spec.H, n)
     ratio, _ = optimize_tail_ratio(spec, n, K, T, bracket=bracket)
     geometric = build_geometric(spec, GeometricConfig(n=n, K=K, A=ratio))
     rescaled, _ = rescale_weights(spec, geometric, T)

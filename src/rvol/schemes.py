@@ -210,11 +210,6 @@ def _sve_loop(plant: SvePlant, grid: GridSpec, dw, memories):
     return states, terms
 
 
-def _distinct(a: np.ndarray, b: np.ndarray) -> tuple:
-    """Both kernels' arrays, or only the first when they are equal."""
-    return (a,) if np.array_equal(a, b) else (a, b)
-
-
 def volterra_euler(plant: SvePlant, g1, g2, grid: GridSpec, dw) -> SchemePath:
     """Euler scheme for the convolution equation with scalar kernels.
 
@@ -222,7 +217,8 @@ def volterra_euler(plant: SvePlant, g1, g2, grid: GridSpec, dw) -> SchemePath:
     drift terms b(X_j) dt and diffusion terms sigma(X_j) dW_j, with
     kernels evaluated at the elapsed lags (k+1-j) dt. Cost grows as N^2.
     """
-    tables = _distinct(_kernel_table(g1, grid), _kernel_table(g2, grid))
+    t1, t2 = _kernel_table(g1, grid), _kernel_table(g2, grid)
+    tables = (t1,) if np.array_equal(t1, t2) else (t1, t2)
     memories = [_HistoryMemory(table, plant.dim, False) for table in tables]
     return SchemePath(grid=grid, states=_sve_loop(plant, grid, dw, memories)[0])
 
@@ -248,14 +244,14 @@ def multifactor_euler(
     """
     if not np.array_equal(k1.rates, k2.rates):
         raise ValueError("drift and diffusion kernels must share the same rates")
-    weights = _distinct(k1.weights, k2.weights)
-    if record_factors and (len(weights) > 1 or plant.dim > 1):
+    kernels = (k1,) if k1 == k2 else (k1, k2)
+    if record_factors and (len(kernels) > 1 or plant.dim > 1):
         raise ValueError("record_factors needs equal kernels and a scalar state (d = 1)")
-    damp = np.exp(-k1.rates * grid.dt)
-    memories = [_FactorMemory(w * damp, damp, grid.N, plant.dim, False) for w in weights]
+    memories = [_expsum_memory(kernel, grid, plant.dim, False) for kernel in kernels]
     states, terms = _sve_loop(plant, grid, dw, memories)
     factors = None
     if record_factors:
+        damp = memories[0].damp
         factors = np.zeros((grid.N + 1, k1.n))
         for k in range(grid.N):
             factors[k + 1] = damp * (factors[k] + terms[k].sum())
@@ -402,6 +398,7 @@ class _FactorMemory(_BlockedMemory):
     def __init__(
         self, u, damp, n_steps: int, n_paths: int, ring: bool, exact_last_step=False
     ):
+        self.damp = damp
         powers = damp[None, :] ** np.arange(_BLOCK + 1)[:, None]
         self.far_weights = u * powers[:-1]
         near = self.far_weights.sum(axis=1)
@@ -420,37 +417,61 @@ class _FactorMemory(_BlockedMemory):
         np.matmul(self.far_weights[: rows.shape[0]], f, out=rows)
 
 
+def _expsum_memory(kernel: ExpSumKernel, grid: GridSpec, n_paths: int, ring: bool):
+    """Factor memory of an exponential sum: u = w e^{-r dt}, damped by e^{-r dt}."""
+    damp = np.exp(-kernel.rates * grid.dt)
+    return _FactorMemory(kernel.weights * damp, damp, grid.N, n_paths, ring)
+
+
+class _LogPrice:
+    """Euler log price of the rough Heston and rough Bergomi engines.
+
+    Row k+1 of ``path`` is log S0 plus the running sum over j <= k of
+    -V_j dt / 2 + sqrt(V_j) (rho dW_j + rho_perp dW_perp_j), V_j >= 0.
+    The integrated engines form their own rows from ``log_s0`` and ``rho_perp``.
+    """
+
+    def __init__(self, params, grid: GridSpec, n_paths: int):
+        self.log_s0, self.rho = math.log(params.S0), params.rho
+        self.rho_perp = math.sqrt(1.0 - params.rho * params.rho)
+        self.half_dt = -0.5 * grid.dt
+        self.path = np.empty((grid.N + 1, n_paths))
+        self.path[0] = self.log_s0
+        self.total, self.vol, self.mix, self.shock = (np.zeros(n_paths) for _ in range(4))
+
+    def step(self, k: int, variance, dw, dw_perp) -> np.ndarray:
+        """Write row k+1 from V_k and step k's increments; return sqrt(V_k) (scratch)."""
+        vol, mix, shock = self.vol, self.mix, self.shock
+        np.sqrt(variance, out=vol)
+        np.multiply(dw, self.rho, out=mix)
+        np.multiply(dw_perp, self.rho_perp, out=shock)
+        mix += shock
+        mix *= vol
+        np.multiply(variance, self.half_dt, out=shock)
+        mix += shock
+        self.total += mix
+        np.add(self.total, self.log_s0, out=self.path[k + 1])
+        return vol
+
+
 def _heston_variance(params, grid, memory, dw, dw_perp, exact=None) -> HestonPaths:
     """Step loop of the variance engines, which differ only in their memory.
 
     V_{k+1} = V0 + convolution of S_j = (theta - lam V_j^+) dt
     + sigma sqrt(V_j^+) dW_j; ``exact = (drift_weight, d_frac)`` adds
     the hybrid scheme's exact last step (theta - lam V_k^+) drift_weight
-    + sigma sqrt(V_k^+) d_frac_k. The log price is log S0 plus the
-    running sum of -V_k^+ dt / 2 + sqrt(V_k^+) (rho dW_k + rho_perp dW_perp_k).
+    + sigma sqrt(V_k^+) d_frac_k. The log price is the :class:`_LogPrice`
+    of V^+.
     """
-    rho_perp = math.sqrt(1.0 - params.rho * params.rho)
-    log_s0 = math.log(params.S0)
     variance, slot = memory.result, memory.slot
     variance[0] = params.V0
-    n_paths = variance.shape[1]
-    log_price = np.empty((grid.N + 1, n_paths))
-    log_price[0] = log_s0
-    vol, mix, shock = (np.empty(n_paths) for _ in range(3))
-    total = np.zeros(n_paths)
+    prices = _LogPrice(params, grid, variance.shape[1])
+    shock = np.empty(variance.shape[1])
     for k in range(grid.N):
         dw_k, v_next = dw[k], variance[slot(k + 1)]
         step = memory.term(k)
         np.maximum(variance[slot(k)], 0.0, out=step)  # positive part of V
-        np.sqrt(step, out=vol)
-        np.multiply(dw_k, params.rho, out=mix)
-        np.multiply(dw_perp[k], rho_perp, out=shock)
-        mix += shock
-        mix *= vol
-        np.multiply(step, -0.5 * grid.dt, out=shock)
-        mix += shock
-        total += mix
-        np.add(total, log_s0, out=log_price[k + 1])
+        vol = prices.step(k, step, dw_k, dw_perp[k])
         vol *= params.sigma
         step *= -params.lam
         step += params.theta
@@ -464,7 +485,7 @@ def _heston_variance(params, grid, memory, dw, dw_perp, exact=None) -> HestonPat
         step += shock
         memory.convolve(k)
         v_next += params.V0
-    return HestonPaths(log_price=log_price.T, variance=None if memory.ring else variance.T)
+    return HestonPaths(log_price=prices.path.T, variance=None if memory.ring else variance.T)
 
 
 def heston_volterra_euler(
@@ -503,8 +524,7 @@ def heston_multifactor_euler(
     ``prices_only`` as in :func:`heston_volterra_euler`.
     """
     dw, dw_perp = _check_increments(grid, dw, dw_perp)
-    damp = np.exp(-kernel.rates * grid.dt)
-    memory = _FactorMemory(kernel.weights * damp, damp, grid.N, dw.shape[1], prices_only)
+    memory = _expsum_memory(kernel, grid, dw.shape[1], prices_only)
     return _heston_variance(params, grid, memory, dw, dw_perp)
 
 
@@ -516,10 +536,8 @@ def hybrid_step_covariance(spec: RoughKernelSpec, dt: float) -> np.ndarray:
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    a = spec.H + 0.5
-    cross = dt**a / (a * spec.gamma_head)
-    var_frac = dt ** (2.0 * spec.H) / (2.0 * spec.H * spec.gamma_head**2)
-    return np.array([[dt, cross], [cross, var_frac]])
+    cross = spec.integral(dt)
+    return np.array([[dt, cross], [cross, spec.square_integral(dt)]])
 
 
 def heston_hybrid_multifactor(
@@ -573,13 +591,11 @@ def _integrated_loop(params, grid, memory, z, z_perp, drift_floor) -> Integrated
     if drift_floor not in _DRIFT_FLOORS:
         raise ValueError(f"drift_floor must be one of {_DRIFT_FLOORS}")
     p, dt = params, grid.dt
-    rho_perp = math.sqrt(1.0 - p.rho * p.rho)
-    log_s0 = math.log(p.S0)
     raw, slot = memory.result, memory.slot
     n_paths = raw.shape[1]
     clamped = np.zeros((2 if memory.ring else grid.N + 1, n_paths))
-    log_price = np.empty((grid.N + 1, n_paths))
-    log_price[0] = log_s0
+    prices = _LogPrice(p, grid, n_paths)
+    log_s0, rho_perp, log_price = prices.log_s0, prices.rho_perp, prices.path
     mart, mart_perp, inc, tmp = (np.zeros(n_paths) for _ in range(4))
     for k in range(grid.N):
         x_now, x_next = clamped[k % len(clamped)], clamped[(k + 1) % len(clamped)]
@@ -677,6 +693,5 @@ def heston_integrated_multifactor(
     Carlo half-width, not for bit-identity.
     """
     z, z_perp = _check_increments(grid, z, z_perp)
-    damp = np.exp(-kernel.rates * grid.dt)
-    memory = _FactorMemory(kernel.weights * damp, damp, grid.N, z.shape[1], prices_only)
+    memory = _expsum_memory(kernel, grid, z.shape[1], prices_only)
     return _integrated_loop(params, grid, memory, z, z_perp, drift_floor)

@@ -18,6 +18,7 @@ from .quadrature import (
     build_riemann,
     build_simpson,
     build_systematic,
+    paper_truncation,
 )
 from .schemes import GridSpec, HestonParams
 
@@ -29,40 +30,26 @@ _HURSTS = (0.45, 0.25, 0.05)
 _HORIZON = 1.0
 
 
-def _riemann_error(H: float, n: int, exponent: float, rule: str) -> float:
+def _riemann_error(H: float, n: int, rule: str) -> float:
     spec = RoughKernelSpec(H)
-    cfg = RiemannConfig(n=n, K=float(n) ** exponent, node_rule=rule)
+    K, _ = paper_truncation("interval", H, n, rule)
+    cfg = RiemannConfig(n=n, K=K, node_rule=rule)
     return l2_error_exact(spec, build_riemann(spec, cfg), _HORIZON)
 
 
-def _riemann_table(rule: str, exponent: float, n: int):
-    header = ["H", "n", "l2_sq_n", "l2_sq_2n", "rate_factor"]
-    rows = []
-    for H in _HURSTS:
-        err_n = _riemann_error(H, n, exponent, rule)
-        err_2n = _riemann_error(H, 2 * n, exponent, rule)
-        rows.append([H, n, err_n, err_2n, rate_factor_estimate(err_n, err_2n, H)])
-    return header, rows
-
-
-def _simpson_error(H: float, n: int, k_exp: float, beta: float, rule: str) -> float:
+def _simpson_error(H: float, n: int, rule: str) -> float:
     spec = RoughKernelSpec(H)
-    cfg = NewtonCotesConfig(n=n, K=float(n) ** k_exp, beta=beta, J=2, node_rule=rule)
+    K, beta = paper_truncation("newton-cotes", H, n, rule)
+    cfg = NewtonCotesConfig(n=n, K=K, beta=beta, J=2, node_rule=rule)
     return l2_error_exact(spec, build_simpson(spec, cfg), _HORIZON)
 
 
-def _simpson_table(rule: str, n: int):
+def _doubling_table(error, rule: str, n: int):
+    """Errors at n and 2n intervals and their rate factor, one row per H."""
     header = ["H", "n", "l2_sq_n", "l2_sq_2n", "rate_factor"]
     rows = []
     for H in _HURSTS:
-        if rule == "midpoint":
-            k_exp = (13.0 - 6.0 * H) / (15.0 - 6.0 * H)
-            beta = (10.0 - 6.0 * H) / (13.0 - 6.0 * H)
-        else:
-            k_exp = (22.0 - 4.0 * H) / (25.0 - 4.0 * H)
-            beta = (20.0 - 4.0 * H) / (22.0 - 4.0 * H)
-        err_n = _simpson_error(H, n, k_exp, beta, rule)
-        err_2n = _simpson_error(H, 2 * n, k_exp, beta, rule)
+        err_n, err_2n = error(H, n, rule), error(H, 2 * n, rule)
         rows.append([H, n, err_n, err_2n, rate_factor_estimate(err_n, err_2n, H)])
     return header, rows
 
@@ -74,7 +61,7 @@ def _geometric_table(ratio: float = 3.0):
         spec = RoughKernelSpec(H)
         errs = {}
         for n in (50, 200, 400):
-            cfg = GeometricConfig(n=n, K=float(n) ** 0.8, A=ratio)
+            cfg = GeometricConfig(n=n, K=paper_truncation("interval", H, n)[0], A=ratio)
             errs[n] = l2_error_exact(spec, build_geometric(spec, cfg), _HORIZON)
         rows.append(
             [H, errs[50], errs[200], errs[400], rate_factor_estimate(errs[200], errs[400], H)]
@@ -136,13 +123,13 @@ def table_rows(table_id: str, paths: int = 100_000, seed: int = 0, workers: int 
     """Header and rows for one benchmark table id (``t1`` .. ``t10``)."""
     table_id = table_id.lower()
     if table_id == "t1":
-        return _riemann_table("midpoint", 2.0 / 3.0, 50)
+        return _doubling_table(_riemann_error, "midpoint", 50)
     if table_id == "t2":
-        return _riemann_table("barycentric", 0.8, 50)
+        return _doubling_table(_riemann_error, "barycentric", 50)
     if table_id == "t3":
-        return _simpson_table("midpoint", 16)
+        return _doubling_table(_simpson_error, "midpoint", 16)
     if table_id == "t4":
-        return _simpson_table("barycentric", 16)
+        return _doubling_table(_simpson_error, "barycentric", 16)
     if table_id == "t5":
         return _geometric_table()
     if table_id == "t6":

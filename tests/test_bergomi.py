@@ -16,6 +16,7 @@ from rvol.bergomi import (
     sample_factors_exact,
     sample_fractional_exact,
     simulate_bergomi,
+    step_components,
 )
 from rvol.kernel import ExpSumKernel
 from rvol.numerics import QuadTolerance, integrate
@@ -431,6 +432,25 @@ class TestNormalsLayout:
             sample_factors_exact(kernel, grid, normals=np.zeros(4))
         with pytest.raises(ValueError):
             sample_factors_exact(kernel, grid, normals=(np.zeros((3, 4)), np.zeros((2, 4, 2))))
+
+    @pytest.mark.parametrize("sampler", ["factors", "fractional", "simulate"])
+    def test_inputs_checked_alike(self, sampler):
+        kernel = ExpSumKernel([0.8, 0.4], [0.5, 6.0])
+        grid = GridSpec(T=0.5, N=4)
+        params = BergomiParams()
+        run, comps = {
+            "factors": (lambda **kw: sample_factors_exact(kernel, grid, **kw), kernel.n + 1),
+            "fractional": (lambda **kw: sample_fractional_exact(params.spec, grid, **kw), 2),
+            "simulate": (
+                lambda **kw: simulate_bergomi(params, grid, kernel=kernel, **kw),
+                step_components(kernel),
+            ),
+        }[sampler]
+        for missing in ({"n_paths": 5}, {"rng": np.random.default_rng(0)}):
+            with pytest.raises(ValueError, match=r"supply either normals or \(rng and n_paths\)"):
+                run(**missing)
+        with pytest.raises(ValueError, match=rf"normals must have shape \(paths, 4, {comps}\)"):
+            run(normals=np.zeros((3, grid.N, comps + 1)))
 
     @pytest.mark.parametrize("mode", ["exact", "multifactor"])
     def test_simulate(self, mode):

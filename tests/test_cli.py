@@ -1,6 +1,9 @@
 import json
 
+import pytest
+
 from rvol.cli import main
+from rvol.tables import table_rows
 
 
 def run_cli(capsys, argv):
@@ -55,6 +58,21 @@ class TestKernelCommand:
         code, _, err = run_cli(capsys, ["kernel", "--hurst", "0.2", "--n", "4"])
         assert code == 1
         assert "error" in err
+
+    def test_default_split_matches_table_t4(self, capsys):
+        code, stdout, _ = run_cli(
+            capsys,
+            [
+                "kernel",
+                "--method", "simpson",
+                "--node-rule", "barycentric",
+                "--hurst", "0.25",
+                "--n", "16",
+            ],
+        )
+        assert code == 0
+        l2_sq_n = {row[0]: row[2] for row in table_rows("t4")[1]}
+        assert json.loads(stdout)["l2_error_sq"] == l2_sq_n[0.25]
 
 
 class TestTableCommand:
@@ -132,6 +150,27 @@ class TestPriceCommand:
         )
         assert code == 1
         assert "error" in err
+
+
+class TestInputErrors:
+    PRICE = ["price", "--model", "heston", "--scheme", "volterra", "--steps", "2", "--paths", "8"]
+
+    @pytest.mark.parametrize("env", ["abc", "0"])
+    def test_bad_worker_environment(self, monkeypatch, capsys, env):
+        monkeypatch.setenv("RVOL_WORKERS", env)
+        code, stdout, err = run_cli(capsys, self.PRICE)
+        assert (code, stdout) == (1, "")
+        assert err == f"error: RVOL_WORKERS must be a positive integer, got {env!r}\n"
+
+    def test_worker_flag_overrides_environment(self, monkeypatch, capsys):
+        monkeypatch.setenv("RVOL_WORKERS", "abc")
+        code, stdout, _ = run_cli(capsys, self.PRICE + ["--workers", "2"])
+        assert code == 0 and json.loads(stdout)["paths"] == 8
+
+    def test_zero_smile_points(self, capsys):
+        code, stdout, err = run_cli(capsys, ["smile", "--points", "0", "--paths", "8"])
+        assert (code, stdout) == (1, "")
+        assert err.startswith("error: ")
 
 
 class TestSmileCommand:

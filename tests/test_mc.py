@@ -390,6 +390,26 @@ class TestStreamedHestonPricing:
 
 
 class TestSmile:
+    # bergomi_smile rows at the default parameters, T = 0.041, N = 20,
+    # 2048 paths, seed 7, as given by the code in which simulate_bergomi
+    # wrote its own log-price step and bergomi_smile its own payoff;
+    # recorded with the numpy, scipy and BLAS of TestStreamedHestonPricing
+    GOLDEN = [
+        ("exact", -0.1, 0.09786839201886498, 0.0017479055410353885, 0.3600904680788517),
+        ("exact", 0.0, 0.017633426934820857, 0.0008847013133350877, 0.2183082215487957),
+        ("exact", 0.05, 0.0009091613023802151, 0.00020137419738944343, 0.1611011065542698),
+        ("multifactor", -0.1, 0.09773222285080405, 0.0017450609081459236, 0.35549313202500343),
+        ("multifactor", 0.0, 0.0174920778991866, 0.0008909847437840356, 0.21655798330903053),
+        ("multifactor", 0.05, 0.0009832463894007867, 0.00020790098814535508, 0.16393862292170525),
+    ]
+
+    def test_golden_rows(self):
+        rows = bergomi_smile(
+            BergomiParams(), GridSpec(T=0.041, N=20), McConfig(paths=2048, seed=7),
+            [-0.1, 0.0, 0.05],
+        )
+        assert rows == self.GOLDEN
+
     def test_rows_and_shapes(self):
         from rvol.bergomi import BergomiParams
 
