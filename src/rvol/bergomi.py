@@ -164,7 +164,7 @@ def sample_factors_exact(
     rank = int(np.count_nonzero(cond_factor.any(axis=0)))
     cond_factor = np.ascontiguousarray(cond_factor[:, :rank])
     cross_col = cross_coef[:, None]
-    damp_col = np.exp(-kernel.rates * dt)[:, None]
+    damp_col = kernel.damped(dt)[1][:, None]
     z0_steps = z0.T  # (N, paths)
     z_steps = z.transpose(1, 2, 0)  # (N, n, paths)
     n_paths = z.shape[0]

@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -121,6 +120,11 @@ class ExpSumKernel:
 
     def __repr__(self):
         return f"ExpSumKernel(n={self.n})"
+
+    def damped(self, dt: float):
+        """``(u, d)``: each factor's decay d = e^{-r dt} over a step dt, and u = w d."""
+        damp = np.exp(-self.rates * dt)
+        return self.weights * damp, damp
 
     def head(self, count: int) -> "ExpSumKernel":
         """Kernel keeping only the first ``count`` (slowest) factors."""
@@ -235,37 +239,75 @@ def _phi(x, out=None):
     return np.negative(out, out=out)
 
 
-def _pair_gram(rates: np.ndarray, t: float) -> np.ndarray:
+def _pair_gram(rates: np.ndarray, t: float, rows=slice(None)) -> np.ndarray:
     """t phi((r_i + r_j) t), the Gram matrix of the damped factors on (0, t).
 
-    Built in place in the result: the only other m x m array alive is
-    the one temporary of :func:`_phi`.
+    Returns the rows ``rows`` (a slice of the rate indices) against every
+    rate, built in place in the result: the only other array of that
+    size alive is the one temporary of :func:`_phi`.
     """
-    out = np.add.outer(rates, rates)
+    out = np.add.outer(rates[rows], rates)
     out *= t
     _phi(out, out=out)
     out *= t
     return out
 
 
-@lru_cache(maxsize=64)
-def _strict_upper(m: int) -> np.ndarray:
-    """Boolean mask of the strict upper triangle of an m x m matrix."""
-    return np.triu(np.ones((m, m), dtype=bool), 1)
+# Entries per row block of an exact quadratic form: every kernel of up to
+# 256 factors is one block, and table t5's 801 x 801 forms are ten.
+_BLOCK_ENTRIES = 1 << 16
 
 
-def _quadratic_form_fsum(v: np.ndarray, matrix: np.ndarray) -> float:
-    """v' M v for a symmetric M, correctly rounded by ``math.fsum``.
+def _horizon(t) -> float:
+    """``t`` as a float, checked to be finite and positive."""
+    t = float(t)
+    if not (math.isfinite(t) and t > 0.0):
+        raise ValueError(f"horizon t must be finite and positive, got {t}")
+    return t
 
-    The terms v_i v_j M_ij are exactly symmetric and doubling is exact,
-    so fsum over the diagonal and the doubled strict upper half, read
-    from a float buffer, equals fsum over all m^2 terms, bit for bit.
+
+def _finite_fsum(terms) -> float:
+    """``math.fsum`` of ``terms``; ``ValueError`` if a term or the sum overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            total = math.fsum(terms)
+        except (OverflowError, ValueError):  # intermediate overflow, or -inf + inf
+            total = math.nan
+    if not math.isfinite(total):
+        raise ValueError("a term of an exact L2 pairing overflows the float range")
+    return total
+
+
+def _quadratic_form_fsum(v: np.ndarray, rows) -> float:
+    """v' M v for a symmetric M given by ``rows(i0, i1)`` (rows [i0, i1) of M).
+
+    ``rows`` returns a new array on each call, which is overwritten. M
+    is read one block of about ``_BLOCK_ENTRIES`` entries at a time, so
+    the memory held is O(block), not O(m^2). The terms v_i v_j M_ij are
+    exactly symmetric and doubling is exact, so fsum over each block's
+    diagonal and doubled strict upper part, read from float buffers,
+    equals fsum over all m^2 terms, bit for bit, whatever the blocking.
+    ``ValueError`` if a term overflows.
     """
-    terms = np.multiply.outer(v, v)
-    terms *= matrix
-    doubled = terms[_strict_upper(v.size)]
-    doubled *= 2.0
-    return math.fsum(itertools.chain(terms.diagonal().tolist(), memoryview(doubled)))
+    m = v.size
+    step = max(1, _BLOCK_ENTRIES // m)
+    cols = np.arange(m)
+
+    def pieces():
+        for i0 in range(0, m, step):
+            i1 = min(i0 + step, m)
+            # M_ij (v_i v_j) rounds as (v_i v_j) M_ij; forming the block first
+            # keeps at most two block-sized arrays alive
+            terms = rows(i0, i1)
+            terms *= np.multiply.outer(v[i0:i1], v)
+            yield terms.diagonal(i0).tolist()
+            doubled = terms[cols > cols[i0:i1, None]]
+            del terms  # free each block before the next one is built
+            doubled *= 2.0
+            yield memoryview(doubled)
+            del doubled
+
+    return _finite_fsum(itertools.chain.from_iterable(pieces()))
 
 
 def _fractional_cross_column(spec: RoughKernelSpec, rates: np.ndarray, t: float):
@@ -277,7 +319,7 @@ def _fractional_cross_column(spec: RoughKernelSpec, rates: np.ndarray, t: float)
     a = spec.H + 0.5
     g_head = spec.gamma_head
     col = np.empty(rates.size)
-    for i, r in enumerate(rates):
+    for i, r in enumerate(rates.tolist()):  # Python floats: cheaper scalar arithmetic
         if r == 0.0:
             col[i] = spec.integral(t)
         else:
@@ -285,22 +327,46 @@ def _fractional_cross_column(spec: RoughKernelSpec, rates: np.ndarray, t: float)
     return col
 
 
-def build_joint_covariance(spec: RoughKernelSpec, rates, t: float) -> JointCovariance:
-    """Exact (n+1) x (n+1) covariance of factor and fractional integrals."""
+def _joint_covariance_rows(spec: RoughKernelSpec, rates, t: float):
+    """Checked rates and the row builder of the joint covariance on (0, t).
+
+    The builder ``rows(i0, i1)`` returns rows [i0, i1) of the (n+1) x (n+1)
+    matrix: the Gram of the rates plus a dummy zero rate, built in place
+    by :func:`_pair_gram` over whole contiguous rows, then the fractional
+    column and corner, which replace the dummy's column (and row n).
+    """
     r = np.asarray(rates, dtype=float)
     if r.ndim != 1 or r.size < 1:
         raise ValueError("rates must be a nonempty 1-d array")
     if r[0] < 0.0 or np.any(np.diff(r) <= 0.0):
         raise ValueError("rates must be nonnegative, strictly increasing")
-    if t <= 0.0:
-        raise ValueError("horizon t must be positive")
+    t = _horizon(t)
     n = r.size
-    # the Gram of the rates plus a dummy zero rate fills the whole (contiguous)
-    # matrix in place; the fractional entries then replace the dummy's row and column
-    sigma = _pair_gram(np.append(r, 0.0), t)
-    sigma[:n, n] = sigma[n, :n] = _fractional_cross_column(spec, r, t)
-    sigma[n, n] = spec.square_integral(t)
-    return JointCovariance(matrix=sigma, rates=r, H=spec.H, t=t)
+    extended = np.append(r, 0.0)
+    # the last column, which is also the last row
+    last = np.append(_fractional_cross_column(spec, r, t), spec.square_integral(t))
+
+    def rows(i0: int, i1: int) -> np.ndarray:
+        block = _pair_gram(extended, t, slice(i0, i1))
+        block[:, n] = last[i0:i1]
+        if i1 > n:
+            block[n - i0] = last
+        return block
+
+    return r, rows
+
+
+def build_joint_covariance(spec: RoughKernelSpec, rates, t: float) -> JointCovariance:
+    """Exact (n+1) x (n+1) covariance of factor and fractional integrals.
+
+    The whole matrix is one block of the row builder that
+    :func:`l2_error_exact` streams, so both read the same entries; the
+    L2 error itself never holds this O(n^2) matrix, only O(block) rows,
+    and its result does not depend on the blocking. Raises
+    ``ValueError`` for a horizon that is not finite and positive.
+    """
+    r, rows = _joint_covariance_rows(spec, rates, t)
+    return JointCovariance(matrix=rows(0, r.size + 1), rates=r, H=spec.H, t=t)
 
 
 def l2_error_exact(spec: RoughKernelSpec, kernel: ExpSumKernel, t: float) -> float:
@@ -312,10 +378,15 @@ def l2_error_exact(spec: RoughKernelSpec, kernel: ExpSumKernel, t: float) -> flo
     below the individual matrix entries. Sigma is symmetric, so the sum
     runs over its diagonal and doubled strict upper half; the result is
     the same correctly rounded value as the sum over every entry.
+
+    Sigma is built and summed one row block at a time, so the memory
+    held is O(block) rather than O(n^2), and the result does not depend
+    on the blocking. Raises ``ValueError`` for a horizon that is not
+    finite and positive, and when a term overflows.
     """
-    cov = build_joint_covariance(spec, kernel.rates, t)
+    _, rows = _joint_covariance_rows(spec, kernel.rates, t)
     v = np.concatenate([kernel.weights, [-1.0]])
-    return max(_quadratic_form_fsum(v, cov.matrix), 0.0)
+    return max(_quadratic_form_fsum(v, rows), 0.0)
 
 
 def l2_error_discrete(
@@ -337,14 +408,17 @@ def expsum_inner_products(spec: RoughKernelSpec, kernel: ExpSumKernel, T: float)
     """The three L2 pairings on (0, T): (sum, sum), (sum, rough), (rough, rough).
 
     All in closed form; the cross pairing uses the lower incomplete
-    gamma function factor by factor.
+    gamma function factor by factor, and the self pairing streams the
+    Gram in row blocks like :func:`l2_error_exact`. Raises ``ValueError``
+    for a horizon that is not finite and positive, and when a term
+    overflows.
     """
-    if T <= 0.0:
-        raise ValueError("horizon T must be positive")
+    T = _horizon(T)
     w, r = kernel.weights, kernel.rates
-    self_product = _quadratic_form_fsum(w, _pair_gram(r, T))
-    cross_col = _fractional_cross_column(spec, r, T)
-    cross_product = math.fsum((w * cross_col).tolist())
+    self_product = _quadratic_form_fsum(w, lambda i0, i1: _pair_gram(r, T, slice(i0, i1)))
+    with np.errstate(over="ignore"):
+        cross_terms = w * _fractional_cross_column(spec, r, T)
+    cross_product = _finite_fsum(cross_terms.tolist())
     return self_product, cross_product, spec.square_integral(T)
 
 

@@ -321,7 +321,7 @@ def truncate_factors(kernel: ExpSumKernel, T: float, N: int, beta: float = 1.0):
         raise ValueError("beta must be positive")
     dt = T / N
     threshold = dt**beta
-    damped = kernel.weights * np.exp(-kernel.rates * dt)
+    damped, _ = kernel.damped(dt)
     # tail_after[k] = sum_{i >= k} damped[i]
     tail_after = np.concatenate([np.cumsum(damped[::-1])[::-1], [0.0]])
     for count in range(1, kernel.n + 1):

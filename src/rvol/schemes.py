@@ -419,8 +419,7 @@ class _FactorMemory(_BlockedMemory):
 
 def _expsum_memory(kernel: ExpSumKernel, grid: GridSpec, n_paths: int, ring: bool):
     """Factor memory of an exponential sum: u = w e^{-r dt}, damped by e^{-r dt}."""
-    damp = np.exp(-kernel.rates * grid.dt)
-    return _FactorMemory(kernel.weights * damp, damp, grid.N, n_paths, ring)
+    return _FactorMemory(*kernel.damped(grid.dt), grid.N, n_paths, ring)
 
 
 class _LogPrice:
@@ -569,7 +568,7 @@ def heston_hybrid_multifactor(
     dw, dw_perp, d_frac = _check_increments(grid, dw, dw_perp, d_frac)
     dt = grid.dt
     exact = (hybrid_step_covariance(spec, dt)[0, 1], d_frac)
-    predict = kernel.weights * np.exp(-kernel.rates * dt)  # w e^{-r dt}
+    predict, _ = kernel.damped(dt)  # w e^{-r dt}
     damp = 1.0 / (1.0 + kernel.rates * dt)
     memory = _FactorMemory(
         predict, damp, grid.N, dw.shape[1], prices_only, exact_last_step=True

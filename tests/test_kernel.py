@@ -1,10 +1,14 @@
 import math
+import tracemalloc
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rvol import kernel as kernel_module
 from rvol.kernel import (
     ExpSumKernel,
     RoughKernelSpec,
@@ -319,15 +323,59 @@ class TestL2Error:
             assert abs(exact - oracle) <= 1e-6
 
     @settings(max_examples=60, deadline=None)
-    @given(kernel=expsum_kernels(), H=st.floats(0.01, 0.49), t=st.floats(0.01, 10.0))
-    def test_half_matrix_sum_is_bit_identical(self, kernel, H, t):
+    @given(
+        kernel=expsum_kernels(),
+        H=st.floats(0.01, 0.49),
+        t=st.floats(0.01, 10.0),
+        block=st.integers(1, 4096),
+    )
+    def test_half_matrix_sum_is_bit_identical(self, kernel, H, t, block):
+        # a small block size splits the forms of small kernels into many row blocks
         spec = RoughKernelSpec(H)
         sigma = build_joint_covariance(spec, kernel.rates, t).matrix
         v = np.concatenate([kernel.weights, [-1.0]])
-        assert l2_error_exact(spec, kernel, t) == max(full_matrix_fsum(v, sigma), 0.0)
-        self_product, _, _ = expsum_inner_products(spec, kernel, t)
+        with mock.patch.object(kernel_module, "_BLOCK_ENTRIES", block):
+            l2 = l2_error_exact(spec, kernel, t)
+            self_product, _, _ = expsum_inner_products(spec, kernel, t)
+        assert l2 == max(full_matrix_fsum(v, sigma), 0.0)
         n = kernel.n
         assert self_product == full_matrix_fsum(kernel.weights, sigma[:n, :n])
+
+    def test_memory_is_one_row_block(self):
+        # table t5's 800-factor kernels: one 801 x 801 float matrix is 4.9 MiB
+        from rvol.quadrature import GeometricConfig, build_geometric
+
+        spec = RoughKernelSpec(0.25)
+        kernel = build_geometric(spec, GeometricConfig(n=400, K=50, A=1.05))
+        assert kernel.n == 800
+        for form in (l2_error_exact, expsum_inner_products):
+            form(spec, kernel, 1.0)  # warm any lazily imported module
+            tracemalloc.start()
+            try:
+                form(spec, kernel, 1.0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 3 * 2**20, (form.__name__, peak)
+
+    @pytest.mark.parametrize("t", [math.inf, math.nan, 0.0, -1.0])
+    def test_rejects_bad_horizon(self, t):
+        spec = RoughKernelSpec(0.25)
+        for kernel in (ExpSumKernel([0.5, 0.9], [0.4, 5.0]), ExpSumKernel([1.0], [0.0])):
+            with pytest.raises(ValueError, match="horizon"):
+                l2_error_exact(spec, kernel, t)
+            with pytest.raises(ValueError, match="horizon"):
+                expsum_inner_products(spec, kernel, t)
+
+    def test_rejects_overflowing_terms(self):
+        spec = RoughKernelSpec(0.25)
+        kernel = ExpSumKernel([1e200, 1.0], [1.0, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows"):
+                l2_error_exact(spec, kernel, 1.0)
+            with pytest.raises(ValueError, match="overflows"):
+                expsum_inner_products(spec, kernel, 1.0)
 
     def test_discrete_hand_sum(self):
         spec = RoughKernelSpec(0.2)
@@ -399,11 +447,19 @@ class TestInnerProducts:
 
 
 class TestKernelCsv:
-    def test_round_trip_exact(self, tmp_path):
-        kernel = ExpSumKernel(
-            [0.123456789012345678, 2.0 / 3.0, 1e-7], [0.1, math.pi, 1e8]
-        )
-        path = tmp_path / "kernel.csv"
+    @settings(max_examples=60, deadline=None)
+    @given(
+        weights=st.lists(
+            st.floats(0.0, 1e300, allow_subnormal=True), min_size=1, max_size=30
+        ),
+        rates=st.lists(
+            st.floats(0.0, 1e300, allow_subnormal=True), min_size=30, max_size=30, unique=True
+        ),
+    )
+    def test_round_trip_exact(self, tmp_path_factory, weights, rates):
+        # 17 significant digits identify every double, subnormals included
+        kernel = ExpSumKernel(weights, sorted(rates)[: len(weights)])
+        path = tmp_path_factory.mktemp("csv") / "kernel.csv"
         write_kernel_csv(kernel, path)
         loaded = read_kernel_csv(path)
         assert np.array_equal(loaded.weights, kernel.weights)

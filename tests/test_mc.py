@@ -123,12 +123,25 @@ class TestPrice:
         assert a.mean == b.mean
         assert a.half_width_95 == b.half_width_95
 
-    def test_worker_count_invariance(self):
+    @settings(max_examples=12, deadline=None)
+    @given(
+        paths=st.one_of(
+            st.integers(1, 2 * mc._BLOCK + 2),
+            st.sampled_from([mc._BLOCK - 1, mc._BLOCK, mc._BLOCK + 1, 2 * mc._BLOCK + 1]),
+        ),
+        workers=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        n_steps=st.integers(1, 4),
+    )
+    def test_worker_count_invariance(self, paths, workers, seed, n_steps):
+        # path counts on both sides of the path-block size, so several blocks meet
         model = HestonModel(scheme="multifactor-truncated")
-        grid = GridSpec(T=1.0, N=8)
-        serial = price(model, euro_call(1.0), grid, McConfig(paths=40_000, seed=5, workers=1))
-        threaded = price(model, euro_call(1.0), grid, McConfig(paths=40_000, seed=5, workers=3))
-        assert serial.mean == threaded.mean
+        grid = GridSpec(T=1.0, N=n_steps)
+        serial = price(model, euro_call(1.0), grid, McConfig(paths=paths, seed=seed, workers=1))
+        pooled = price(
+            model, euro_call(1.0), grid, McConfig(paths=paths, seed=seed, workers=workers)
+        )
+        assert (serial.mean, serial.half_width_95) == (pooled.mean, pooled.half_width_95)
 
     def test_degenerate_model_zero_half_width(self):
         params = HestonParams(V0=0.0, theta=0.0, sigma=0.0)
