@@ -17,7 +17,6 @@ from .bergomi import (
 )
 from .kernel import (
     ExpSumKernel,
-    JointCovariance,
     RoughKernelSpec,
     barycenter,
     build_joint_covariance,

@@ -7,7 +7,15 @@ with the Brownian path from its full covariance matrix, and a
 multifactor sampler that replaces the fractional kernel by an
 exponential sum whose factor integrals admit an exact per-step Gaussian
 recursion. The variance compensator is computed in closed form in both
-cases so the simulated variance is an exact exponential martingale.
+cases. In exact mode this makes the simulated variance an exact
+exponential martingale. In multifactor mode it is exact only up to the
+pivots that :func:`factor_step_law` drops: the compensator is the
+kernel's closed-form variance, not that of the law actually sampled.
+At H = 0.07, T = 0.041, N = 20 and 40 systematic factors, pivots of
+about 1e-17 of factors with rates up to 5.3e16 and weights up to 8.9e6
+are dropped, the sampled exponent's variance falls short of the one
+the compensator assumes by 1.0e-3 of it, and E[V_T]/v0 - 1 = -1.15e-3
+(-2.9e-3 at T = 1, N = 100; 0 with 10 factors).
 
 The samplers follow the step-major layout of :mod:`rvol.schemes`:
 (paths, N, ...) arrays in and out, step-major (N, paths) buffers
@@ -102,26 +110,15 @@ def factor_step_law(kernel: ExpSumKernel, dt: float):
     return cross / math.sqrt(dt), cond_factor
 
 
-def _normals(grid: GridSpec, comps: int, normals, rng, n_paths) -> np.ndarray:
-    """``normals`` as a (paths, N, comps) float array, or that shape drawn from ``rng``."""
-    if normals is None:
-        if rng is None or n_paths is None:
-            raise ValueError("supply either normals or (rng and n_paths)")
-        normals = rng.standard_normal((n_paths, grid.N, comps))
+def _normals(grid: GridSpec, comps: int, normals) -> np.ndarray:
+    """``normals`` as a float array, checked to have shape (paths, N, comps)."""
     normals = np.asarray(normals, dtype=float)
     if normals.ndim != 3 or normals.shape[1:] != (grid.N, comps):
         raise ValueError(f"normals must have shape (paths, {grid.N}, {comps})")
     return normals
 
 
-def sample_factors_exact(
-    kernel: ExpSumKernel,
-    grid: GridSpec,
-    n_paths: int | None = None,
-    rng=None,
-    normals=None,
-    weights=None,
-):
+def sample_factors_exact(kernel: ExpSumKernel, grid: GridSpec, normals, weights=None):
     """Exact joint sample of factor integrals and Brownian increments.
 
     Factor i at grid time t_l is the integral of exp(-r_i (t_l - s))
@@ -130,12 +127,10 @@ def sample_factors_exact(
     drawn exactly via :func:`factor_step_law`, one (n, paths) factor
     state per step.
 
-    Supply either ``rng`` (a numpy Generator) with ``n_paths``, or
-    ``normals``: an array of shape (paths, N, n+1) whose component 0
-    drives the Brownian increments, or the pair ``(z0, z)`` of that
-    component, shape (paths, N), and the n others, shape (paths, N, n),
-    so that a caller whose layout interleaves further components passes
-    views instead of a copy.
+    ``normals`` is the pair ``(z0, z)``: z0, shape (paths, N), drives
+    the Brownian increments and z, shape (paths, N, n), the conditional
+    innovations, so that a caller whose layout interleaves further
+    components passes views instead of a copy.
 
     With ``weights=None`` returns ``(factors, dw)`` with shapes
     (paths, N, n) and (paths, N), transposed views of step-major
@@ -152,9 +147,6 @@ def sample_factors_exact(
         weights = np.asarray(weights, dtype=float)
         if weights.shape != (n,) or not np.all(np.isfinite(weights)):
             raise ValueError(f"weights must be a finite vector of length {n}")
-    if not isinstance(normals, tuple):
-        normals = _normals(grid, n + 1, normals, rng, n_paths)
-        normals = (normals[:, :, 0], normals[:, :, 1:])
     z0, z = (np.asarray(part, dtype=float) for part in normals)
     if z.ndim != 3 or z.shape[1:] != (grid.N, n) or z0.shape != z.shape[:2]:
         raise ValueError(f"normals must have shape (paths, {grid.N}, {n + 1})")
@@ -236,13 +228,7 @@ def fractional_joint_covariance(spec: RoughKernelSpec, grid: GridSpec) -> np.nda
     return _fractional_joint_covariance_cached(spec.H, grid.T, grid.N)
 
 
-def sample_fractional_exact(
-    spec: RoughKernelSpec,
-    grid: GridSpec,
-    n_paths: int | None = None,
-    rng=None,
-    normals=None,
-):
+def sample_fractional_exact(spec: RoughKernelSpec, grid: GridSpec, normals):
     """Exact joint sample of the fractional integral and Brownian increments.
 
     Factorizes the full 2N x 2N covariance once (suitable for the
@@ -251,7 +237,7 @@ def sample_fractional_exact(
     fractional block. Returns ``(fractional, dw)`` of shapes
     (paths, N) and (paths, N).
     """
-    normals = _normals(grid, 2, normals, rng, n_paths)
+    normals = _normals(grid, 2, normals)
     cov = fractional_joint_covariance(spec, grid)
     factor = psd_factorize(cov, pivot=False)
     # step-major (2N, paths): Brownian rows, then fractional rows, per grid time
@@ -279,17 +265,20 @@ def simulate_bergomi(
     params: BergomiParams,
     grid: GridSpec,
     kernel: ExpSumKernel | None = None,
-    n_paths: int | None = None,
-    rng=None,
-    normals=None,
+    *,
+    normals,
 ) -> HestonPaths:
     """Simulate rough Bergomi price and variance paths on the grid.
 
     With ``kernel=None`` the variance is sampled through the exact
-    fractional-integral law (reference mode); with an exponential-sum
-    kernel it is sampled through the factor recursion. In both modes the
-    compensator is exact, making the variance an exponential martingale
-    with mean v0 at every grid time.
+    fractional-integral law (reference mode), and the closed-form
+    compensator makes it an exponential martingale with mean v0 at every
+    grid time. With an exponential-sum kernel it is sampled through the
+    factor recursion, and the compensator is the kernel's closed-form
+    variance. That is exact only when :func:`factor_step_law` drops no
+    pivot of the step law; at the smile configuration (H = 0.07,
+    T = 0.041, N = 20, 40 factors) it drops pivots of about 1e-17 and
+    E[V_T]/v0 - 1 = -1.15e-3.
 
     ``normals`` layout per step: component 0 drives the variance
     Brownian motion, component 1 the orthogonal price component, and the
@@ -299,7 +288,7 @@ def simulate_bergomi(
     rough Heston engines.
     """
     exact_mode = kernel is None
-    normals = _normals(grid, step_components(kernel), normals, rng, n_paths)
+    normals = _normals(grid, step_components(kernel), normals)
     n_paths = normals.shape[0]
     t = np.arange(1, grid.N + 1) * grid.dt
 
@@ -355,8 +344,8 @@ def bs_call_price(S0: float, K: float, T: float, vol: float) -> float:
     return S0 * _norm_cdf(d1) - K * _norm_cdf(d1 - total)
 
 
-def implied_vol(price: float, S0: float, K: float, T: float, tol: float = 1e-8) -> float:
-    """Black-Scholes implied volatility (zero rates) by bracketed bisection."""
+def implied_vol(price: float, S0: float, K: float, T: float) -> float:
+    """Black-Scholes implied volatility (zero rates), bisected to a bracket of 1e-8."""
     intrinsic = max(S0 - K, 0.0)
     if price < intrinsic or price >= S0:
         raise ValueError(
@@ -369,7 +358,7 @@ def implied_vol(price: float, S0: float, K: float, T: float, tol: float = 1e-8) 
         hi *= 2.0
         if hi > 1e4:
             raise ValueError("implied volatility bracket exceeded")
-    while hi - lo > tol:
+    while hi - lo > 1e-8:
         mid = 0.5 * (lo + hi)
         if bs_call_price(S0, K, T, mid) < price:
             lo = mid

@@ -23,7 +23,6 @@ from .numerics import gamma_fn, lower_incomplete_gamma
 __all__ = [
     "RoughKernelSpec",
     "ExpSumKernel",
-    "JointCovariance",
     "rough_kernel_eval",
     "expsum_eval",
     "lambda_mass",
@@ -131,26 +130,6 @@ class ExpSumKernel:
         if not 1 <= count <= self.n:
             raise ValueError(f"count must be in [1, {self.n}]")
         return ExpSumKernel(self.weights[:count], self.rates[:count])
-
-
-@dataclass(frozen=True)
-class JointCovariance:
-    """Covariance of the factor integrals and the fractional integral.
-
-    For rates r_1 < ... < r_n and horizon t, entry (i, j), i, j <= n, is
-    the covariance of the damped Brownian integrals with rates r_i and
-    r_j; the last row and column pair each factor with the integral of
-    the rough kernel against the same Brownian motion.
-    """
-
-    matrix: np.ndarray
-    rates: np.ndarray
-    H: float
-    t: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=float))
-        object.__setattr__(self, "rates", np.asarray(self.rates, dtype=float))
 
 
 def rough_kernel_eval(spec: RoughKernelSpec, t):
@@ -356,8 +335,13 @@ def _joint_covariance_rows(spec: RoughKernelSpec, rates, t: float):
     return r, rows
 
 
-def build_joint_covariance(spec: RoughKernelSpec, rates, t: float) -> JointCovariance:
+def build_joint_covariance(spec: RoughKernelSpec, rates, t: float) -> np.ndarray:
     """Exact (n+1) x (n+1) covariance of factor and fractional integrals.
+
+    For rates r_1 < ... < r_n and horizon t, entry (i, j), i, j <= n, is
+    the covariance of the damped Brownian integrals with rates r_i and
+    r_j; the last row and column pair each factor with the integral of
+    the rough kernel against the same Brownian motion.
 
     The whole matrix is one block of the row builder that
     :func:`l2_error_exact` streams, so both read the same entries; the
@@ -366,7 +350,7 @@ def build_joint_covariance(spec: RoughKernelSpec, rates, t: float) -> JointCovar
     ``ValueError`` for a horizon that is not finite and positive.
     """
     r, rows = _joint_covariance_rows(spec, rates, t)
-    return JointCovariance(matrix=rows(0, r.size + 1), rates=r, H=spec.H, t=t)
+    return rows(0, r.size + 1)
 
 
 def l2_error_exact(spec: RoughKernelSpec, kernel: ExpSumKernel, t: float) -> float:

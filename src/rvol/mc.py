@@ -17,7 +17,7 @@ C-ordered, which is the step-major layout the engines of
 such slices straight through, and scaled or mixed slices as
 :class:`rvol.schemes.StepIncrements`, which the engines form one step
 row at a time; callers may equally pass C-ordered arrays of the same
-shapes, at the cost of one transposing copy inside the engine. When
+shapes, at the cost of one transposing copy. When
 only prices are needed (:meth:`HestonModel.simulate`), the engines run
 with ``prices_only=True`` and keep their state rows in a ring of two
 step blocks plus row 0, so a priced block holds the normals, the

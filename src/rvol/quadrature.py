@@ -43,14 +43,14 @@ __all__ = [
     "rescale_weights",
     "build_systematic",
     "truncate_factors",
-    "DEFAULT_TAIL_RATIO_BRACKET",
 ]
 
 _NODE_RULES = ("midpoint", "barycentric")
 
 # The optimal geometric ratio is O(1)-O(10) in practice; the bracket is
-# generous on both sides and the search runs on log ratio.
-DEFAULT_TAIL_RATIO_BRACKET = (1.05, 50.0)
+# generous on both sides and the search runs on log ratio to _RATIO_TOL.
+_RATIO_BRACKET = (1.05, 50.0)
+_RATIO_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -241,29 +241,20 @@ def build_geometric(spec: RoughKernelSpec, cfg: GeometricConfig) -> ExpSumKernel
     return ExpSumKernel(lambda_mass(spec, lo, hi), barycenter(spec, lo, hi))
 
 
-def optimize_tail_ratio(
-    spec: RoughKernelSpec,
-    n: int,
-    K: float,
-    T: float,
-    bracket=DEFAULT_TAIL_RATIO_BRACKET,
-    tol: float = 1e-9,
-):
+def optimize_tail_ratio(spec: RoughKernelSpec, n: int, K: float, T: float):
     """Geometric ratio minimizing the exact L2 kernel error on (0, T).
 
-    Golden-section search over the logarithm of the ratio; the objective
-    is smooth, cheap (closed forms only) and empirically unimodal over
-    the default bracket. Returns ``(ratio, error)``.
+    Golden-section search over the logarithm of the ratio in [1.05, 50],
+    to 1e-9; the objective is smooth, cheap (closed forms only) and
+    empirically unimodal there. Returns ``(ratio, error)``.
     """
-    lo, hi = bracket
-    if lo <= 1.0:
-        raise ValueError("bracket lower end must exceed 1")
 
     def objective(log_ratio):
         cfg = GeometricConfig(n=n, K=K, A=math.exp(log_ratio))
         return l2_error_exact(spec, build_geometric(spec, cfg), T)
 
-    log_best, err = minimize_scalar(objective, math.log(lo), math.log(hi), tol=tol)
+    lo, hi = _RATIO_BRACKET
+    log_best, err = minimize_scalar(objective, math.log(lo), math.log(hi), tol=_RATIO_TOL)
     return math.exp(log_best), err
 
 
@@ -283,12 +274,7 @@ def rescale_weights(spec: RoughKernelSpec, kernel: ExpSumKernel, T: float):
     return ExpSumKernel(kernel.weights * scale, kernel.rates), scale
 
 
-def build_systematic(
-    spec: RoughKernelSpec,
-    n_total: int,
-    T: float,
-    bracket=DEFAULT_TAIL_RATIO_BRACKET,
-) -> ExpSumKernel:
+def build_systematic(spec: RoughKernelSpec, n_total: int, T: float) -> ExpSumKernel:
     """Systematic kernel with ``n_total`` factors on horizon T.
 
     Geometric construction with n = n_total/2, K = n^(4/5), the tail
@@ -300,7 +286,7 @@ def build_systematic(
         raise ValueError("n_total must be an even integer >= 2")
     n = n_total // 2
     K, _ = paper_truncation("interval", spec.H, n)
-    ratio, _ = optimize_tail_ratio(spec, n, K, T, bracket=bracket)
+    ratio, _ = optimize_tail_ratio(spec, n, K, T)
     geometric = build_geometric(spec, GeometricConfig(n=n, K=K, A=ratio))
     rescaled, _ = rescale_weights(spec, geometric, T)
     return rescaled

@@ -261,30 +261,21 @@ def multifactor_euler(
 class StepIncrements:
     """(paths, N) increments c_0 z_0 + c_1 z_1 + ..., never formed whole.
 
-    ``terms`` are (coefficient, (paths, N) array) pairs. The engines form
-    step k's row in scratch with the operations of the whole-array
+    ``terms`` are (coefficient, (paths, N) array) pairs; the arrays are
+    kept as their C-ordered (N, paths) transposes. ``self[k]`` forms step
+    k's row in one scratch row with the operations of the whole-array
     expression, in its order, so passing ``StepIncrements((c, z))`` gives
     bit for bit the results of passing ``c * z``, without its (paths, N)
-    copy.
+    copy. Each lookup refills the scratch row, so read a step's row once.
     """
 
     def __init__(self, *terms):
         if not terms:
             raise ValueError("StepIncrements needs at least one term")
-        self.terms = tuple((float(c), z) for c, z in terms)
-
-
-class _StepRows:
-    """Step-major reader of a :class:`StepIncrements`: ``rows[k]`` is step k's row.
-
-    Each lookup refills one scratch row, so read a step's row once.
-    """
-
-    def __init__(self, terms):
-        self.terms = terms  # (coefficient, (N, paths) array) pairs
-        self.shape = terms[0][1].shape
-        self.row = np.empty(self.shape[1])
-        self.scratch = np.empty(self.shape[1]) if len(terms) > 1 else None
+        self.terms = tuple((float(c), _step_major(z)) for c, z in terms)
+        self.shape = self.terms[0][1].shape  # (N, paths)
+        self.row = np.empty(self.shape[1:])
+        self.scratch = np.empty(self.shape[1:]) if len(terms) > 1 else None
 
     def __getitem__(self, k: int) -> np.ndarray:
         (c, z), *rest = self.terms
@@ -305,15 +296,13 @@ def _check_increments(grid: GridSpec, *arrays):
     A plain array becomes its C-ordered (N, paths) transpose, so each step
     reads one contiguous row; for the transposed views that
     :meth:`rvol.mc.CounterRng.normals_block` hands out this costs no copy.
-    A :class:`StepIncrements` becomes a :class:`_StepRows` over such
-    transposes of its terms.
+    A :class:`StepIncrements` is its own reader.
     """
     readers, shapes = [], []
     for arr in arrays:
         if isinstance(arr, StepIncrements):
-            terms = [(c, _step_major(z)) for c, z in arr.terms]
-            shapes += [z.shape for _, z in terms]
-            readers.append(_StepRows(terms))
+            shapes += [z.shape for _, z in arr.terms]
+            readers.append(arr)
         else:
             readers.append(_step_major(arr))
             shapes.append(readers[-1].shape)

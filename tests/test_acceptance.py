@@ -50,7 +50,7 @@ from rvol.schemes import (
     multifactor_euler,
     volterra_euler,
 )
-from rvol.bergomi import BergomiParams, implied_vol, simulate_bergomi
+from rvol.bergomi import BergomiParams, implied_vol, simulate_bergomi, step_components
 
 HURSTS = (0.45, 0.25, 0.05)
 
@@ -343,28 +343,31 @@ def test_criterion_11_complexity_scaling():
         rates = list(kernel.rates)
         n_paths = 60
         rng = np.random.default_rng(99)
-        timings = {}
+        runs = {}
         for N in (80, 320):
             dt = 1.0 / N
             g_tab = [float(expsum_eval(kernel, m * dt)) for m in range(1, N + 1)]
             draws = [list(row) for row in rng.standard_normal((n_paths, N)) * math.sqrt(dt)]
-            for name, run in (
-                ("volterra", lambda dw: scalar_volterra_variance(HESTON, g_tab, dt, dw)),
-                (
-                    "multifactor",
-                    lambda dw: scalar_multifactor_variance(HESTON, weights, rates, dt, dw),
-                ),
-            ):
-                best = math.inf
-                for _ in range(3):
-                    # CPU time of this thread: immune to scheduling noise, and
-                    # blind to BLAS worker threads that earlier tests left
-                    # spin-waiting (process_time would charge their spin here)
-                    start = time.thread_time()
-                    for dw in draws:
-                        run(dw)
-                    best = min(best, time.thread_time() - start)
-                timings[(name, N)] = best
+            runs[("volterra", N)] = (
+                lambda dw, g_tab=g_tab, dt=dt: scalar_volterra_variance(HESTON, g_tab, dt, dw),
+                draws,
+            )
+            runs[("multifactor", N)] = (
+                lambda dw, dt=dt: scalar_multifactor_variance(HESTON, weights, rates, dt, dw),
+                draws,
+            )
+        # both grids run inside each repeat, so a change of host speed
+        # between repeats reaches the small-N and large-N minima alike
+        timings = dict.fromkeys(runs, math.inf)
+        for _ in range(3):
+            for key, (run, draws) in runs.items():
+                # CPU time of this thread: immune to scheduling noise, and
+                # blind to BLAS worker threads that earlier tests left
+                # spin-waiting (process_time would charge their spin here)
+                start = time.thread_time()
+                for dw in draws:
+                    run(dw)
+                timings[key] = min(timings[key], time.thread_time() - start)
         volterra_ratio = timings[("volterra", 320)] / timings[("volterra", 80)]
         multifactor_ratio = timings[("multifactor", 320)] / timings[("multifactor", 80)]
         assert 10.0 <= volterra_ratio <= 22.0, f"volterra ratio {volterra_ratio:.1f}"
@@ -396,12 +399,14 @@ def test_criterion_12_bergomi_smile_band():
             if lo <= vol_m <= hi:
                 inside += 1
         assert inside / len(strikes) >= 0.90, f"only {inside}/16 strikes inside the band"
-        # exact variance martingale at every grid time, both modes
+        # variance martingale at every grid time, both modes, to 3 standard
+        # errors (about 1e-2 of v0, far above the multifactor mode's -1.15e-3
+        # bias from the step law's dropped pivots)
         for kernel in (None, systematic_kernel(params.H, 40, grid.T)):
-            paths = simulate_bergomi(
-                params, grid, kernel=kernel, n_paths=DESK_PATHS,
-                rng=np.random.default_rng(77),
+            normals = np.random.default_rng(77).standard_normal(
+                (DESK_PATHS, grid.N, step_components(kernel))
             )
+            paths = simulate_bergomi(params, grid, kernel=kernel, normals=normals)
             for col in range(1, grid.N + 1):
                 sample = paths.variance[:, col]
                 se = sample.std(ddof=1) / math.sqrt(sample.size)

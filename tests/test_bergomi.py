@@ -50,7 +50,8 @@ class TestFactorSampling:
         kernel = ExpSumKernel([1.0], [0.0])
         grid = GridSpec(T=1.0, N=8)
         rng = np.random.default_rng(0)
-        factors, dw = sample_factors_exact(kernel, grid, n_paths=500, rng=rng)
+        normals = rng.standard_normal((500, grid.N, kernel.n + 1))
+        factors, dw = sample_factors_exact(kernel, grid, (normals[:, :, 0], normals[:, :, 1:]))
         cum = np.cumsum(dw, axis=1)
         assert np.allclose(factors[:, :, 0], cum, atol=1e-12)
 
@@ -62,9 +63,8 @@ class TestFactorSampling:
         cross_coef, cond_factor = factor_step_law(kernel, grid.dt)
         assert abs(cond_factor[0, 0]) <= 1e-7 * math.sqrt(grid.dt)
         assert math.isclose(cross_coef[0], math.sqrt(grid.dt), rel_tol=1e-15)
-        factors, dw = sample_factors_exact(
-            kernel, grid, n_paths=200, rng=np.random.default_rng(N)
-        )
+        normals = np.random.default_rng(N).standard_normal((200, grid.N, kernel.n + 1))
+        factors, dw = sample_factors_exact(kernel, grid, (normals[:, :, 0], normals[:, :, 1:]))
         assert np.allclose(factors[:, :, 0], np.cumsum(dw, axis=1), atol=1e-12)
 
     def test_step_law_moments(self):
@@ -89,7 +89,8 @@ class TestFactorSampling:
         grid = GridSpec(T=1.0, N=16)
         rng = np.random.default_rng(1)
         n_paths = 100_000
-        factors, dw = sample_factors_exact(kernel, grid, n_paths=n_paths, rng=rng)
+        normals = rng.standard_normal((n_paths, grid.N, kernel.n + 1))
+        factors, dw = sample_factors_exact(kernel, grid, (normals[:, :, 0], normals[:, :, 1:]))
         w_path = np.cumsum(dw, axis=1)
         t_end = grid.T
         for i, rate in enumerate(kernel.rates):
@@ -127,8 +128,9 @@ class TestWeightedFactorSum:
     @given(case=weighted_factor_cases())
     def test_matches_full_factors(self, case):
         kernel, grid, normals, w = case
-        factors, dw = sample_factors_exact(kernel, grid, normals=normals)
-        reduced, dw_reduced = sample_factors_exact(kernel, grid, normals=normals, weights=w)
+        pair = (normals[:, :, 0], normals[:, :, 1:])
+        factors, dw = sample_factors_exact(kernel, grid, pair)
+        reduced, dw_reduced = sample_factors_exact(kernel, grid, pair, weights=w)
         assert reduced.shape == dw_reduced.shape == (normals.shape[0], grid.N)
         # 1e-13 of the magnitude of the terms summed, the scale of w . f's roundoff
         scale = np.abs(factors) @ np.abs(w)
@@ -139,11 +141,10 @@ class TestWeightedFactorSum:
         kernel = ExpSumKernel([0.8, 0.4, 0.2, 0.1], [0.0, 6.0, 40.0, 41.0])
         grid = GridSpec(T=0.5, N=9)
         normals = np.random.default_rng(3).standard_normal((37, grid.N, kernel.n + 1))
-        factors, _ = sample_factors_exact(kernel, grid, normals=normals)
+        pair = (normals[:, :, 0], normals[:, :, 1:])
+        factors, _ = sample_factors_exact(kernel, grid, pair)
         for i in range(kernel.n):
-            picked, _ = sample_factors_exact(
-                kernel, grid, normals=normals, weights=np.eye(kernel.n)[i]
-            )
+            picked, _ = sample_factors_exact(kernel, grid, pair, weights=np.eye(kernel.n)[i])
             assert np.array_equal(picked, factors[:, :, i])
 
     @pytest.mark.parametrize(
@@ -155,7 +156,9 @@ class TestWeightedFactorSum:
         grid = GridSpec(T=0.5, N=4)
         normals = np.zeros((3, grid.N, kernel.n + 1))
         with pytest.raises(ValueError, match="weights"):
-            sample_factors_exact(kernel, grid, normals=normals, weights=weights)
+            sample_factors_exact(
+                kernel, grid, (normals[:, :, 0], normals[:, :, 1:]), weights=weights
+            )
 
     def test_multifactor_simulation_memory(self):
         # one warm N = 20, n = 40, 4096-path call holds O(n paths) memory; an
@@ -293,7 +296,7 @@ class TestFractionalSampling:
         spec = RoughKernelSpec(0.07)
         grid = GridSpec(T=0.041, N=10)
         rng = np.random.default_rng(3)
-        frac, dw = sample_fractional_exact(spec, grid, n_paths=80_000, rng=rng)
+        frac, dw = sample_fractional_exact(spec, grid, rng.standard_normal((80_000, grid.N, 2)))
         t_end = grid.T
         want = t_end ** (2.0 * 0.07) / (2.0 * 0.07)
         got = frac[:, -1].var(ddof=1)
@@ -322,7 +325,8 @@ class TestSimulate:
         grid = GridSpec(T=0.041, N=20)
         kernel = systematic_kernel(params.H, 20, grid.T)
         rng = np.random.default_rng(5)
-        paths = simulate_bergomi(params, grid, kernel=kernel, n_paths=100_000, rng=rng)
+        normals = rng.standard_normal((100_000, grid.N, step_components(kernel)))
+        paths = simulate_bergomi(params, grid, kernel=kernel, normals=normals)
         for col in (1, 10, 20):
             sample = paths.variance[:, col]
             se = sample.std(ddof=1) / math.sqrt(sample.size)
@@ -332,7 +336,8 @@ class TestSimulate:
         params = BergomiParams()
         grid = GridSpec(T=0.041, N=20)
         rng = np.random.default_rng(6)
-        paths = simulate_bergomi(params, grid, n_paths=100_000, rng=rng)
+        normals = rng.standard_normal((100_000, grid.N, step_components(None)))
+        paths = simulate_bergomi(params, grid, normals=normals)
         for col in (1, 10, 20):
             sample = paths.variance[:, col]
             se = sample.std(ddof=1) / math.sqrt(sample.size)
@@ -388,7 +393,7 @@ class TestImpliedVol:
             strike = rng.uniform(0.5, 2.0)
             horizon = rng.uniform(0.05, 2.0)
             price = bs_call_price(1.0, strike, horizon, vol)
-            back = implied_vol(price, 1.0, strike, horizon, tol=1e-10)
+            back = implied_vol(price, 1.0, strike, horizon)
             assert abs(back - vol) <= 1e-6
 
     def test_out_of_bounds(self):
@@ -413,10 +418,12 @@ class TestNormalsLayout:
         kernel = ExpSumKernel([0.8, 0.4, 0.2, 0.1], [0.5, 6.0, 40.0, 41.0])
         grid = GridSpec(T=0.5, N=12)
         view, copy = self._normals(50, grid.N, kernel.n + 1)
-        f_view, dw_view = sample_factors_exact(kernel, grid, normals=view)
-        f_copy, dw_copy = sample_factors_exact(kernel, grid, normals=copy)
+        f_view, dw_view = sample_factors_exact(kernel, grid, (view[:, :, 0], view[:, :, 1:]))
+        f_copy, dw_copy = sample_factors_exact(kernel, grid, (copy[:, :, 0], copy[:, :, 1:]))
         f_pair, dw_pair = sample_factors_exact(
-            kernel, grid, normals=(copy[:, :, 0], copy[:, :, 1:])
+            kernel,
+            grid,
+            (np.ascontiguousarray(copy[:, :, 0]), np.ascontiguousarray(copy[:, :, 1:])),
         )
         assert f_view.shape == (50, grid.N, kernel.n) and dw_view.shape == (50, grid.N)
         assert np.allclose(f_view, f_copy, rtol=0.0, atol=1e-14)
@@ -426,12 +433,13 @@ class TestNormalsLayout:
     def test_factor_sampler_shape_validation(self):
         kernel = ExpSumKernel([0.8, 0.4], [0.5, 6.0])
         grid = GridSpec(T=0.5, N=4)
+        bad = np.zeros((3, 4, 2))
         with pytest.raises(ValueError):
-            sample_factors_exact(kernel, grid, normals=np.zeros((3, 4, 2)))
+            sample_factors_exact(kernel, grid, (bad[:, :, 0], bad[:, :, 1:]))
         with pytest.raises(ValueError):
-            sample_factors_exact(kernel, grid, normals=np.zeros(4))
+            sample_factors_exact(kernel, grid, (np.zeros(4), np.zeros((1, 4, 2))))
         with pytest.raises(ValueError):
-            sample_factors_exact(kernel, grid, normals=(np.zeros((3, 4)), np.zeros((2, 4, 2))))
+            sample_factors_exact(kernel, grid, (np.zeros((3, 4)), np.zeros((2, 4, 2))))
 
     @pytest.mark.parametrize("sampler", ["factors", "fractional", "simulate"])
     def test_inputs_checked_alike(self, sampler):
@@ -439,16 +447,18 @@ class TestNormalsLayout:
         grid = GridSpec(T=0.5, N=4)
         params = BergomiParams()
         run, comps = {
-            "factors": (lambda **kw: sample_factors_exact(kernel, grid, **kw), kernel.n + 1),
+            "factors": (
+                lambda normals: sample_factors_exact(
+                    kernel, grid, (normals[:, :, 0], normals[:, :, 1:])
+                ),
+                kernel.n + 1,
+            ),
             "fractional": (lambda **kw: sample_fractional_exact(params.spec, grid, **kw), 2),
             "simulate": (
                 lambda **kw: simulate_bergomi(params, grid, kernel=kernel, **kw),
                 step_components(kernel),
             ),
         }[sampler]
-        for missing in ({"n_paths": 5}, {"rng": np.random.default_rng(0)}):
-            with pytest.raises(ValueError, match=r"supply either normals or \(rng and n_paths\)"):
-                run(**missing)
         with pytest.raises(ValueError, match=rf"normals must have shape \(paths, 4, {comps}\)"):
             run(normals=np.zeros((3, grid.N, comps + 1)))
 

@@ -229,7 +229,7 @@ class TestJointCovariance:
         flat = ExpSumKernel(np.linspace(0.1, 1.0, 5), [0.0, 0.5, 2.0, 30.0, 1e4])
         for k, t in ((kernel, 1.0), (kernel, 0.041), (flat, 2.0)):
             gram = out_of_place_gram(k.rates, t)
-            cov = build_joint_covariance(spec, k.rates, t).matrix
+            cov = build_joint_covariance(spec, k.rates, t)
             assert np.array_equal(cov[: k.n, : k.n], gram)
             self_product, _, _ = expsum_inner_products(spec, k, t)
             assert self_product == full_matrix_fsum(k.weights, gram)
@@ -248,13 +248,13 @@ class TestJointCovariance:
         spec = RoughKernelSpec(0.3)
         for t in (0.5, 1.0, 2.0):
             cov = build_joint_covariance(spec, [0.0], t)
-            assert math.isclose(cov.matrix[0, 0], t, rel_tol=1e-14)
+            assert math.isclose(cov[0, 0], t, rel_tol=1e-14)
 
     def test_fractional_variance_entry(self):
         spec = RoughKernelSpec(0.25)
         cov = build_joint_covariance(spec, [1.0, 2.0], 1.0)
         expected = 1.0 / (0.5 * gamma_fn(0.75) ** 2)
-        assert math.isclose(cov.matrix[-1, -1], expected, rel_tol=1e-14)
+        assert math.isclose(cov[-1, -1], expected, rel_tol=1e-14)
 
     def test_cross_entry_against_quadrature(self):
         spec = RoughKernelSpec(0.25)
@@ -265,14 +265,14 @@ class TestJointCovariance:
             1.0,
             TIGHT,
         )
-        assert math.isclose(cov.matrix[0, 1], oracle, rel_tol=1e-11)
+        assert math.isclose(cov[0, 1], oracle, rel_tol=1e-11)
 
     def test_zero_rate_cross_entry(self):
         spec = RoughKernelSpec(0.25)
         cov = build_joint_covariance(spec, [0.0], 2.0)
         a = 0.75
         expected = 2.0**a / (a * gamma_fn(a))
-        assert math.isclose(cov.matrix[0, 1], expected, rel_tol=1e-14)
+        assert math.isclose(cov[0, 1], expected, rel_tol=1e-14)
 
     def test_validation(self):
         spec = RoughKernelSpec(0.25)
@@ -292,7 +292,7 @@ class TestJointCovariance:
         for H in (0.05, 0.25, 0.45):
             spec = RoughKernelSpec(H)
             kernel = build_systematic(spec, 100, 1.0)
-            S = build_joint_covariance(spec, kernel.rates, 1.0).matrix
+            S = build_joint_covariance(spec, kernel.rates, 1.0)
             L = psd_factorize(S)
             assert np.linalg.norm(L @ L.T - S) / np.linalg.norm(S) <= 1e-8
 
@@ -332,7 +332,7 @@ class TestL2Error:
     def test_half_matrix_sum_is_bit_identical(self, kernel, H, t, block):
         # a small block size splits the forms of small kernels into many row blocks
         spec = RoughKernelSpec(H)
-        sigma = build_joint_covariance(spec, kernel.rates, t).matrix
+        sigma = build_joint_covariance(spec, kernel.rates, t)
         v = np.concatenate([kernel.weights, [-1.0]])
         with mock.patch.object(kernel_module, "_BLOCK_ENTRIES", block):
             l2 = l2_error_exact(spec, kernel, t)

@@ -224,7 +224,7 @@ class TestPsdFactorize:
 
         spec = RoughKernelSpec(0.25)
         kernel = build_riemann(spec, RiemannConfig(n=10, K=10.0, node_rule="barycentric"))
-        S = build_joint_covariance(spec, kernel.rates, 1.0).matrix
+        S = build_joint_covariance(spec, kernel.rates, 1.0)
         L = psd_factorize(S)
         err = np.linalg.norm(L @ L.T - S) / np.linalg.norm(S)
         assert err <= 1e-8

@@ -185,11 +185,6 @@ class TestTailRatioOptimization:
         best = grid[int(np.argmin(values))]
         assert abs(ratio - best) <= (50.0 - 1.05) / 2000 + 1e-3
 
-    def test_bracket_validation(self):
-        spec = RoughKernelSpec(0.2)
-        with pytest.raises(ValueError):
-            optimize_tail_ratio(spec, 5, 3.0, 1.0, bracket=(0.9, 10.0))
-
 
 class TestRescale:
     def test_projection_reduces_error(self):
