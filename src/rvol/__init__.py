@@ -69,7 +69,6 @@ from .quadrature import (
 from .schemes import (
     GridSpec,
     HestonParams,
-    SchemePath,
     SvePlant,
     heston_hybrid_multifactor,
     heston_integrated_multifactor,

@@ -34,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from .kernel import ExpSumKernel, RoughKernelSpec, _pair_gram, _phi
-from .numerics import QuadTolerance, integrate, psd_factorize, require_finite
+from .numerics import QuadTolerance, integrate, psd_factorize, require_finite, require_positive
 from .schemes import GridSpec, HestonPaths, _LogPrice
 
 __all__ = [
@@ -98,8 +98,7 @@ def factor_step_law(kernel: ExpSumKernel, dt: float):
     rank-deficient for near-collinear factors), so the columns of
     ``cond_factor`` past its rank are zero.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    dt = require_positive(dt, "dt")
     r = kernel.rates
     cov = _pair_gram(r, dt)
     cross = dt * _phi(r * dt)

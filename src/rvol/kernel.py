@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import gamma_fn, lower_incomplete_gamma
+from .numerics import gamma_fn, lower_incomplete_gamma, require_positive
 
 __all__ = [
     "RoughKernelSpec",
@@ -237,14 +237,6 @@ def _pair_gram(rates: np.ndarray, t: float, rows=slice(None)) -> np.ndarray:
 _BLOCK_ENTRIES = 1 << 16
 
 
-def _horizon(t) -> float:
-    """``t`` as a float, checked to be finite and positive."""
-    t = float(t)
-    if not (math.isfinite(t) and t > 0.0):
-        raise ValueError(f"horizon t must be finite and positive, got {t}")
-    return t
-
-
 def _finite_fsum(terms) -> float:
     """``math.fsum`` of ``terms``; ``ValueError`` if a term or the sum overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -319,7 +311,7 @@ def _joint_covariance_rows(spec: RoughKernelSpec, rates, t: float):
         raise ValueError("rates must be a nonempty 1-d array")
     if r[0] < 0.0 or np.any(np.diff(r) <= 0.0):
         raise ValueError("rates must be nonnegative, strictly increasing")
-    t = _horizon(t)
+    t = require_positive(t, "horizon t")
     n = r.size
     extended = np.append(r, 0.0)
     # the last column, which is also the last row
@@ -381,8 +373,9 @@ def l2_error_discrete(
     The grid starts at T/N: the rough kernel is singular at zero, and
     discretization schemes never evaluate it there.
     """
-    if T <= 0.0 or N < 1:
-        raise ValueError("need T > 0 and N >= 1")
+    T = require_positive(T, "horizon T")
+    if N < 1:
+        raise ValueError("need N >= 1")
     t_grid = np.arange(1, N + 1) * (T / N)
     gap = expsum_eval(kernel, t_grid) - rough_kernel_eval(spec, t_grid)
     return math.sqrt((T / N) * math.fsum((gap * gap).tolist()))
@@ -397,7 +390,7 @@ def expsum_inner_products(spec: RoughKernelSpec, kernel: ExpSumKernel, T: float)
     for a horizon that is not finite and positive, and when a term
     overflows.
     """
-    T = _horizon(T)
+    T = require_positive(T, "horizon T")
     w, r = kernel.weights, kernel.rates
     self_product = _quadratic_form_fsum(w, lambda i0, i1: _pair_gram(r, T, slice(i0, i1)))
     with np.errstate(over="ignore"):

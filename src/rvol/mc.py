@@ -39,6 +39,7 @@ from scipy.special import ndtri
 
 from .bergomi import BergomiParams, implied_vol, simulate_bergomi, step_components
 from .kernel import ExpSumKernel, RoughKernelSpec
+from .numerics import require_positive
 from .quadrature import build_systematic, truncate_factors
 from .schemes import (
     GridSpec,
@@ -471,8 +472,9 @@ def rate_factor_estimate(err_n: float, err_2n: float, H: float) -> float:
     For squared errors decaying like n^(-2 H g), the estimator
     log(err_n / err_2n) / (2 H log 2) recovers g.
     """
-    if err_n <= 0.0 or err_2n <= 0.0:
-        raise ValueError("error values must be positive")
+    err_n = require_positive(err_n, "err_n")
+    err_2n = require_positive(err_2n, "err_2n")
+    H = require_positive(H, "H")
     return math.log(err_n / err_2n) / (2.0 * H * math.log(2.0))
 
 

@@ -53,6 +53,18 @@ def require_finite(params) -> None:
             raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
+def require_positive(value, name: str) -> float:
+    """``value`` as a float; ``ValueError`` unless it is finite and positive.
+
+    NaN fails every comparison and +inf passes ``> 0``, so ``<= 0`` checks
+    alone let both through.
+    """
+    value = float(value)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+    return value
+
+
 class IntegrationError(RuntimeError):
     """Adaptive quadrature did not reach the requested tolerance.
 

@@ -27,7 +27,7 @@ from .kernel import (
     l2_error_exact,
     lambda_mass,
 )
-from .numerics import minimize_scalar
+from .numerics import minimize_scalar, require_positive
 
 __all__ = [
     "RiemannConfig",
@@ -301,10 +301,10 @@ def truncate_factors(kernel: ExpSumKernel, T: float, N: int, beta: float = 1.0):
     nothing within a single step of size T/N, so simulating them is
     wasted work.
     """
-    if T <= 0.0 or N < 1:
-        raise ValueError("need T > 0 and N >= 1")
-    if beta <= 0.0:
-        raise ValueError("beta must be positive")
+    T = require_positive(T, "horizon T")
+    beta = require_positive(beta, "beta")
+    if N < 1:
+        raise ValueError("need N >= 1")
     dt = T / N
     threshold = dt**beta
     damped, _ = kernel.damped(dt)

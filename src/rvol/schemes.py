@@ -1,9 +1,10 @@
 """Time-discretization engines.
 
-Two generic single-path engines for d-dimensional convolution equations
-with scalar kernels, the direct Euler scheme (O(N^2) work) and the
-multifactor Euler scheme for exponential-sum kernels (O(n N) work), run
-one step loop over the history or factor memory of the Heston engines.
+Two generic engines for d-dimensional convolution equations with scalar
+kernels, batched over paths: the direct Euler scheme (O(N^2) work per
+path) and the multifactor Euler scheme for exponential-sum kernels
+(O(n N)) run one step loop over the history or factor memory of the
+Heston engines.
 
 On top of these sit the rough Heston engines, vectorized across a batch
 of Monte Carlo paths: the variance-process schemes (direct, multifactor
@@ -41,13 +42,12 @@ import numpy as np
 from scipy.linalg.blas import dgemm
 
 from .kernel import ExpSumKernel, RoughKernelSpec, expsum_eval, rough_kernel_eval
-from .numerics import require_finite
+from .numerics import require_finite, require_positive
 
 __all__ = [
     "GridSpec",
     "SvePlant",
     "HestonParams",
-    "SchemePath",
     "HestonPaths",
     "IntegratedPaths",
     "StepIncrements",
@@ -88,9 +88,10 @@ class GridSpec:
 class SvePlant:
     """State equation data: initial point, drift and diffusion maps.
 
-    ``x0`` is a finite length-d vector. ``drift`` maps a state to a (d,)
-    vector and ``diffusion`` to a (d, d) matrix, shapes the engines check;
-    both are assumed total on R^d, Lipschitz requirements left to the caller.
+    ``x0`` is a finite length-d vector. ``drift`` maps a batch of
+    (paths, d) states to (paths, d) and ``diffusion`` maps it to
+    (paths, d, d) matrices, shapes the engines check; both are assumed
+    total on R^d, Lipschitz requirements left to the caller.
     """
 
     x0: np.ndarray
@@ -130,15 +131,6 @@ class HestonParams:
 
 
 @dataclass
-class SchemePath:
-    """Single discretized trajectory; ``factors`` optional per-step factor states."""
-
-    grid: GridSpec
-    states: np.ndarray
-    factors: np.ndarray | None = None
-
-
-@dataclass
 class HestonPaths:
     """Batch of rough Heston trajectories on the grid (log price, variance).
 
@@ -174,88 +166,81 @@ def _kernel_table(kernel, grid: GridSpec) -> np.ndarray:
     return np.array([float(kernel(x)) for x in t])
 
 
-def _sve_loop(plant: SvePlant, grid: GridSpec, dw, memories):
+def _sve_loop(plant: SvePlant, grid: GridSpec, dw, make_memories):
     """Step loop of the generic engines, which differ only in their memories.
 
-    Step k writes b(X_k) dt + sigma(X_k) dW_k into one memory (equal kernels)
-    or its two terms into a (drift, diffusion) pair, whose paths axis holds
-    the d state components; X_{k+1} is x0 plus their rows k+1. Returns the
-    states and the (N, 2, d) drift and diffusion terms.
+    ``make_memories(columns)`` builds one memory (equal kernels) or a (drift,
+    diffusion) pair whose paths axis holds the paths x d state columns.
+    Step k writes b(X_k) dt + sigma(X_k) dW_k into the one memory or its
+    two terms into the pair; X_{k+1} is x0 plus their rows k+1. Returns
+    the (paths, N+1, d) states, a view of a step-major buffer.
     """
-    d, dt, x0 = plant.dim, grid.dt, plant.x0
+    d, dt, N = plant.dim, grid.dt, grid.N
     dw = np.asarray(dw, dtype=float)
-    if dw.shape != (grid.N, d) or not np.isfinite(dw).all():
-        raise ValueError(f"dw must be finite with shape ({grid.N}, {d}), got {dw.shape}")
-    states = np.empty((grid.N + 1, d))
-    states[0] = x0
-    terms = np.empty((grid.N, 2, d))
-    for k in range(grid.N):
+    if dw.ndim != 3 or dw.shape[1:] != (N, d) or not np.isfinite(dw).all():
+        raise ValueError(f"dw must be finite with shape (paths, {N}, {d}), got {dw.shape}")
+    paths = dw.shape[0]
+    memories = make_memories(paths * d)
+    states = np.empty((N + 1, paths, d))
+    states[0] = plant.x0
+    for k in range(N):
         b = np.asarray(plant.drift(states[k]), dtype=float)
         s = np.asarray(plant.diffusion(states[k]), dtype=float)
-        if (b.shape, s.shape) != ((d,), (d, d)):
-            raise ValueError(f"drift(x) must have shape ({d},) and diffusion(x) ({d}, {d})")
-        step = terms[k]
-        np.multiply(b, dt, out=step[0])
-        np.dot(s, dw[k], out=step[1])
-        if len(memories) == 1:
-            np.add(step[0], step[1], out=memories[0].term(k))
+        if (b.shape, s.shape) != ((paths, d), (paths, d, d)):
+            raise ValueError(
+                f"drift(x) must have shape ({paths}, {d}) and diffusion(x) ({paths}, {d}, {d})"
+            )
+        terms = [memory.term(k).reshape(paths, d) for memory in memories]
+        np.multiply(b, dt, out=terms[0])
+        shock = np.einsum("pij,pj->pi", s, dw[:, k])
+        if len(terms) == 1:
+            terms[0] += shock
         else:
-            for memory, term in zip(memories, step):
-                memory.term(k)[:] = term
+            terms[1][:] = shock
+        x = states[k + 1]
+        x[:] = plant.x0
         for memory in memories:
             memory.convolve(k)
-        np.add(x0, memories[0].result[k + 1], out=states[k + 1])
-        for memory in memories[1:]:
-            states[k + 1] += memory.result[k + 1]
-    return states, terms
+            x += memory.result[k + 1].reshape(paths, d)
+    return states.transpose(1, 0, 2)
 
 
-def volterra_euler(plant: SvePlant, g1, g2, grid: GridSpec, dw) -> SchemePath:
+def volterra_euler(plant: SvePlant, g1, g2, grid: GridSpec, dw) -> np.ndarray:
     """Euler scheme for the convolution equation with scalar kernels.
 
     State at t_{k+1} is x0 plus the kernel-weighted sums of all past
     drift terms b(X_j) dt and diffusion terms sigma(X_j) dW_j, with
-    kernels evaluated at the elapsed lags (k+1-j) dt. Cost grows as N^2.
+    kernels evaluated at the elapsed lags (k+1-j) dt. ``g1`` and ``g2``
+    weight the drift and diffusion sums; each may be a
+    :class:`RoughKernelSpec`, an :class:`ExpSumKernel` or a scalar
+    callable of time. ``dw`` holds (paths, N, d) increments; returns the
+    (paths, N+1, d) states. Cost grows as N^2 per path.
     """
     t1, t2 = _kernel_table(g1, grid), _kernel_table(g2, grid)
     tables = (t1,) if np.array_equal(t1, t2) else (t1, t2)
-    memories = [_HistoryMemory(table, plant.dim, False) for table in tables]
-    return SchemePath(grid=grid, states=_sve_loop(plant, grid, dw, memories)[0])
+    return _sve_loop(
+        plant, grid, dw, lambda columns: [_HistoryMemory(t, columns, False) for t in tables]
+    )
 
 
 def multifactor_euler(
-    plant: SvePlant,
-    k1: ExpSumKernel,
-    k2: ExpSumKernel,
-    grid: GridSpec,
-    dw,
-    record_factors: bool = False,
-) -> SchemePath:
+    plant: SvePlant, k1: ExpSumKernel, k2: ExpSumKernel, grid: GridSpec, dw
+) -> np.ndarray:
     """Damped-factor Euler scheme for exponential-sum kernels.
 
     The history sums of :func:`volterra_euler` become damped factor
     recursions, one factor per exponential: on the same exponential sums
-    the same trajectory up to roundoff, at O(n N) instead of O(N^2) cost.
-
-    ``k1`` and ``k2`` weight the drift and diffusion convolutions and must
-    share their rates; equal kernels share one factor set, whose (N+1, n)
-    states ``record_factors=True`` returns as ``factors`` (it raises
-    ``ValueError`` for unequal kernels or a state dimension d > 1).
+    the same states up to roundoff, at O(n N) instead of O(N^2) cost per
+    path. ``k1`` and ``k2`` weight the drift and diffusion convolutions
+    and must share their rates; equal kernels share one factor set.
+    ``dw`` and the returned states as in :func:`volterra_euler`.
     """
     if not np.array_equal(k1.rates, k2.rates):
         raise ValueError("drift and diffusion kernels must share the same rates")
     kernels = (k1,) if k1 == k2 else (k1, k2)
-    if record_factors and (len(kernels) > 1 or plant.dim > 1):
-        raise ValueError("record_factors needs equal kernels and a scalar state (d = 1)")
-    memories = [_expsum_memory(kernel, grid, plant.dim, False) for kernel in kernels]
-    states, terms = _sve_loop(plant, grid, dw, memories)
-    factors = None
-    if record_factors:
-        damp = memories[0].damp
-        factors = np.zeros((grid.N + 1, k1.n))
-        for k in range(grid.N):
-            factors[k + 1] = damp * (factors[k] + terms[k].sum())
-    return SchemePath(grid=grid, states=states, factors=factors)
+    return _sve_loop(
+        plant, grid, dw, lambda columns: [_expsum_memory(k, grid, columns, False) for k in kernels]
+    )
 
 
 class StepIncrements:
@@ -522,8 +507,7 @@ def hybrid_step_covariance(spec: RoughKernelSpec, dt: float) -> np.ndarray:
     The second component is the integral of the rough kernel against the
     Brownian motion over the step; both moments are in closed form.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    dt = require_positive(dt, "dt")
     cross = spec.integral(dt)
     return np.array([[dt, cross], [cross, spec.square_integral(dt)]])
 
@@ -553,6 +537,11 @@ def heston_hybrid_multifactor(
     every input normal moved an 8192-path call price by about 1e-2
     half-widths. Check a float-level change to it against the Monte
     Carlo half-width, not for bit-identity.
+
+    It is the outlier at small H: at H = 0.01, N = 160 (8192 paths,
+    seed 1), ``rvol price`` read 0.0893 +- 0.0026 for the default euro call,
+    against 0.0581 +- 0.0016 for ``volterra`` and 0.0575 +- 0.0016 for
+    ``multifactor-truncated``. The cause was not traced.
     """
     dw, dw_perp, d_frac = _check_increments(grid, dw, dw_perp, d_frac)
     dt = grid.dt

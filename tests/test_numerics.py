@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rvol
-from rvol.kernel import RoughKernelSpec, l2_error_exact
+from rvol.bergomi import factor_step_law
+from rvol.kernel import ExpSumKernel, RoughKernelSpec, l2_error_discrete, l2_error_exact
+from rvol.mc import rate_factor_estimate
 from rvol.numerics import (
     IntegrationError,
     QuadTolerance,
@@ -19,7 +21,8 @@ from rvol.numerics import (
     minimize_scalar,
     psd_factorize,
 )
-from rvol.quadrature import GeometricConfig, build_geometric
+from rvol.quadrature import GeometricConfig, build_geometric, truncate_factors
+from rvol.schemes import hybrid_step_covariance
 
 # 30-digit arbitrary-precision evaluations, frozen
 GAMMA_3_4 = 1.2254167024651776451290983034
@@ -178,6 +181,40 @@ class TestIntegrate:
         with pytest.raises(IntegrationError) as err:
             integrate(lambda t: math.sin(50.0 / (t + 1e-3)), 0.0, 1.0, tol)
         assert math.isfinite(err.value.best_estimate)
+
+
+_SPEC, _KERNEL = RoughKernelSpec(0.1), ExpSumKernel([0.5, 0.5], [1.0, 2.0])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: l2_error_discrete(_SPEC, _KERNEL, x, 10),
+        lambda x: truncate_factors(_KERNEL, x, 10),
+        lambda x: truncate_factors(_KERNEL, 1.0, 10, beta=x),
+        lambda x: hybrid_step_covariance(_SPEC, x),
+        lambda x: factor_step_law(_KERNEL, x),
+        lambda x: rate_factor_estimate(x, 1.0, 0.1),
+        lambda x: rate_factor_estimate(1.0, x, 0.1),
+        lambda x: rate_factor_estimate(1.0, 1.0, x),
+    ],
+    ids=[
+        "l2-discrete-T",
+        "truncate-T",
+        "truncate-beta",
+        "hybrid-dt",
+        "step-law-dt",
+        "rate-err-n",
+        "rate-err-2n",
+        "rate-H",
+    ],
+)
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_horizons_and_steps_rejected(call, value):
+    # each passed its `<= 0` check and returned NaN, a wrong result or a
+    # misleading error
+    with pytest.raises(ValueError, match="must be finite and positive"):
+        call(value)
 
 
 def test_package_import_leaves_out_scipy_integrate():

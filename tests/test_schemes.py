@@ -8,8 +8,15 @@ from hypothesis import strategies as st
 
 from rvol import schemes
 from rvol.bergomi import BergomiParams
-from rvol.kernel import ExpSumKernel, RoughKernelSpec, expsum_eval, rough_kernel_eval
+from rvol.kernel import (
+    ExpSumKernel,
+    RoughKernelSpec,
+    expsum_eval,
+    l2_error_discrete,
+    rough_kernel_eval,
+)
 from rvol.numerics import QuadTolerance, integrate
+from rvol.quadrature import build_systematic
 from rvol.schemes import (
     GridSpec,
     HestonParams,
@@ -56,8 +63,8 @@ def random_plant(rng, d):
     x0 = rng.standard_normal(d)
     return SvePlant(
         x0=x0,
-        drift=lambda x: np.tanh(A @ x) + c,
-        diffusion=lambda x: C + 0.3 * np.tanh(D @ x)[:, None] * np.ones(d)[None, :],
+        drift=lambda x: np.tanh(x @ A.T) + c,
+        diffusion=lambda x: C + 0.3 * np.tanh(x @ D.T)[:, :, None] * np.ones(d)[None, None, :],
     )
 
 
@@ -117,9 +124,13 @@ class TestGridAndTypes:
     @pytest.mark.parametrize("engine", SVE_ENGINES)
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_increments_rejected(self, engine, value):
-        plant = SvePlant(x0=np.zeros(2), drift=lambda x: x, diffusion=lambda x: np.eye(2))
-        dw = np.zeros((4, 2))
-        dw[2, 1] = value
+        plant = SvePlant(
+            x0=np.zeros(2),
+            drift=lambda x: x,
+            diffusion=lambda x: np.tile(np.eye(2), (len(x), 1, 1)),
+        )
+        dw = np.zeros((3, 4, 2))
+        dw[1, 2, 1] = value
         with pytest.raises(ValueError, match="dw must be finite"):
             engine(plant, GridSpec(T=1.0, N=4), dw)
 
@@ -127,53 +138,54 @@ class TestGridAndTypes:
     @pytest.mark.parametrize(
         "drift, diffusion",
         [
-            (lambda x: np.ones(1), lambda x: np.eye(2)),  # broadcasts over both components
-            (lambda x: np.zeros(2), lambda x: np.ones(2)),  # a vector, not a matrix
+            # broadcasts over both components
+            (lambda x: np.ones((len(x), 1)), lambda x: np.tile(np.eye(2), (len(x), 1, 1))),
+            (lambda x: np.zeros((len(x), 2)), lambda x: np.ones((len(x), 2))),  # not matrices
         ],
         ids=["drift", "diffusion"],
     )
     def test_plant_output_shapes_checked(self, engine, drift, diffusion):
         plant = SvePlant(x0=np.zeros(2), drift=drift, diffusion=diffusion)
-        with pytest.raises(ValueError, match=r"\(2,\) and diffusion\(x\) \(2, 2\)"):
-            engine(plant, GridSpec(T=1.0, N=4), np.ones((4, 2)))
+        with pytest.raises(ValueError, match=r"\(3, 2\) and diffusion\(x\) \(3, 2, 2\)"):
+            engine(plant, GridSpec(T=1.0, N=4), np.ones((3, 4, 2)))
 
 
 class TestVolterraEuler:
     def test_flat_kernel_recovers_brownian(self):
         rng = np.random.default_rng(0)
         grid = GridSpec(T=1.0, N=32)
-        dw = rng.standard_normal((32, 1)) * math.sqrt(grid.dt)
+        dw = rng.standard_normal((5, 32, 1)) * math.sqrt(grid.dt)
         plant = SvePlant(
             x0=np.array([0.4]),
-            drift=lambda x: np.zeros(1),
-            diffusion=lambda x: np.eye(1),
+            drift=lambda x: np.zeros((len(x), 1)),
+            diffusion=lambda x: np.ones((len(x), 1, 1)),
         )
-        path = volterra_euler(plant, lambda t: 1.0, lambda t: 1.0, grid, dw)
-        expected = 0.4 + np.concatenate([[0.0], np.cumsum(dw[:, 0])])
-        assert np.allclose(path.states[:, 0], expected, atol=1e-14)
+        states = volterra_euler(plant, lambda t: 1.0, lambda t: 1.0, grid, dw)
+        expected = 0.4 + np.concatenate([np.zeros((5, 1)), np.cumsum(dw[:, :, 0], axis=1)], axis=1)
+        assert np.allclose(states[:, :, 0], expected, atol=1e-14)
 
     def test_degenerate_constant_path(self):
         grid = GridSpec(T=1.0, N=8)
         plant = SvePlant(
             x0=np.array([1.5, -2.0]),
-            drift=lambda x: np.zeros(2),
-            diffusion=lambda x: np.zeros((2, 2)),
+            drift=lambda x: np.zeros((len(x), 2)),
+            diffusion=lambda x: np.zeros((len(x), 2, 2)),
         )
-        dw = np.ones((8, 2))
-        path = volterra_euler(plant, lambda t: 1.0, lambda t: 1.0, grid, dw)
-        assert np.allclose(path.states, plant.x0[None, :])
+        dw = np.ones((3, 8, 2))
+        states = volterra_euler(plant, lambda t: 1.0, lambda t: 1.0, grid, dw)
+        assert np.allclose(states, plant.x0[None, None, :])
 
     def test_two_step_hand_expansion(self):
         grid = GridSpec(T=1.0, N=2)
         b0, s0, x0 = 0.3, 0.7, 0.1
         plant = SvePlant(
             x0=np.array([x0]),
-            drift=lambda x: np.array([b0]),
-            diffusion=lambda x: np.array([[s0]]),
+            drift=lambda x: np.full((len(x), 1), b0),
+            diffusion=lambda x: np.full((len(x), 1, 1), s0),
         )
-        dw = np.array([[0.2], [-0.1]])
+        dw = np.array([[[0.2], [-0.1]]])
         g = lambda t: math.exp(-t)
-        path = volterra_euler(plant, g, g, grid, dw)
+        states = volterra_euler(plant, g, g, grid, dw)
         x1 = x0 + g(0.5) * b0 * 0.5 + g(0.5) * s0 * 0.2
         x2 = (
             x0
@@ -182,7 +194,7 @@ class TestVolterraEuler:
             + g(1.0) * s0 * 0.2
             + g(0.5) * s0 * (-0.1)
         )
-        assert np.allclose(path.states[:, 0], [x0, x1, x2], atol=1e-15)
+        assert np.allclose(states[0, :, 0], [x0, x1, x2], atol=1e-15)
 
     @pytest.mark.parametrize("N", [1, 15, 16, 17, 33, 40])
     @pytest.mark.parametrize("shared", [False, True])
@@ -194,65 +206,74 @@ class TestVolterraEuler:
         C = rng.standard_normal((2, 2)) * 0.4
         plant = SvePlant(
             x0=np.array([0.3, -0.1]),
-            drift=lambda x: np.tanh(A @ x) - 0.2 * x,
-            diffusion=lambda x: C * (1.0 + 0.3 * np.tanh(x[0] - x[1])),
+            drift=lambda x: np.tanh(x @ A.T) - 0.2 * x,
+            diffusion=lambda x: C * (1.0 + 0.3 * np.tanh(x[:, 0] - x[:, 1]))[:, None, None],
         )
         g1 = lambda t: t**-0.3 / math.gamma(0.7)
         g2 = g1 if shared else (lambda t: math.exp(-2.0 * t) * (1.0 + t))
         grid = GridSpec(T=1.0, N=N)
-        dw = rng.standard_normal((N, 2)) * math.sqrt(grid.dt)
+        dw = rng.standard_normal((3, N, 2)) * math.sqrt(grid.dt)
         dt = grid.dt
-        states, drifts, shocks = [list(plant.x0)], [], []
-        for k in range(N):
-            x = np.array(states[-1])
-            drifts.append([float(v) * dt for v in plant.drift(x)])
-            shocks.append([float(v) for v in plant.diffusion(x) @ dw[k]])
-            states.append(
-                [
-                    plant.x0[i]
-                    + sum(
-                        g1((k + 1 - j) * dt) * drifts[j][i] + g2((k + 1 - j) * dt) * shocks[j][i]
-                        for j in range(k + 1)
-                    )
-                    for i in range(2)
-                ]
-            )
-        path = volterra_euler(plant, g1, g2, grid, dw)
-        assert np.max(np.abs(path.states - np.array(states))) <= 1e-12
+        expected = []
+        for p in range(3):
+            states, drifts, shocks = [list(plant.x0)], [], []
+            for k in range(N):
+                x = np.array(states[-1])[None, :]
+                drifts.append([float(v) * dt for v in plant.drift(x)[0]])
+                shocks.append([float(v) for v in plant.diffusion(x)[0] @ dw[p, k]])
+                states.append(
+                    [
+                        plant.x0[i]
+                        + sum(
+                            g1((k + 1 - j) * dt) * drifts[j][i]
+                            + g2((k + 1 - j) * dt) * shocks[j][i]
+                            for j in range(k + 1)
+                        )
+                        for i in range(2)
+                    ]
+                )
+            expected.append(states)
+        states = volterra_euler(plant, g1, g2, grid, dw)
+        assert np.max(np.abs(states - np.array(expected))) <= 1e-12
 
     def test_shape_validation(self):
         grid = GridSpec(T=1.0, N=4)
         plant = SvePlant(
-            x0=np.zeros(2), drift=lambda x: np.zeros(2), diffusion=lambda x: np.eye(2)
+            x0=np.zeros(2),
+            drift=lambda x: np.zeros((len(x), 2)),
+            diffusion=lambda x: np.tile(np.eye(2), (len(x), 1, 1)),
         )
-        with pytest.raises(ValueError):
-            volterra_euler(plant, lambda t: 1.0, lambda t: 1.0, grid, np.zeros((4, 1)))
+        for dw in (np.zeros((2, 4, 1)), np.zeros((4, 2))):  # wrong d; no paths axis
+            with pytest.raises(ValueError, match="dw must be finite with shape"):
+                volterra_euler(plant, lambda t: 1.0, lambda t: 1.0, grid, dw)
 
 
 class TestMultifactorEuler:
     def test_single_flat_factor_recovers_brownian(self):
         rng = np.random.default_rng(1)
         grid = GridSpec(T=1.0, N=16)
-        dw = rng.standard_normal((16, 1)) * math.sqrt(grid.dt)
+        dw = rng.standard_normal((5, 16, 1)) * math.sqrt(grid.dt)
         plant = SvePlant(
             x0=np.array([0.2]),
-            drift=lambda x: np.zeros(1),
-            diffusion=lambda x: np.eye(1),
+            drift=lambda x: np.zeros((len(x), 1)),
+            diffusion=lambda x: np.ones((len(x), 1, 1)),
         )
         kernel = ExpSumKernel([1.0], [0.0])
-        path = multifactor_euler(plant, kernel, kernel, grid, dw)
-        expected = 0.2 + np.concatenate([[0.0], np.cumsum(dw[:, 0])])
-        assert np.allclose(path.states[:, 0], expected, atol=1e-14)
+        states = multifactor_euler(plant, kernel, kernel, grid, dw)
+        expected = 0.2 + np.concatenate([np.zeros((5, 1)), np.cumsum(dw[:, :, 0], axis=1)], axis=1)
+        assert np.allclose(states[:, :, 0], expected, atol=1e-14)
 
     def test_rate_mismatch_rejected(self):
         grid = GridSpec(T=1.0, N=4)
         plant = SvePlant(
-            x0=np.zeros(1), drift=lambda x: np.zeros(1), diffusion=lambda x: np.eye(1)
+            x0=np.zeros(1),
+            drift=lambda x: np.zeros((len(x), 1)),
+            diffusion=lambda x: np.ones((len(x), 1, 1)),
         )
         k1 = ExpSumKernel([1.0], [1.0])
         k2 = ExpSumKernel([1.0], [2.0])
         with pytest.raises(ValueError):
-            multifactor_euler(plant, k1, k2, grid, np.zeros((4, 1)))
+            multifactor_euler(plant, k1, k2, grid, np.zeros((2, 4, 1)))
 
     def test_matches_direct_scheme_shared_kernel(self):
         rng = np.random.default_rng(2)
@@ -261,10 +282,10 @@ class TestMultifactorEuler:
             grid = GridSpec(T=float(rng.uniform(0.25, 2.0)), N=int(rng.integers(2, 65)))
             k1, k2 = random_kernels(rng, shared=True)
             plant = random_plant(rng, d)
-            dw = rng.standard_normal((grid.N, d)) * math.sqrt(grid.dt)
+            dw = rng.standard_normal((4, grid.N, d)) * math.sqrt(grid.dt)
             direct = volterra_euler(plant, k1, k2, grid, dw)
             fast = multifactor_euler(plant, k1, k2, grid, dw)
-            gap = np.max(np.abs(direct.states - fast.states))
+            gap = np.max(np.abs(direct - fast))
             assert gap <= 1e-10 * (1.0 + np.max(np.abs(plant.x0)))
 
     def test_matches_direct_scheme_two_kernels(self):
@@ -274,36 +295,11 @@ class TestMultifactorEuler:
             grid = GridSpec(T=1.0, N=int(rng.integers(2, 65)))
             k1, k2 = random_kernels(rng, shared=False)
             plant = random_plant(rng, d)
-            dw = rng.standard_normal((grid.N, d)) * math.sqrt(grid.dt)
+            dw = rng.standard_normal((4, grid.N, d)) * math.sqrt(grid.dt)
             direct = volterra_euler(plant, k1, k2, grid, dw)
             fast = multifactor_euler(plant, k1, k2, grid, dw)
-            gap = np.max(np.abs(direct.states - fast.states))
+            gap = np.max(np.abs(direct - fast))
             assert gap <= 1e-10 * (1.0 + np.max(np.abs(plant.x0)))
-
-    def test_records_factors(self):
-        grid = GridSpec(T=1.0, N=4)
-        plant = SvePlant(
-            x0=np.array([0.1]), drift=lambda x: np.ones(1), diffusion=lambda x: np.eye(1)
-        )
-        kernel = ExpSumKernel([0.5, 0.5], [1.0, 2.0])
-        path = multifactor_euler(
-            plant, kernel, kernel, grid, np.zeros((4, 1)), record_factors=True
-        )
-        assert path.factors is not None
-        assert path.factors.shape == (5, 2)
-        recon = 0.1 + path.factors @ kernel.weights
-        assert np.allclose(recon, path.states[:, 0], atol=1e-14)
-        # unequal kernels or d > 1 have no single factor set to return
-        other = ExpSumKernel([0.5, 0.25], [1.0, 2.0])
-        with pytest.raises(ValueError, match="record_factors"):
-            multifactor_euler(
-                plant, kernel, other, grid, np.zeros((4, 1)), record_factors=True
-            )
-        plant2 = SvePlant(x0=np.zeros(2), drift=lambda x: x, diffusion=lambda x: np.eye(2))
-        with pytest.raises(ValueError, match="record_factors"):
-            multifactor_euler(
-                plant2, kernel, kernel, grid, np.zeros((4, 2)), record_factors=True
-            )
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -311,19 +307,47 @@ class TestMultifactorEuler:
         N=st.integers(1, 70),
         rates=st.lists(st.floats(0.0, 30.0), min_size=1, max_size=8, unique=True),
         shared=st.booleans(),
+        paths=st.integers(1, 5),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_direct_scheme_property(self, d, N, rates, shared, seed):
+    def test_matches_direct_scheme_property(self, d, N, rates, shared, paths, seed):
         rng = np.random.default_rng(seed)
         rates = np.sort(rates)
         k1 = ExpSumKernel(rng.uniform(0.0, 2.0, rates.size), rates)
         k2 = k1 if shared else ExpSumKernel(rng.uniform(0.0, 2.0, rates.size), rates)
         plant = random_plant(rng, d)
         grid = GridSpec(T=float(rng.uniform(0.25, 2.0)), N=N)
-        dw = rng.standard_normal((N, d)) * math.sqrt(grid.dt)
+        dw = rng.standard_normal((paths, N, d)) * math.sqrt(grid.dt)
         direct = volterra_euler(plant, k1, k2, grid, dw)
         fast = multifactor_euler(plant, k1, k2, grid, dw)
-        assert np.max(np.abs(direct.states - fast.states)) <= 1e-9
+        assert np.max(np.abs(direct - fast)) <= 1e-9
+
+
+class TestStabilityEstimate:
+    def test_gap_bounded_by_discrete_kernel_error(self):
+        # the paper's L2 estimate: on shared increments, the Euler states of
+        # two equations that differ only in their kernels are as close as
+        # the kernels on the grid, E|X_k - X^_k|^2 <= C l2_error_discrete^2;
+        # over seeds 1-10 the ratio read 0.024-0.083, so 0.2 is 2.4x of it
+        grid = GridSpec(T=1.0, N=100)
+        plant = SvePlant(
+            x0=0.1,
+            drift=lambda x: 0.2 - x,
+            diffusion=lambda x: (0.3 + 0.1 * np.tanh(x))[:, :, None],
+        )
+        dw = np.random.default_rng(5).standard_normal((4096, grid.N, 1)) * math.sqrt(grid.dt)
+        gaps = []
+        for H in (0.05, 0.1, 0.25, 0.45):
+            spec = RoughKernelSpec(H)
+            rough = volterra_euler(plant, spec, spec, grid, dw)
+            for n in (10, 20, 40, 80):
+                kernel = build_systematic(spec, n, grid.T)
+                fast = multifactor_euler(plant, kernel, kernel, grid, dw)
+                gap = np.max(np.mean((rough - fast)[:, :, 0] ** 2, axis=0))
+                ratio = gap / l2_error_discrete(spec, kernel, grid.T, grid.N) ** 2
+                assert ratio <= 0.2, (H, n, ratio)
+                gaps.append(gap)
+        assert max(gaps) >= 1e3 * min(gaps)  # the grid spans far and close kernels
 
 
 class TestHestonVariance:
