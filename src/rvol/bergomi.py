@@ -316,10 +316,9 @@ def simulate_bergomi(
     variance[1:] = params.v0 * np.exp(exponent - compensator[:, None])
 
     prices = _LogPrice(params, grid, n_paths)
-    z_perp, sqrt_dt, dw_perp = normals[:, :, 1].T, math.sqrt(grid.dt), np.empty(n_paths)
+    z_perp = normals[:, :, 1].T
     for k in range(grid.N):
-        np.multiply(z_perp[k], sqrt_dt, out=dw_perp)
-        prices.step(k, variance[k], dw[k], dw_perp)
+        prices.step(k, variance[k], dw[k], z_perp[k])
     return HestonPaths(log_price=prices.path.T, variance=variance.T)
 
 

@@ -104,13 +104,16 @@ def _cmd_kernel(args) -> int:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             config = json.load(fh)
+        if not isinstance(config, dict):
+            raise ValueError("the kernel config must be a JSON object")
     else:
         config = {key: getattr(args, key) for key in ("method", "hurst", "n", "horizon")}
         for key in ("truncation", "beta", "order", "tail_ratio", "node_rule"):
             if getattr(args, key) is not None:
                 config[key] = getattr(args, key)
-    if config.get("method") is None:
-        raise ValueError("a method is required (flag --method or config key)")
+    for key in ("method", "hurst", "n"):
+        if config.get(key) is None:
+            raise ValueError(f"{key!r} is required (flag --{key} or config key)")
     kernel = _build_kernel_from_config(config)
     spec = RoughKernelSpec(float(config["hurst"]))
     horizon = float(config.get("horizon", 1.0))

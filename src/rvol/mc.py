@@ -14,13 +14,13 @@ Layout: :meth:`CounterRng.normals_block` fills a C-ordered
 ``normals[:, :, c]`` is then a (paths, steps) array whose transpose is
 C-ordered, which is the step-major layout the engines of
 :mod:`rvol.schemes` and :mod:`rvol.bergomi` work in. Descriptors pass
-such slices straight through, and scaled or mixed slices as
-:class:`rvol.schemes.StepIncrements`, which the engines form one step
-row at a time; callers may equally pass C-ordered arrays of the same
-shapes, at the cost of one transposing copy. When
-only prices are needed (:meth:`HestonModel.simulate`), the engines run
-with ``prices_only=True`` and keep their state rows in a ring of two
-step blocks plus row 0, so a priced block holds the normals, the
+such slices straight through: the engines take standard normals and
+form each step's increments themselves, so no (paths, N) increment
+array is formed. Callers may equally pass C-ordered arrays of the same
+shapes, at the cost of one transposing copy. When only prices are
+needed (:meth:`HestonModel.simulate`), the engines run with
+``prices_only=True`` and keep their state rows in a ring of two step
+blocks plus row 0, so a priced block holds the normals, the
 (N+1, paths) log price, and the (n, paths) factors of a factor scheme
 or the (N, paths) history of step terms of a direct one.
 """
@@ -46,13 +46,11 @@ from .schemes import (
     HestonParams,
     HestonPaths,
     IntegratedPaths,
-    StepIncrements,
     heston_hybrid_multifactor,
     heston_integrated_multifactor,
     heston_integrated_volterra,
     heston_multifactor_euler,
     heston_volterra_euler,
-    hybrid_step_covariance,
 )
 
 __all__ = [
@@ -293,39 +291,23 @@ class HestonModel:
         return _path_stats(self._run_engine(grid, normals, prices_only=True))
 
     def _run_engine(self, grid: GridSpec, normals: np.ndarray, prices_only: bool):
-        """The scheme's engine on the normals' component slices.
-
-        Scaled and mixed increments go in as :class:`StepIncrements`, so
-        no (paths, N) increment array is formed.
-        """
+        """The scheme's engine on the normals' component slices."""
         kern = self.resolve_kernel(grid)
         z = [normals[:, :, c] for c in range(normals.shape[2])]
-        if self.scheme == "integrated-volterra":
-            return heston_integrated_volterra(
-                self.params, kern, grid, z[0], z[1], prices_only=prices_only
-            )
-        if self.scheme == "integrated-multifactor":
-            return heston_integrated_multifactor(
-                self.params, kern, grid, z[0], z[1], prices_only=prices_only
-            )
-        sqrt_dt = math.sqrt(grid.dt)
-        dw_perp = StepIncrements((sqrt_dt, z[1]))
         if self.scheme == "hybrid":
             spec = RoughKernelSpec(self.hurst)
-            cov = hybrid_step_covariance(spec, grid.dt)
-            l11 = math.sqrt(cov[0, 0])
-            l21 = cov[0, 1] / l11
-            # the exact radicand dt^(2H) (H - 1/2)^2 / (2H a^2 Gamma^2) is
-            # nonnegative, but rounds below zero within ~4e-9 of H = 1/2
-            l22 = math.sqrt(max(cov[1, 1] - l21 * l21, 0.0))
-            dw = StepIncrements((l11, z[0]))
-            d_frac = StepIncrements((l21, z[0]), (l22, z[2]))
             return heston_hybrid_multifactor(
-                self.params, spec, kern, grid, dw, dw_perp, d_frac, prices_only=prices_only
+                self.params, spec, kern, grid, *z, prices_only=prices_only
             )
-        dw = StepIncrements((sqrt_dt, z[0]))
-        engine = heston_volterra_euler if self.scheme == "volterra" else heston_multifactor_euler
-        return engine(self.params, kern, grid, dw, dw_perp, prices_only=prices_only)
+        # built per call: profilers and tests swap the engines at these names
+        engine = {
+            "volterra": heston_volterra_euler,
+            "multifactor": heston_multifactor_euler,
+            "multifactor-truncated": heston_multifactor_euler,
+            "integrated-volterra": heston_integrated_volterra,
+            "integrated-multifactor": heston_integrated_multifactor,
+        }[self.scheme]
+        return engine(self.params, kern, grid, *z, prices_only=prices_only)
 
 
 BERGOMI_MODES = ("exact", "multifactor")

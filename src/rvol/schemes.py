@@ -12,30 +12,32 @@ and a hybrid variant with an exact Gaussian treatment of the most
 recent kernel step) and the integrated-variance schemes that discretize
 the time integral of the variance and its martingale parts instead.
 
-All engines are deterministic functions of their increments; random
-number generation lives in :mod:`rvol.mc`.
+All engines are deterministic functions of their inputs; random number
+generation lives in :mod:`rvol.mc`. The generic engines take Brownian
+increments; the rough Heston engines take standard normals and own
+their step law: each step forms its increments sqrt(dt) z in scratch,
+and the hybrid engine also its kernel-weighted increment.
 
-Layout: the batched engines take (paths, N) increments and return
+Layout: the batched engines take (paths, N) normals and return
 (paths, N+1) paths, transposed views of step-major (N+1, paths)
-buffers. Inside, each increment array is an (N, paths) view (free for
-the slices of :meth:`rvol.mc.CounterRng.normals_block`, one transposing
-copy for a C-ordered array). A :class:`StepIncrements` (scaled or mixed
-normals) is never formed whole: the step loop forms each step's row in
-scratch. Each engine is one step loop over a memory term, run in blocks
-of ``_BLOCK`` steps: every step adds a near window (the block's step
-terms against the first ``_BLOCK`` kernel lags), and the far memory
-enters once per block as one matrix product with the (n, paths) factors
-or the (N, paths) history of step terms; the factor engines keep the
-block's step terms in one (``_BLOCK``, paths) array. With
-``prices_only=True`` the state rows (variance, or raw integrated
-variance) live in a ring of 2 ``_BLOCK`` + 1 rows instead of N+1, the
-running max of the integrated variance in two rows, and only the log
-price is returned whole.
+buffers. Inside, each normals array is an (N, paths) view (free for the
+slices of :meth:`rvol.mc.CounterRng.normals_block`, one transposing
+copy for a C-ordered array). Each engine is one step loop over a
+memory term, run in blocks of ``_BLOCK`` steps: every step adds a near
+window (the block's step terms against the first ``_BLOCK`` kernel
+lags), and the far memory enters once per block as one matrix product
+with the (n, paths) factors or the (N, paths) history of step terms;
+the factor engines keep the block's step terms in one (``_BLOCK``,
+paths) array. With ``prices_only=True`` the state rows (variance, or
+raw integrated variance) live in a ring of 2 ``_BLOCK`` + 1 rows
+instead of N+1, the running max of the integrated variance in two rows,
+and only the log price is returned whole.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +52,6 @@ __all__ = [
     "HestonParams",
     "HestonPaths",
     "IntegratedPaths",
-    "StepIncrements",
     "volterra_euler",
     "multifactor_euler",
     "heston_volterra_euler",
@@ -71,6 +72,8 @@ class GridSpec:
 
     def __post_init__(self):
         require_finite(self)
+        if not isinstance(self.N, numbers.Integral):
+            raise ValueError(f"step count N must be an integer, got {self.N!r}")
         if self.T <= 0.0:
             raise ValueError("horizon T must be positive")
         if self.N < 1:
@@ -243,59 +246,19 @@ def multifactor_euler(
     )
 
 
-class StepIncrements:
-    """(paths, N) increments c_0 z_0 + c_1 z_1 + ..., never formed whole.
+def _check_normals(grid: GridSpec, *arrays):
+    """Validate (paths, N) normals; return their C-ordered (N, paths) transposes.
 
-    ``terms`` are (coefficient, (paths, N) array) pairs; the arrays are
-    kept as their C-ordered (N, paths) transposes. ``self[k]`` forms step
-    k's row in one scratch row with the operations of the whole-array
-    expression, in its order, so passing ``StepIncrements((c, z))`` gives
-    bit for bit the results of passing ``c * z``, without its (paths, N)
-    copy. Each lookup refills the scratch row, so read a step's row once.
+    Each step then reads one contiguous row; for the transposed views
+    that :meth:`rvol.mc.CounterRng.normals_block` hands out this costs
+    no copy.
     """
-
-    def __init__(self, *terms):
-        if not terms:
-            raise ValueError("StepIncrements needs at least one term")
-        self.terms = tuple((float(c), _step_major(z)) for c, z in terms)
-        self.shape = self.terms[0][1].shape  # (N, paths)
-        self.row = np.empty(self.shape[1:])
-        self.scratch = np.empty(self.shape[1:]) if len(terms) > 1 else None
-
-    def __getitem__(self, k: int) -> np.ndarray:
-        (c, z), *rest = self.terms
-        np.multiply(z[k], c, out=self.row)
-        for c, z in rest:
-            np.multiply(z[k], c, out=self.scratch)
-            self.row += self.scratch
-        return self.row
-
-
-def _step_major(arr) -> np.ndarray:
-    return np.ascontiguousarray(np.asarray(arr, dtype=float).T)
-
-
-def _check_increments(grid: GridSpec, *arrays):
-    """Validate (paths, N) increments; return step-major readers, ``rows[k]``.
-
-    A plain array becomes its C-ordered (N, paths) transpose, so each step
-    reads one contiguous row; for the transposed views that
-    :meth:`rvol.mc.CounterRng.normals_block` hands out this costs no copy.
-    A :class:`StepIncrements` is its own reader.
-    """
-    readers, shapes = [], []
-    for arr in arrays:
-        if isinstance(arr, StepIncrements):
-            shapes += [z.shape for _, z in arr.terms]
-            readers.append(arr)
-        else:
-            readers.append(_step_major(arr))
-            shapes.append(readers[-1].shape)
-    if len(shapes[0]) != 2 or shapes[0][0] != grid.N:
-        raise ValueError(f"increments must have shape (paths, {grid.N})")
-    if any(shape != shapes[0] for shape in shapes):
-        raise ValueError("all increment arrays must share one shape")
-    return readers
+    rows = [np.ascontiguousarray(np.asarray(arr, dtype=float).T) for arr in arrays]
+    if rows[0].ndim != 2 or rows[0].shape[0] != grid.N:
+        raise ValueError(f"normals must have shape (paths, {grid.N})")
+    if any(r.shape != rows[0].shape for r in rows):
+        raise ValueError("all normals arrays must share one shape")
+    return rows
 
 
 _BLOCK = 16  # steps per block of the step loop (16/32/64 sweep: see CHANGES.md)
@@ -400,24 +363,26 @@ class _LogPrice:
     """Euler log price of the rough Heston and rough Bergomi engines.
 
     Row k+1 of ``path`` is log S0 plus the running sum over j <= k of
-    -V_j dt / 2 + sqrt(V_j) (rho dW_j + rho_perp dW_perp_j), V_j >= 0.
+    -V_j dt / 2 + sqrt(V_j) (rho dW_j + rho_perp dW_perp_j), V_j >= 0,
+    where dW_perp_j = sqrt(dt) z_perp_j is formed here from its normal.
     The integrated engines form their own rows from ``log_s0`` and ``rho_perp``.
     """
 
     def __init__(self, params, grid: GridSpec, n_paths: int):
         self.log_s0, self.rho = math.log(params.S0), params.rho
         self.rho_perp = math.sqrt(1.0 - params.rho * params.rho)
-        self.half_dt = -0.5 * grid.dt
+        self.sqrt_dt, self.half_dt = math.sqrt(grid.dt), -0.5 * grid.dt
         self.path = np.empty((grid.N + 1, n_paths))
         self.path[0] = self.log_s0
         self.total, self.vol, self.mix, self.shock = (np.zeros(n_paths) for _ in range(4))
 
-    def step(self, k: int, variance, dw, dw_perp) -> np.ndarray:
-        """Write row k+1 from V_k and step k's increments; return sqrt(V_k) (scratch)."""
+    def step(self, k: int, variance, dw, z_perp) -> np.ndarray:
+        """Write row k+1 from V_k, dW_k and z_perp_k; return sqrt(V_k) (scratch)."""
         vol, mix, shock = self.vol, self.mix, self.shock
         np.sqrt(variance, out=vol)
         np.multiply(dw, self.rho, out=mix)
-        np.multiply(dw_perp, self.rho_perp, out=shock)
+        np.multiply(z_perp, self.sqrt_dt, out=shock)
+        shock *= self.rho_perp
         mix += shock
         mix *= vol
         np.multiply(variance, self.half_dt, out=shock)
@@ -427,34 +392,41 @@ class _LogPrice:
         return vol
 
 
-def _heston_variance(params, grid, memory, dw, dw_perp, exact=None) -> HestonPaths:
+def _heston_variance(params, grid, memory, z, z_perp, exact=None) -> HestonPaths:
     """Step loop of the variance engines, which differ only in their memory.
 
     V_{k+1} = V0 + convolution of S_j = (theta - lam V_j^+) dt
-    + sigma sqrt(V_j^+) dW_j; ``exact = (drift_weight, d_frac)`` adds
-    the hybrid scheme's exact last step (theta - lam V_k^+) drift_weight
-    + sigma sqrt(V_k^+) d_frac_k. The log price is the :class:`_LogPrice`
-    of V^+.
+    + sigma sqrt(V_j^+) dW_j, with dW_j = sqrt(dt) z_j formed in scratch;
+    ``exact = (drift_weight, l21, l22, z_frac)`` adds the hybrid scheme's
+    exact last step (theta - lam V_k^+) drift_weight + sigma sqrt(V_k^+)
+    d_frac_k, with d_frac_k = l21 z_k + l22 z_frac_k. The log price is
+    the :class:`_LogPrice` of V^+.
     """
     variance, slot = memory.result, memory.slot
     variance[0] = params.V0
-    prices = _LogPrice(params, grid, variance.shape[1])
-    shock = np.empty(variance.shape[1])
+    n_paths = variance.shape[1]
+    prices = _LogPrice(params, grid, n_paths)
+    dw, shock, d_frac = (np.empty(n_paths) for _ in range(3))
     for k in range(grid.N):
-        dw_k, v_next = dw[k], variance[slot(k + 1)]
+        np.multiply(z[k], prices.sqrt_dt, out=dw)
+        v_next = variance[slot(k + 1)]
         step = memory.term(k)
         np.maximum(variance[slot(k)], 0.0, out=step)  # positive part of V
-        vol = prices.step(k, step, dw_k, dw_perp[k])
+        vol = prices.step(k, step, dw, z_perp[k])
         vol *= params.sigma
         step *= -params.lam
         step += params.theta
         if exact is not None:
-            np.multiply(step, exact[0], out=shock)
+            drift_weight, l21, l22, z_frac = exact
+            np.multiply(step, drift_weight, out=shock)
             v_next += shock
-            np.multiply(vol, exact[1][k], out=shock)
-            v_next += shock
+            np.multiply(z[k], l21, out=d_frac)
+            np.multiply(z_frac[k], l22, out=shock)
+            d_frac += shock
+            d_frac *= vol
+            v_next += d_frac
         step *= grid.dt
-        np.multiply(vol, dw_k, out=shock)
+        np.multiply(vol, dw, out=shock)
         step += shock
         memory.convolve(k)
         v_next += params.V0
@@ -462,7 +434,7 @@ def _heston_variance(params, grid, memory, dw, dw_perp, exact=None) -> HestonPat
 
 
 def heston_volterra_euler(
-    params: HestonParams, kernel, grid: GridSpec, dw, dw_perp, *, prices_only: bool = False
+    params: HestonParams, kernel, grid: GridSpec, z, z_perp, *, prices_only: bool = False
 ) -> HestonPaths:
     """Direct Euler scheme for rough Heston (O(N^2) per path).
 
@@ -470,21 +442,22 @@ def heston_volterra_euler(
     :class:`ExpSumKernel` or any scalar callable of time. Variance
     enters drift and diffusion through its positive part; the log price
     advances by the usual explicit step with correlation ``rho``.
-    ``dw`` and ``dw_perp`` are Brownian increments of shape (paths, N),
-    arrays or :class:`StepIncrements`. ``prices_only=True`` keeps the
-    variance in a ring of rows and returns ``variance=None``.
+    ``z`` and ``z_perp`` are (paths, N) standard normals; step k's
+    Brownian increments are sqrt(dt) z_k and sqrt(dt) z_perp_k.
+    ``prices_only=True`` keeps the variance in a ring of rows and
+    returns ``variance=None``.
     """
-    dw, dw_perp = _check_increments(grid, dw, dw_perp)
-    memory = _HistoryMemory(_kernel_table(kernel, grid), dw.shape[1], prices_only)
-    return _heston_variance(params, grid, memory, dw, dw_perp)
+    z, z_perp = _check_normals(grid, z, z_perp)
+    memory = _HistoryMemory(_kernel_table(kernel, grid), z.shape[1], prices_only)
+    return _heston_variance(params, grid, memory, z, z_perp)
 
 
 def heston_multifactor_euler(
     params: HestonParams,
     kernel: ExpSumKernel,
     grid: GridSpec,
-    dw,
-    dw_perp,
+    z,
+    z_perp,
     *,
     prices_only: bool = False,
 ) -> HestonPaths:
@@ -493,12 +466,12 @@ def heston_multifactor_euler(
     The variance is V0 plus a weighted sum of damped factors that all
     share the common drift/diffusion term evaluated at the aggregated
     variance's positive part. Pass an already truncated kernel to drop
-    factors that vanish within one time step. Increments and
+    factors that vanish within one time step. Normals and
     ``prices_only`` as in :func:`heston_volterra_euler`.
     """
-    dw, dw_perp = _check_increments(grid, dw, dw_perp)
-    memory = _expsum_memory(kernel, grid, dw.shape[1], prices_only)
-    return _heston_variance(params, grid, memory, dw, dw_perp)
+    z, z_perp = _check_normals(grid, z, z_perp)
+    memory = _expsum_memory(kernel, grid, z.shape[1], prices_only)
+    return _heston_variance(params, grid, memory, z, z_perp)
 
 
 def hybrid_step_covariance(spec: RoughKernelSpec, dt: float) -> np.ndarray:
@@ -517,9 +490,9 @@ def heston_hybrid_multifactor(
     spec: RoughKernelSpec,
     kernel: ExpSumKernel,
     grid: GridSpec,
-    dw,
-    dw_perp,
-    d_frac,
+    z,
+    z_perp,
+    z_frac,
     *,
     prices_only: bool = False,
 ) -> HestonPaths:
@@ -528,10 +501,13 @@ def heston_hybrid_multifactor(
     Factors use the damping 1/(1 + r_i dt). The next variance is the
     factor-implied prediction plus the most recent step handled with the
     exact rough kernel: the drift is weighted by the closed-form kernel
-    integral over one step, and ``d_frac`` must hold the exact
-    kernel-weighted Brownian increments, jointly Gaussian with ``dw``
-    per :func:`hybrid_step_covariance`. Increments and ``prices_only``
-    as in :func:`heston_volterra_euler`.
+    integral over one step, and the diffusion by the exact
+    kernel-weighted Brownian increment d_frac = l21 z + l22 z_frac, where
+    (sqrt(dt), 0; l21, l22) is the Cholesky factor of
+    :func:`hybrid_step_covariance`. So (dW, d_frac) has that joint law
+    whenever ``z_frac``, a third (paths, N) array of standard normals, is
+    independent of ``z``. Normals and ``prices_only`` as in
+    :func:`heston_volterra_euler`.
 
     The scheme is chaotic on fine grids: at N = 640, a one-ulp change of
     every input normal moved an 8192-path call price by about 1e-2
@@ -543,15 +519,19 @@ def heston_hybrid_multifactor(
     against 0.0581 +- 0.0016 for ``volterra`` and 0.0575 +- 0.0016 for
     ``multifactor-truncated``. The cause was not traced.
     """
-    dw, dw_perp, d_frac = _check_increments(grid, dw, dw_perp, d_frac)
+    z, z_perp, z_frac = _check_normals(grid, z, z_perp, z_frac)
     dt = grid.dt
-    exact = (hybrid_step_covariance(spec, dt)[0, 1], d_frac)
+    cov = hybrid_step_covariance(spec, dt)
+    l21 = cov[0, 1] / math.sqrt(dt)
+    # the exact radicand dt^(2H) (H - 1/2)^2 / (2H a^2 Gamma^2) is
+    # nonnegative, but rounds below zero within ~4e-9 of H = 1/2
+    l22 = math.sqrt(max(cov[1, 1] - l21 * l21, 0.0))
     predict, _ = kernel.damped(dt)  # w e^{-r dt}
     damp = 1.0 / (1.0 + kernel.rates * dt)
     memory = _FactorMemory(
-        predict, damp, grid.N, dw.shape[1], prices_only, exact_last_step=True
+        predict, damp, grid.N, z.shape[1], prices_only, exact_last_step=True
     )
-    return _heston_variance(params, grid, memory, dw, dw_perp, exact)
+    return _heston_variance(params, grid, memory, z, z_perp, (cov[0, 1], l21, l22, z_frac))
 
 
 _DRIFT_FLOORS = ("runmax", "positive_part")
@@ -641,7 +621,7 @@ def heston_integrated_volterra(
     change to it against the Monte Carlo half-width, not for
     bit-identity.
     """
-    z, z_perp = _check_increments(grid, z, z_perp)
+    z, z_perp = _check_normals(grid, z, z_perp)
     memory = _HistoryMemory(_kernel_table(kernel, grid), z.shape[1], prices_only)
     return _integrated_loop(params, grid, memory, z, z_perp, drift_floor)
 
@@ -669,6 +649,6 @@ def heston_integrated_multifactor(
     half-widths. Check a float-level change to it against the Monte
     Carlo half-width, not for bit-identity.
     """
-    z, z_perp = _check_increments(grid, z, z_perp)
+    z, z_perp = _check_normals(grid, z, z_perp)
     memory = _expsum_memory(kernel, grid, z.shape[1], prices_only)
     return _integrated_loop(params, grid, memory, z, z_perp, drift_floor)

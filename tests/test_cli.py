@@ -167,6 +167,22 @@ class TestInputErrors:
         code, stdout, _ = run_cli(capsys, self.PRICE + ["--workers", "2"])
         assert code == 0 and json.loads(stdout)["paths"] == 8
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"method": "geometric", "n": 10}, "'hurst' is required"),
+            ({"method": "geometric", "hurst": 0.05}, "'n' is required"),
+            ([{"method": "geometric", "hurst": 0.05, "n": 10}], "must be a JSON object"),
+        ],
+        ids=["no-hurst", "no-n", "top-level-list"],
+    )
+    def test_bad_kernel_config(self, tmp_path, capsys, config, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        code, stdout, err = run_cli(capsys, ["kernel", "--config", str(path)])
+        assert (code, stdout) == (1, "")
+        assert err.startswith("error: ") and message in err
+
     def test_zero_smile_points(self, capsys):
         code, stdout, err = run_cli(capsys, ["smile", "--points", "0", "--paths", "8"])
         assert (code, stdout) == (1, "")

@@ -20,7 +20,6 @@ from rvol.quadrature import build_systematic
 from rvol.schemes import (
     GridSpec,
     HestonParams,
-    StepIncrements,
     SvePlant,
     heston_hybrid_multifactor,
     heston_integrated_multifactor,
@@ -81,6 +80,14 @@ class TestGridAndTypes:
             GridSpec(T=0.0, N=10)
         with pytest.raises(ValueError):
             GridSpec(T=1.0, N=0)
+
+    @pytest.mark.parametrize("N", [2.5, 4.0])
+    def test_grid_rejects_non_integral_steps(self, N):
+        with pytest.raises(ValueError, match="integer"):
+            GridSpec(T=1.0, N=N)
+
+    def test_grid_accepts_numpy_integers(self):
+        assert np.array_equal(GridSpec(T=2.0, N=np.int64(4)).times(), GridSpec(T=2.0, N=4).times())
 
     def test_grid_times(self):
         grid = GridSpec(T=2.0, N=4)
@@ -355,9 +362,9 @@ class TestHestonVariance:
         params = HestonParams(V0=0.04, theta=0.0, lam=0.0, sigma=0.0, rho=-0.5)
         grid = GridSpec(T=1.0, N=16)
         rng = np.random.default_rng(4)
-        dw = rng.standard_normal((100, 16)) * math.sqrt(grid.dt)
-        dwp = rng.standard_normal((100, 16)) * math.sqrt(grid.dt)
-        paths = heston_volterra_euler(params, RoughKernelSpec(0.1), grid, dw, dwp)
+        z, zp = rng.standard_normal((2, 100, 16))
+        paths = heston_volterra_euler(params, RoughKernelSpec(0.1), grid, z, zp)
+        dw, dwp = math.sqrt(grid.dt) * z, math.sqrt(grid.dt) * zp
         assert np.allclose(paths.variance, 0.04)
         mix = params.rho * dw + math.sqrt(1 - params.rho**2) * dwp
         expected = np.cumsum(-0.5 * 0.04 * grid.dt + 0.2 * mix, axis=1)
@@ -368,9 +375,9 @@ class TestHestonVariance:
         spec = RoughKernelSpec(0.1)
         grid = GridSpec(T=1.0, N=2)
         dt = 0.5
-        dw = np.array([[0.11, -0.22]])
-        dwp = np.array([[0.05, 0.07]])
-        paths = heston_volterra_euler(params, spec, grid, dw, dwp)
+        z, zp = np.array([[0.11, -0.22]]), np.array([[0.05, 0.07]])
+        paths = heston_volterra_euler(params, spec, grid, z, zp)
+        dw, dwp = math.sqrt(dt) * z, math.sqrt(dt) * zp
         g1 = rough_kernel_eval(spec, dt)
         g2 = rough_kernel_eval(spec, 2 * dt)
         rho_perp = math.sqrt(1 - params.rho**2)
@@ -398,10 +405,9 @@ class TestHestonVariance:
         rng = np.random.default_rng(5)
         for N in (40, 100):
             grid = GridSpec(T=1.0, N=N)
-            dw = rng.standard_normal((64, N)) * math.sqrt(grid.dt)
-            dwp = rng.standard_normal((64, N)) * math.sqrt(grid.dt)
-            direct = heston_volterra_euler(params, kernel, grid, dw, dwp)
-            fast = heston_multifactor_euler(params, kernel, grid, dw, dwp)
+            z, zp = rng.standard_normal((2, 64, N))
+            direct = heston_volterra_euler(params, kernel, grid, z, zp)
+            fast = heston_multifactor_euler(params, kernel, grid, z, zp)
             assert np.max(np.abs(direct.variance - fast.variance)) <= 1e-10
             assert np.max(np.abs(direct.log_price - fast.log_price)) <= 1e-10
 
@@ -409,9 +415,9 @@ class TestHestonVariance:
         params = HestonParams()
         kernel = ExpSumKernel([1.0, 0.5], [0.5, 10.0])
         grid = GridSpec(T=1.0, N=20)
-        dw = np.full((4, 20), -10.0) * math.sqrt(grid.dt)
-        dwp = np.full((4, 20), 10.0) * math.sqrt(grid.dt)
-        paths = heston_multifactor_euler(params, kernel, grid, dw, dwp)
+        paths = heston_multifactor_euler(
+            params, kernel, grid, np.full((4, 20), -10.0), np.full((4, 20), 10.0)
+        )
         assert np.all(np.isfinite(paths.variance))
         assert np.all(np.isfinite(paths.log_price))
 
@@ -456,11 +462,11 @@ class TestHestonVariance:
         kernel = ExpSumKernel([0.8, 0.5, 0.3], [0.2, 2.0, 15.0])
         grid = GridSpec(T=1.0, N=24)
         rng = np.random.default_rng(10)
-        dw = rng.standard_normal((3, 24)) * math.sqrt(grid.dt)
-        dwp = rng.standard_normal((3, 24)) * math.sqrt(grid.dt)
+        z, zp = rng.standard_normal((2, 3, 24))
+        dw = math.sqrt(grid.dt) * z
         g_tab = [float(expsum_eval(kernel, m * grid.dt)) for m in range(1, 25)]
-        direct = heston_volterra_euler(params, kernel, grid, dw, dwp)
-        fast = heston_multifactor_euler(params, kernel, grid, dw, dwp)
+        direct = heston_volterra_euler(params, kernel, grid, z, zp)
+        fast = heston_multifactor_euler(params, kernel, grid, z, zp)
         for p in range(3):
             ref_direct = scalar_volterra_variance(params, g_tab, grid.dt, list(dw[p]))
             ref_fast = scalar_multifactor_variance(
@@ -562,7 +568,7 @@ class TestIntegratedSchemes:
 
 
 class TestIncrementLayout:
-    """Engines give the same paths for C-ordered and step-major increments."""
+    """Engines give the same paths for C-ordered and step-major normals."""
 
     N = 24
 
@@ -585,25 +591,21 @@ class TestIncrementLayout:
         params = HestonParams()
         grid = GridSpec(T=1.0, N=self.N)
         kernel = ExpSumKernel([0.9, 0.6, 0.3], [0.2, 3.0, 25.0])
-        sq = math.sqrt(grid.dt)
         for engine, kern in (
             (heston_volterra_euler, RoughKernelSpec(0.1)),
             (heston_volterra_euler, kernel),
             (heston_multifactor_euler, kernel),
         ):
-            self._assert_same(
-                lambda z: engine(params, kern, grid, sq * z[:, :, 0], sq * z[:, :, 1]), 2
-            )
+            self._assert_same(lambda z: engine(params, kern, grid, z[:, :, 0], z[:, :, 1]), 2)
 
     def test_hybrid_engine(self):
         params = HestonParams()
         spec = RoughKernelSpec(0.1)
         grid = GridSpec(T=1.0, N=self.N)
         kernel = ExpSumKernel([0.9, 0.6, 0.3], [0.2, 3.0, 25.0])
-        sq = math.sqrt(grid.dt)
         self._assert_same(
             lambda z: heston_hybrid_multifactor(
-                params, spec, kernel, grid, sq * z[:, :, 0], sq * z[:, :, 1], 0.1 * z[:, :, 2]
+                params, spec, kernel, grid, z[:, :, 0], z[:, :, 1], z[:, :, 2]
             ),
             3,
         )
@@ -651,11 +653,11 @@ class TestBlockedStepLoop:
 
         block, grid = case
         params = HestonParams()
-        rng = np.random.default_rng(seed)
-        dw, dwp = rng.standard_normal((2, 4, grid.N)) * math.sqrt(grid.dt)
+        z, zp = np.random.default_rng(seed).standard_normal((2, 4, grid.N))
+        dw = math.sqrt(grid.dt) * z
         with mock.patch.object(schemes, "_BLOCK", block):
-            direct = heston_volterra_euler(params, kernel, grid, dw, dwp)
-            fast = heston_multifactor_euler(params, kernel, grid, dw, dwp)
+            direct = heston_volterra_euler(params, kernel, grid, z, zp)
+            fast = heston_multifactor_euler(params, kernel, grid, z, zp)
         assert np.max(np.abs(direct.variance - fast.variance)) <= 1e-10
         assert np.max(np.abs(direct.log_price - fast.log_price)) <= 1e-10
         g_tab = [float(expsum_eval(kernel, m * grid.dt)) for m in range(1, grid.N + 1)]
@@ -675,11 +677,13 @@ class TestBlockedStepLoop:
         block, grid = case
         params = HestonParams()
         spec = RoughKernelSpec(0.1)
-        rng = np.random.default_rng(seed)
-        dw, dwp, d_frac = rng.standard_normal((3, 4, grid.N)) * math.sqrt(grid.dt)
+        z, zp, z_frac = np.random.default_rng(seed).standard_normal((3, 4, grid.N))
         with mock.patch.object(schemes, "_BLOCK", block):
-            paths = heston_hybrid_multifactor(params, spec, kernel, grid, dw, dwp, d_frac)
-        drift_weight = hybrid_step_covariance(spec, grid.dt)[0, 1]
+            paths = heston_hybrid_multifactor(params, spec, kernel, grid, z, zp, z_frac)
+        cov = hybrid_step_covariance(spec, grid.dt)
+        # an independent factorization of the step law checks the engine's own
+        dw, d_frac = np.tensordot(np.linalg.cholesky(cov), np.stack([z, z_frac]), axes=1)
+        drift_weight = cov[0, 1]
         weights, rates = list(kernel.weights), list(kernel.rates)
         for p in range(4):
             ref = scalar_hybrid_variance(
@@ -702,7 +706,7 @@ class TestBlockedStepLoop:
 
 
 class TestStreamedPricing:
-    """``StepIncrements`` and ``prices_only`` leave the log price bit-identical."""
+    """``prices_only`` leaves the log price bit-identical."""
 
     @settings(max_examples=40, deadline=None)
     @given(case=blocked_grids(), kernel=expsum_kernels(), seed=st.integers(0, 2**32 - 1))
@@ -711,26 +715,18 @@ class TestStreamedPricing:
         params = HestonParams()
         spec = RoughKernelSpec(0.1)
         z = np.random.default_rng(seed).standard_normal((3, 5, grid.N))
-        sq, l21, l22 = math.sqrt(grid.dt), 0.3, 0.7
-        whole = (sq * z[0], sq * z[1], l21 * z[0] + l22 * z[2])
-        streamed = (
-            StepIncrements((sq, z[0])),
-            StepIncrements((sq, z[1])),
-            StepIncrements((l21, z[0]), (l22, z[2])),
-        )
         runs = (
-            lambda inc, **kw: heston_volterra_euler(params, kernel, grid, *inc[:2], **kw),
-            lambda inc, **kw: heston_multifactor_euler(params, kernel, grid, *inc[:2], **kw),
-            lambda inc, **kw: heston_hybrid_multifactor(params, spec, kernel, grid, *inc, **kw),
+            lambda **kw: heston_volterra_euler(params, kernel, grid, *z[:2], **kw),
+            lambda **kw: heston_multifactor_euler(params, kernel, grid, *z[:2], **kw),
+            lambda **kw: heston_hybrid_multifactor(params, spec, kernel, grid, *z, **kw),
         )
         with mock.patch.object(schemes, "_BLOCK", block):
             for run in runs:
-                full = run(whole)
-                priced = run(streamed, prices_only=True)
+                full = run()
+                priced = run(prices_only=True)
                 assert full.variance.shape == (5, grid.N + 1)
                 assert priced.variance is None
                 assert np.array_equal(priced.log_price, full.log_price)
-                assert np.array_equal(run(streamed).variance, full.variance)
 
     @pytest.mark.parametrize("floor", ["runmax", "positive_part"])
     @settings(max_examples=30, deadline=None)
@@ -750,12 +746,7 @@ class TestStreamedPricing:
         params = HestonParams()
         grid = GridSpec(T=1.0, N=4)
         kern = RoughKernelSpec(0.1)
-        with pytest.raises(ValueError):
-            StepIncrements()
-        mixed = StepIncrements((1.0, np.zeros((2, 4))), (1.0, np.zeros((3, 4))))
         with pytest.raises(ValueError, match="share one shape"):
-            heston_volterra_euler(params, kern, grid, mixed, np.zeros((2, 4)))
+            heston_volterra_euler(params, kern, grid, np.zeros((2, 4)), np.zeros((3, 4)))
         with pytest.raises(ValueError, match="must have shape"):
-            heston_volterra_euler(
-                params, kern, grid, StepIncrements((1.0, np.zeros((2, 5)))), np.zeros((2, 5))
-            )
+            heston_volterra_euler(params, kern, grid, np.zeros((2, 5)), np.zeros((2, 5)))
