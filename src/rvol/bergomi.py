@@ -1,28 +1,16 @@
 """Rough Bergomi simulation.
 
-The lognormal variance process is driven by a fractional integral of a
-Brownian motion. Two samplers are provided, both exact in law on the
-grid: a reference sampler that draws the fractional integral jointly
-with the Brownian path from its full covariance matrix, and a
-multifactor sampler that replaces the fractional kernel by an
-exponential sum whose factor integrals admit an exact per-step Gaussian
-recursion. The variance compensator is computed in closed form in both
-cases. In exact mode this makes the simulated variance an exact
-exponential martingale. In multifactor mode it is exact only up to the
-pivots that :func:`factor_step_law` drops: the compensator is the
-kernel's closed-form variance, not that of the law actually sampled.
-At H = 0.07, T = 0.041, N = 20 and 40 systematic factors, pivots of
-about 1e-17 of factors with rates up to 5.3e16 and weights up to 8.9e6
-are dropped, the sampled exponent's variance falls short of the one
-the compensator assumes by 1.0e-3 of it, and E[V_T]/v0 - 1 = -1.15e-3
-(-2.9e-3 at T = 1, N = 100; 0 with 10 factors).
-
-The samplers follow the step-major layout of :mod:`rvol.schemes`:
-(paths, N, ...) arrays in and out, step-major (N, paths) buffers
-inside. The multifactor sampler carries its factors as one (n, paths)
-state rolled from step to step and, when pricing, keeps only the
-weighted factor sum of each step, so its memory is O(n paths) rather
-than O(N n paths).
+The lognormal variance is driven by a fractional integral of a Brownian
+motion. Two samplers draw it exactly in law on the grid: a reference
+sampler from the joint covariance of the fractional integral and the
+Brownian path, and a multifactor sampler that replaces the fractional
+kernel by an exponential sum whose factors follow an exact per-step
+Gaussian recursion. Both take standard normals as a pair ``(z0, z)``,
+z0 driving the Brownian increments, and return the variance-driving
+integral and the increments. The compensator is the variance of the
+law sampled, so in both modes the variance is an exponential
+martingale. The multifactor sampler holds two (n, paths) factor
+states, so its memory is O(n paths), not O(N n paths).
 """
 
 from __future__ import annotations
@@ -109,46 +97,34 @@ def factor_step_law(kernel: ExpSumKernel, dt: float):
     return cross / math.sqrt(dt), cond_factor
 
 
-def _normals(grid: GridSpec, comps: int, normals) -> np.ndarray:
-    """``normals`` as a float array, checked to have shape (paths, N, comps)."""
-    normals = np.asarray(normals, dtype=float)
-    if normals.ndim != 3 or normals.shape[1:] != (grid.N, comps):
-        raise ValueError(f"normals must have shape (paths, {grid.N}, {comps})")
-    return normals
+def _pair(grid: GridSpec, width: int, normals):
+    """``normals = (z0, z)`` as float arrays, checked to be (paths, N) and (paths, N, width)."""
+    z0, z = (np.asarray(part, dtype=float) for part in normals)
+    if z.ndim != 3 or z.shape[1:] != (grid.N, width) or z0.shape != z.shape[:2]:
+        raise ValueError(f"normals must have shape (paths, {grid.N}, {width + 1})")
+    return z0, z
 
 
-def sample_factors_exact(kernel: ExpSumKernel, grid: GridSpec, normals, weights=None):
-    """Exact joint sample of factor integrals and Brownian increments.
+def sample_factors_exact(kernel: ExpSumKernel, grid: GridSpec, normals):
+    """Exact sample of the kernel-weighted factor sum and Brownian increments.
 
     Factor i at grid time t_l is the integral of exp(-r_i (t_l - s))
     against the Brownian motion up to t_l; the recursion damps the
     previous value by exp(-r_i dt) and adds the one-step innovation
-    drawn exactly via :func:`factor_step_law`, one (n, paths) factor
-    state per step.
+    drawn exactly via :func:`factor_step_law`. Two (n, paths) states
+    are used in turn and only the weighted sum w . f of each step is
+    kept, so the memory held is O(n paths).
 
     ``normals`` is the pair ``(z0, z)``: z0, shape (paths, N), drives
     the Brownian increments and z, shape (paths, N, n), the conditional
-    innovations, so that a caller whose layout interleaves further
-    components passes views instead of a copy.
-
-    With ``weights=None`` returns ``(factors, dw)`` with shapes
-    (paths, N, n) and (paths, N), transposed views of step-major
-    buffers; ``factors[:, l-1]`` holds the values at t_l. With a finite
-    length-n ``weights`` vector w, two (n, paths) states are used in
-    turn, only ``w @ state`` is kept after each step, and
-    ``(w @ factors, dw)`` is returned, both (paths, N): no (N, n, paths)
-    buffer is built, so the memory held is O(n paths). Raises
-    ``ValueError`` for weights of another shape or with a non-finite
-    entry.
+    innovations. Returns ``(integral, dw, var)``: the weighted factor
+    sums and the increments, both (paths, N), and var, shape (N,), the
+    variance of each step's sum under the law sampled, w' C_l w with
+    C_l = D C_(l-1) D + Q, D = diag(exp(-r dt)) and Q the step law's
+    innovation covariance as factored.
     """
     n = kernel.n
-    if weights is not None:
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != (n,) or not np.all(np.isfinite(weights)):
-            raise ValueError(f"weights must be a finite vector of length {n}")
-    z0, z = (np.asarray(part, dtype=float) for part in normals)
-    if z.ndim != 3 or z.shape[1:] != (grid.N, n) or z0.shape != z.shape[:2]:
-        raise ValueError(f"normals must have shape (paths, {grid.N}, {n + 1})")
+    z0, z = _pair(grid, n, normals)
     dt = grid.dt
     cross_coef, cond_factor = factor_step_law(kernel, dt)
     # only the first `rank` normals of each step reach a nonzero column
@@ -156,29 +132,31 @@ def sample_factors_exact(kernel: ExpSumKernel, grid: GridSpec, normals, weights=
     cond_factor = np.ascontiguousarray(cond_factor[:, :rank])
     cross_col = cross_coef[:, None]
     damp_col = kernel.damped(dt)[1][:, None]
+    w = kernel.weights
     z0_steps = z0.T  # (N, paths)
     z_steps = z.transpose(1, 2, 0)  # (N, n, paths)
     n_paths = z.shape[0]
-    # every step's state, or two (n, paths) states used in turn
-    ring = grid.N if weights is None else 2
-    states = np.empty((ring, n, n_paths))
-    if weights is not None:
-        reduced = np.empty((grid.N, n_paths))
+    states = np.empty((2, n, n_paths))
+    integral = np.empty((grid.N, n_paths))
     scratch = np.empty((n, n_paths))
     for k in range(grid.N):
-        current = states[k % ring]
+        current = states[k % 2]
         np.matmul(cond_factor, z_steps[k, :rank], out=current)
         np.multiply(cross_col, z0_steps[k], out=scratch)
         current += scratch
         if k:
-            np.multiply(damp_col, states[(k - 1) % ring], out=scratch)
+            np.multiply(damp_col, states[(k - 1) % 2], out=scratch)
             current += scratch
-        if weights is not None:
-            np.matmul(weights, current, out=reduced[k])
+        np.matmul(w, current, out=integral[k])
+    step_cov = np.outer(cross_coef, cross_coef) + cond_factor @ cond_factor.T
+    decay = damp_col * damp_col.T
+    cov = np.zeros((n, n))
+    var = np.empty(grid.N)
+    for k in range(grid.N):
+        cov = decay * cov + step_cov
+        var[k] = w @ cov @ w
     dw = z0_steps * math.sqrt(dt)
-    if weights is None:
-        return states.transpose(2, 0, 1), dw.T
-    return reduced.T, dw.T
+    return integral.T, dw.T, var
 
 
 @lru_cache(maxsize=8)
@@ -231,28 +209,21 @@ def sample_fractional_exact(spec: RoughKernelSpec, grid: GridSpec, normals):
     """Exact joint sample of the fractional integral and Brownian increments.
 
     Factorizes the full 2N x 2N covariance once (suitable for the
-    moderate N of short-maturity smiles). ``normals`` has shape
-    (paths, N, 2): component 0 feeds the Brownian block, component 1 the
-    fractional block. Returns ``(fractional, dw)`` of shapes
-    (paths, N) and (paths, N).
+    moderate N of short-maturity smiles). ``normals`` is the pair
+    ``(z0, z)`` of :func:`sample_factors_exact` with width 1: z0,
+    shape (paths, N), feeds the Brownian block and z, shape
+    (paths, N, 1), the fractional block. Returns ``(fractional, dw)``
+    of shapes (paths, N) and (paths, N).
     """
-    normals = _normals(grid, 2, normals)
+    z0, z = _pair(grid, 1, normals)
     cov = fractional_joint_covariance(spec, grid)
     factor = psd_factorize(cov, pivot=False)
     # step-major (2N, paths): Brownian rows, then fractional rows, per grid time
-    z = np.concatenate([normals[:, :, 0].T, normals[:, :, 1].T])
-    joint = factor @ z
+    joint = factor @ np.concatenate([z0.T, z[:, :, 0].T])
     w_path = joint[: grid.N]
     fractional = joint[grid.N :]
     dw = np.diff(w_path, axis=0, prepend=0.0)
     return fractional.T, dw.T
-
-
-def _expsum_sq_integral(kernel: ExpSumKernel, t):
-    """Integral of the squared exponential sum over (0, t), closed form, for each t."""
-    w, r = kernel.weights, kernel.rates
-    t = np.asarray(t, dtype=float)[..., None, None]
-    return t * _phi((r[:, None] + r[None, :]) * t) @ w @ w
 
 
 def step_components(kernel: ExpSumKernel | None) -> int:
@@ -270,45 +241,39 @@ def simulate_bergomi(
     """Simulate rough Bergomi price and variance paths on the grid.
 
     With ``kernel=None`` the variance is sampled through the exact
-    fractional-integral law (reference mode), and the closed-form
-    compensator makes it an exponential martingale with mean v0 at every
-    grid time. With an exponential-sum kernel it is sampled through the
-    factor recursion, and the compensator is the kernel's closed-form
-    variance. That is exact only when :func:`factor_step_law` drops no
-    pivot of the step law; at the smile configuration (H = 0.07,
-    T = 0.041, N = 20, 40 factors) it drops pivots of about 1e-17 and
-    E[V_T]/v0 - 1 = -1.15e-3.
+    fractional-integral law (reference mode) and compensated in closed
+    form. With an exponential-sum kernel it is sampled through the
+    factor recursion and compensated by the variance of that sampled
+    law. Either way it is an exponential martingale with mean v0 at
+    every grid time.
 
-    ``normals`` layout per step: component 0 drives the variance
-    Brownian motion, component 1 the orthogonal price component, and the
-    remaining components (1 in exact mode, n in multifactor mode) feed
-    the variance sampler's conditional innovations (see
-    :func:`step_components`). The log price takes the Euler step of the
-    rough Heston engines.
+    ``normals`` has shape (paths, N, :func:`step_components`).
+    Component 0 drives the variance Brownian motion and component 1
+    the orthogonal price component. The remaining components (1 in
+    exact mode, n in multifactor mode) feed the variance sampler's
+    conditional innovations, so the sampler receives the pair
+    ``(normals[:, :, 0], normals[:, :, 2:])``. The log price takes the
+    Euler step of the rough Heston engines.
     """
-    exact_mode = kernel is None
-    normals = _normals(grid, step_components(kernel), normals)
+    comps = step_components(kernel)
+    normals = np.asarray(normals, dtype=float)
+    if normals.ndim != 3 or normals.shape[1:] != (grid.N, comps):
+        raise ValueError(f"normals must have shape (paths, {grid.N}, {comps})")
     n_paths = normals.shape[0]
-    t = np.arange(1, grid.N + 1) * grid.dt
+    pair = (normals[:, :, 0], normals[:, :, 2:])
 
     # step-major throughout: rows are grid times, paths are contiguous
-    if exact_mode:
-        fractional, dw = sample_fractional_exact(
-            params.spec, grid, normals=normals[:, :, 0::2]
-        )
+    if kernel is None:
+        fractional, dw = sample_fractional_exact(params.spec, grid, pair)
         # variance exponent: eta sqrt(2H) I_t with Var = eta^2 t^{2H}
         exponent = params.eta * math.sqrt(2.0 * params.H) * fractional.T
+        t = np.arange(1, grid.N + 1) * grid.dt
         compensator = 0.5 * params.eta**2 * t ** (2.0 * params.H)
     else:
-        factor_sum, dw = sample_factors_exact(
-            kernel,
-            grid,
-            normals=(normals[:, :, 0], normals[:, :, 2:]),
-            weights=kernel.weights,
-        )
+        factor_sum, dw, var = sample_factors_exact(kernel, grid, pair)
         scale = params.vol_scale
         exponent = scale * factor_sum.T
-        compensator = 0.5 * scale**2 * _expsum_sq_integral(kernel, t)
+        compensator = 0.5 * scale**2 * var
     dw = dw.T
 
     variance = np.empty((grid.N + 1, n_paths))
@@ -331,6 +296,8 @@ def _norm_cdf(x: float) -> float:
 
 def bs_call_price(S0: float, K: float, T: float, vol: float) -> float:
     """Black-Scholes call price with zero rates."""
+    if not all(map(math.isfinite, (S0, K, T, vol))):
+        raise ValueError(f"S0, K, T and vol must be finite, got {(S0, K, T, vol)}")
     if S0 <= 0.0 or K <= 0.0 or T <= 0.0:
         raise ValueError("S0, K, T must be positive")
     if vol < 0.0:
@@ -344,6 +311,8 @@ def bs_call_price(S0: float, K: float, T: float, vol: float) -> float:
 
 def implied_vol(price: float, S0: float, K: float, T: float) -> float:
     """Black-Scholes implied volatility (zero rates), bisected to a bracket of 1e-8."""
+    if not all(map(math.isfinite, (price, S0, K, T))):
+        raise ValueError(f"price, S0, K and T must be finite, got {(price, S0, K, T)}")
     intrinsic = max(S0 - K, 0.0)
     if price < intrinsic or price >= S0:
         raise ValueError(

@@ -37,6 +37,7 @@ from .mc import (
     lookback_call,
     price,
 )
+from .numerics import require_count
 from .quadrature import (
     GeometricConfig,
     NewtonCotesConfig,
@@ -64,6 +65,17 @@ def _workers(flag: int | None) -> int:
     if not env.strip().isdecimal() or int(env) < 1:
         raise ValueError(f"RVOL_WORKERS must be a positive integer, got {env!r}")
     return int(env)
+
+
+def _check_config_types(config: dict) -> None:
+    """``ValueError`` unless ``n`` and ``order`` are integers and the other numeric keys numbers."""
+    for key in ("n", "order"):
+        if key in config:
+            require_count(config[key], repr(key))
+    for key in ("hurst", "horizon", "truncation", "beta", "tail_ratio"):
+        value = config.get(key, 0.0)  # an absent key takes its default
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"{key!r} must be a number, got {value!r}")
 
 
 def _build_kernel_from_config(config: dict) -> ExpSumKernel:
@@ -114,6 +126,7 @@ def _cmd_kernel(args) -> int:
     for key in ("method", "hurst", "n"):
         if config.get(key) is None:
             raise ValueError(f"{key!r} is required (flag --{key} or config key)")
+    _check_config_types(config)
     kernel = _build_kernel_from_config(config)
     spec = RoughKernelSpec(float(config["hurst"]))
     horizon = float(config.get("horizon", 1.0))

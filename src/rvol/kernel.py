@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import gamma_fn, lower_incomplete_gamma, require_positive
+from .numerics import gamma_fn, lower_incomplete_gamma, require_count, require_positive
 
 __all__ = [
     "RoughKernelSpec",
@@ -374,8 +374,7 @@ def l2_error_discrete(
     discretization schemes never evaluate it there.
     """
     T = require_positive(T, "horizon T")
-    if N < 1:
-        raise ValueError("need N >= 1")
+    N = require_count(N, "step count N")
     t_grid = np.arange(1, N + 1) * (T / N)
     gap = expsum_eval(kernel, t_grid) - rough_kernel_eval(spec, t_grid)
     return math.sqrt((T / N) * math.fsum((gap * gap).tolist()))

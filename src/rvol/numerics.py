@@ -10,6 +10,7 @@ covariance matrices.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, fields
 
@@ -63,6 +64,20 @@ def require_positive(value, name: str) -> float:
     if not (math.isfinite(value) and value > 0.0):
         raise ValueError(f"{name} must be finite and positive, got {value}")
     return value
+
+
+def require_count(value, name: str) -> int:
+    """``value`` as an int; ``ValueError`` unless it is an integer >= 1.
+
+    Python and numpy integers pass. A float fails even when integral,
+    and so does a bool: a step count of 2.5 would put grid points past
+    the horizon, and ``int()`` would hide it.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    return int(value)
 
 
 class IntegrationError(RuntimeError):

@@ -27,7 +27,7 @@ from .kernel import (
     l2_error_exact,
     lambda_mass,
 )
-from .numerics import minimize_scalar, require_positive
+from .numerics import minimize_scalar, require_count, require_positive
 
 __all__ = [
     "RiemannConfig",
@@ -303,8 +303,7 @@ def truncate_factors(kernel: ExpSumKernel, T: float, N: int, beta: float = 1.0):
     """
     T = require_positive(T, "horizon T")
     beta = require_positive(beta, "beta")
-    if N < 1:
-        raise ValueError("need N >= 1")
+    N = require_count(N, "step count N")
     dt = T / N
     threshold = dt**beta
     damped, _ = kernel.damped(dt)

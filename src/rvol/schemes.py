@@ -37,14 +37,13 @@ and only the log price is returned whole.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import dgemm
 
 from .kernel import ExpSumKernel, RoughKernelSpec, expsum_eval, rough_kernel_eval
-from .numerics import require_finite, require_positive
+from .numerics import require_count, require_finite, require_positive
 
 __all__ = [
     "GridSpec",
@@ -71,13 +70,10 @@ class GridSpec:
     N: int
 
     def __post_init__(self):
+        require_count(self.N, "step count N")
         require_finite(self)
-        if not isinstance(self.N, numbers.Integral):
-            raise ValueError(f"step count N must be an integer, got {self.N!r}")
         if self.T <= 0.0:
             raise ValueError("horizon T must be positive")
-        if self.N < 1:
-            raise ValueError("step count N must be >= 1")
 
     @property
     def dt(self) -> float:

@@ -28,6 +28,11 @@ TIGHT = QuadTolerance(abs_tol=1e-13, rel_tol=1e-13, max_subdivisions=400)
 BS_1_1_1_02 = 0.07965567455405796293080923648
 
 
+def _one_hot(kernel, i):
+    """``kernel``'s rates with weight 1 on factor i: its sample is that factor alone."""
+    return ExpSumKernel(np.eye(kernel.n)[i], kernel.rates)
+
+
 class TestParams:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -51,9 +56,9 @@ class TestFactorSampling:
         grid = GridSpec(T=1.0, N=8)
         rng = np.random.default_rng(0)
         normals = rng.standard_normal((500, grid.N, kernel.n + 1))
-        factors, dw = sample_factors_exact(kernel, grid, (normals[:, :, 0], normals[:, :, 1:]))
+        factor, dw, _ = sample_factors_exact(kernel, grid, (normals[:, :, 0], normals[:, :, 1:]))
         cum = np.cumsum(dw, axis=1)
-        assert np.allclose(factors[:, :, 0], cum, atol=1e-12)
+        assert np.allclose(factor, cum, atol=1e-12)
 
     @pytest.mark.parametrize("N", [5, 7, 10])
     def test_lone_flat_factor_on_any_grid(self, N):
@@ -64,8 +69,8 @@ class TestFactorSampling:
         assert abs(cond_factor[0, 0]) <= 1e-7 * math.sqrt(grid.dt)
         assert math.isclose(cross_coef[0], math.sqrt(grid.dt), rel_tol=1e-15)
         normals = np.random.default_rng(N).standard_normal((200, grid.N, kernel.n + 1))
-        factors, dw = sample_factors_exact(kernel, grid, (normals[:, :, 0], normals[:, :, 1:]))
-        assert np.allclose(factors[:, :, 0], np.cumsum(dw, axis=1), atol=1e-12)
+        factor, dw, _ = sample_factors_exact(kernel, grid, (normals[:, :, 0], normals[:, :, 1:]))
+        assert np.allclose(factor, np.cumsum(dw, axis=1), atol=1e-12)
 
     def test_step_law_moments(self):
         kernel = ExpSumKernel([0.8, 0.4], [0.5, 6.0])
@@ -90,11 +95,12 @@ class TestFactorSampling:
         rng = np.random.default_rng(1)
         n_paths = 100_000
         normals = rng.standard_normal((n_paths, grid.N, kernel.n + 1))
-        factors, dw = sample_factors_exact(kernel, grid, (normals[:, :, 0], normals[:, :, 1:]))
-        w_path = np.cumsum(dw, axis=1)
+        pair = (normals[:, :, 0], normals[:, :, 1:])
         t_end = grid.T
         for i, rate in enumerate(kernel.rates):
-            sample = factors[:, -1, i]
+            sample, dw, _ = sample_factors_exact(_one_hot(kernel, i), grid, pair)
+            sample = sample[:, -1]
+            w_path = np.cumsum(dw, axis=1)
             want_var = -math.expm1(-2.0 * rate * t_end) / (2.0 * rate)
             got_var = sample.var(ddof=1)
             se = want_var * math.sqrt(2.0 / (n_paths - 1))
@@ -108,7 +114,7 @@ class TestFactorSampling:
 
 @st.composite
 def weighted_factor_cases(draw):
-    """A kernel of 1-12 factors, a grid of 1-25 steps, 1-300 paths and a weight vector."""
+    """A kernel of 1-12 factors, a grid of 1-25 steps and 1-300 paths of normals."""
     n = draw(st.integers(1, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rates = np.unique(10.0 ** rng.uniform(-2.0, 3.0, n))
@@ -117,48 +123,60 @@ def weighted_factor_cases(draw):
     kernel = ExpSumKernel(rng.uniform(0.05, 2.0, rates.size), rates)
     grid = GridSpec(T=draw(st.sampled_from([0.041, 1.0])), N=draw(st.integers(1, 25)))
     normals = rng.standard_normal((draw(st.integers(1, 300)), grid.N, kernel.n + 1))
-    weights = rng.uniform(-2.0, 2.0, kernel.n)
-    return kernel, grid, normals, weights
+    return kernel, grid, normals
 
 
 class TestWeightedFactorSum:
-    """``weights=`` keeps only the weighted factor sum of each step."""
+    """The factor sampler keeps only the weighted factor sum w . f of each step."""
 
     @settings(max_examples=80, deadline=None)
     @given(case=weighted_factor_cases())
     def test_matches_full_factors(self, case):
-        kernel, grid, normals, w = case
+        kernel, grid, normals = case
         pair = (normals[:, :, 0], normals[:, :, 1:])
-        factors, dw = sample_factors_exact(kernel, grid, pair)
-        reduced, dw_reduced = sample_factors_exact(kernel, grid, pair, weights=w)
-        assert reduced.shape == dw_reduced.shape == (normals.shape[0], grid.N)
+        total, dw, _ = sample_factors_exact(kernel, grid, pair)
+        assert total.shape == dw.shape == (normals.shape[0], grid.N)
+        singles = [sample_factors_exact(_one_hot(kernel, i), grid, pair) for i in range(kernel.n)]
+        factors = np.stack([factor for factor, _, _ in singles], axis=-1)
         # 1e-13 of the magnitude of the terms summed, the scale of w . f's roundoff
-        scale = np.abs(factors) @ np.abs(w)
-        assert np.all(np.abs(reduced - factors @ w) <= 1e-13 * scale)
-        assert np.array_equal(dw_reduced, dw)
+        w = kernel.weights
+        scale = np.abs(factors) @ w
+        assert np.all(np.abs(total - factors @ w) <= 1e-13 * scale)
+        assert all(np.array_equal(single_dw, dw) for _, single_dw, _ in singles)
 
     def test_one_hot_weights_pick_a_factor(self):
+        # each one-hot sample is its factor of f_l = d f_(l-1) + c z0_l + L z_l
         kernel = ExpSumKernel([0.8, 0.4, 0.2, 0.1], [0.0, 6.0, 40.0, 41.0])
         grid = GridSpec(T=0.5, N=9)
         normals = np.random.default_rng(3).standard_normal((37, grid.N, kernel.n + 1))
         pair = (normals[:, :, 0], normals[:, :, 1:])
-        factors, _ = sample_factors_exact(kernel, grid, pair)
+        cross, cond = factor_step_law(kernel, grid.dt)
+        damp = np.exp(-kernel.rates * grid.dt)
+        state = np.zeros((37, kernel.n))
+        factors = []
+        for k in range(grid.N):
+            state = damp * state + normals[:, k, :1] * cross + normals[:, k, 1:] @ cond.T
+            factors.append(state)
+        factors = np.stack(factors, axis=1)
         for i in range(kernel.n):
-            picked, _ = sample_factors_exact(kernel, grid, pair, weights=np.eye(kernel.n)[i])
-            assert np.array_equal(picked, factors[:, :, i])
+            # the step law reads only the rates, so every one-hot kernel shares it
+            one_hot = _one_hot(kernel, i)
+            for got, want in zip(factor_step_law(one_hot, grid.dt), (cross, cond)):
+                assert np.array_equal(got, want)
+            picked, _, _ = sample_factors_exact(one_hot, grid, pair)
+            assert np.allclose(picked, factors[:, :, i], rtol=1e-13, atol=1e-15)
 
-    @pytest.mark.parametrize(
-        "weights",
-        [[1.0, 1.0], [1.0, 1.0, 1.0, 1.0], [[1.0, 1.0, 1.0]], [1.0, np.nan, 1.0], [np.inf, 0.0, 1.0]],
-    )
-    def test_weights_validation(self, weights):
-        kernel = ExpSumKernel([0.8, 0.4, 0.2], [0.5, 6.0, 40.0])
-        grid = GridSpec(T=0.5, N=4)
-        normals = np.zeros((3, grid.N, kernel.n + 1))
-        with pytest.raises(ValueError, match="weights"):
-            sample_factors_exact(
-                kernel, grid, (normals[:, :, 0], normals[:, :, 1:]), weights=weights
-            )
+    @pytest.mark.parametrize("T, N, n", [(0.041, 20, 40), (1.0, 30, 40), (0.041, 20, 10)])
+    def test_var_is_the_sampled_variance(self, T, N, n):
+        # the sum is linear in the normals, so over the N(n + 1) unit normal
+        # vectors as paths its sum of squares is its exact variance
+        from rvol.mc import systematic_kernel
+
+        kernel = systematic_kernel(0.07, n, T)
+        grid = GridSpec(T=T, N=N)
+        units = np.eye(N * (n + 1)).reshape(-1, N, n + 1)
+        total, _, var = sample_factors_exact(kernel, grid, (units[:, :, 0], units[:, :, 1:]))
+        assert np.allclose((total**2).sum(axis=0), var, rtol=1e-12, atol=0.0)
 
     def test_multifactor_simulation_memory(self):
         # one warm N = 20, n = 40, 4096-path call holds O(n paths) memory; an
@@ -295,8 +313,8 @@ class TestFractionalSampling:
 
         spec = RoughKernelSpec(0.07)
         grid = GridSpec(T=0.041, N=10)
-        rng = np.random.default_rng(3)
-        frac, dw = sample_fractional_exact(spec, grid, rng.standard_normal((80_000, grid.N, 2)))
+        z = np.random.default_rng(3).standard_normal((80_000, grid.N, 2))
+        frac, dw = sample_fractional_exact(spec, grid, (z[:, :, 0], z[:, :, 1:]))
         t_end = grid.T
         want = t_end ** (2.0 * 0.07) / (2.0 * 0.07)
         got = frac[:, -1].var(ddof=1)
@@ -362,19 +380,17 @@ class TestSimulate:
             assert lo_band > hi_band
 
     def test_compensator_matches_quadrature(self):
-        from rvol.bergomi import _expsum_sq_integral
+        # no pivot of this step law is dropped, so the variance of the sampled
+        # sum is the kernel's: the integral of its square
         from rvol.kernel import expsum_eval
 
         kernel = ExpSumKernel([0.7, 0.5, 0.1], [0.0, 2.0, 15.0])
-        times = (0.25, 1.0)
-        for t in times:
+        grid = GridSpec(T=1.0, N=4)
+        z = np.zeros((1, grid.N, kernel.n))
+        _, _, var = sample_factors_exact(kernel, grid, (z[:, :, 0], z))
+        for t, got in zip(grid.times()[1:], var):
             oracle = integrate(lambda s: expsum_eval(kernel, s) ** 2, 0.0, t, TIGHT)
-            assert abs(_expsum_sq_integral(kernel, t) - oracle) <= 1e-10
-        # one broadcast over a time grid gives the same values
-        batched = _expsum_sq_integral(kernel, np.array(times))
-        assert batched.shape == (2,)
-        singles = [_expsum_sq_integral(kernel, t) for t in times]
-        assert np.allclose(batched, singles, rtol=1e-14, atol=0.0)
+            assert abs(got - oracle) <= 1e-10
 
 
 class TestImpliedVol:
@@ -402,6 +418,16 @@ class TestImpliedVol:
         with pytest.raises(ValueError):
             implied_vol(0.1, 1.2, 1.0, 1.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("slot", range(4))
+    def test_non_finite_inputs_rejected(self, value, slot):
+        # a NaN price passed both range checks and bisected to 3.7e-09, and
+        # a NaN vol or S0 priced to NaN
+        for fn, args in ((implied_vol, [0.1, 1.0, 1.0, 1.0]), (bs_call_price, [1.0, 1.0, 1.0, 0.2])):
+            args[slot] = value
+            with pytest.raises(ValueError, match="must be finite"):
+                fn(*args)
+
 
 class TestNormalsLayout:
     """Samplers give the same output for C-ordered and step-major normals."""
@@ -418,14 +444,17 @@ class TestNormalsLayout:
         kernel = ExpSumKernel([0.8, 0.4, 0.2, 0.1], [0.5, 6.0, 40.0, 41.0])
         grid = GridSpec(T=0.5, N=12)
         view, copy = self._normals(50, grid.N, kernel.n + 1)
-        f_view, dw_view = sample_factors_exact(kernel, grid, (view[:, :, 0], view[:, :, 1:]))
-        f_copy, dw_copy = sample_factors_exact(kernel, grid, (copy[:, :, 0], copy[:, :, 1:]))
-        f_pair, dw_pair = sample_factors_exact(
+        f_view, dw_view, var_view = sample_factors_exact(
+            kernel, grid, (view[:, :, 0], view[:, :, 1:])
+        )
+        f_copy, dw_copy, _ = sample_factors_exact(kernel, grid, (copy[:, :, 0], copy[:, :, 1:]))
+        f_pair, dw_pair, var_pair = sample_factors_exact(
             kernel,
             grid,
             (np.ascontiguousarray(copy[:, :, 0]), np.ascontiguousarray(copy[:, :, 1:])),
         )
-        assert f_view.shape == (50, grid.N, kernel.n) and dw_view.shape == (50, grid.N)
+        assert f_view.shape == dw_view.shape == (50, grid.N) and var_view.shape == (grid.N,)
+        assert np.array_equal(var_view, var_pair)
         assert np.allclose(f_view, f_copy, rtol=0.0, atol=1e-14)
         assert np.array_equal(f_copy, f_pair)
         assert np.array_equal(dw_view, dw_copy) and np.array_equal(dw_copy, dw_pair)
@@ -453,7 +482,12 @@ class TestNormalsLayout:
                 ),
                 kernel.n + 1,
             ),
-            "fractional": (lambda **kw: sample_fractional_exact(params.spec, grid, **kw), 2),
+            "fractional": (
+                lambda normals: sample_fractional_exact(
+                    params.spec, grid, (normals[:, :, 0], normals[:, :, 1:])
+                ),
+                2,
+            ),
             "simulate": (
                 lambda **kw: simulate_bergomi(params, grid, kernel=kernel, **kw),
                 step_components(kernel),

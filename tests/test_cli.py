@@ -173,8 +173,24 @@ class TestInputErrors:
             ({"method": "geometric", "n": 10}, "'hurst' is required"),
             ({"method": "geometric", "hurst": 0.05}, "'n' is required"),
             ([{"method": "geometric", "hurst": 0.05, "n": 10}], "must be a JSON object"),
+            ({"method": "geometric", "hurst": 0.05, "n": [10]}, "'n' must be an integer"),
+            ({"method": "geometric", "hurst": 0.05, "n": 10.7}, "'n' must be an integer"),
+            ({"method": "geometric", "hurst": 0.05, "n": True}, "'n' must be an integer"),
+            ({"method": "geometric", "hurst": "0.1", "n": 10}, "'hurst' must be a number"),
+            ({"method": "simpson", "hurst": 0.1, "n": 10, "order": 2.0}, "'order' must be an"),
+            ({"method": "geometric", "hurst": 0.1, "n": 10, "tail_ratio": None}, "must be a number"),
         ],
-        ids=["no-hurst", "no-n", "top-level-list"],
+        ids=[
+            "no-hurst",
+            "no-n",
+            "top-level-list",
+            "n-list",
+            "n-fraction",
+            "n-bool",
+            "hurst-string",
+            "order-float",
+            "tail-ratio-null",
+        ],
     )
     def test_bad_kernel_config(self, tmp_path, capsys, config, message):
         path = tmp_path / "cfg.json"

@@ -22,7 +22,7 @@ from rvol.numerics import (
     psd_factorize,
 )
 from rvol.quadrature import GeometricConfig, build_geometric, truncate_factors
-from rvol.schemes import hybrid_step_covariance
+from rvol.schemes import GridSpec, hybrid_step_covariance
 
 # 30-digit arbitrary-precision evaluations, frozen
 GAMMA_3_4 = 1.2254167024651776451290983034
@@ -215,6 +215,25 @@ def test_non_finite_horizons_and_steps_rejected(call, value):
     # misleading error
     with pytest.raises(ValueError, match="must be finite and positive"):
         call(value)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda N: GridSpec(T=1.0, N=N),
+        lambda N: l2_error_discrete(_SPEC, _KERNEL, 1.0, N),
+        lambda N: truncate_factors(_KERNEL, 1.0, N),
+    ],
+    ids=["grid", "l2-discrete", "truncate"],
+)
+def test_step_counts_must_be_integers(call):
+    # N = 2.5 once put l2_error_discrete's grid points at 0.4, 0.8 and 1.2, past T
+    for bad in (2.5, 4.0, True, "3"):
+        with pytest.raises(ValueError, match="step count N must be an integer"):
+            call(bad)
+    with pytest.raises(ValueError, match="step count N must be >= 1"):
+        call(0)
+    call(np.int64(3))  # numpy integers pass
 
 
 def test_package_import_leaves_out_scipy_integrate():
