@@ -12,8 +12,6 @@ import math
 
 from rvol import RoughKernelSpec, l2_error_exact, write_kernel_csv
 from rvol.quadrature import (
-    GeometricConfig,
-    RiemannConfig,
     build_geometric,
     build_riemann,
     build_systematic,
@@ -27,16 +25,16 @@ n_half = 40  # 80 factors total
 K = float(n_half) ** 0.8
 spec = RoughKernelSpec(H)
 
-plain = build_riemann(spec, RiemannConfig(n=2 * n_half, K=(2.0 * n_half) ** 0.8))
+plain = build_riemann(spec, 2 * n_half)  # K = (2 n_half)^(4/5)
 print(f"interval rule, 80 factors:        err^2 = {l2_error_exact(spec, plain, HORIZON):.5g}")
 
-geo = build_geometric(spec, GeometricConfig(n=n_half, K=K, A=3.0))
+geo = build_geometric(spec, n_half, 3.0, K)
 print(f"+ geometric tail (A=3):           err^2 = {l2_error_exact(spec, geo, HORIZON):.5g}")
 
 ratio, err = optimize_tail_ratio(spec, n_half, K, HORIZON)
 print(f"+ optimized ratio (A*={ratio:.3f}):    err^2 = {err:.5g}")
 
-best = build_geometric(spec, GeometricConfig(n=n_half, K=K, A=ratio))
+best = build_geometric(spec, n_half, ratio, K)
 rescaled, scale = rescale_weights(spec, best, HORIZON)
 final = l2_error_exact(spec, rescaled, HORIZON)
 print(f"+ weight rescale (xi*={scale:.4f}):  err^2 = {final:.5g}")

@@ -53,13 +53,9 @@ from .numerics import (
     psd_factorize,
 )
 from .quadrature import (
-    GeometricConfig,
-    NewtonCotesConfig,
-    RiemannConfig,
     build_geometric,
     build_newton_cotes,
     build_riemann,
-    build_simpson,
     build_systematic,
     newton_cotes_coefficients,
     optimize_tail_ratio,

@@ -38,17 +38,7 @@ from .mc import (
     price,
 )
 from .numerics import require_count
-from .quadrature import (
-    GeometricConfig,
-    NewtonCotesConfig,
-    RiemannConfig,
-    build_geometric,
-    build_newton_cotes,
-    build_riemann,
-    build_simpson,
-    build_systematic,
-    paper_truncation,
-)
+from .quadrature import build_geometric, build_newton_cotes, build_riemann, build_systematic
 from .schemes import GridSpec, IntegratedPaths
 from .tables import TABLE_IDS, table_rows
 
@@ -86,29 +76,18 @@ def _build_kernel_from_config(config: dict) -> ExpSumKernel:
     spec = RoughKernelSpec(H)
     n = int(config["n"])
     horizon = float(config.get("horizon", 1.0))
+    truncation = config.get("truncation")
     if method in ("riemann-mid", "riemann-bary"):
         rule = "midpoint" if method == "riemann-mid" else "barycentric"
-        default_k, _ = paper_truncation("interval", H, n, rule)
-        cfg = RiemannConfig(n=n, K=float(config.get("truncation", default_k)), node_rule=rule)
-        return build_riemann(spec, cfg)
+        return build_riemann(spec, n, truncation, rule)
     if method in ("simpson", "newton-cotes"):
+        order = config.get("order", 2)
+        if method == "simpson" and order != 2:
+            raise ValueError("Simpson rule is the J = 2 Newton-Cotes rule")
         rule = config.get("node_rule", "midpoint")
-        default_k, default_beta = paper_truncation("newton-cotes", H, n, rule)
-        cfg = NewtonCotesConfig(
-            n=n,
-            K=float(config.get("truncation", default_k)),
-            beta=float(config.get("beta", default_beta)),
-            J=int(config.get("order", 2)),
-            node_rule=rule,
-        )
-        return build_simpson(spec, cfg) if method == "simpson" else build_newton_cotes(spec, cfg)
+        return build_newton_cotes(spec, n, truncation, config.get("beta"), order, rule)
     if method == "geometric":
-        cfg = GeometricConfig(
-            n=n,
-            K=float(config.get("truncation", paper_truncation("interval", H, n)[0])),
-            A=float(config.get("tail_ratio", 3.0)),
-        )
-        return build_geometric(spec, cfg)
+        return build_geometric(spec, n, config.get("tail_ratio", 3.0), truncation)
     return build_systematic(spec, n, horizon)
 
 

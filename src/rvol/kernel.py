@@ -195,8 +195,7 @@ def truncation_error_bound(spec: RoughKernelSpec, cutoff: float) -> float:
 
     Equals (1/2) (c_H cutoff^-H / H)^2 and scales as cutoff^(-2H).
     """
-    if cutoff <= 0.0:
-        raise ValueError("cutoff must be positive")
+    cutoff = require_positive(cutoff, "cutoff")
     tail = spec.density_const * cutoff ** (-spec.H) / spec.H
     return 0.5 * tail * tail
 

@@ -39,7 +39,7 @@ from scipy.special import ndtri
 
 from .bergomi import BergomiParams, implied_vol, simulate_bergomi, step_components
 from .kernel import ExpSumKernel, RoughKernelSpec
-from .numerics import require_positive
+from .numerics import require_count, require_positive
 from .quadrature import build_systematic, truncate_factors
 from .schemes import (
     GridSpec,
@@ -162,10 +162,8 @@ class McConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.paths < 1:
-            raise ValueError("paths must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        require_count(self.paths, "paths")
+        require_count(self.workers, "workers")
 
 
 @dataclass
@@ -183,17 +181,25 @@ class McReport:
         return json.dumps(asdict(self))
 
 
+_PAYOFF_KINDS = ("euro_call", "lookback_call")
+
+
 @dataclass(frozen=True)
 class Payoff:
+    """Call struck at ``strike`` on the terminal price or on the running maximum."""
+
     kind: str
     strike: float
 
+    def __post_init__(self):
+        if self.kind not in _PAYOFF_KINDS:
+            raise ValueError(f"unknown payoff kind {self.kind!r}; expected one of {_PAYOFF_KINDS}")
+        if not math.isfinite(self.strike):
+            raise ValueError(f"strike must be finite, got {self.strike!r}")
+
     def evaluate(self, stats: "PathStats") -> np.ndarray:
-        if self.kind == "euro_call":
-            return np.maximum(stats.terminal - self.strike, 0.0)
-        if self.kind == "lookback_call":
-            return np.maximum(stats.running_max - self.strike, 0.0)
-        raise ValueError(f"unknown payoff kind {self.kind!r}")
+        underlying = stats.terminal if self.kind == "euro_call" else stats.running_max
+        return np.maximum(underlying - self.strike, 0.0)
 
 
 def euro_call(strike: float) -> Payoff:

@@ -37,10 +37,9 @@ class QuadTolerance:
     max_subdivisions: int = 200
 
     def __post_init__(self):
-        if self.abs_tol <= 0.0 or self.rel_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
+        require_positive(self.abs_tol, "abs_tol")
+        require_positive(self.rel_tol, "rel_tol")
+        require_count(self.max_subdivisions, "max_subdivisions")
 
 
 def require_finite(params) -> None:
@@ -124,8 +123,7 @@ def minimize_scalar(f, lo: float, hi: float, tol: float = 1e-9):
     """
     if not lo < hi:
         raise ValueError(f"invalid bracket [{lo}, {hi}]")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    require_positive(tol, "tol")
     a, b = float(lo), float(hi)
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)

@@ -5,15 +5,16 @@ finite point measure: plain interval rules on a truncated range,
 composite Simpson / Newton-Cotes rules on the upper part of the range,
 a geometric extension of the truncation range, and the fully systematic
 construction that optimizes the geometric ratio and then rescales the
-weights to the best L2 fit. A factor-count reduction picks the smallest
-head of a kernel whose discarded tail is negligible at the first grid
-point of a simulation.
+weights to the best L2 fit. The builders take the interval count and
+the truncation as plain arguments; a truncation K or split exponent
+beta left at None takes the paper's value from :func:`paper_truncation`.
+A factor-count reduction picks the smallest head of a kernel whose
+discarded tail is negligible at the first grid point of a simulation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -30,13 +31,9 @@ from .kernel import (
 from .numerics import minimize_scalar, require_count, require_positive
 
 __all__ = [
-    "RiemannConfig",
-    "NewtonCotesConfig",
-    "GeometricConfig",
     "paper_truncation",
     "newton_cotes_coefficients",
     "build_riemann",
-    "build_simpson",
     "build_newton_cotes",
     "build_geometric",
     "optimize_tail_ratio",
@@ -51,76 +48,6 @@ _NODE_RULES = ("midpoint", "barycentric")
 # generous on both sides and the search runs on log ratio to _RATIO_TOL.
 _RATIO_BRACKET = (1.05, 50.0)
 _RATIO_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class RiemannConfig:
-    """Uniform partition of [0, K) into n intervals.
-
-    ``node_rule`` selects the representative rate inside each interval:
-    the interval midpoint, or the density barycenter which improves the
-    convergence rate of the resulting kernel approximation.
-    """
-
-    n: int
-    K: float
-    node_rule: str = "barycentric"
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if self.K <= 0.0:
-            raise ValueError("K must be positive")
-        if self.node_rule not in _NODE_RULES:
-            raise ValueError(f"node_rule must be one of {_NODE_RULES}")
-
-
-@dataclass(frozen=True)
-class NewtonCotesConfig:
-    """Interval rule on [0, K^beta) plus a composite J-point rule on [K^beta, K].
-
-    ``J`` is the (even) Newton-Cotes order; J = 2 is Simpson's rule. The
-    node rule applies to the lower, interval-based part only.
-    """
-
-    n: int
-    K: float
-    beta: float
-    J: int = 2
-    node_rule: str = "midpoint"
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if self.K <= 1.0:
-            raise ValueError("K must exceed 1 so that K^beta < K")
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError("beta must lie in (0, 1)")
-        if self.J < 2 or self.J % 2 != 0:
-            raise ValueError("J must be an even integer >= 2")
-        if self.node_rule not in _NODE_RULES:
-            raise ValueError(f"node_rule must be one of {_NODE_RULES}")
-
-
-@dataclass(frozen=True)
-class GeometricConfig:
-    """n uniform intervals on [0, K) plus n geometric intervals above K.
-
-    The geometric part covers [K, K A^n) with ratio A > 1, so the
-    resulting kernel has 2n factors. All nodes are barycentric.
-    """
-
-    n: int
-    K: float
-    A: float
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if self.K <= 0.0:
-            raise ValueError("K must be positive")
-        if self.A <= 1.0:
-            raise ValueError("geometric ratio A must exceed 1")
 
 
 def paper_truncation(rule: str, H: float, n: int, node_rule: str = "barycentric"):
@@ -176,6 +103,9 @@ def newton_cotes_coefficients(J: int) -> tuple:
 
 
 def _interval_part(spec: RoughKernelSpec, n: int, upper: float, node_rule: str):
+    """Density masses and nodes of n uniform intervals on [0, upper)."""
+    if node_rule not in _NODE_RULES:
+        raise ValueError(f"node_rule must be one of {_NODE_RULES}, got {node_rule!r}")
     edges = np.linspace(0.0, upper, n + 1)
     weights = lambda_mass(spec, edges[:-1], edges[1:])
     if node_rule == "midpoint":
@@ -185,31 +115,58 @@ def _interval_part(spec: RoughKernelSpec, n: int, upper: float, node_rule: str):
     return weights, rates
 
 
-def build_riemann(spec: RoughKernelSpec, cfg: RiemannConfig) -> ExpSumKernel:
-    """Interval-rule kernel: weight = density mass, node per ``node_rule``."""
-    weights, rates = _interval_part(spec, cfg.n, cfg.K, cfg.node_rule)
+def build_riemann(
+    spec: RoughKernelSpec, n: int, K: float | None = None, node_rule: str = "barycentric"
+) -> ExpSumKernel:
+    """Interval rule on n uniform intervals of [0, K): weight = density mass.
+
+    ``node_rule`` picks each interval's rate: the midpoint, or the
+    density barycenter, which improves the convergence rate. K defaults
+    to :func:`paper_truncation`'s value for the node rule.
+    """
+    n = require_count(n, "n")
+    if K is None:
+        K, _ = paper_truncation("interval", spec.H, n, node_rule)
+    weights, rates = _interval_part(spec, n, require_positive(K, "K"), node_rule)
     return ExpSumKernel(weights, rates)
 
 
-def build_newton_cotes(spec: RoughKernelSpec, cfg: NewtonCotesConfig) -> ExpSumKernel:
-    """Interval rule below K^beta, composite Newton-Cotes on [K^beta, K].
+def build_newton_cotes(
+    spec: RoughKernelSpec,
+    n: int,
+    K: float | None = None,
+    beta: float | None = None,
+    J: int = 2,
+    node_rule: str = "midpoint",
+) -> ExpSumKernel:
+    """Interval rule below K^beta, composite J-point Newton-Cotes on [K^beta, K].
 
-    Panel i of the upper range carries J+1 equispaced nodes
-    K^beta + (K - K^beta)/n * (i - 1 + j/J) weighted by
-    c_H (K - K^beta)/n * c_j * rho^(-H-1/2). Coincident panel-boundary
-    nodes are merged by summing their weights, leaving J n + 1 distinct
-    upper nodes.
+    J is the (even) Newton-Cotes order; J = 2 is Simpson's rule. The node
+    rule applies to the n lower intervals only. Panel i of the upper range
+    carries J+1 equispaced nodes K^beta + (K - K^beta)/n * (i - 1 + j/J)
+    weighted by c_H (K - K^beta)/n * c_j * rho^(-H-1/2). Coincident
+    panel-boundary nodes are merged by summing their weights, leaving
+    J n + 1 distinct upper nodes. K and beta default to
+    :func:`paper_truncation`'s values for the node rule.
     """
-    lower_w, lower_r = _interval_part(spec, cfg.n, cfg.K**cfg.beta, cfg.node_rule)
-    coeffs = [float(c) for c in newton_cotes_coefficients(cfg.J)]
-    split = cfg.K**cfg.beta
-    span = cfg.K - split
-    panel = span / cfg.n
+    n = require_count(n, "n")
+    coeffs = [float(c) for c in newton_cotes_coefficients(require_count(J, "J"))]
+    default_k, default_beta = paper_truncation("newton-cotes", spec.H, n, node_rule)
+    K = require_positive(default_k if K is None else K, "K")
+    beta = require_positive(default_beta if beta is None else beta, "beta")
+    if K <= 1.0:
+        raise ValueError(f"K must exceed 1 so that K^beta < K, got {K}")
+    if beta >= 1.0:
+        raise ValueError(f"beta must lie in (0, 1), got {beta}")
+    split = K**beta
+    lower_w, lower_r = _interval_part(spec, n, split, node_rule)
+    span = K - split
+    panel = span / n
     merged: dict[float, float] = {}
-    prefactor = spec.density_const * span / cfg.n
-    for i in range(1, cfg.n + 1):
+    prefactor = spec.density_const * span / n
+    for i in range(1, n + 1):
         for j, c in enumerate(coeffs):
-            rho = split + panel * (i - 1 + j / cfg.J)
+            rho = split + panel * (i - 1 + j / J)
             weight = prefactor * c * rho ** (-spec.H - 0.5)
             merged[rho] = merged.get(rho, 0.0) + weight
     upper_r = np.array(sorted(merged))
@@ -219,23 +176,27 @@ def build_newton_cotes(spec: RoughKernelSpec, cfg: NewtonCotesConfig) -> ExpSumK
     )
 
 
-def build_simpson(spec: RoughKernelSpec, cfg: NewtonCotesConfig) -> ExpSumKernel:
-    """Simpson variant of :func:`build_newton_cotes`; requires J = 2."""
-    if cfg.J != 2:
-        raise ValueError("Simpson rule is the J = 2 Newton-Cotes rule")
-    return build_newton_cotes(spec, cfg)
+def build_geometric(
+    spec: RoughKernelSpec, n: int, A: float, K: float | None = None
+) -> ExpSumKernel:
+    """Barycentric kernel on n uniform intervals of [0, K) plus n geometric ones.
 
-
-def build_geometric(spec: RoughKernelSpec, cfg: GeometricConfig) -> ExpSumKernel:
-    """Barycentric kernel on n uniform intervals plus n geometric ones."""
-    edges = [i * cfg.K / cfg.n for i in range(cfg.n + 1)]
-    top = cfg.K
-    for _ in range(cfg.n):
-        top *= cfg.A
+    The geometric part covers [K, K A^n) with ratio A > 1, so the kernel
+    has 2n factors. K defaults to :func:`paper_truncation`'s n^(4/5).
+    """
+    n = require_count(n, "n")
+    if K is None:
+        K, _ = paper_truncation("interval", spec.H, n)
+    K = require_positive(K, "K")
+    A = float(A)
+    if not (math.isfinite(A) and A > 1.0):
+        raise ValueError(f"geometric ratio A must be finite and exceed 1, got {A}")
+    edges = [i * K / n for i in range(n + 1)]
+    top = K
+    for _ in range(n):
+        top *= A
         if not math.isfinite(top):
-            raise OverflowError(
-                f"geometric endpoint K*A^n overflows for K={cfg.K}, A={cfg.A}, n={cfg.n}"
-            )
+            raise OverflowError(f"geometric endpoint K*A^n overflows for K={K}, A={A}, n={n}")
         edges.append(top)
     lo, hi = np.array(edges[:-1]), np.array(edges[1:])
     return ExpSumKernel(lambda_mass(spec, lo, hi), barycenter(spec, lo, hi))
@@ -250,8 +211,7 @@ def optimize_tail_ratio(spec: RoughKernelSpec, n: int, K: float, T: float):
     """
 
     def objective(log_ratio):
-        cfg = GeometricConfig(n=n, K=K, A=math.exp(log_ratio))
-        return l2_error_exact(spec, build_geometric(spec, cfg), T)
+        return l2_error_exact(spec, build_geometric(spec, n, math.exp(log_ratio), K), T)
 
     lo, hi = _RATIO_BRACKET
     log_best, err = minimize_scalar(objective, math.log(lo), math.log(hi), tol=_RATIO_TOL)
@@ -282,12 +242,12 @@ def build_systematic(spec: RoughKernelSpec, n_total: int, T: float) -> ExpSumKer
     fit. This is the production kernel used by the multifactor
     simulation schemes.
     """
-    if n_total < 2 or n_total % 2 != 0:
-        raise ValueError("n_total must be an even integer >= 2")
+    if require_count(n_total, "n_total") % 2 != 0:
+        raise ValueError(f"n_total must be an even integer >= 2, got {n_total}")
     n = n_total // 2
     K, _ = paper_truncation("interval", spec.H, n)
     ratio, _ = optimize_tail_ratio(spec, n, K, T)
-    geometric = build_geometric(spec, GeometricConfig(n=n, K=K, A=ratio))
+    geometric = build_geometric(spec, n, ratio, K)
     rescaled, _ = rescale_weights(spec, geometric, T)
     return rescaled
 

@@ -10,16 +10,7 @@ from __future__ import annotations
 
 from .kernel import RoughKernelSpec, l2_error_exact
 from .mc import HestonModel, McConfig, euro_call, lookback_call, price, rate_factor_estimate
-from .quadrature import (
-    GeometricConfig,
-    NewtonCotesConfig,
-    RiemannConfig,
-    build_geometric,
-    build_riemann,
-    build_simpson,
-    build_systematic,
-    paper_truncation,
-)
+from .quadrature import build_geometric, build_newton_cotes, build_riemann, build_systematic
 from .schemes import GridSpec, HestonParams
 
 __all__ = ["TABLE_IDS", "table_rows"]
@@ -32,16 +23,12 @@ _HORIZON = 1.0
 
 def _riemann_error(H: float, n: int, rule: str) -> float:
     spec = RoughKernelSpec(H)
-    K, _ = paper_truncation("interval", H, n, rule)
-    cfg = RiemannConfig(n=n, K=K, node_rule=rule)
-    return l2_error_exact(spec, build_riemann(spec, cfg), _HORIZON)
+    return l2_error_exact(spec, build_riemann(spec, n, node_rule=rule), _HORIZON)
 
 
 def _simpson_error(H: float, n: int, rule: str) -> float:
     spec = RoughKernelSpec(H)
-    K, beta = paper_truncation("newton-cotes", H, n, rule)
-    cfg = NewtonCotesConfig(n=n, K=K, beta=beta, J=2, node_rule=rule)
-    return l2_error_exact(spec, build_simpson(spec, cfg), _HORIZON)
+    return l2_error_exact(spec, build_newton_cotes(spec, n, node_rule=rule), _HORIZON)
 
 
 def _doubling_table(error, rule: str, n: int):
@@ -61,8 +48,7 @@ def _geometric_table(ratio: float = 3.0):
         spec = RoughKernelSpec(H)
         errs = {}
         for n in (50, 200, 400):
-            cfg = GeometricConfig(n=n, K=paper_truncation("interval", H, n)[0], A=ratio)
-            errs[n] = l2_error_exact(spec, build_geometric(spec, cfg), _HORIZON)
+            errs[n] = l2_error_exact(spec, build_geometric(spec, n, ratio), _HORIZON)
         rows.append(
             [H, errs[50], errs[200], errs[400], rate_factor_estimate(errs[200], errs[400], H)]
         )

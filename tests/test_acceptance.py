@@ -34,12 +34,9 @@ from rvol.mc import (
 )
 from rvol.numerics import QuadTolerance, integrate, lower_incomplete_gamma
 from rvol.quadrature import (
-    GeometricConfig,
-    NewtonCotesConfig,
-    RiemannConfig,
     build_geometric,
+    build_newton_cotes,
     build_riemann,
-    build_simpson,
     build_systematic,
     newton_cotes_coefficients,
     truncate_factors,
@@ -121,8 +118,7 @@ def criterion(name):
 
 def riemann_error(H, n, exponent, rule):
     spec = RoughKernelSpec(H)
-    cfg = RiemannConfig(n=n, K=float(n) ** exponent, node_rule=rule)
-    return l2_error_exact(spec, build_riemann(spec, cfg), 1.0)
+    return l2_error_exact(spec, build_riemann(spec, n, float(n) ** exponent, rule), 1.0)
 
 
 def combined_gate(report, reference):
@@ -174,10 +170,9 @@ def test_criterion_03_simpson_convergence_tables():
                 spec = RoughKernelSpec(H)
                 errs = {}
                 for n in (16, 32):
-                    cfg = NewtonCotesConfig(
-                        n=n, K=float(n) ** k_exp, beta=beta, J=2, node_rule=rule
-                    )
-                    errs[n] = l2_error_exact(spec, build_simpson(spec, cfg), 1.0)
+                    K = float(n) ** k_exp
+                    kernel = build_newton_cotes(spec, n, K, beta, J=2, node_rule=rule)
+                    errs[n] = l2_error_exact(spec, kernel, 1.0)
                 ref_n, ref_2n, ref_rate = ref_table[H]
                 assert abs(errs[16] - ref_n) / ref_n <= 0.05
                 assert abs(errs[32] - ref_2n) / ref_2n <= 0.05
@@ -191,8 +186,8 @@ def test_criterion_04_geometric_tail_table():
             spec = RoughKernelSpec(H)
             errs = {}
             for n in (50, 200, 400):
-                cfg = GeometricConfig(n=n, K=float(n) ** 0.8, A=3.0)
-                errs[n] = l2_error_exact(spec, build_geometric(spec, cfg), 1.0)
+                kernel = build_geometric(spec, n, 3.0, float(n) ** 0.8)
+                errs[n] = l2_error_exact(spec, kernel, 1.0)
             ref = REF_T5[H]
             for value, reference in zip((errs[50], errs[200], errs[400]), ref[:3]):
                 assert abs(value - reference) / reference <= 0.05
@@ -256,7 +251,7 @@ def test_criterion_08_oracle_suite():
         zeta_tol = QuadTolerance(abs_tol=1e-9, rel_tol=1e-9, max_subdivisions=400)
         cases = [
             (0.25, ExpSumKernel([0.5, 0.9], [0.4, 5.0]), 1.0),
-            (0.05, build_riemann(RoughKernelSpec(0.05), RiemannConfig(n=20, K=20.0**0.8)), 1.0),
+            (0.05, build_riemann(RoughKernelSpec(0.05), 20, 20.0**0.8), 1.0),
             (0.45, ExpSumKernel([0.8], [2.0]), 0.7),
         ]
         for H, kernel, horizon in cases:

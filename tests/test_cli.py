@@ -74,6 +74,13 @@ class TestKernelCommand:
         l2_sq_n = {row[0]: row[2] for row in table_rows("t4")[1]}
         assert json.loads(stdout)["l2_error_sq"] == l2_sq_n[0.25]
 
+    def test_simpson_requires_order_two(self, capsys):
+        code, stdout, err = run_cli(
+            capsys, ["kernel", "--method", "simpson", "--n", "16", "--order", "4"]
+        )
+        assert (code, stdout) == (1, "")
+        assert err == "error: Simpson rule is the J = 2 Newton-Cotes rule\n"
+
 
 class TestTableCommand:
     def test_systematic_table(self, tmp_path, capsys):
@@ -161,6 +168,11 @@ class TestInputErrors:
         code, stdout, err = run_cli(capsys, self.PRICE)
         assert (code, stdout) == (1, "")
         assert err == f"error: RVOL_WORKERS must be a positive integer, got {env!r}\n"
+
+    def test_zero_worker_flag(self, capsys):
+        code, stdout, err = run_cli(capsys, self.PRICE + ["--workers", "0"])
+        assert (code, stdout) == (1, "")
+        assert err == "error: workers must be >= 1, got 0\n"
 
     def test_worker_flag_overrides_environment(self, monkeypatch, capsys):
         monkeypatch.setenv("RVOL_WORKERS", "abc")

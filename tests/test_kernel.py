@@ -221,10 +221,10 @@ def out_of_place_gram(rates, t):
 
 class TestJointCovariance:
     def test_gram_block_built_in_place_is_bit_identical(self):
-        from rvol.quadrature import GeometricConfig, build_geometric
+        from rvol.quadrature import build_geometric
 
         spec = RoughKernelSpec(0.1)
-        kernel = build_geometric(spec, GeometricConfig(n=100, K=100**0.8, A=1.5))
+        kernel = build_geometric(spec, 100, 1.5, 100**0.8)
         assert kernel.n == 200
         flat = ExpSumKernel(np.linspace(0.1, 1.0, 5), [0.0, 0.5, 2.0, 30.0, 1e4])
         for k, t in ((kernel, 1.0), (kernel, 0.041), (flat, 2.0)):
@@ -343,10 +343,10 @@ class TestL2Error:
 
     def test_memory_is_one_row_block(self):
         # table t5's 800-factor kernels: one 801 x 801 float matrix is 4.9 MiB
-        from rvol.quadrature import GeometricConfig, build_geometric
+        from rvol.quadrature import build_geometric
 
         spec = RoughKernelSpec(0.25)
-        kernel = build_geometric(spec, GeometricConfig(n=400, K=50, A=1.05))
+        kernel = build_geometric(spec, 400, 1.05, 50)
         assert kernel.n == 800
         for form in (l2_error_exact, expsum_inner_products):
             form(spec, kernel, 1.0)  # warm any lazily imported module

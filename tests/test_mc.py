@@ -221,6 +221,38 @@ class TestNonFinitePayoffs:
             )
 
 
+class TestInputValidation:
+    @pytest.mark.parametrize("field", ["paths", "workers"])
+    @pytest.mark.parametrize("bad", [2.5, True, 0, "8"])
+    def test_config_counts(self, field, bad):
+        # paths=2.5 failed inside numpy, paths=True ran one path
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            McConfig(**{field: bad})
+
+    def test_config_accepts_numpy_integers(self):
+        cfg = McConfig(paths=np.int64(8), workers=np.int32(2))
+        model = HestonModel(scheme="volterra", kernel=ExpSumKernel([1.0], [1.0]))
+        assert price(model, euro_call(1.0), GridSpec(T=1.0, N=2), cfg).paths == 8
+
+    @pytest.mark.parametrize(
+        "make_payoff",
+        [
+            lambda: mc.Payoff("foo", 1.0),
+            lambda: euro_call(math.nan),
+            lambda: lookback_call(math.inf),
+        ],
+        ids=["unknown-kind", "nan-strike", "inf-strike"],
+    )
+    def test_bad_payoff_raises_before_any_draw(self, monkeypatch, make_payoff):
+        # both once simulated every path before raising
+        def no_draws(self, *args):
+            raise AssertionError("drew normals for an invalid payoff")
+
+        monkeypatch.setattr(CounterRng, "normals_block", no_draws)
+        with pytest.raises(ValueError, match="payoff kind|strike must be finite"):
+            price(HestonModel("volterra"), make_payoff(), GridSpec(1.0, 160), McConfig(paths=16384))
+
+
 class TestPairedCompare:
     def test_self_difference_is_zero(self):
         model = HestonModel(scheme="multifactor-truncated")

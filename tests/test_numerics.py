@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 
 import rvol
 from rvol.bergomi import factor_step_law
-from rvol.kernel import ExpSumKernel, RoughKernelSpec, l2_error_discrete, l2_error_exact
+from rvol.kernel import (
+    ExpSumKernel,
+    RoughKernelSpec,
+    l2_error_discrete,
+    l2_error_exact,
+    truncation_error_bound,
+)
 from rvol.mc import rate_factor_estimate
 from rvol.numerics import (
     IntegrationError,
@@ -21,7 +27,7 @@ from rvol.numerics import (
     minimize_scalar,
     psd_factorize,
 )
-from rvol.quadrature import GeometricConfig, build_geometric, truncate_factors
+from rvol.quadrature import build_geometric, truncate_factors
 from rvol.schemes import GridSpec, hybrid_step_covariance
 
 # 30-digit arbitrary-precision evaluations, frozen
@@ -145,8 +151,7 @@ class TestMinimizeScalar:
         spec = RoughKernelSpec(0.2)
 
         def objective(ratio):
-            cfg = GeometricConfig(n=6, K=6.0**0.8, A=ratio)
-            return l2_error_exact(spec, build_geometric(spec, cfg), 1.0)
+            return l2_error_exact(spec, build_geometric(spec, 6, ratio, 6.0**0.8), 1.0)
 
         lo, hi = 1.5, 20.0
         grid = np.linspace(lo, hi, 10_000)
@@ -197,6 +202,10 @@ _SPEC, _KERNEL = RoughKernelSpec(0.1), ExpSumKernel([0.5, 0.5], [1.0, 2.0])
         lambda x: rate_factor_estimate(x, 1.0, 0.1),
         lambda x: rate_factor_estimate(1.0, x, 0.1),
         lambda x: rate_factor_estimate(1.0, 1.0, x),
+        lambda x: truncation_error_bound(_SPEC, x),
+        lambda x: minimize_scalar(lambda y: y * y, -1.0, 1.0, tol=x),
+        lambda x: QuadTolerance(abs_tol=x),
+        lambda x: QuadTolerance(rel_tol=x),
     ],
     ids=[
         "l2-discrete-T",
@@ -207,6 +216,10 @@ _SPEC, _KERNEL = RoughKernelSpec(0.1), ExpSumKernel([0.5, 0.5], [1.0, 2.0])
         "rate-err-n",
         "rate-err-2n",
         "rate-H",
+        "truncation-bound-cutoff",
+        "minimize-tol",
+        "quad-abs-tol",
+        "quad-rel-tol",
     ],
 )
 @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -234,6 +247,13 @@ def test_step_counts_must_be_integers(call):
     with pytest.raises(ValueError, match="step count N must be >= 1"):
         call(0)
     call(np.int64(3))  # numpy integers pass
+
+
+def test_quad_subdivisions_must_be_a_count():
+    for bad in (2.5, True, 0):
+        with pytest.raises(ValueError, match="max_subdivisions must be"):
+            QuadTolerance(max_subdivisions=bad)
+    assert QuadTolerance(max_subdivisions=np.int64(3)).max_subdivisions == 3
 
 
 def test_package_import_leaves_out_scipy_integrate():
@@ -276,10 +296,10 @@ class TestPsdFactorize:
 
     def test_joint_covariance_round_trip(self):
         from rvol.kernel import build_joint_covariance
-        from rvol.quadrature import RiemannConfig, build_riemann
+        from rvol.quadrature import build_riemann
 
         spec = RoughKernelSpec(0.25)
-        kernel = build_riemann(spec, RiemannConfig(n=10, K=10.0, node_rule="barycentric"))
+        kernel = build_riemann(spec, 10, 10.0, "barycentric")
         S = build_joint_covariance(spec, kernel.rates, 1.0)
         L = psd_factorize(S)
         err = np.linalg.norm(L @ L.T - S) / np.linalg.norm(S)

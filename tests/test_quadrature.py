@@ -15,16 +15,13 @@ from rvol.kernel import (
 )
 from rvol.mc import rate_factor_estimate
 from rvol.quadrature import (
-    GeometricConfig,
-    NewtonCotesConfig,
-    RiemannConfig,
     build_geometric,
     build_newton_cotes,
     build_riemann,
-    build_simpson,
     build_systematic,
     newton_cotes_coefficients,
     optimize_tail_ratio,
+    paper_truncation,
     rescale_weights,
     truncate_factors,
 )
@@ -54,7 +51,7 @@ class TestNewtonCotesCoefficients:
 class TestRiemann:
     def test_single_interval_midpoint(self):
         spec = RoughKernelSpec(0.25)
-        kernel = build_riemann(spec, RiemannConfig(n=1, K=1.0, node_rule="midpoint"))
+        kernel = build_riemann(spec, 1, 1.0, "midpoint")
         assert kernel.n == 1
         assert math.isclose(kernel.weights[0], lambda_mass(spec, 0.0, 1.0), rel_tol=1e-14)
         assert kernel.rates[0] == 0.5
@@ -62,7 +59,7 @@ class TestRiemann:
     def test_total_weight_additivity(self):
         spec = RoughKernelSpec(0.1)
         for rule in ("midpoint", "barycentric"):
-            kernel = build_riemann(spec, RiemannConfig(n=37, K=11.0, node_rule=rule))
+            kernel = build_riemann(spec, 37, 11.0, rule)
             assert math.isclose(
                 float(kernel.weights.sum()), lambda_mass(spec, 0.0, 11.0), rel_tol=1e-12
             )
@@ -70,7 +67,7 @@ class TestRiemann:
     def test_nodes_inside_intervals(self):
         spec = RoughKernelSpec(0.3)
         n, K = 20, 8.0
-        kernel = build_riemann(spec, RiemannConfig(n=n, K=K, node_rule="barycentric"))
+        kernel = build_riemann(spec, n, K, "barycentric")
         edges = np.linspace(0.0, K, n + 1)
         assert np.all(kernel.rates > edges[:-1])
         assert np.all(kernel.rates < edges[1:])
@@ -81,8 +78,8 @@ class TestRiemann:
             spec = RoughKernelSpec(H)
             for n, exponent in ((50, 2.0 / 3.0), (50, 0.8)):
                 K = float(n) ** exponent
-                mid = build_riemann(spec, RiemannConfig(n=n, K=K, node_rule="midpoint"))
-                bary = build_riemann(spec, RiemannConfig(n=n, K=K, node_rule="barycentric"))
+                mid = build_riemann(spec, n, K, "midpoint")
+                bary = build_riemann(spec, n, K, "barycentric")
                 assert l2_error_exact(spec, bary, 1.0) <= l2_error_exact(spec, mid, 1.0)
 
     def test_rate_factor_invariant(self):
@@ -91,64 +88,125 @@ class TestRiemann:
             spec = RoughKernelSpec(H)
             errs = {}
             for n in (50, 100):
-                cfg = RiemannConfig(n=n, K=float(n) ** 0.8, node_rule="barycentric")
-                errs[n] = l2_error_exact(spec, build_riemann(spec, cfg), 1.0)
+                kernel = build_riemann(spec, n, float(n) ** 0.8, "barycentric")
+                errs[n] = l2_error_exact(spec, kernel, 1.0)
             assert abs(rate_factor_estimate(errs[50], errs[100], H) - 0.80) <= 0.02
 
 
 class TestSimpsonNewtonCotes:
-    def test_simpson_equals_order_two(self):
-        spec = RoughKernelSpec(0.25)
-        cfg = NewtonCotesConfig(n=8, K=12.0, beta=0.7, J=2, node_rule="midpoint")
-        a = build_simpson(spec, cfg)
-        b = build_newton_cotes(spec, cfg)
-        assert np.array_equal(a.weights, b.weights)
-        assert np.array_equal(a.rates, b.rates)
-
-    def test_simpson_requires_order_two(self):
-        spec = RoughKernelSpec(0.25)
-        cfg = NewtonCotesConfig(n=8, K=12.0, beta=0.7, J=4)
-        with pytest.raises(ValueError):
-            build_simpson(spec, cfg)
-
     def test_factor_count_after_merge(self):
         spec = RoughKernelSpec(0.25)
         n = 16
-        cfg = NewtonCotesConfig(n=n, K=20.0, beta=0.6, J=2, node_rule="midpoint")
-        kernel = build_simpson(spec, cfg)
+        kernel = build_newton_cotes(spec, n, 20.0, 0.6, J=2, node_rule="midpoint")
         assert kernel.n == n + (2 * n + 1)
 
     def test_higher_order_counts(self):
         spec = RoughKernelSpec(0.2)
         for J in (2, 4, 6):
-            cfg = NewtonCotesConfig(n=5, K=30.0, beta=0.5, J=J, node_rule="barycentric")
-            kernel = build_newton_cotes(spec, cfg)
+            kernel = build_newton_cotes(spec, 5, 30.0, 0.5, J=J, node_rule="barycentric")
             assert kernel.n == 5 + (5 * J + 1)
             assert np.all(np.diff(kernel.rates) > 0)
 
     def test_config_validation(self):
+        spec = RoughKernelSpec(0.25)
         with pytest.raises(ValueError):
-            NewtonCotesConfig(n=4, K=0.9, beta=0.5)
+            build_newton_cotes(spec, 4, K=0.9, beta=0.5)
         with pytest.raises(ValueError):
-            NewtonCotesConfig(n=4, K=5.0, beta=1.1)
+            build_newton_cotes(spec, 4, K=5.0, beta=1.1)
         with pytest.raises(ValueError):
-            NewtonCotesConfig(n=4, K=5.0, beta=0.5, J=3)
+            build_newton_cotes(spec, 4, K=5.0, beta=0.5, J=3)
+
+
+_SPEC = RoughKernelSpec(0.25)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_riemann(_SPEC, 2.5, 4.0),
+        lambda: build_riemann(_SPEC, True),
+        lambda: build_riemann(_SPEC, 8, math.inf),
+        lambda: build_riemann(_SPEC, 8, math.nan),
+        lambda: build_riemann(_SPEC, 8, 4.0, "trapezoid"),
+        lambda: build_newton_cotes(_SPEC, 2.5),
+        lambda: build_newton_cotes(_SPEC, 8, J=4.0),
+        lambda: build_newton_cotes(_SPEC, 8, K=math.inf),
+        lambda: build_newton_cotes(_SPEC, 8, beta=math.nan),
+        lambda: build_newton_cotes(_SPEC, 1),
+        lambda: build_geometric(_SPEC, 2.5, 3.0),
+        lambda: build_geometric(_SPEC, 8, math.nan),
+        lambda: build_geometric(_SPEC, 8, math.inf),
+        lambda: build_geometric(_SPEC, 8, 3.0, K=0.0),
+        lambda: build_systematic(_SPEC, 10.0, 1.0),
+        lambda: build_systematic(_SPEC, 0, 1.0),
+    ],
+    ids=[
+        "riemann-n-float",
+        "riemann-n-bool",
+        "riemann-K-inf",
+        "riemann-K-nan",
+        "riemann-node-rule",
+        "newton-cotes-n-float",
+        "newton-cotes-J-float",
+        "newton-cotes-K-inf",
+        "newton-cotes-beta-nan",
+        "newton-cotes-n-one-default",
+        "geometric-n-float",
+        "geometric-A-nan",
+        "geometric-A-inf",
+        "geometric-K-zero",
+        "systematic-n-float",
+        "systematic-n-zero",
+    ],
+)
+def test_builder_rejects_bad_input(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    H=st.floats(0.01, 0.49),
+    n=st.integers(1, 64),
+    node_rule=st.sampled_from(("midpoint", "barycentric")),
+)
+def test_default_truncation_is_the_papers(H, n, node_rule):
+    # a builder left at its defaults equals one given paper_truncation's K and beta
+    spec = RoughKernelSpec(H)
+    K_interval, _ = paper_truncation("interval", H, n, node_rule)
+    K_split, beta = paper_truncation("newton-cotes", H, n, node_rule)
+    K_geometric, _ = paper_truncation("interval", H, n)
+    pairs = [
+        (
+            build_riemann(spec, n, node_rule=node_rule),
+            build_riemann(spec, n, K_interval, node_rule),
+        ),
+        (build_geometric(spec, n, 3.0), build_geometric(spec, n, 3.0, K_geometric)),
+    ]
+    if n > 1:  # at n = 1 the paper's K is 1, which leaves no Newton-Cotes range
+        pairs.append(
+            (
+                build_newton_cotes(spec, n, node_rule=node_rule),
+                build_newton_cotes(spec, n, K_split, beta, node_rule=node_rule),
+            )
+        )
+    for default, explicit in pairs:
+        assert np.array_equal(default.weights, explicit.weights)
+        assert np.array_equal(default.rates, explicit.rates)
 
 
 class TestGeometric:
     def test_total_weight(self):
         spec = RoughKernelSpec(0.1)
-        cfg = GeometricConfig(n=10, K=4.0, A=3.0)
-        kernel = build_geometric(spec, cfg)
+        kernel = build_geometric(spec, 10, 3.0, 4.0)
         assert kernel.n == 20
         expected = lambda_mass(spec, 0.0, 4.0 * 3.0**10)
         assert math.isclose(float(kernel.weights.sum()), expected, rel_tol=1e-9)
 
     def test_stays_below_rough_kernel(self):
         spec = RoughKernelSpec(0.05)
-        cfg = GeometricConfig(n=25, K=25.0**0.8, A=3.0)
-        geo = build_geometric(spec, cfg)
-        plain = build_riemann(spec, RiemannConfig(n=25, K=25.0**0.8, node_rule="barycentric"))
+        geo = build_geometric(spec, 25, 3.0, 25.0**0.8)
+        plain = build_riemann(spec, 25, 25.0**0.8, "barycentric")
         t = np.logspace(-4, 0, 60)
         geo_vals = expsum_eval(geo, t)
         assert np.all(geo_vals <= rough_kernel_eval(spec, t) * (1.0 + 1e-12))
@@ -157,7 +215,7 @@ class TestGeometric:
     def test_overflow_guard(self):
         spec = RoughKernelSpec(0.1)
         with pytest.raises(OverflowError):
-            build_geometric(spec, GeometricConfig(n=500, K=10.0, A=50.0))
+            build_geometric(spec, 500, 50.0, 10.0)
 
 
 class TestTailRatioOptimization:
@@ -167,7 +225,7 @@ class TestTailRatioOptimization:
         ratio, err = optimize_tail_ratio(spec, n, K, T)
 
         def objective(a):
-            return l2_error_exact(spec, build_geometric(spec, GeometricConfig(n=n, K=K, A=a)), T)
+            return l2_error_exact(spec, build_geometric(spec, n, a, K), T)
 
         assert err <= objective(3.0) + 1e-15
         assert err <= objective(1.05) + 1e-15
@@ -179,7 +237,7 @@ class TestTailRatioOptimization:
         ratio, _ = optimize_tail_ratio(spec, n, K, T)
         grid = np.linspace(1.05, 50.0, 2000)
         values = [
-            l2_error_exact(spec, build_geometric(spec, GeometricConfig(n=n, K=K, A=a)), T)
+            l2_error_exact(spec, build_geometric(spec, n, a, K), T)
             for a in grid
         ]
         best = grid[int(np.argmin(values))]
@@ -189,7 +247,7 @@ class TestTailRatioOptimization:
 class TestRescale:
     def test_projection_reduces_error(self):
         spec = RoughKernelSpec(0.15)
-        kernel = build_geometric(spec, GeometricConfig(n=8, K=5.0, A=4.0))
+        kernel = build_geometric(spec, 8, 4.0, 5.0)
         rescaled, scale = rescale_weights(spec, kernel, 1.0)
         assert l2_error_exact(spec, rescaled, 1.0) <= l2_error_exact(spec, kernel, 1.0) + 1e-15
         assert np.allclose(rescaled.weights, kernel.weights * scale)
@@ -198,13 +256,13 @@ class TestRescale:
         # geometric kernels sit below the rough kernel, so scaling up helps
         for H in (0.05, 0.25, 0.45):
             spec = RoughKernelSpec(H)
-            kernel = build_geometric(spec, GeometricConfig(n=10, K=10.0**0.8, A=3.0))
+            kernel = build_geometric(spec, 10, 3.0, 10.0**0.8)
             _, scale = rescale_weights(spec, kernel, 1.0)
             assert scale >= 1.0
 
     def test_idempotent(self):
         spec = RoughKernelSpec(0.2)
-        kernel = build_geometric(spec, GeometricConfig(n=6, K=4.0, A=3.0))
+        kernel = build_geometric(spec, 6, 3.0, 4.0)
         once, _ = rescale_weights(spec, kernel, 1.0)
         twice, second_scale = rescale_weights(spec, once, 1.0)
         assert abs(second_scale - 1.0) <= 1e-12
