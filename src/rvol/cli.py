@@ -145,13 +145,12 @@ def _cmd_table(args) -> int:
 
 def _model(args) -> HestonModel | BergomiModel:
     """The descriptor of ``--model`` and ``--scheme``, which rejects an unknown scheme."""
+    factors = {} if args.factors is None else {"kernel_factors": args.factors}
     if args.model == "heston":
-        hurst = args.hurst if args.hurst is not None else 0.1
-        factors = args.factors if args.factors is not None else 100
-        return HestonModel(scheme=args.scheme, hurst=hurst, kernel_factors=factors)
-    params = BergomiParams(H=args.hurst) if args.hurst is not None else BergomiParams()
-    factors = args.factors if args.factors is not None else 40
-    return BergomiModel(mode=args.scheme, params=params, kernel_factors=factors)
+        hurst = {} if args.hurst is None else {"hurst": args.hurst}
+        return HestonModel(scheme=args.scheme, **hurst, **factors)
+    params = BergomiParams() if args.hurst is None else BergomiParams(H=args.hurst)
+    return BergomiModel(mode=args.scheme, params=params, **factors)
 
 
 def _cmd_price(args) -> int:

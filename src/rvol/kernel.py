@@ -6,8 +6,9 @@ line. Approximating that density by a finite sum of point masses turns
 convolution equations driven by the kernel into finite systems of
 exponentially damped factors. This module holds the kernel types, the
 spectral density geometry (interval masses and barycenters), and the
-exact L2 distance between the rough kernel and any exponential sum,
-evaluated as a quadratic form in a joint Gaussian covariance matrix.
+exact L2 distance between the rough kernel and any exponential sum:
+one exact sum of the streamed Gram terms of the sum, its cross terms
+with the rough kernel, and the rough kernel's squared norm.
 """
 
 from __future__ import annotations
@@ -231,8 +232,8 @@ def _pair_gram(rates: np.ndarray, t: float, rows=slice(None)) -> np.ndarray:
     return out
 
 
-# Entries per row block of an exact quadratic form: every kernel of up to
-# 256 factors is one block, and table t5's 801 x 801 forms are ten.
+# Entries per row block of a streamed Gram: every kernel of up to 256
+# factors is one block, and table t5's 800 x 800 Grams are ten.
 _BLOCK_ENTRIES = 1 << 16
 
 
@@ -248,36 +249,29 @@ def _finite_fsum(terms) -> float:
     return total
 
 
-def _quadratic_form_fsum(v: np.ndarray, rows) -> float:
-    """v' M v for a symmetric M given by ``rows(i0, i1)`` (rows [i0, i1) of M).
+def _gram_terms(w: np.ndarray, rates: np.ndarray, t: float):
+    """Diagonal and doubled strict upper part of (w_i w_j) G_ij, by row block.
 
-    ``rows`` returns a new array on each call, which is overwritten. M
-    is read one block of about ``_BLOCK_ENTRIES`` entries at a time, so
-    the memory held is O(block), not O(m^2). The terms v_i v_j M_ij are
-    exactly symmetric and doubling is exact, so fsum over each block's
-    diagonal and doubled strict upper part, read from float buffers,
-    equals fsum over all m^2 terms, bit for bit, whatever the blocking.
-    ``ValueError`` if a term overflows.
+    G is the Gram of ``rates`` on (0, t), read about ``_BLOCK_ENTRIES``
+    entries at a time, so the memory held is O(block). The terms are
+    exactly symmetric and doubling is exact, so fsum over the pieces
+    equals fsum over all n^2 terms, bit for bit, whatever the blocking.
     """
-    m = v.size
+    m = w.size
     step = max(1, _BLOCK_ENTRIES // m)
     cols = np.arange(m)
-
-    def pieces():
-        for i0 in range(0, m, step):
-            i1 = min(i0 + step, m)
-            # M_ij (v_i v_j) rounds as (v_i v_j) M_ij; forming the block first
-            # keeps at most two block-sized arrays alive
-            terms = rows(i0, i1)
-            terms *= np.multiply.outer(v[i0:i1], v)
-            yield terms.diagonal(i0).tolist()
-            doubled = terms[cols > cols[i0:i1, None]]
-            del terms  # free each block before the next one is built
-            doubled *= 2.0
-            yield memoryview(doubled)
-            del doubled
-
-    return _finite_fsum(itertools.chain.from_iterable(pieces()))
+    for i0 in range(0, m, step):
+        i1 = min(i0 + step, m)
+        # G_ij (w_i w_j) rounds as (w_i w_j) G_ij; forming the block first
+        # keeps at most two block-sized arrays alive
+        terms = _pair_gram(rates, t, slice(i0, i1))
+        terms *= np.multiply.outer(w[i0:i1], w)
+        yield terms.diagonal(i0).tolist()
+        doubled = terms[cols > cols[i0:i1, None]]
+        del terms  # free each block before the next one is built
+        doubled *= 2.0
+        yield memoryview(doubled)
+        del doubled
 
 
 def _fractional_cross_column(spec: RoughKernelSpec, rates: np.ndarray, t: float):
@@ -297,33 +291,19 @@ def _fractional_cross_column(spec: RoughKernelSpec, rates: np.ndarray, t: float)
     return col
 
 
-def _joint_covariance_rows(spec: RoughKernelSpec, rates, t: float):
-    """Checked rates and the row builder of the joint covariance on (0, t).
+def _pairings(spec: RoughKernelSpec, kernel: ExpSumKernel, t: float):
+    """Terms of the L2 pairings on (0, t) for exact summation.
 
-    The builder ``rows(i0, i1)`` returns rows [i0, i1) of the (n+1) x (n+1)
-    matrix: the Gram of the rates plus a dummy zero rate, built in place
-    by :func:`_pair_gram` over whole contiguous rows, then the fractional
-    column and corner, which replace the dummy's column (and row n).
+    The streamed Gram terms, the cross terms w_i c_i and the rough
+    kernel's squared norm. ``ValueError`` for a horizon that is not
+    finite and positive.
     """
-    r = np.asarray(rates, dtype=float)
-    if r.ndim != 1 or r.size < 1:
-        raise ValueError("rates must be a nonempty 1-d array")
-    if r[0] < 0.0 or np.any(np.diff(r) <= 0.0):
-        raise ValueError("rates must be nonnegative, strictly increasing")
     t = require_positive(t, "horizon t")
-    n = r.size
-    extended = np.append(r, 0.0)
-    # the last column, which is also the last row
-    last = np.append(_fractional_cross_column(spec, r, t), spec.square_integral(t))
-
-    def rows(i0: int, i1: int) -> np.ndarray:
-        block = _pair_gram(extended, t, slice(i0, i1))
-        block[:, n] = last[i0:i1]
-        if i1 > n:
-            block[n - i0] = last
-        return block
-
-    return r, rows
+    w, r = kernel.weights, kernel.rates
+    gram = itertools.chain.from_iterable(_gram_terms(w, r, t))
+    with np.errstate(over="ignore"):
+        cross = (w * _fractional_cross_column(spec, r, t)).tolist()
+    return gram, cross, spec.square_integral(t)
 
 
 def build_joint_covariance(spec: RoughKernelSpec, rates, t: float) -> np.ndarray:
@@ -334,34 +314,40 @@ def build_joint_covariance(spec: RoughKernelSpec, rates, t: float) -> np.ndarray
     r_j; the last row and column pair each factor with the integral of
     the rough kernel against the same Brownian motion.
 
-    The whole matrix is one block of the row builder that
-    :func:`l2_error_exact` streams, so both read the same entries; the
-    L2 error itself never holds this O(n^2) matrix, only O(block) rows,
-    and its result does not depend on the blocking. Raises
+    :func:`l2_error_exact` is v' Sigma v with v = (weights, -1), summed
+    from terms streamed without forming this matrix. Raises
     ``ValueError`` for a horizon that is not finite and positive.
     """
-    r, rows = _joint_covariance_rows(spec, rates, t)
-    return rows(0, r.size + 1)
+    r = np.asarray(rates, dtype=float)
+    if r.ndim != 1 or r.size < 1:
+        raise ValueError("rates must be a nonempty 1-d array")
+    if r[0] < 0.0 or np.any(np.diff(r) <= 0.0):
+        raise ValueError("rates must be nonnegative, strictly increasing")
+    t = require_positive(t, "horizon t")
+    n = r.size
+    cov = np.empty((n + 1, n + 1))
+    cov[:n, :n] = _pair_gram(r, t)
+    cov[:n, n] = cov[n, :n] = _fractional_cross_column(spec, r, t)
+    cov[n, n] = spec.square_integral(t)
+    return cov
 
 
 def l2_error_exact(spec: RoughKernelSpec, kernel: ExpSumKernel, t: float) -> float:
     """Exact squared L2 distance on (0, t) between rough kernel and sum.
 
-    Evaluated as v' Sigma v with v = (weights, -1) in the joint Gaussian
-    covariance, summed with exact (Shewchuk) accumulation and clamped at
-    zero: for accurate kernels the result sits many orders of magnitude
-    below the individual matrix entries. Sigma is symmetric, so the sum
-    runs over its diagonal and doubled strict upper half; the result is
-    the same correctly rounded value as the sum over every entry.
-
-    Sigma is built and summed one row block at a time, so the memory
-    held is O(block) rather than O(n^2), and the result does not depend
-    on the blocking. Raises ``ValueError`` for a horizon that is not
-    finite and positive, and when a term overflows.
+    <sum, sum> - 2 <sum, rough> + <rough, rough> as one exact (Shewchuk)
+    sum of the streamed Gram terms, the doubled cross terms and the rough
+    kernel's squared norm, clamped at zero: for accurate kernels the
+    result sits many orders of magnitude below the individual terms.
+    The sum is correctly rounded, so it equals v' Sigma v with v =
+    (weights, -1) in :func:`build_joint_covariance` whatever the Gram's
+    row blocking, while only O(block) memory is held, not O(n^2).
+    Raises ``ValueError`` for a horizon that is not finite and positive,
+    and when a term overflows.
     """
-    _, rows = _joint_covariance_rows(spec, kernel.rates, t)
-    v = np.concatenate([kernel.weights, [-1.0]])
-    return max(_quadratic_form_fsum(v, rows), 0.0)
+    gram, cross, rough = _pairings(spec, kernel, t)
+    terms = itertools.chain(gram, (-2.0 * c for c in cross), (rough,))
+    return max(_finite_fsum(terms), 0.0)
 
 
 def l2_error_discrete(
@@ -382,19 +368,14 @@ def l2_error_discrete(
 def expsum_inner_products(spec: RoughKernelSpec, kernel: ExpSumKernel, T: float):
     """The three L2 pairings on (0, T): (sum, sum), (sum, rough), (rough, rough).
 
-    All in closed form; the cross pairing uses the lower incomplete
+    All in closed form and summed exactly from the same terms as
+    :func:`l2_error_exact`: the cross pairing uses the lower incomplete
     gamma function factor by factor, and the self pairing streams the
-    Gram in row blocks like :func:`l2_error_exact`. Raises ``ValueError``
-    for a horizon that is not finite and positive, and when a term
-    overflows.
+    Gram in row blocks. Raises ``ValueError`` for a horizon that is not
+    finite and positive, and when a term overflows.
     """
-    T = require_positive(T, "horizon T")
-    w, r = kernel.weights, kernel.rates
-    self_product = _quadratic_form_fsum(w, lambda i0, i1: _pair_gram(r, T, slice(i0, i1)))
-    with np.errstate(over="ignore"):
-        cross_terms = w * _fractional_cross_column(spec, r, T)
-    cross_product = _finite_fsum(cross_terms.tolist())
-    return self_product, cross_product, spec.square_integral(T)
+    gram, cross, rough = _pairings(spec, kernel, T)
+    return _finite_fsum(gram), _finite_fsum(cross), rough
 
 
 def write_kernel_csv(kernel: ExpSumKernel, path) -> None:

@@ -466,6 +466,17 @@ def rate_factor_estimate(err_n: float, err_2n: float, H: float) -> float:
     return math.log(err_n / err_2n) / (2.0 * H * math.log(2.0))
 
 
+def _strike(k: float) -> float:
+    """exp(k); ``ValueError`` naming k unless k and exp(k) are finite and exp(k) > 0."""
+    try:
+        strike = math.exp(k)
+    except OverflowError:
+        strike = math.inf
+    if not (math.isfinite(k) and 0.0 < strike < math.inf):
+        raise ValueError(f"log strike k = {k} has no finite positive strike exp(k)")
+    return strike
+
+
 def bergomi_smile(
     params: BergomiParams,
     grid: GridSpec,
@@ -480,14 +491,31 @@ def bergomi_smile(
     price are common random numbers and mode differences reflect the
     kernel approximation rather than independent Monte Carlo noise.
     Returns rows (mode, k, price, ci_halfwidth, implied_vol).
+
+    Raises ``ValueError`` before any simulation for a log strike k that
+    is not finite or whose exp(k) is not a finite positive float, and
+    after both modes, listing every strike whose Monte Carlo price has
+    no implied volatility (say, a sampled price below intrinsic value).
     """
-    rows = []
+    ks = np.atleast_1d(np.asarray(log_strikes, dtype=float)).tolist()
+    strikes = [(k, _strike(k)) for k in ks]
+    rows, failures, cause = [], [], None
     for mode in BERGOMI_MODES:
         model = BergomiModel(mode=mode, params=params, kernel_factors=kernel_factors)
         stats = simulate_stats(model, grid, cfg)
-        for k in np.atleast_1d(np.asarray(log_strikes, dtype=float)):
-            strike = math.exp(float(k))
+        for k, strike in strikes:
             mean, half_width = _estimate(model, euro_call(strike), stats)
-            vol = implied_vol(mean, params.S0, strike, grid.T)
-            rows.append((mode, float(k), mean, half_width, vol))
+            try:
+                vol = implied_vol(mean, params.S0, strike, grid.T)
+            except ValueError as exc:
+                intrinsic = max(params.S0 - strike, 0.0)
+                failures.append(
+                    f"{mode} at k = {k}: price {mean} +/- {half_width} "
+                    f"against intrinsic value {intrinsic}"
+                )
+                cause = exc
+                continue
+            rows.append((mode, k, mean, half_width, vol))
+    if failures:
+        raise ValueError("no implied volatility for " + "; ".join(failures)) from cause
     return rows

@@ -15,28 +15,38 @@ from .schemes import GridSpec, HestonParams
 
 __all__ = ["TABLE_IDS", "table_rows"]
 
-TABLE_IDS = ("t1", "t2", "t3", "t4", "t5", "t6", "t7", "t8", "t9", "t10")
-
 _HURSTS = (0.45, 0.25, 0.05)
 _HORIZON = 1.0
+_STEPS = (10, 20, 40, 80, 160, 320)
+_EULER = ("multifactor-truncated", "volterra", "hybrid")
+_INTEGRATED = ("integrated-multifactor", "integrated-volterra")
+
+# t1-t4: (builder, node rule, n); the errors at n and 2n intervals
+_DOUBLING = {
+    "t1": (build_riemann, "midpoint", 50),
+    "t2": (build_riemann, "barycentric", 50),
+    "t3": (build_newton_cotes, "midpoint", 16),
+    "t4": (build_newton_cotes, "barycentric", 16),
+}
+# t7-t10: (payoff, schemes, step counts)
+_PRICING = {
+    "t7": (euro_call(1.0), _EULER, _STEPS),
+    "t8": (lookback_call(1.0), _EULER, _STEPS),
+    "t9": (euro_call(1.0), _INTEGRATED, _STEPS[:-1]),
+    "t10": (lookback_call(1.0), _INTEGRATED, _STEPS),
+}
+TABLE_IDS = (*_DOUBLING, "t5", "t6", *_PRICING)
 
 
-def _riemann_error(H: float, n: int, rule: str) -> float:
-    spec = RoughKernelSpec(H)
-    return l2_error_exact(spec, build_riemann(spec, n, node_rule=rule), _HORIZON)
-
-
-def _simpson_error(H: float, n: int, rule: str) -> float:
-    spec = RoughKernelSpec(H)
-    return l2_error_exact(spec, build_newton_cotes(spec, n, node_rule=rule), _HORIZON)
-
-
-def _doubling_table(error, rule: str, n: int):
+def _doubling_table(builder, rule: str, n: int):
     """Errors at n and 2n intervals and their rate factor, one row per H."""
     header = ["H", "n", "l2_sq_n", "l2_sq_2n", "rate_factor"]
     rows = []
     for H in _HURSTS:
-        err_n, err_2n = error(H, n, rule), error(H, 2 * n, rule)
+        spec = RoughKernelSpec(H)
+        err_n, err_2n = (
+            l2_error_exact(spec, builder(spec, m, node_rule=rule), _HORIZON) for m in (n, 2 * n)
+        )
         rows.append([H, n, err_n, err_2n, rate_factor_estimate(err_n, err_2n, H)])
     return header, rows
 
@@ -65,36 +75,14 @@ def _systematic_table():
     return header, rows
 
 
-_PRICING_STEPS = {
-    "t7": (10, 20, 40, 80, 160, 320),
-    "t8": (10, 20, 40, 80, 160, 320),
-    "t9": (10, 20, 40, 80, 160),
-    "t10": (10, 20, 40, 80, 160, 320),
-}
-_PRICING_SCHEMES = {
-    "t7": ("multifactor-truncated", "volterra", "hybrid"),
-    "t8": ("multifactor-truncated", "volterra", "hybrid"),
-    "t9": ("integrated-multifactor", "integrated-volterra"),
-    "t10": ("integrated-multifactor", "integrated-volterra"),
-}
-_PRICING_PAYOFF = {
-    "t7": euro_call,
-    "t8": lookback_call,
-    "t9": euro_call,
-    "t10": lookback_call,
-}
-
-
-def _pricing_table(table_id: str, paths: int, seed: int, workers: int):
+def _pricing_table(payoff, schemes, steps, paths: int, seed: int, workers: int):
     header = ["N"]
-    schemes = _PRICING_SCHEMES[table_id]
     for scheme in schemes:
         header += [f"{scheme}_mean", f"{scheme}_halfwidth", f"{scheme}_seconds"]
-    payoff = _PRICING_PAYOFF[table_id](1.0)
     params = HestonParams()
     cfg = McConfig(paths=paths, seed=seed, workers=workers)
     rows = []
-    for N in _PRICING_STEPS[table_id]:
+    for N in steps:
         grid = GridSpec(T=_HORIZON, N=N)
         row = [N]
         for scheme in schemes:
@@ -108,18 +96,12 @@ def _pricing_table(table_id: str, paths: int, seed: int, workers: int):
 def table_rows(table_id: str, paths: int = 100_000, seed: int = 0, workers: int = 1):
     """Header and rows for one benchmark table id (``t1`` .. ``t10``)."""
     table_id = table_id.lower()
-    if table_id == "t1":
-        return _doubling_table(_riemann_error, "midpoint", 50)
-    if table_id == "t2":
-        return _doubling_table(_riemann_error, "barycentric", 50)
-    if table_id == "t3":
-        return _doubling_table(_simpson_error, "midpoint", 16)
-    if table_id == "t4":
-        return _doubling_table(_simpson_error, "barycentric", 16)
+    if table_id in _DOUBLING:
+        return _doubling_table(*_DOUBLING[table_id])
     if table_id == "t5":
         return _geometric_table()
     if table_id == "t6":
         return _systematic_table()
-    if table_id in _PRICING_STEPS:
-        return _pricing_table(table_id, paths, seed, workers)
+    if table_id in _PRICING:
+        return _pricing_table(*_PRICING[table_id], paths, seed, workers)
     raise ValueError(f"unknown table id {table_id!r}; expected one of {TABLE_IDS}")

@@ -257,6 +257,24 @@ class TestSmileCommand:
         vols = [float(r[4]) for r in rows]
         assert all(abs(v - 0.2) < 0.02 for v in vols)
 
+    @pytest.mark.parametrize("kmin, kmax, k", [("0", "800", "800.0"), ("-800", "0", "-800.0")])
+    def test_strike_out_of_float_range(self, capsys, kmin, kmax, k):
+        argv = ["smile", "--points", "2", "--kmin", kmin, "--kmax", kmax]
+        argv += ["--paths", "64", "--steps", "4"]
+        code, stdout, err = run_cli(capsys, argv)
+        assert code == 1 and stdout == ""
+        assert f"log strike k = {k}" in err
+
+    def test_strike_without_implied_vol(self, capsys):
+        # the multifactor price at k = -0.5 is 0.393227 +- 0.001463, below
+        # the intrinsic value 0.393469
+        argv = ["smile", "--points", "2", "--kmin", "-0.5", "--kmax", "0"]
+        argv += ["--paths", "4096", "--steps", "4"]
+        code, stdout, err = run_cli(capsys, argv)
+        assert code == 1 and stdout == ""
+        assert "multifactor at k = -0.5: price 0.39322" in err
+        assert "intrinsic value 0.39346" in err
+
 
 class TestPathDump:
     def test_heston_path(self, tmp_path, capsys):

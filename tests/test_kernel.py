@@ -435,6 +435,25 @@ class TestInnerProducts:
             zeta = l2_error_exact(spec, kernel, 1.0)
             assert abs(zeta - (GG - 2.0 * gG + gg)) <= 1e-10 * max(zeta, 1.0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(kernel=expsum_kernels(), H=st.floats(0.01, 0.49), t=st.floats(0.01, 10.0))
+    def test_l2_error_is_the_three_pairings(self, kernel, H, t):
+        spec = RoughKernelSpec(H)
+        s, c, r = expsum_inner_products(spec, kernel, t)
+        gap = l2_error_exact(spec, kernel, t) - max(s - 2.0 * c + r, 0.0)
+        assert abs(gap) <= 1e-13 * (s + 2.0 * abs(c) + r)
+
+    def test_one_incomplete_gamma_per_nonzero_rate(self):
+        # perfbench pins the kernel-setup job's count of these calls
+        spec = RoughKernelSpec(0.1)
+        kernel = ExpSumKernel([0.5, 0.2, 0.1, 0.05], [0.0, 1.0, 30.0, 900.0])
+        counted = mock.Mock(wraps=kernel_module.lower_incomplete_gamma)
+        with mock.patch.object(kernel_module, "lower_incomplete_gamma", counted):
+            l2_error_exact(spec, kernel, 1.0)
+            assert counted.call_count == 3
+            expsum_inner_products(spec, kernel, 0.3)
+            assert counted.call_count == 6
+
     def test_pythagoras_identity_accurate_kernel(self):
         from rvol.quadrature import build_systematic
 

@@ -470,3 +470,26 @@ class TestSmile:
             assert mean > 0.0
             assert half > 0.0
             assert 0.0 < vol < 2.0
+
+    @pytest.mark.parametrize("k", [800.0, -800.0, math.inf, -math.inf, math.nan])
+    def test_bad_log_strike_fails_before_any_draw(self, k):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("normals drawn before the strikes were checked")
+
+        with mock.patch.object(mc.CounterRng, "normals_block", no_draws):
+            with pytest.raises(ValueError, match="log strike k = "):
+                bergomi_smile(BergomiParams(), GridSpec(T=0.041, N=4), McConfig(paths=64), [0.0, k])
+
+    def test_strikes_without_implied_vol_are_listed(self):
+        # the CLI smile defaults with 4096 paths and 4 steps: the sampled
+        # mean of S_T sits a little below S0, so the multifactor price at
+        # k = -0.5 falls below intrinsic value
+        with pytest.raises(ValueError, match="no implied volatility") as info:
+            bergomi_smile(
+                BergomiParams(), GridSpec(T=0.041, N=4), McConfig(paths=4096, seed=0), [-0.5, 0.0]
+            )
+        message = str(info.value)
+        assert message.count(" at k = ") == 1
+        assert "multifactor at k = -0.5: price 0.3932268" in message
+        assert "+/- 0.0014625" in message and "intrinsic value 0.3934693" in message
+        assert isinstance(info.value.__cause__, ValueError)
