@@ -19,7 +19,6 @@ from .kernel import (
     ExpSumKernel,
     RoughKernelSpec,
     barycenter,
-    build_joint_covariance,
     expsum_eval,
     expsum_inner_products,
     l2_error_discrete,
@@ -45,7 +44,6 @@ from .mc import (
 )
 from .numerics import (
     IntegrationError,
-    QuadTolerance,
     gamma_fn,
     integrate,
     lower_incomplete_gamma,

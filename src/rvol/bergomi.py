@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .kernel import ExpSumKernel, RoughKernelSpec, _pair_gram, _phi
-from .numerics import QuadTolerance, integrate, psd_factorize, require_finite, require_positive
+from .numerics import integrate, psd_factorize, require_finite, require_positive
 from .schemes import GridSpec, HestonPaths, _LogPrice
 
 __all__ = [
@@ -161,11 +161,10 @@ def sample_factors_exact(kernel: ExpSumKernel, grid: GridSpec, normals):
 
 @lru_cache(maxsize=8)
 def _fractional_joint_covariance_cached(H: float, T: float, N: int):
-    tol = QuadTolerance(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=400)
     e = H - 0.5
 
     def piece(i, j):  # unit piece P(i, j): s^e (s + j)^e integrated over (i - 1, i)
-        return integrate(lambda s: s**e * (s + j) ** e, i - 1.0, float(i), tol)
+        return integrate(lambda s: s**e * (s + j) ** e, i - 1.0, float(i))
 
     pieces = [[piece(i, j) for i in range(1, N - j + 1)] for j in range(1, N)]
     t = np.arange(1, N + 1) * (T / N)

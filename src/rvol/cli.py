@@ -143,9 +143,14 @@ def _cmd_table(args) -> int:
     return 0
 
 
+def _factors(args) -> dict:
+    """``kernel_factors`` from ``--factors`` if given; else empty, for the callee's default."""
+    return {} if args.factors is None else {"kernel_factors": args.factors}
+
+
 def _model(args) -> HestonModel | BergomiModel:
     """The descriptor of ``--model`` and ``--scheme``, which rejects an unknown scheme."""
-    factors = {} if args.factors is None else {"kernel_factors": args.factors}
+    factors = _factors(args)
     if args.model == "heston":
         hurst = {} if args.hurst is None else {"hurst": args.hurst}
         return HestonModel(scheme=args.scheme, **hurst, **factors)
@@ -164,14 +169,18 @@ def _cmd_price(args) -> int:
     return 0
 
 
+# `rvol smile` flags and the BergomiParams fields they set; an absent flag
+# leaves the field at its default
+_SMILE_FIELDS = {"spot": "S0", "variance": "v0", "eta": "eta", "rho": "rho", "hurst": "H"}
+
+
 def _cmd_smile(args) -> int:
     if args.points < 1:
         raise ValueError(f"need --points >= 1, got {args.points}")
     if not args.kmin < args.kmax and args.points > 1:
         raise ValueError("need kmin < kmax")
-    params = BergomiParams(
-        S0=args.spot, v0=args.variance, eta=args.eta, rho=args.rho, H=args.hurst
-    )
+    given = {field: getattr(args, flag) for flag, field in _SMILE_FIELDS.items()}
+    params = BergomiParams(**{field: value for field, value in given.items() if value is not None})
     grid = GridSpec(T=args.horizon, N=args.steps)
     paths = 1_000_000 if args.paper_scale else args.paths
     cfg = McConfig(paths=paths, seed=args.seed, workers=args.workers)
@@ -179,7 +188,7 @@ def _cmd_smile(args) -> int:
         ks = [args.kmin]
     else:
         ks = list(np.linspace(args.kmin, args.kmax, args.points))
-    rows = bergomi_smile(params, grid, cfg, ks, kernel_factors=args.factors)
+    rows = bergomi_smile(params, grid, cfg, ks, **_factors(args))
     _write_csv(args.out, ["mode", "k", "price", "ci_halfwidth", "implied_vol"], rows)
     return 0
 
@@ -253,12 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_smile.add_argument("--points", type=int, default=16)
     p_smile.add_argument("--steps", type=int, default=20)
     p_smile.add_argument("--horizon", type=float, default=0.041)
-    p_smile.add_argument("--spot", type=float, default=1.0)
-    p_smile.add_argument("--variance", type=float, default=0.235**2)
-    p_smile.add_argument("--eta", type=float, default=1.9)
-    p_smile.add_argument("--rho", type=float, default=-0.9)
-    p_smile.add_argument("--hurst", type=float, default=0.07)
-    p_smile.add_argument("--factors", type=int, default=40)
+    for flag in _SMILE_FIELDS:
+        p_smile.add_argument(f"--{flag}", type=float, default=None)
+    p_smile.add_argument("--factors", type=int, default=None)
     p_smile.add_argument("--out", default=None)
     _add_mc_flags(p_smile)
     p_smile.set_defaults(func=_cmd_smile)

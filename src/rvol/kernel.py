@@ -29,7 +29,6 @@ __all__ = [
     "lambda_mass",
     "barycenter",
     "truncation_error_bound",
-    "build_joint_covariance",
     "l2_error_exact",
     "l2_error_discrete",
     "expsum_inner_products",
@@ -306,32 +305,6 @@ def _pairings(spec: RoughKernelSpec, kernel: ExpSumKernel, t: float):
     return gram, cross, spec.square_integral(t)
 
 
-def build_joint_covariance(spec: RoughKernelSpec, rates, t: float) -> np.ndarray:
-    """Exact (n+1) x (n+1) covariance of factor and fractional integrals.
-
-    For rates r_1 < ... < r_n and horizon t, entry (i, j), i, j <= n, is
-    the covariance of the damped Brownian integrals with rates r_i and
-    r_j; the last row and column pair each factor with the integral of
-    the rough kernel against the same Brownian motion.
-
-    :func:`l2_error_exact` is v' Sigma v with v = (weights, -1), summed
-    from terms streamed without forming this matrix. Raises
-    ``ValueError`` for a horizon that is not finite and positive.
-    """
-    r = np.asarray(rates, dtype=float)
-    if r.ndim != 1 or r.size < 1:
-        raise ValueError("rates must be a nonempty 1-d array")
-    if r[0] < 0.0 or np.any(np.diff(r) <= 0.0):
-        raise ValueError("rates must be nonnegative, strictly increasing")
-    t = require_positive(t, "horizon t")
-    n = r.size
-    cov = np.empty((n + 1, n + 1))
-    cov[:n, :n] = _pair_gram(r, t)
-    cov[:n, n] = cov[n, :n] = _fractional_cross_column(spec, r, t)
-    cov[n, n] = spec.square_integral(t)
-    return cov
-
-
 def l2_error_exact(spec: RoughKernelSpec, kernel: ExpSumKernel, t: float) -> float:
     """Exact squared L2 distance on (0, t) between rough kernel and sum.
 
@@ -340,8 +313,10 @@ def l2_error_exact(spec: RoughKernelSpec, kernel: ExpSumKernel, t: float) -> flo
     kernel's squared norm, clamped at zero: for accurate kernels the
     result sits many orders of magnitude below the individual terms.
     The sum is correctly rounded, so it equals v' Sigma v with v =
-    (weights, -1) in :func:`build_joint_covariance` whatever the Gram's
-    row blocking, while only O(block) memory is held, not O(n^2).
+    (weights, -1) and Sigma the (n+1) x (n+1) covariance of the n damped
+    factor integrals and the rough kernel's integral against one
+    Brownian motion on (0, t), whatever the Gram's row blocking, while
+    only O(block) memory is held, not O(n^2).
     Raises ``ValueError`` for a horizon that is not finite and positive,
     and when a term overflows.
     """

@@ -2,9 +2,8 @@
 
 Gamma functions, a one-dimensional golden-section minimizer, an adaptive
 quadrature wrapper that builds the cross-time entries of the exact rough
-Bergomi covariance and serves the test suite as an independent oracle,
-and a clipped Cholesky factorization for nearly positive semidefinite
-covariance matrices.
+Bergomi covariance, and a clipped Cholesky factorization for nearly
+positive semidefinite covariance matrices.
 """
 
 from __future__ import annotations
@@ -12,13 +11,12 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import fields
 
 import numpy as np
-from scipy.special import gammainc
+from scipy.special.cython_special import gammainc
 
 __all__ = [
-    "QuadTolerance",
     "IntegrationError",
     "gamma_fn",
     "lower_incomplete_gamma",
@@ -26,20 +24,6 @@ __all__ = [
     "integrate",
     "psd_factorize",
 ]
-
-
-@dataclass(frozen=True)
-class QuadTolerance:
-    """Accuracy request for the adaptive quadrature oracle."""
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 200
-
-    def __post_init__(self):
-        require_positive(self.abs_tol, "abs_tol")
-        require_positive(self.rel_tol, "rel_tol")
-        require_count(self.max_subdivisions, "max_subdivisions")
 
 
 def require_finite(params) -> None:
@@ -100,14 +84,16 @@ def gamma_fn(a: float) -> float:
 def lower_incomplete_gamma(a: float, x: float) -> float:
     """Lower incomplete gamma integral of s^(a-1) exp(-s) over (0, x).
 
-    The regularized integral ``scipy.special.gammainc`` times Gamma(a).
-    NaN arguments raise instead of propagating.
+    The regularized integral ``gammainc`` times Gamma(a), called through
+    ``scipy.special.cython_special``: the same compiled function as the
+    ufunc, without its per-call dispatch. NaN arguments raise instead of
+    propagating.
     """
     if not a > 0.0:
         raise ValueError(f"lower_incomplete_gamma requires a > 0, got {a}")
     if not x >= 0.0:
         raise ValueError(f"lower_incomplete_gamma requires x >= 0, got {x}")
-    return float(gammainc(a, x)) * math.gamma(a)
+    return gammainc(a, x) * math.gamma(a)
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -143,15 +129,20 @@ def minimize_scalar(f, lo: float, hi: float, tol: float = 1e-9):
     return x, f(x)
 
 
-def integrate(f, lo: float, hi: float, tol: QuadTolerance = QuadTolerance()) -> float:
+_QUAD_TOL = 1e-12  # integrate: absolute and relative tolerance
+_QUAD_LIMIT = 400  # integrate: subdivisions
+
+
+def integrate(f, lo: float, hi: float) -> float:
     """Adaptive quadrature of ``f`` over (lo, hi].
 
-    Thin wrapper over QUADPACK (scipy.integrate.quad) exposing the
-    package-wide tolerance type. Integrable endpoint singularities of
-    type s^beta with beta > -1 at ``lo`` are handled by the adaptive
-    subdivision with extrapolation. It builds the exact rough Bergomi
-    covariance once per grid and checks closed forms in the tests; it
-    is not used in simulation hot paths.
+    Thin wrapper over QUADPACK (scipy.integrate.quad) at 1e-12 absolute
+    and relative tolerance with up to 400 subdivisions. Integrable
+    endpoint singularities of type s^beta with beta > -1 at ``lo`` are
+    handled by the adaptive subdivision with extrapolation. It builds
+    the exact rough Bergomi covariance once per grid; it is not used in
+    simulation hot paths. Raises :class:`IntegrationError` when the
+    estimated error exceeds the tolerance.
     """
     from scipy import integrate as scipy_integrate  # slow import, needed only here
 
@@ -161,15 +152,14 @@ def integrate(f, lo: float, hi: float, tol: QuadTolerance = QuadTolerance()) -> 
             f,
             lo,
             hi,
-            epsabs=tol.abs_tol,
-            epsrel=tol.rel_tol,
-            limit=tol.max_subdivisions,
+            epsabs=_QUAD_TOL,
+            epsrel=_QUAD_TOL,
+            limit=_QUAD_LIMIT,
             full_output=1,
         )
-    achieved = max(tol.abs_tol, tol.rel_tol * abs(value))
-    if rest and abserr > achieved:
+    if rest and abserr > _QUAD_TOL * max(1.0, abs(value)):
         raise IntegrationError(
-            f"quadrature did not converge within {tol.max_subdivisions} subdivisions "
+            f"quadrature did not converge within {_QUAD_LIMIT} subdivisions "
             f"(estimated error {abserr:.3e})",
             best_estimate=value,
         )

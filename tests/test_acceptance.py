@@ -13,6 +13,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
+from scipy.integrate import quad
 
 from rvol.kernel import (
     ExpSumKernel,
@@ -32,7 +33,7 @@ from rvol.mc import (
     rate_factor_estimate,
     systematic_kernel,
 )
-from rvol.numerics import QuadTolerance, integrate, lower_incomplete_gamma
+from rvol.numerics import lower_incomplete_gamma
 from rvol.quadrature import (
     build_geometric,
     build_newton_cotes,
@@ -248,7 +249,7 @@ def test_criterion_07_scheme_equivalence_suite():
 def test_criterion_08_oracle_suite():
     with criterion("08 oracle cross-checks"):
         # exact L2 error against adaptive quadrature
-        zeta_tol = QuadTolerance(abs_tol=1e-9, rel_tol=1e-9, max_subdivisions=400)
+        zeta_tol = dict(epsabs=1e-9, epsrel=1e-9, limit=400)
         cases = [
             (0.25, ExpSumKernel([0.5, 0.9], [0.4, 5.0]), 1.0),
             (0.05, build_riemann(RoughKernelSpec(0.05), 20, 20.0**0.8), 1.0),
@@ -257,20 +258,20 @@ def test_criterion_08_oracle_suite():
         for H, kernel, horizon in cases:
             spec = RoughKernelSpec(H)
             exact = l2_error_exact(spec, kernel, horizon)
-            oracle = integrate(
+            oracle = quad(
                 lambda s: (rough_kernel_eval(spec, s) - expsum_eval(kernel, s)) ** 2,
                 0.0,
                 horizon,
-                zeta_tol,
-            )
+                **zeta_tol,
+            )[0]
             assert abs(exact - oracle) <= 1e-6
         # incomplete gamma against adaptive quadrature
-        gamma_tol = QuadTolerance(abs_tol=1e-13, rel_tol=1e-13, max_subdivisions=400)
+        gamma_tol = dict(epsabs=1e-13, epsrel=1e-13, limit=400)
         for a in (0.55, 0.6, 0.75, 0.95, 1.1):
             for x in (0.1, 0.5, 1.0, 2.0, 10.0):
-                oracle = integrate(
-                    lambda s: s ** (a - 1.0) * math.exp(-s), 0.0, x, gamma_tol
-                )
+                oracle = quad(
+                    lambda s: s ** (a - 1.0) * math.exp(-s), 0.0, x, **gamma_tol
+                )[0]
                 assert abs(lower_incomplete_gamma(a, x) - oracle) <= 1e-10
         # exact rational quadrature coefficients at order four
         assert newton_cotes_coefficients(4) == tuple(

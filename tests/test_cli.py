@@ -1,7 +1,10 @@
 import json
+from unittest import mock
 
 import pytest
 
+from rvol import cli
+from rvol.bergomi import BergomiParams
 from rvol.cli import main
 from rvol.tables import table_rows
 
@@ -218,6 +221,45 @@ class TestInputErrors:
 
 
 class TestSmileCommand:
+    # `rvol smile --points 3 --paths 4096`, as printed when the smile flags
+    # carried their own copies of the BergomiParams and kernel defaults
+    DEFAULT_CSV = (
+        "mode,k,price,ci_halfwidth,implied_vol\n"
+        "exact,-0.10000000000000001,0.095958946732172479,0.0012738308571196301,0.27710005268454552\n"
+        "exact,-0.024999999999999994,0.033530185116871669,0.00089145615685826129,0.23369183763861656\n"
+        "exact,0.050000000000000003,0.001223149108416632,0.00020688243322843281,0.17245127633213997\n"
+        "multifactor,-0.10000000000000001,0.095962609862288328,0.0012690567569782459,0.27733318880200386\n"
+        "multifactor,-0.024999999999999994,0.03342704475464757,0.00089025417990989996,0.23220358416438103\n"
+        "multifactor,0.050000000000000003,0.0012774676390951401,0.00018736092717867769,0.17426031455397606\n"
+    )
+
+    def test_default_output_unchanged(self, capsys):
+        argv = ["smile", "--points", "3", "--paths", "4096"]
+        assert run_cli(capsys, argv) == (0, self.DEFAULT_CSV, "")
+        # the six model flags at the defaults' values print the same bytes
+        argv += ["--spot", "1.0", "--variance", repr(0.235**2), "--eta", "1.9"]
+        argv += ["--rho", "-0.9", "--hurst", "0.07", "--factors", "40"]
+        assert run_cli(capsys, argv) == (0, self.DEFAULT_CSV, "")
+
+    @pytest.mark.parametrize(
+        "flags, fields, factors",
+        [
+            ([], {}, {}),
+            (["--hurst", "0.1"], {"H": 0.1}, {}),
+            (["--spot", "2", "--rho", "0.5"], {"S0": 2.0, "rho": 0.5}, {}),
+            (["--variance", "0.04", "--eta", "1.2"], {"v0": 0.04, "eta": 1.2}, {}),
+            (["--factors", "12"], {}, {"kernel_factors": 12}),
+        ],
+        ids=["bare", "hurst-only", "spot-rho", "variance-eta", "factors-only"],
+    )
+    def test_only_given_flags_reach_the_model(self, capsys, flags, fields, factors):
+        with mock.patch.object(cli, "bergomi_smile", return_value=[]) as smile:
+            code, _, _ = run_cli(capsys, ["smile", "--points", "2", *flags])
+        assert code == 0
+        (params, _, _, _), kwargs = smile.call_args
+        assert params == BergomiParams(**fields)
+        assert kwargs == factors
+
     def test_single_point(self, tmp_path, capsys):
         out = tmp_path / "smile.csv"
         code, _, _ = run_cli(
