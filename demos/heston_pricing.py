@@ -19,7 +19,7 @@ cfg = McConfig(paths=PATHS, seed=7)
 kernel = systematic_kernel(0.1, 100, 1.0)
 print(f"systematic kernel: {kernel.n} factors")
 for N in (40, 160):
-    _, kept = truncate_factors(kernel, 1.0, N, beta=1.0)
+    _, kept = truncate_factors(kernel, 1.0, N)
     print(f"  factors kept at N={N}: {kept}")
 
 print(f"\nEuropean call, strike 1.0, {PATHS} paths")

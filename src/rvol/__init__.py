@@ -44,7 +44,6 @@ from .mc import (
 )
 from .numerics import (
     IntegrationError,
-    gamma_fn,
     integrate,
     lower_incomplete_gamma,
     minimize_scalar,

@@ -42,7 +42,18 @@ from .quadrature import build_geometric, build_newton_cotes, build_riemann, buil
 from .schemes import GridSpec, IntegratedPaths
 from .tables import TABLE_IDS, table_rows
 
-_METHODS = ("riemann-mid", "riemann-bary", "simpson", "newton-cotes", "geometric", "systematic")
+# the config keys each method reads besides method, hurst, n and horizon;
+# riemann-mid and riemann-bary name their node rule
+_METHOD_KEYS = {
+    "riemann-mid": ("truncation",),
+    "riemann-bary": ("truncation",),
+    "simpson": ("truncation", "beta", "order", "node_rule"),
+    "newton-cotes": ("truncation", "beta", "order", "node_rule"),
+    "geometric": ("truncation", "tail_ratio"),
+    "systematic": (),
+}
+_METHODS = tuple(_METHOD_KEYS)
+_COMMON_KEYS = ("method", "hurst", "n", "horizon")
 
 
 def _workers(flag: int | None) -> int:
@@ -57,8 +68,23 @@ def _workers(flag: int | None) -> int:
     return int(env)
 
 
-def _check_config_types(config: dict) -> None:
-    """``ValueError`` unless ``n`` and ``order`` are integers and the other numeric keys numbers."""
+def _check_config(config: dict, from_flags: bool) -> None:
+    """``ValueError`` for a missing or unknown key, or a value of the wrong type.
+
+    ``n`` and ``order`` must be integers and the other numeric keys
+    numbers. A key the method does not read is an error, named as its
+    flag when the config came from flags.
+    """
+    for key in ("method", "hurst", "n"):
+        if config.get(key) is None:
+            raise ValueError(f"{key!r} is required (flag --{key} or config key)")
+    method = config["method"]
+    if method not in _METHODS:
+        raise ValueError(f"method must be one of {_METHODS}")
+    unread = [key for key in config if key not in _COMMON_KEYS + _METHOD_KEYS[method]]
+    if unread:
+        names = [f"--{key.replace('_', '-')}" if from_flags else repr(key) for key in unread]
+        raise ValueError(f"method {method!r} does not read {', '.join(names)}")
     for key in ("n", "order"):
         if key in config:
             require_count(config[key], repr(key))
@@ -68,14 +94,8 @@ def _check_config_types(config: dict) -> None:
             raise ValueError(f"{key!r} must be a number, got {value!r}")
 
 
-def _build_kernel_from_config(config: dict) -> ExpSumKernel:
-    method = config["method"]
-    if method not in _METHODS:
-        raise ValueError(f"method must be one of {_METHODS}")
-    H = float(config["hurst"])
-    spec = RoughKernelSpec(H)
-    n = int(config["n"])
-    horizon = float(config.get("horizon", 1.0))
+def _build_kernel(config: dict, spec: RoughKernelSpec, horizon: float) -> ExpSumKernel:
+    method, n = config["method"], config["n"]
     truncation = config.get("truncation")
     if method in ("riemann-mid", "riemann-bary"):
         rule = "midpoint" if method == "riemann-mid" else "barycentric"
@@ -98,19 +118,14 @@ def _cmd_kernel(args) -> int:
         if not isinstance(config, dict):
             raise ValueError("the kernel config must be a JSON object")
     else:
-        config = {key: getattr(args, key) for key in ("method", "hurst", "n", "horizon")}
+        config = {key: getattr(args, key) for key in _COMMON_KEYS}
         for key in ("truncation", "beta", "order", "tail_ratio", "node_rule"):
             if getattr(args, key) is not None:
                 config[key] = getattr(args, key)
-    for key in ("method", "hurst", "n"):
-        if config.get(key) is None:
-            raise ValueError(f"{key!r} is required (flag --{key} or config key)")
-    _check_config_types(config)
-    kernel = _build_kernel_from_config(config)
+    _check_config(config, from_flags=not args.config)
     spec = RoughKernelSpec(float(config["hurst"]))
     horizon = float(config.get("horizon", 1.0))
-    if args.out:
-        write_kernel_csv(kernel, args.out)
+    kernel = _build_kernel(config, spec, horizon)
     err_sq = l2_error_exact(spec, kernel, horizon)
     summary = {
         "method": config["method"],
@@ -120,6 +135,9 @@ def _cmd_kernel(args) -> int:
         "discrete_l2_error": l2_error_discrete(spec, kernel, horizon, args.steps),
         "out": args.out,
     }
+    # written last, so that a rejected input leaves no file behind
+    if args.out:
+        write_kernel_csv(kernel, args.out)
     print(json.dumps(summary))
     return 0
 
@@ -137,8 +155,7 @@ def _write_csv(path, header, rows) -> None:
 
 
 def _cmd_table(args) -> int:
-    paths = 1_000_000 if args.paper_scale else args.paths
-    header, rows = table_rows(args.id, paths=paths, seed=args.seed, workers=args.workers)
+    header, rows = table_rows(args.id, paths=args.paths, seed=args.seed, workers=args.workers)
     _write_csv(args.out, header, rows)
     return 0
 
@@ -162,8 +179,7 @@ def _cmd_price(args) -> int:
     model = _model(args)
     payoff = (euro_call if args.payoff == "euro-call" else lookback_call)(args.strike)
     grid = GridSpec(T=args.horizon, N=args.steps)
-    paths = 1_000_000 if args.paper_scale else args.paths
-    cfg = McConfig(paths=paths, seed=args.seed, workers=args.workers)
+    cfg = McConfig(paths=args.paths, seed=args.seed, workers=args.workers)
     report = price(model, payoff, grid, cfg)
     print(report.to_json())
     return 0
@@ -182,12 +198,8 @@ def _cmd_smile(args) -> int:
     given = {field: getattr(args, flag) for flag, field in _SMILE_FIELDS.items()}
     params = BergomiParams(**{field: value for field, value in given.items() if value is not None})
     grid = GridSpec(T=args.horizon, N=args.steps)
-    paths = 1_000_000 if args.paper_scale else args.paths
-    cfg = McConfig(paths=paths, seed=args.seed, workers=args.workers)
-    if args.points == 1:
-        ks = [args.kmin]
-    else:
-        ks = list(np.linspace(args.kmin, args.kmax, args.points))
+    cfg = McConfig(paths=args.paths, seed=args.seed, workers=args.workers)
+    ks = np.linspace(args.kmin, args.kmax, args.points)  # [kmin] for one point
     rows = bergomi_smile(params, grid, cfg, ks, **_factors(args))
     _write_csv(args.out, ["mode", "k", "price", "ci_halfwidth", "implied_vol"], rows)
     return 0
@@ -287,8 +299,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if "workers" in vars(args):
+        if "workers" in vars(args):  # the Monte Carlo commands
             args.workers = _workers(args.workers)
+            if args.paper_scale:
+                args.paths = 1_000_000
         return args.func(args)
     except (ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

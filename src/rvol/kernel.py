@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import gamma_fn, lower_incomplete_gamma, require_count, require_positive
+from .numerics import lower_incomplete_gamma, require_count, require_positive
 
 __all__ = [
     "RoughKernelSpec",
@@ -54,12 +54,12 @@ class RoughKernelSpec:
     @property
     def gamma_head(self) -> float:
         """Gamma(H + 1/2), the kernel normalization."""
-        return gamma_fn(self.H + 0.5)
+        return math.gamma(self.H + 0.5)
 
     @property
     def density_const(self) -> float:
         """c_H = 1 / (Gamma(H+1/2) Gamma(1/2-H))."""
-        return 1.0 / (self.gamma_head * gamma_fn(0.5 - self.H))
+        return 1.0 / (self.gamma_head * math.gamma(0.5 - self.H))
 
     def integral(self, t):
         """Integral of the kernel over (0, t): t^(H+1/2) / ((H+1/2) Gamma(H+1/2))."""

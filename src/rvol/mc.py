@@ -482,7 +482,7 @@ def bergomi_smile(
     grid: GridSpec,
     cfg: McConfig,
     log_strikes,
-    kernel_factors: int = 40,
+    kernel_factors: int = BergomiModel.kernel_factors,
 ):
     """Implied-vol smile rows for both sampling modes at shared strikes.
 

@@ -1,9 +1,9 @@
 """Low-level numerical routines shared by the rest of the package.
 
-Gamma functions, a one-dimensional golden-section minimizer, an adaptive
-quadrature wrapper that builds the cross-time entries of the exact rough
-Bergomi covariance, and a clipped Cholesky factorization for nearly
-positive semidefinite covariance matrices.
+The lower incomplete gamma function, a one-dimensional golden-section
+minimizer, an adaptive quadrature wrapper that builds the cross-time
+entries of the exact rough Bergomi covariance, and a clipped Cholesky
+factorization for nearly positive semidefinite covariance matrices.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from scipy.special.cython_special import gammainc
 
 __all__ = [
     "IntegrationError",
-    "gamma_fn",
     "lower_incomplete_gamma",
     "minimize_scalar",
     "integrate",
@@ -74,13 +73,6 @@ class IntegrationError(RuntimeError):
         self.best_estimate = best_estimate
 
 
-def gamma_fn(a: float) -> float:
-    """Gamma function for positive real arguments."""
-    if a <= 0.0:
-        raise ValueError(f"gamma_fn requires a > 0, got {a}")
-    return math.gamma(a)
-
-
 def lower_incomplete_gamma(a: float, x: float) -> float:
     """Lower incomplete gamma integral of s^(a-1) exp(-s) over (0, x).
 
@@ -97,25 +89,25 @@ def lower_incomplete_gamma(a: float, x: float) -> float:
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_MIN_TOL = 1e-9  # minimize_scalar: bracket width at which the search stops
 
 
-def minimize_scalar(f, lo: float, hi: float, tol: float = 1e-9):
+def minimize_scalar(f, lo: float, hi: float):
     """Golden-section search on [lo, hi].
 
     Returns ``(argmin, value)``. For a unimodal objective the argmin is
-    within ``tol`` of the true minimizer; for general continuous
+    within 1e-9 of the true minimizer; for general continuous
     objectives it converges to a local minimizer. Iterations are capped
-    at 200, enough to shrink any practical bracket far below ``tol``.
+    at 200, enough to shrink any practical bracket far below 1e-9.
     """
     if not lo < hi:
         raise ValueError(f"invalid bracket [{lo}, {hi}]")
-    require_positive(tol, "tol")
     a, b = float(lo), float(hi)
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
     for _ in range(200):
-        if b - a <= tol:
+        if b - a <= _MIN_TOL:
             break
         if fc < fd:
             b, d, fd = d, c, fc

@@ -45,9 +45,8 @@ __all__ = [
 _NODE_RULES = ("midpoint", "barycentric")
 
 # The optimal geometric ratio is O(1)-O(10) in practice; the bracket is
-# generous on both sides and the search runs on log ratio to _RATIO_TOL.
+# generous on both sides and the search runs on log ratio.
 _RATIO_BRACKET = (1.05, 50.0)
-_RATIO_TOL = 1e-9
 
 
 def paper_truncation(rule: str, H: float, n: int, node_rule: str = "barycentric"):
@@ -214,7 +213,7 @@ def optimize_tail_ratio(spec: RoughKernelSpec, n: int, K: float, T: float):
         return l2_error_exact(spec, build_geometric(spec, n, math.exp(log_ratio), K), T)
 
     lo, hi = _RATIO_BRACKET
-    log_best, err = minimize_scalar(objective, math.log(lo), math.log(hi), tol=_RATIO_TOL)
+    log_best, err = minimize_scalar(objective, math.log(lo), math.log(hi))
     return math.exp(log_best), err
 
 
@@ -252,24 +251,21 @@ def build_systematic(spec: RoughKernelSpec, n_total: int, T: float) -> ExpSumKer
     return rescaled
 
 
-def truncate_factors(kernel: ExpSumKernel, T: float, N: int, beta: float = 1.0):
+def truncate_factors(kernel: ExpSumKernel, T: float, N: int):
     """Drop fast factors that are negligible at the first grid point.
 
     Returns the smallest head of the kernel whose discarded tail
-    satisfies sum_{i > k} w_i exp(-r_i T/N) <= (T/N)^beta, together with
-    the retained factor count. Factors with enormous rates damp to
+    satisfies sum_{i > k} w_i exp(-r_i dt) <= dt with dt = T/N, together
+    with the retained factor count. Factors with enormous rates damp to
     nothing within a single step of size T/N, so simulating them is
     wasted work.
     """
     T = require_positive(T, "horizon T")
-    beta = require_positive(beta, "beta")
     N = require_count(N, "step count N")
     dt = T / N
-    threshold = dt**beta
     damped, _ = kernel.damped(dt)
-    # tail_after[k] = sum_{i >= k} damped[i]
+    # tail_after[k] = sum_{i >= k} damped[i]; the empty tail after all n
+    # factors is 0 <= dt, so some count in 1..n meets the bound
     tail_after = np.concatenate([np.cumsum(damped[::-1])[::-1], [0.0]])
-    for count in range(1, kernel.n + 1):
-        if tail_after[count] <= threshold:
-            return kernel.head(count), count
-    return kernel, kernel.n
+    count = 1 + int(np.argmax(tail_after[1:] <= dt))
+    return kernel.head(count), count

@@ -146,13 +146,12 @@ class IntegratedPaths:
 
     ``integrated_variance`` is the running maximum of the raw scheme
     output (the scheme's martingale construction requires nondecreasing
-    integrated variance); ``raw_integrated`` is kept for diagnostics.
-    Both are None when the engine ran with ``prices_only=True``.
+    integrated variance). It is None when the engine ran with
+    ``prices_only=True``.
     """
 
     log_price: np.ndarray
     integrated_variance: np.ndarray | None
-    raw_integrated: np.ndarray | None
 
 
 def _kernel_table(kernel, grid: GridSpec) -> np.ndarray:
@@ -580,11 +579,8 @@ def _integrated_loop(params, grid, memory, z, z_perp, drift_floor) -> Integrated
         lp += tmp
         np.multiply(mart_perp, rho_perp, out=tmp)
         lp += tmp
-    keep = not memory.ring
     return IntegratedPaths(
-        log_price=log_price.T,
-        integrated_variance=clamped.T if keep else None,
-        raw_integrated=raw.T if keep else None,
+        log_price=log_price.T, integrated_variance=None if memory.ring else clamped.T
     )
 
 

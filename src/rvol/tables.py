@@ -51,14 +51,15 @@ def _doubling_table(builder, rule: str, n: int):
     return header, rows
 
 
-def _geometric_table(ratio: float = 3.0):
+def _geometric_table():
+    """Errors at n = 50, 200 and 400 of the geometric kernel with ratio 3."""
     header = ["H", "l2_sq_50", "l2_sq_200", "l2_sq_400", "rate_factor"]
     rows = []
     for H in _HURSTS:
         spec = RoughKernelSpec(H)
         errs = {}
         for n in (50, 200, 400):
-            errs[n] = l2_error_exact(spec, build_geometric(spec, n, ratio), _HORIZON)
+            errs[n] = l2_error_exact(spec, build_geometric(spec, n, 3.0), _HORIZON)
         rows.append(
             [H, errs[50], errs[200], errs[400], rate_factor_estimate(errs[200], errs[400], H)]
         )

@@ -209,7 +209,7 @@ def test_criterion_06_truncation_and_discrete_error():
     with criterion("06 factor truncation and discrete error"):
         spec = RoughKernelSpec(0.1)
         kernel = systematic_kernel(0.1, 100, 1.0)
-        truncated, count = truncate_factors(kernel, 1.0, 160, beta=1.0)
+        truncated, count = truncate_factors(kernel, 1.0, 160)
         assert count == 55
         err = l2_error_discrete(spec, truncated, 1.0, 160)
         assert abs(err - 0.00783633) / 0.00783633 <= 0.05
@@ -333,7 +333,7 @@ def test_criterion_11_complexity_scaling():
     from reference_steppers import scalar_multifactor_variance, scalar_volterra_variance
 
     with criterion("11 quadratic vs linear step-count scaling"):
-        kernel, _ = truncate_factors(systematic_kernel(0.1, 100, 1.0), 1.0, 160, beta=1.0)
+        kernel, _ = truncate_factors(systematic_kernel(0.1, 100, 1.0), 1.0, 160)
         assert kernel.n == 55
         weights = list(kernel.weights)
         rates = list(kernel.rates)

@@ -194,6 +194,26 @@ class TestInputErrors:
             ({"method": "geometric", "hurst": "0.1", "n": 10}, "'hurst' must be a number"),
             ({"method": "simpson", "hurst": 0.1, "n": 10, "order": 2.0}, "'order' must be an"),
             ({"method": "geometric", "hurst": 0.1, "n": 10, "tail_ratio": None}, "must be a number"),
+            (
+                {"method": "systematic", "hurst": 0.1, "n": 10, "truncation": 5},
+                "method 'systematic' does not read 'truncation'",
+            ),
+            (
+                {"method": "riemann-bary", "hurst": 0.1, "n": 8, "beta": 0.5},
+                "method 'riemann-bary' does not read 'beta'",
+            ),
+            (
+                {"method": "geometric", "hurst": 0.1, "n": 10, "order": 4},
+                "method 'geometric' does not read 'order'",
+            ),
+            (
+                {"method": "riemann-mid", "hurst": 0.1, "n": 8, "node_rule": "barycentric"},
+                "method 'riemann-mid' does not read 'node_rule'",
+            ),
+            (
+                {"method": "geometric", "hurst": 0.1, "n": 10, "truncaton": 5, "beta": 0.5},
+                "method 'geometric' does not read 'truncaton', 'beta'",
+            ),
         ],
         ids=[
             "no-hurst",
@@ -205,6 +225,11 @@ class TestInputErrors:
             "hurst-string",
             "order-float",
             "tail-ratio-null",
+            "systematic-truncation",
+            "riemann-beta",
+            "geometric-order",
+            "riemann-mid-node-rule",
+            "misspelt-key",
         ],
     )
     def test_bad_kernel_config(self, tmp_path, capsys, config, message):
@@ -213,6 +238,44 @@ class TestInputErrors:
         code, stdout, err = run_cli(capsys, ["kernel", "--config", str(path)])
         assert (code, stdout) == (1, "")
         assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--method", "systematic", "--truncation", "5"], "'systematic' does not read --truncation"),
+            (["--method", "riemann-bary", "--beta", "0.5"], "'riemann-bary' does not read --beta"),
+            (["--method", "geometric", "--order", "4"], "'geometric' does not read --order"),
+            (
+                ["--method", "riemann-mid", "--node-rule", "barycentric"],
+                "'riemann-mid' does not read --node-rule",
+            ),
+            (
+                ["--method", "systematic", "--tail-ratio", "3", "--beta", "0.5"],
+                "'systematic' does not read --beta, --tail-ratio",
+            ),
+        ],
+        ids=["systematic-truncation", "riemann-beta", "geometric-order", "node-rule", "two-flags"],
+    )
+    def test_unread_kernel_flags(self, capsys, flags, message):
+        code, stdout, err = run_cli(capsys, ["kernel", "--n", "10", *flags])
+        assert (code, stdout) == (1, "")
+        assert err == f"error: method {message}\n"
+
+    def test_rejected_steps_write_no_kernel_file(self, tmp_path, capsys):
+        out = tmp_path / "k.csv"
+        argv = ["kernel", "--method", "riemann-bary", "--n", "8", "--steps", "0", "--out", str(out)]
+        code, stdout, err = run_cli(capsys, argv)
+        assert (code, stdout) == (1, "")
+        assert "step count N must be >= 1" in err
+        assert not out.exists()
+
+    def test_paper_scale_sets_the_path_count(self, capsys):
+        argv = ["price", "--model", "heston", "--scheme", "volterra", "--paper-scale"]
+        with mock.patch.object(cli, "price") as priced:
+            priced.return_value.to_json.return_value = "{}"
+            assert run_cli(capsys, argv) == (0, "{}\n", "")
+        (_, _, _, cfg), _ = priced.call_args
+        assert cfg.paths == 1_000_000
 
     def test_zero_smile_points(self, capsys):
         code, stdout, err = run_cli(capsys, ["smile", "--points", "0", "--paths", "8"])

@@ -25,7 +25,6 @@ from rvol.kernel import (
     truncation_error_bound,
     write_kernel_csv,
 )
-from rvol.numerics import gamma_fn
 
 # scipy's QUADPACK is the independent oracle
 TIGHT = dict(epsabs=1e-13, epsrel=1e-13, limit=400)
@@ -67,13 +66,13 @@ class TestRoughKernel:
     def test_unit_time(self):
         for H in (0.05, 0.25, 0.45):
             spec = RoughKernelSpec(H)
-            assert math.isclose(rough_kernel_eval(spec, 1.0), 1.0 / gamma_fn(H + 0.5), rel_tol=1e-14)
+            assert math.isclose(rough_kernel_eval(spec, 1.0), 1.0 / math.gamma(H + 0.5), rel_tol=1e-14)
 
     def test_quarter_hurst(self):
         spec = RoughKernelSpec(0.25)
-        assert math.isclose(rough_kernel_eval(spec, 1.0), 1.0 / gamma_fn(0.75), rel_tol=1e-14)
+        assert math.isclose(rough_kernel_eval(spec, 1.0), 1.0 / math.gamma(0.75), rel_tol=1e-14)
         # log-space cross-check at t = 4
-        expected = math.exp(-0.25 * math.log(4.0)) / gamma_fn(0.75)
+        expected = math.exp(-0.25 * math.log(4.0)) / math.gamma(0.75)
         assert math.isclose(rough_kernel_eval(spec, 4.0), expected, rel_tol=1e-14)
 
     def test_singularity_domain(self):
@@ -255,14 +254,14 @@ class TestJointCovariance:
     def test_fractional_variance_entry(self):
         spec = RoughKernelSpec(0.25)
         cov = build_joint_covariance(spec, [1.0, 2.0], 1.0)
-        expected = 1.0 / (0.5 * gamma_fn(0.75) ** 2)
+        expected = 1.0 / (0.5 * math.gamma(0.75) ** 2)
         assert math.isclose(cov[-1, -1], expected, rel_tol=1e-14)
 
     def test_cross_entry_against_quadrature(self):
         spec = RoughKernelSpec(0.25)
         cov = build_joint_covariance(spec, [2.0], 1.0)
         oracle = quad(
-            lambda s: math.exp(-2.0 * (1.0 - s)) * (1.0 - s) ** (-0.25) / gamma_fn(0.75),
+            lambda s: math.exp(-2.0 * (1.0 - s)) * (1.0 - s) ** (-0.25) / math.gamma(0.75),
             0.0,
             1.0,
             **TIGHT,
@@ -273,7 +272,7 @@ class TestJointCovariance:
         spec = RoughKernelSpec(0.25)
         cov = build_joint_covariance(spec, [0.0], 2.0)
         a = 0.75
-        expected = 2.0**a / (a * gamma_fn(a))
+        expected = 2.0**a / (a * math.gamma(a))
         assert math.isclose(cov[0, 1], expected, rel_tol=1e-14)
 
     def test_validation(self):
@@ -303,7 +302,7 @@ class TestL2Error:
     def test_zero_weights_give_rough_norm(self):
         spec = RoughKernelSpec(0.25)
         kernel = ExpSumKernel([0.0, 0.0], [1.0, 2.0])
-        expected = 1.0 / (0.5 * gamma_fn(0.75) ** 2)
+        expected = 1.0 / (0.5 * math.gamma(0.75) ** 2)
         assert math.isclose(l2_error_exact(spec, kernel, 1.0), expected, rel_tol=1e-13)
 
     def test_nonnegative(self):
@@ -411,7 +410,7 @@ class TestInnerProducts:
         spec = RoughKernelSpec(0.25)
         kernel = ExpSumKernel([1.0], [1.0])
         _, _, rough = expsum_inner_products(spec, kernel, 1.0)
-        assert math.isclose(rough, 1.0 / (0.5 * gamma_fn(0.75) ** 2), rel_tol=1e-14)
+        assert math.isclose(rough, 1.0 / (0.5 * math.gamma(0.75) ** 2), rel_tol=1e-14)
 
     def test_cross_product_against_quadrature(self):
         spec = RoughKernelSpec(0.25)

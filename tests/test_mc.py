@@ -134,14 +134,21 @@ class TestPrice:
         n_steps=st.integers(1, 4),
     )
     def test_worker_count_invariance(self, paths, workers, seed, n_steps):
-        # path counts on both sides of the path-block size, so several blocks meet
-        model = HestonModel(scheme="multifactor-truncated")
+        # path counts on both sides of the path-block size, so several blocks
+        # meet; every model runs each drawn case, so none goes unchecked
         grid = GridSpec(T=1.0, N=n_steps)
-        serial = price(model, euro_call(1.0), grid, McConfig(paths=paths, seed=seed, workers=1))
-        pooled = price(
-            model, euro_call(1.0), grid, McConfig(paths=paths, seed=seed, workers=workers)
-        )
-        assert (serial.mean, serial.half_width_95) == (pooled.mean, pooled.half_width_95)
+        for model in (
+            HestonModel(scheme="multifactor-truncated"),
+            BergomiModel(mode="exact"),
+            BergomiModel(mode="multifactor"),
+        ):
+            serial = price(
+                model, euro_call(1.0), grid, McConfig(paths=paths, seed=seed, workers=1)
+            )
+            pooled = price(
+                model, euro_call(1.0), grid, McConfig(paths=paths, seed=seed, workers=workers)
+            )
+            assert (serial.mean, serial.half_width_95) == (pooled.mean, pooled.half_width_95)
 
     def test_degenerate_model_zero_half_width(self):
         params = HestonParams(V0=0.0, theta=0.0, sigma=0.0)

@@ -24,7 +24,6 @@ from rvol.kernel import (
 from rvol.mc import rate_factor_estimate
 from rvol.numerics import (
     IntegrationError,
-    gamma_fn,
     integrate,
     lower_incomplete_gamma,
     minimize_scalar,
@@ -47,18 +46,9 @@ POINTS = st.floats(0.0, 50.0, allow_subnormal=False)
 
 
 class TestGamma:
-    def test_integer_and_half_integer(self):
-        assert gamma_fn(1.0) == 1.0
-        assert math.isclose(gamma_fn(0.5), math.sqrt(math.pi), rel_tol=1e-14)
-        assert math.isclose(gamma_fn(4.0), 6.0, rel_tol=1e-14)
-
     def test_three_quarters(self):
-        assert math.isclose(gamma_fn(0.75), GAMMA_3_4, rel_tol=1e-12)
-
-    def test_domain(self):
-        for bad in (0.0, -1.0, -0.5):
-            with pytest.raises(ValueError):
-                gamma_fn(bad)
+        # the kernel normalization Gamma(H + 1/2) at H = 1/4
+        assert math.isclose(RoughKernelSpec(0.25).gamma_head, GAMMA_3_4, rel_tol=1e-12)
 
 
 class TestLowerIncompleteGamma:
@@ -84,7 +74,7 @@ class TestLowerIncompleteGamma:
             for x in (0.1, 1.0, 10.0):
                 tail = quad(lambda s: s ** (a - 1.0) * math.exp(-s), x, np.inf, **TIGHT)[0]
                 total = lower_incomplete_gamma(a, x) + tail
-                assert abs(total - gamma_fn(a)) <= 1e-10
+                assert abs(total - math.gamma(a)) <= 1e-10
 
     def test_monotone_in_x(self):
         for a in (0.55, 0.8, 1.2):
@@ -93,8 +83,8 @@ class TestLowerIncompleteGamma:
 
     def test_saturates_at_gamma(self):
         for a in (0.55, 0.9):
-            assert math.isclose(lower_incomplete_gamma(a, 1e6), gamma_fn(a), rel_tol=1e-13)
-            assert lower_incomplete_gamma(a, np.inf) == gamma_fn(a)
+            assert math.isclose(lower_incomplete_gamma(a, 1e6), math.gamma(a), rel_tol=1e-13)
+            assert lower_incomplete_gamma(a, np.inf) == math.gamma(a)
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -141,22 +131,22 @@ class TestLowerIncompleteGamma:
     @settings(max_examples=20, deadline=None)
     @given(a=SHAPES)
     def test_huge_argument_returns_gamma(self, a):
-        assert lower_incomplete_gamma(a, 1e300) == gamma_fn(a)
+        assert lower_incomplete_gamma(a, 1e300) == math.gamma(a)
 
 
 class TestMinimizeScalar:
     def test_quadratic(self):
-        x, fx = minimize_scalar(lambda x: (x - 2.0) ** 2, 0.0, 5.0, tol=1e-8)
+        x, fx = minimize_scalar(lambda x: (x - 2.0) ** 2, 0.0, 5.0)
         assert abs(x - 2.0) <= 1e-7
         assert fx <= 1e-13
 
     def test_monotone(self):
-        x, _ = minimize_scalar(lambda x: x, 0.0, 1.0, tol=1e-8)
+        x, _ = minimize_scalar(lambda x: x, 0.0, 1.0)
         assert abs(x - 0.0) <= 1e-7
 
     def test_invalid_bracket(self):
         with pytest.raises(ValueError):
-            minimize_scalar(lambda x: x * x, 1.0, 1.0, tol=1e-8)
+            minimize_scalar(lambda x: x * x, 1.0, 1.0)
 
     def test_matches_grid_scan_on_tail_ratio_objective(self):
         # same objective the geometric-ratio optimizer sees
@@ -168,7 +158,7 @@ class TestMinimizeScalar:
         lo, hi = 1.5, 20.0
         grid = np.linspace(lo, hi, 10_000)
         grid_best = grid[int(np.argmin([objective(a) for a in grid]))]
-        found, _ = minimize_scalar(objective, lo, hi, tol=1e-6)
+        found, _ = minimize_scalar(objective, lo, hi)
         assert abs(found - grid_best) <= (hi - lo) / 10_000 + 1e-6
 
 
@@ -183,8 +173,8 @@ class TestIntegrate:
     def test_squared_rough_kernel(self):
         # H = 0.25: closed form 1 / (2H Gamma(3/4)^2) on (0, 1)
         spec = RoughKernelSpec(0.25)
-        value = integrate(lambda t: (t ** (-0.25) / gamma_fn(0.75)) ** 2, 0.0, 1.0)
-        closed = 1.0 / (0.5 * gamma_fn(0.75) ** 2)
+        value = integrate(lambda t: (t ** (-0.25) / math.gamma(0.75)) ** 2, 0.0, 1.0)
+        closed = 1.0 / (0.5 * math.gamma(0.75) ** 2)
         assert math.isclose(value, closed, rel_tol=1e-10)
         assert math.isclose(value, 1.0 / (0.5 * GAMMA_3_4**2), rel_tol=1e-10)
 
@@ -203,26 +193,22 @@ _SPEC, _KERNEL = RoughKernelSpec(0.1), ExpSumKernel([0.5, 0.5], [1.0, 2.0])
     [
         lambda x: l2_error_discrete(_SPEC, _KERNEL, x, 10),
         lambda x: truncate_factors(_KERNEL, x, 10),
-        lambda x: truncate_factors(_KERNEL, 1.0, 10, beta=x),
         lambda x: hybrid_step_covariance(_SPEC, x),
         lambda x: factor_step_law(_KERNEL, x),
         lambda x: rate_factor_estimate(x, 1.0, 0.1),
         lambda x: rate_factor_estimate(1.0, x, 0.1),
         lambda x: rate_factor_estimate(1.0, 1.0, x),
         lambda x: truncation_error_bound(_SPEC, x),
-        lambda x: minimize_scalar(lambda y: y * y, -1.0, 1.0, tol=x),
     ],
     ids=[
         "l2-discrete-T",
         "truncate-T",
-        "truncate-beta",
         "hybrid-dt",
         "step-law-dt",
         "rate-err-n",
         "rate-err-2n",
         "rate-H",
         "truncation-bound-cutoff",
-        "minimize-tol",
     ],
 )
 @pytest.mark.parametrize("value", [math.nan, math.inf])

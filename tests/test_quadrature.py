@@ -291,7 +291,7 @@ class TestTruncation:
         kernel_fast = __import__("rvol.kernel", fromlist=["ExpSumKernel"]).ExpSumKernel(
             [1.0, 1.0, 1.0], [500.0, 600.0, 700.0]
         )
-        truncated, count = truncate_factors(kernel_fast, 1.0, 10, beta=1.0)
+        truncated, count = truncate_factors(kernel_fast, 1.0, 10)
         assert count == 1
         assert truncated.n == 1
 
@@ -299,7 +299,7 @@ class TestTruncation:
         from rvol.kernel import ExpSumKernel
 
         kernel = ExpSumKernel([2.0, 2.0, 2.0], [0.0, 1e-4, 2e-4])
-        truncated, count = truncate_factors(kernel, 1.0, 10, beta=1.0)
+        truncated, count = truncate_factors(kernel, 1.0, 10)
         assert count == kernel.n
         assert truncated.n == kernel.n
 
@@ -309,9 +309,8 @@ class TestTruncation:
         seed=st.integers(0, 2**32 - 1),
         T=st.floats(0.05, 5.0),
         N=st.integers(1, 400),
-        beta=st.floats(0.25, 2.0),
     )
-    def test_minimality(self, n, seed, T, N, beta):
+    def test_minimality(self, n, seed, T, N):
         # the head meets the tail bound and one factor fewer does not; the
         # margin covers the rounding of the implementation's running sum
         from rvol.kernel import ExpSumKernel
@@ -319,14 +318,13 @@ class TestTruncation:
         rng = np.random.default_rng(seed)
         rates = np.unique(10.0 ** rng.uniform(-2.0, 4.0, n))
         kernel = ExpSumKernel(rng.uniform(0.0, 2.0, rates.size), rates)
-        truncated, count = truncate_factors(kernel, T, N, beta=beta)
+        truncated, count = truncate_factors(kernel, T, N)
         assert truncated == kernel.head(count)
         dt = T / N
-        threshold = dt**beta
         damped = (kernel.weights * np.exp(-kernel.rates * dt)).tolist()
-        assert math.fsum(damped[count:]) <= threshold * (1.0 + 1e-12)
+        assert math.fsum(damped[count:]) <= dt * (1.0 + 1e-12)
         if count > 1:
-            assert math.fsum(damped[count - 1 :]) > threshold * (1.0 - 1e-12)
+            assert math.fsum(damped[count - 1 :]) > dt * (1.0 - 1e-12)
 
     def test_validation(self):
         from rvol.kernel import ExpSumKernel
@@ -334,5 +332,3 @@ class TestTruncation:
         kernel = ExpSumKernel([1.0], [1.0])
         with pytest.raises(ValueError):
             truncate_factors(kernel, 0.0, 10)
-        with pytest.raises(ValueError):
-            truncate_factors(kernel, 1.0, 10, beta=0.0)

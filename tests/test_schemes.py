@@ -523,7 +523,7 @@ class TestIntegratedSchemes:
         zp = rng.standard_normal((32, 10))
         paths = heston_integrated_volterra(params, spec, grid, z, zp)
         times = grid.times()
-        assert np.allclose(paths.raw_integrated, 0.05 * times[None, :], atol=1e-14)
+        assert np.allclose(paths.integrated_variance, 0.05 * times[None, :], atol=1e-14)
         # martingale increments have deterministic scale sqrt(V0 dt)
         scale = math.sqrt(0.05 * grid.dt)
         mart = (paths.log_price + 0.5 * paths.integrated_variance) / 1.0
@@ -554,7 +554,7 @@ class TestIntegratedSchemes:
             zp = rng.standard_normal((64, N))
             direct = heston_integrated_volterra(params, kernel, grid, z, zp, drift_floor=floor)
             fast = heston_integrated_multifactor(params, kernel, grid, z, zp, drift_floor=floor)
-            assert np.max(np.abs(direct.raw_integrated - fast.raw_integrated)) <= 1e-10
+            assert np.max(np.abs(direct.integrated_variance - fast.integrated_variance)) <= 1e-10
             assert np.max(np.abs(direct.log_price - fast.log_price)) <= 1e-10
 
     def test_floor_validation(self):
@@ -701,7 +701,7 @@ class TestBlockedStepLoop:
         with mock.patch.object(schemes, "_BLOCK", block):
             direct = heston_integrated_volterra(params, kernel, grid, z, zp, drift_floor=floor)
             fast = heston_integrated_multifactor(params, kernel, grid, z, zp, drift_floor=floor)
-        assert np.max(np.abs(direct.raw_integrated - fast.raw_integrated)) <= 1e-10
+        assert np.max(np.abs(direct.integrated_variance - fast.integrated_variance)) <= 1e-10
         assert np.max(np.abs(direct.log_price - fast.log_price)) <= 1e-10
 
 
@@ -739,7 +739,7 @@ class TestStreamedPricing:
             for engine in (heston_integrated_volterra, heston_integrated_multifactor):
                 full = engine(params, kernel, grid, z, zp, drift_floor=floor)
                 priced = engine(params, kernel, grid, z, zp, drift_floor=floor, prices_only=True)
-                assert priced.integrated_variance is None and priced.raw_integrated is None
+                assert priced.integrated_variance is None
                 assert np.array_equal(priced.log_price, full.log_price)
 
     def test_increment_validation(self):
