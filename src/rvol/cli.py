@@ -54,6 +54,7 @@ _METHOD_KEYS = {
 }
 _METHODS = tuple(_METHOD_KEYS)
 _COMMON_KEYS = ("method", "hurst", "n", "horizon")
+_KERNEL_FLAGS = _COMMON_KEYS + ("truncation", "beta", "order", "tail_ratio", "node_rule")
 
 
 def _workers(flag: int | None) -> int:
@@ -112,16 +113,17 @@ def _build_kernel(config: dict, spec: RoughKernelSpec, horizon: float) -> ExpSum
 
 
 def _cmd_kernel(args) -> int:
+    given = {key: getattr(args, key) for key in _KERNEL_FLAGS if getattr(args, key) is not None}
     if args.config:
+        if given:
+            flags = ", ".join(f"--{key.replace('_', '-')}" for key in given)
+            raise ValueError(f"--config does not combine with {flags}")
         with open(args.config, "r", encoding="utf-8") as fh:
             config = json.load(fh)
         if not isinstance(config, dict):
             raise ValueError("the kernel config must be a JSON object")
     else:
-        config = {key: getattr(args, key) for key in _COMMON_KEYS}
-        for key in ("truncation", "beta", "order", "tail_ratio", "node_rule"):
-            if getattr(args, key) is not None:
-                config[key] = getattr(args, key)
+        config = {"hurst": 0.1, "n": 100, **given}
     _check_config(config, from_flags=not args.config)
     spec = RoughKernelSpec(float(config["hurst"]))
     horizon = float(config.get("horizon", 1.0))
@@ -165,20 +167,29 @@ def _factors(args) -> dict:
     return {} if args.factors is None else {"kernel_factors": args.factors}
 
 
-def _model(args) -> HestonModel | BergomiModel:
-    """The descriptor of ``--model`` and ``--scheme``, which rejects an unknown scheme."""
+def _model(args, grid: GridSpec) -> HestonModel | BergomiModel:
+    """The descriptor of ``--model`` and ``--scheme``, which rejects an unknown scheme.
+
+    ``--factors`` is an error for a scheme that runs on the rough kernel.
+    """
     factors = _factors(args)
     if args.model == "heston":
         hurst = {} if args.hurst is None else {"hurst": args.hurst}
-        return HestonModel(scheme=args.scheme, **hurst, **factors)
-    params = BergomiParams() if args.hurst is None else BergomiParams(H=args.hurst)
-    return BergomiModel(mode=args.scheme, params=params, **factors)
+        model = HestonModel(scheme=args.scheme, **hurst, **factors)
+        rough = bool(factors) and isinstance(model.resolve_kernel(grid), RoughKernelSpec)
+    else:
+        params = BergomiParams() if args.hurst is None else BergomiParams(H=args.hurst)
+        model = BergomiModel(mode=args.scheme, params=params, **factors)
+        rough = bool(factors) and model.mode == "exact"
+    if rough:
+        raise ValueError(f"scheme {args.scheme!r} runs on the rough kernel; it reads no --factors")
+    return model
 
 
 def _cmd_price(args) -> int:
-    model = _model(args)
-    payoff = (euro_call if args.payoff == "euro-call" else lookback_call)(args.strike)
     grid = GridSpec(T=args.horizon, N=args.steps)
+    model = _model(args, grid)
+    payoff = (euro_call if args.payoff == "euro-call" else lookback_call)(args.strike)
     cfg = McConfig(paths=args.paths, seed=args.seed, workers=args.workers)
     report = price(model, payoff, grid, cfg)
     print(report.to_json())
@@ -207,7 +218,7 @@ def _cmd_smile(args) -> int:
 
 def _cmd_path_dump(args) -> int:
     grid = GridSpec(T=args.horizon, N=args.steps)
-    model = _model(args)
+    model = _model(args, grid)
     rng = CounterRng(args.seed)
     normals = rng.normals_block(
         np.array([0], dtype=np.uint64), grid.N, model.components_per_step(grid)
@@ -238,14 +249,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_kernel = sub.add_parser("kernel", help="build an exponential-sum kernel")
     p_kernel.add_argument("--config", help="JSON config naming the method and parameters")
     p_kernel.add_argument("--method", choices=_METHODS)
-    p_kernel.add_argument("--hurst", type=float, default=0.1)
-    p_kernel.add_argument("--n", type=int, default=100)
-    p_kernel.add_argument("--horizon", type=float, default=1.0)
-    p_kernel.add_argument("--truncation", type=float, default=None)
-    p_kernel.add_argument("--beta", type=float, default=None)
-    p_kernel.add_argument("--order", type=int, default=None)
-    p_kernel.add_argument("--tail-ratio", type=float, default=None)
-    p_kernel.add_argument("--node-rule", choices=("midpoint", "barycentric"), default=None)
+    # each kernel flag defaults to None, so that a flag given with --config is seen
+    p_kernel.add_argument("--hurst", type=float)
+    p_kernel.add_argument("--n", type=int)
+    p_kernel.add_argument("--horizon", type=float)
+    p_kernel.add_argument("--truncation", type=float)
+    p_kernel.add_argument("--beta", type=float)
+    p_kernel.add_argument("--order", type=int)
+    p_kernel.add_argument("--tail-ratio", type=float)
+    p_kernel.add_argument("--node-rule", choices=("midpoint", "barycentric"))
     p_kernel.add_argument("--steps", type=int, default=160)
     p_kernel.add_argument("--out", default=None)
     p_kernel.set_defaults(func=_cmd_kernel)

@@ -104,18 +104,12 @@ class ExpSumKernel:
     def n(self) -> int:
         return self.weights.size
 
-    def __call__(self, t):
-        return expsum_eval(self, t)
-
     def __eq__(self, other):
         if not isinstance(other, ExpSumKernel):
             return NotImplemented
         return np.array_equal(self.weights, other.weights) and np.array_equal(
             self.rates, other.rates
         )
-
-    def __hash__(self):
-        return hash((self.weights.tobytes(), self.rates.tobytes()))
 
     def __repr__(self):
         return f"ExpSumKernel(n={self.n})"

@@ -39,7 +39,7 @@ from scipy.special import ndtri
 
 from .bergomi import BergomiParams, implied_vol, simulate_bergomi, step_components
 from .kernel import ExpSumKernel, RoughKernelSpec
-from .numerics import require_count, require_positive
+from .numerics import require_count, require_integer, require_positive
 from .quadrature import build_systematic, truncate_factors
 from .schemes import (
     GridSpec,
@@ -163,6 +163,7 @@ class McConfig:
 
     def __post_init__(self):
         require_count(self.paths, "paths")
+        require_integer(self.seed, "seed")
         require_count(self.workers, "workers")
 
 
@@ -247,17 +248,16 @@ HESTON_SCHEMES = (
 class HestonModel:
     """Rough Heston pricing descriptor: scheme plus model and kernel choices.
 
-    Factor schemes use the systematic kernel with ``kernel_factors``
-    factors on the grid horizon; the truncated, hybrid and
-    integrated-multifactor schemes drop factors that vanish within one
-    time step. ``kernel`` overrides the systematic construction.
+    The scheme fixes the kernel: the rough kernel of ``hurst`` for the
+    direct schemes, else the systematic kernel with ``kernel_factors``
+    factors on the grid horizon, from which the truncated, hybrid and
+    integrated-multifactor schemes drop the factors that vanish within one step.
     """
 
     scheme: str
     params: HestonParams = field(default_factory=HestonParams)
     hurst: float = 0.1
     kernel_factors: int = 100
-    kernel: ExpSumKernel | None = None
 
     def __post_init__(self):
         if self.scheme not in HESTON_SCHEMES:
@@ -273,15 +273,13 @@ class HestonModel:
         return 3 if self.scheme == "hybrid" else 2
 
     def resolve_kernel(self, grid: GridSpec):
-        if self.kernel is not None:
-            base = self.kernel
-        elif self.scheme in ("volterra", "integrated-volterra"):
+        """The scheme's kernel on ``grid``: a :class:`RoughKernelSpec` or an exponential sum."""
+        if self.scheme in ("volterra", "integrated-volterra"):
             return RoughKernelSpec(self.hurst)
-        else:
-            base = systematic_kernel(self.hurst, self.kernel_factors, grid.T)
-        if self.scheme in ("multifactor-truncated", "hybrid", "integrated-multifactor"):
-            base, _ = truncate_factors(base, grid.T, grid.N)
-        return base
+        kernel = systematic_kernel(self.hurst, self.kernel_factors, grid.T)
+        if self.scheme == "multifactor":
+            return kernel
+        return truncate_factors(kernel, grid.T, grid.N)[0]
 
     def simulate_paths(
         self, grid: GridSpec, normals: np.ndarray

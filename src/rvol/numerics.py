@@ -48,8 +48,8 @@ def require_positive(value, name: str) -> float:
     return value
 
 
-def require_count(value, name: str) -> int:
-    """``value`` as an int; ``ValueError`` unless it is an integer >= 1.
+def require_integer(value, name: str) -> int:
+    """``value`` as an int; ``ValueError`` unless it is an integer.
 
     Python and numpy integers pass. A float fails even when integral,
     and so does a bool: a step count of 2.5 would put grid points past
@@ -57,9 +57,15 @@ def require_count(value, name: str) -> int:
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def require_count(value, name: str) -> int:
+    """``value`` as an int; ``ValueError`` unless it is an integer >= 1."""
+    value = require_integer(value, name)
     if value < 1:
         raise ValueError(f"{name} must be >= 1, got {value}")
-    return int(value)
+    return value
 
 
 class IntegrationError(RuntimeError):

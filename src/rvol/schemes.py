@@ -161,7 +161,7 @@ def _kernel_table(kernel, grid: GridSpec) -> np.ndarray:
         return rough_kernel_eval(kernel, t)
     if isinstance(kernel, ExpSumKernel):
         return expsum_eval(kernel, t)
-    return np.array([float(kernel(x)) for x in t])
+    raise TypeError(f"kernel must be a RoughKernelSpec or an ExpSumKernel, got {kernel!r}")
 
 
 def _sve_loop(plant: SvePlant, grid: GridSpec, dw, make_memories):
@@ -209,10 +209,10 @@ def volterra_euler(plant: SvePlant, g1, g2, grid: GridSpec, dw) -> np.ndarray:
     State at t_{k+1} is x0 plus the kernel-weighted sums of all past
     drift terms b(X_j) dt and diffusion terms sigma(X_j) dW_j, with
     kernels evaluated at the elapsed lags (k+1-j) dt. ``g1`` and ``g2``
-    weight the drift and diffusion sums; each may be a
-    :class:`RoughKernelSpec`, an :class:`ExpSumKernel` or a scalar
-    callable of time. ``dw`` holds (paths, N, d) increments; returns the
-    (paths, N+1, d) states. Cost grows as N^2 per path.
+    weight the drift and diffusion sums; each is a
+    :class:`RoughKernelSpec` or an :class:`ExpSumKernel`. ``dw`` holds
+    (paths, N, d) increments; returns the (paths, N+1, d) states. Cost
+    grows as N^2 per path.
     """
     t1, t2 = _kernel_table(g1, grid), _kernel_table(g2, grid)
     tables = (t1,) if np.array_equal(t1, t2) else (t1, t2)
@@ -433,10 +433,9 @@ def heston_volterra_euler(
 ) -> HestonPaths:
     """Direct Euler scheme for rough Heston (O(N^2) per path).
 
-    ``kernel`` may be a :class:`RoughKernelSpec`, an
-    :class:`ExpSumKernel` or any scalar callable of time. Variance
-    enters drift and diffusion through its positive part; the log price
-    advances by the usual explicit step with correlation ``rho``.
+    ``kernel`` is a :class:`RoughKernelSpec` or an :class:`ExpSumKernel`.
+    Variance enters drift and diffusion through its positive part; the
+    log price advances by the usual explicit step with correlation ``rho``.
     ``z`` and ``z_perp`` are (paths, N) standard normals; step k's
     Brownian increments are sqrt(dt) z_k and sqrt(dt) z_perp_k.
     ``prices_only=True`` keeps the variance in a ring of rows and
@@ -529,19 +528,14 @@ def heston_hybrid_multifactor(
     return _heston_variance(params, grid, memory, z, z_perp, (cov[0, 1], l21, l22, z_frac))
 
 
-_DRIFT_FLOORS = ("runmax", "positive_part")
-
-
-def _integrated_loop(params, grid, memory, z, z_perp, drift_floor) -> IntegratedPaths:
-    """Step loop of the integrated-variance engines; they differ only in memory.
+def _integrated_loop(params, grid, memory, z, z_perp, runmax: bool) -> IntegratedPaths:
+    """Step loop of the integrated-variance engines, which differ in memory and floor.
 
     X_{k+1} = V0 t_{k+1} + convolution of (theta t_j - lam X_j^+ + sigma M_j) dt,
-    X^+ being the running max of X or its positive part; M and M_perp
-    grow by sqrt(increase of max X) times z and z_perp. When the memory
-    keeps a ring of rows, the running max keeps two, used in turn.
+    X^+ being the running max of X (``runmax``) or its positive part; M and
+    M_perp grow by sqrt(increase of max X) times z and z_perp. When the
+    memory keeps a ring of rows, the running max keeps two, used in turn.
     """
-    if drift_floor not in _DRIFT_FLOORS:
-        raise ValueError(f"drift_floor must be one of {_DRIFT_FLOORS}")
     p, dt = params, grid.dt
     raw, slot = memory.result, memory.slot
     n_paths = raw.shape[1]
@@ -553,7 +547,7 @@ def _integrated_loop(params, grid, memory, z, z_perp, drift_floor) -> Integrated
         x_now, x_next = clamped[k % len(clamped)], clamped[(k + 1) % len(clamped)]
         raw_next = raw[slot(k + 1)]
         step = memory.term(k)
-        if drift_floor == "runmax":
+        if runmax:
             np.multiply(x_now, p.lam, out=step)
         else:
             np.maximum(raw[slot(k)], 0.0, out=step)
@@ -590,7 +584,6 @@ def heston_integrated_volterra(
     grid: GridSpec,
     z,
     z_perp,
-    drift_floor: str = "runmax",
     *,
     prices_only: bool = False,
 ) -> IntegratedPaths:
@@ -599,13 +592,10 @@ def heston_integrated_volterra(
     Discretizes the integrated variance X and approximates the price
     martingale parts by increments with variance equal to the increase
     of the running maximum of X, driven by the standard normal arrays
-    ``z`` and ``z_perp`` of shape (paths, N).
-
-    ``drift_floor`` selects the nonnegative surrogate of X in the mean
-    reversion term: its running maximum (default) or its positive part
-    (matching :func:`heston_integrated_multifactor`). ``prices_only=True``
-    keeps X in a ring of rows and returns both integrated variances as
-    None.
+    ``z`` and ``z_perp`` of shape (paths, N). The mean reversion term
+    reads the running maximum of X. ``kernel`` as in
+    :func:`heston_volterra_euler`; ``prices_only=True`` keeps X in a
+    ring of rows and returns both integrated variances as None.
 
     The scheme is chaotic on fine grids: at N = 640, a one-ulp change of
     every input normal moved an 8192-path call price by about 3e-3
@@ -615,7 +605,7 @@ def heston_integrated_volterra(
     """
     z, z_perp = _check_normals(grid, z, z_perp)
     memory = _HistoryMemory(_kernel_table(kernel, grid), z.shape[1], prices_only)
-    return _integrated_loop(params, grid, memory, z, z_perp, drift_floor)
+    return _integrated_loop(params, grid, memory, z, z_perp, runmax=True)
 
 
 def heston_integrated_multifactor(
@@ -624,7 +614,6 @@ def heston_integrated_multifactor(
     grid: GridSpec,
     z,
     z_perp,
-    drift_floor: str = "positive_part",
     *,
     prices_only: bool = False,
 ) -> IntegratedPaths:
@@ -632,9 +621,9 @@ def heston_integrated_multifactor(
 
     Same martingale construction as :func:`heston_integrated_volterra`
     with the history sums replaced by damped factor recursions. The mean
-    reversion uses the positive part of the aggregated state by default;
-    set ``drift_floor='runmax'`` to mirror the direct scheme exactly.
-    ``prices_only`` as in :func:`heston_integrated_volterra`.
+    reversion reads the positive part of the aggregated state, not the
+    running maximum of the direct scheme. ``prices_only`` as in
+    :func:`heston_integrated_volterra`.
 
     The scheme is chaotic on fine grids: at N = 640, a one-ulp change of
     every input normal moved an 8192-path call price by about 8e-2
@@ -643,4 +632,4 @@ def heston_integrated_multifactor(
     """
     z, z_perp = _check_normals(grid, z, z_perp)
     memory = _expsum_memory(kernel, grid, z.shape[1], prices_only)
-    return _integrated_loop(params, grid, memory, z, z_perp, drift_floor)
+    return _integrated_loop(params, grid, memory, z, z_perp, runmax=False)

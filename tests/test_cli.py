@@ -261,6 +261,42 @@ class TestInputErrors:
         assert (code, stdout) == (1, "")
         assert err == f"error: method {message}\n"
 
+    def test_config_rejects_kernel_flags(self, tmp_path, capsys):
+        # these flags were silently dropped: the output matched --config alone
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"method": "geometric", "hurst": 0.1, "n": 10}))
+        argv = ["kernel", "--config", str(path), "--tail-ratio", "9", "--hurst", "0.3"]
+        code, stdout, err = run_cli(capsys, argv)
+        assert (code, stdout) == (1, "")
+        assert err == "error: --config does not combine with --hurst, --tail-ratio\n"
+        code, stdout, _ = run_cli(capsys, ["kernel", "--config", str(path), "--steps", "20"])
+        assert code == 0 and json.loads(stdout)["n_factors"] == 20
+
+    @pytest.mark.parametrize(
+        "command, model, scheme",
+        [
+            ("price", "heston", "volterra"),
+            ("price", "heston", "integrated-volterra"),
+            ("path-dump", "heston", "volterra"),
+            ("price", "bergomi", "exact"),
+            ("path-dump", "bergomi", "exact"),
+        ],
+    )
+    def test_factors_rejected_without_kernel(self, capsys, command, model, scheme):
+        # `--scheme volterra --factors 7` once priced, ignoring the odd count
+        argv = [command, "--model", model, "--scheme", scheme, "--factors", "10", "--steps", "2"]
+        code, stdout, err = run_cli(capsys, argv + (["--paths", "8"] if command == "price" else []))
+        assert (code, stdout) == (1, "")
+        assert err == f"error: scheme {scheme!r} runs on the rough kernel; it reads no --factors\n"
+
+    @pytest.mark.parametrize(
+        "model, scheme", [("heston", "multifactor"), ("heston", "hybrid"), ("bergomi", "multifactor")]
+    )
+    def test_factors_read_by_factor_schemes(self, capsys, model, scheme):
+        argv = ["path-dump", "--model", model, "--scheme", scheme, "--factors", "10", "--steps", "2"]
+        code, stdout, _ = run_cli(capsys, argv)
+        assert code == 0 and len(stdout.splitlines()) == 4
+
     def test_rejected_steps_write_no_kernel_file(self, tmp_path, capsys):
         out = tmp_path / "k.csv"
         argv = ["kernel", "--method", "riemann-bary", "--n", "8", "--steps", "0", "--out", str(out)]

@@ -74,6 +74,22 @@ SVE_ENGINES = [  # both generic engines as run(plant, grid, dw), with the kernel
 ]
 
 
+def integrated(params, kernel, grid, z, zp, *, factors, runmax, prices_only=False):
+    """An integrated engine with either mean-reversion floor.
+
+    The public engines fix the floor (running max for the direct one,
+    positive part for the multifactor one); this runs their step loop
+    over the direct history memory or the factor memory of ``kernel``.
+    """
+    z, zp = schemes._check_normals(grid, z, zp)
+    if factors:
+        memory = schemes._expsum_memory(kernel, grid, z.shape[1], prices_only)
+    else:
+        table = schemes._kernel_table(kernel, grid)
+        memory = schemes._HistoryMemory(table, z.shape[1], prices_only)
+    return schemes._integrated_loop(params, grid, memory, z, zp, runmax)
+
+
 class TestGridAndTypes:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -167,7 +183,7 @@ class TestVolterraEuler:
             drift=lambda x: np.zeros((len(x), 1)),
             diffusion=lambda x: np.ones((len(x), 1, 1)),
         )
-        states = volterra_euler(plant, lambda t: 1.0, lambda t: 1.0, grid, dw)
+        states = volterra_euler(plant, FLAT, FLAT, grid, dw)
         expected = 0.4 + np.concatenate([np.zeros((5, 1)), np.cumsum(dw[:, :, 0], axis=1)], axis=1)
         assert np.allclose(states[:, :, 0], expected, atol=1e-14)
 
@@ -179,7 +195,7 @@ class TestVolterraEuler:
             diffusion=lambda x: np.zeros((len(x), 2, 2)),
         )
         dw = np.ones((3, 8, 2))
-        states = volterra_euler(plant, lambda t: 1.0, lambda t: 1.0, grid, dw)
+        states = volterra_euler(plant, FLAT, FLAT, grid, dw)
         assert np.allclose(states, plant.x0[None, None, :])
 
     def test_two_step_hand_expansion(self):
@@ -192,7 +208,8 @@ class TestVolterraEuler:
         )
         dw = np.array([[[0.2], [-0.1]]])
         g = lambda t: math.exp(-t)
-        states = volterra_euler(plant, g, g, grid, dw)
+        kernel = ExpSumKernel([1.0], [1.0])  # e^-t
+        states = volterra_euler(plant, kernel, kernel, grid, dw)
         x1 = x0 + g(0.5) * b0 * 0.5 + g(0.5) * s0 * 0.2
         x2 = (
             x0
@@ -216,8 +233,11 @@ class TestVolterraEuler:
             drift=lambda x: np.tanh(x @ A.T) - 0.2 * x,
             diffusion=lambda x: C * (1.0 + 0.3 * np.tanh(x[:, 0] - x[:, 1]))[:, None, None],
         )
+        # the engine takes the kernel objects; the double sum evaluates them as formulas
         g1 = lambda t: t**-0.3 / math.gamma(0.7)
-        g2 = g1 if shared else (lambda t: math.exp(-2.0 * t) * (1.0 + t))
+        g2 = g1 if shared else (lambda t: math.exp(-2.0 * t) + 0.5 * math.exp(-5.0 * t))
+        k1 = RoughKernelSpec(0.2)
+        k2 = k1 if shared else ExpSumKernel([1.0, 0.5], [2.0, 5.0])
         grid = GridSpec(T=1.0, N=N)
         dw = rng.standard_normal((3, N, 2)) * math.sqrt(grid.dt)
         dt = grid.dt
@@ -240,7 +260,7 @@ class TestVolterraEuler:
                     ]
                 )
             expected.append(states)
-        states = volterra_euler(plant, g1, g2, grid, dw)
+        states = volterra_euler(plant, k1, k2, grid, dw)
         assert np.max(np.abs(states - np.array(expected))) <= 1e-12
 
     def test_shape_validation(self):
@@ -252,7 +272,12 @@ class TestVolterraEuler:
         )
         for dw in (np.zeros((2, 4, 1)), np.zeros((4, 2))):  # wrong d; no paths axis
             with pytest.raises(ValueError, match="dw must be finite with shape"):
-                volterra_euler(plant, lambda t: 1.0, lambda t: 1.0, grid, dw)
+                volterra_euler(plant, FLAT, FLAT, grid, dw)
+
+    def test_callable_kernel_rejected(self):
+        grid = GridSpec(T=1.0, N=4)
+        with pytest.raises(TypeError, match="RoughKernelSpec or an ExpSumKernel"):
+            schemes._kernel_table(lambda t: 1.0, grid)
 
 
 class TestMultifactorEuler:
@@ -548,23 +573,20 @@ class TestIntegratedSchemes:
         params = HestonParams()
         kernel = ExpSumKernel([0.9, 0.5, 0.2], [0.4, 5.0, 30.0])
         rng = np.random.default_rng(8)
+        runmax = floor == "runmax"
+        public = heston_integrated_volterra if runmax else heston_integrated_multifactor
         for N in (32, 100):
             grid = GridSpec(T=1.0, N=N)
             z = rng.standard_normal((64, N))
             zp = rng.standard_normal((64, N))
-            direct = heston_integrated_volterra(params, kernel, grid, z, zp, drift_floor=floor)
-            fast = heston_integrated_multifactor(params, kernel, grid, z, zp, drift_floor=floor)
+            direct = integrated(params, kernel, grid, z, zp, factors=False, runmax=runmax)
+            fast = integrated(params, kernel, grid, z, zp, factors=True, runmax=runmax)
             assert np.max(np.abs(direct.integrated_variance - fast.integrated_variance)) <= 1e-10
             assert np.max(np.abs(direct.log_price - fast.log_price)) <= 1e-10
-
-    def test_floor_validation(self):
-        params = HestonParams()
-        grid = GridSpec(T=1.0, N=4)
-        with pytest.raises(ValueError):
-            heston_integrated_volterra(
-                params, RoughKernelSpec(0.1), grid, np.zeros((1, 4)), np.zeros((1, 4)),
-                drift_floor="clip",
-            )
+            # the public engine with this floor is the helper's run on its memory
+            same, ref = public(params, kernel, grid, z, zp), direct if runmax else fast
+            assert np.array_equal(same.log_price, ref.log_price)
+            assert np.array_equal(same.integrated_variance, ref.integrated_variance)
 
 
 class TestIncrementLayout:
@@ -615,12 +637,12 @@ class TestIncrementLayout:
         params = HestonParams()
         grid = GridSpec(T=1.0, N=self.N)
         kernel = ExpSumKernel([0.9, 0.5, 0.2], [0.4, 5.0, 30.0])
-        for engine, kern in (
-            (heston_integrated_volterra, RoughKernelSpec(0.1)),
-            (heston_integrated_multifactor, kernel),
-        ):
+        for factors, kern in ((False, RoughKernelSpec(0.1)), (True, kernel)):
             self._assert_same(
-                lambda z: engine(params, kern, grid, z[:, :, 0], z[:, :, 1], drift_floor=floor),
+                lambda z: integrated(
+                    params, kern, grid, z[:, :, 0], z[:, :, 1],
+                    factors=factors, runmax=floor == "runmax",
+                ),
                 2,
             )
 
@@ -698,9 +720,10 @@ class TestBlockedStepLoop:
         block, grid = case
         params = HestonParams()
         z, zp = np.random.default_rng(seed).standard_normal((2, 4, grid.N))
+        runmax = floor == "runmax"
         with mock.patch.object(schemes, "_BLOCK", block):
-            direct = heston_integrated_volterra(params, kernel, grid, z, zp, drift_floor=floor)
-            fast = heston_integrated_multifactor(params, kernel, grid, z, zp, drift_floor=floor)
+            direct = integrated(params, kernel, grid, z, zp, factors=False, runmax=runmax)
+            fast = integrated(params, kernel, grid, z, zp, factors=True, runmax=runmax)
         assert np.max(np.abs(direct.integrated_variance - fast.integrated_variance)) <= 1e-10
         assert np.max(np.abs(direct.log_price - fast.log_price)) <= 1e-10
 
@@ -735,10 +758,14 @@ class TestStreamedPricing:
         block, grid = case
         params = HestonParams()
         z, zp = np.random.default_rng(seed).standard_normal((2, 5, grid.N))
+        runmax = floor == "runmax"
         with mock.patch.object(schemes, "_BLOCK", block):
-            for engine in (heston_integrated_volterra, heston_integrated_multifactor):
-                full = engine(params, kernel, grid, z, zp, drift_floor=floor)
-                priced = engine(params, kernel, grid, z, zp, drift_floor=floor, prices_only=True)
+            for factors in (False, True):
+                run = lambda **kw: integrated(
+                    params, kernel, grid, z, zp, factors=factors, runmax=runmax, **kw
+                )
+                full = run()
+                priced = run(prices_only=True)
                 assert priced.integrated_variance is None
                 assert np.array_equal(priced.log_price, full.log_price)
 
