@@ -40,7 +40,7 @@ from .mc import (
 from .numerics import require_count
 from .quadrature import build_geometric, build_newton_cotes, build_riemann, build_systematic
 from .schemes import GridSpec, IntegratedPaths
-from .tables import TABLE_IDS, table_rows
+from .tables import PRICING_TABLE_IDS, TABLE_IDS, table_rows
 
 # the config keys each method reads besides method, hurst, n and horizon;
 # riemann-mid and riemann-bary name their node rule
@@ -67,6 +67,26 @@ def _workers(flag: int | None) -> int:
     if not env.strip().isdecimal() or int(env) < 1:
         raise ValueError(f"RVOL_WORKERS must be a positive integer, got {env!r}")
     return int(env)
+
+
+def _resolve_mc_flags(args) -> None:
+    """Fill in the Monte Carlo flags' defaults; ``ValueError`` for a flag the command ignores.
+
+    A deterministic table reads none of ``--paths``, ``--seed``,
+    ``--workers`` and ``--paper-scale``, and ``--paper-scale`` sets the
+    path count that ``--paths`` gives. ``RVOL_WORKERS`` is only a default.
+    """
+    given = [f"--{name}" for name in ("paths", "seed", "workers") if vars(args)[name] is not None]
+    given += ["--paper-scale"] if args.paper_scale else []
+    if given and args.command == "table" and args.id not in PRICING_TABLE_IDS:
+        raise ValueError(f"table {args.id!r} runs no Monte Carlo; it reads no {', '.join(given)}")
+    if args.paper_scale and args.paths is not None:
+        raise ValueError("--paper-scale sets the path count; it does not combine with --paths")
+    args.workers = _workers(args.workers)
+    if args.paths is None:
+        args.paths = 1_000_000 if args.paper_scale else McConfig.paths
+    if args.seed is None:
+        args.seed = McConfig.seed
 
 
 def _check_config(config: dict, from_flags: bool) -> None:
@@ -162,33 +182,18 @@ def _cmd_table(args) -> int:
     return 0
 
 
-def _factors(args) -> dict:
-    """``kernel_factors`` from ``--factors`` if given; else empty, for the callee's default."""
-    return {} if args.factors is None else {"kernel_factors": args.factors}
-
-
-def _model(args, grid: GridSpec) -> HestonModel | BergomiModel:
-    """The descriptor of ``--model`` and ``--scheme``, which rejects an unknown scheme.
-
-    ``--factors`` is an error for a scheme that runs on the rough kernel.
-    """
-    factors = _factors(args)
+def _model(args) -> HestonModel | BergomiModel:
+    """Descriptor of ``--model``/``--scheme``; rejects an unknown scheme or unread ``--factors``."""
     if args.model == "heston":
         hurst = {} if args.hurst is None else {"hurst": args.hurst}
-        model = HestonModel(scheme=args.scheme, **hurst, **factors)
-        rough = bool(factors) and isinstance(model.resolve_kernel(grid), RoughKernelSpec)
-    else:
-        params = BergomiParams() if args.hurst is None else BergomiParams(H=args.hurst)
-        model = BergomiModel(mode=args.scheme, params=params, **factors)
-        rough = bool(factors) and model.mode == "exact"
-    if rough:
-        raise ValueError(f"scheme {args.scheme!r} runs on the rough kernel; it reads no --factors")
-    return model
+        return HestonModel(scheme=args.scheme, **hurst, kernel_factors=args.factors)
+    params = BergomiParams() if args.hurst is None else BergomiParams(H=args.hurst)
+    return BergomiModel(mode=args.scheme, params=params, kernel_factors=args.factors)
 
 
 def _cmd_price(args) -> int:
     grid = GridSpec(T=args.horizon, N=args.steps)
-    model = _model(args, grid)
+    model = _model(args)
     payoff = (euro_call if args.payoff == "euro-call" else lookback_call)(args.strike)
     cfg = McConfig(paths=args.paths, seed=args.seed, workers=args.workers)
     report = price(model, payoff, grid, cfg)
@@ -211,14 +216,14 @@ def _cmd_smile(args) -> int:
     grid = GridSpec(T=args.horizon, N=args.steps)
     cfg = McConfig(paths=args.paths, seed=args.seed, workers=args.workers)
     ks = np.linspace(args.kmin, args.kmax, args.points)  # [kmin] for one point
-    rows = bergomi_smile(params, grid, cfg, ks, **_factors(args))
+    rows = bergomi_smile(params, grid, cfg, ks, kernel_factors=args.factors)
     _write_csv(args.out, ["mode", "k", "price", "ci_halfwidth", "implied_vol"], rows)
     return 0
 
 
 def _cmd_path_dump(args) -> int:
     grid = GridSpec(T=args.horizon, N=args.steps)
-    model = _model(args, grid)
+    model = _model(args)
     rng = CounterRng(args.seed)
     normals = rng.normals_block(
         np.array([0], dtype=np.uint64), grid.N, model.components_per_step(grid)
@@ -236,8 +241,9 @@ def _cmd_path_dump(args) -> int:
 
 
 def _add_mc_flags(parser):
-    parser.add_argument("--paths", type=int, default=100_000)
-    parser.add_argument("--seed", type=int, default=0)
+    # --paths and --seed default to None, so that a flag the command would ignore is seen
+    parser.add_argument("--paths", type=int)
+    parser.add_argument("--seed", type=int)
     parser.add_argument("--workers", type=int, default=None)
     parser.add_argument("--paper-scale", action="store_true", help="use 10^6 paths")
 
@@ -312,9 +318,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if "workers" in vars(args):  # the Monte Carlo commands
-            args.workers = _workers(args.workers)
-            if args.paper_scale:
-                args.paths = 1_000_000
+            _resolve_mc_flags(args)
         return args.func(args)
     except (ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

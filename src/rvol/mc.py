@@ -162,9 +162,10 @@ class McConfig:
     workers: int = 1
 
     def __post_init__(self):
-        require_count(self.paths, "paths")
-        require_integer(self.seed, "seed")
-        require_count(self.workers, "workers")
+        # stored as Python ints, so that a report of numpy integers serializes
+        object.__setattr__(self, "paths", require_count(self.paths, "paths"))
+        object.__setattr__(self, "seed", require_integer(self.seed, "seed"))
+        object.__setattr__(self, "workers", require_count(self.workers, "workers"))
 
 
 @dataclass
@@ -242,6 +243,7 @@ HESTON_SCHEMES = (
     "integrated-volterra",
     "integrated-multifactor",
 )
+_ROUGH_SCHEMES = ("volterra", "integrated-volterra")  # they build no exponential sum
 
 
 @dataclass(frozen=True)
@@ -249,20 +251,25 @@ class HestonModel:
     """Rough Heston pricing descriptor: scheme plus model and kernel choices.
 
     The scheme fixes the kernel: the rough kernel of ``hurst`` for the
-    direct schemes, else the systematic kernel with ``kernel_factors``
-    factors on the grid horizon, from which the truncated, hybrid and
-    integrated-multifactor schemes drop the factors that vanish within one step.
+    direct schemes, which raise ``ValueError`` if given ``kernel_factors``,
+    else the systematic kernel with ``kernel_factors`` factors (None: 100)
+    on the grid horizon; the truncated, hybrid and integrated-multifactor
+    schemes drop the factors that vanish within one step.
     """
 
     scheme: str
     params: HestonParams = field(default_factory=HestonParams)
     hurst: float = 0.1
-    kernel_factors: int = 100
+    kernel_factors: int | None = None
 
     def __post_init__(self):
         if self.scheme not in HESTON_SCHEMES:
             raise ValueError(
                 f"unknown heston scheme {self.scheme!r}; expected one of {HESTON_SCHEMES}"
+            )
+        if self.scheme in _ROUGH_SCHEMES and self.kernel_factors is not None:
+            raise ValueError(
+                f"scheme {self.scheme!r} runs on the rough kernel; it reads no kernel_factors"
             )
 
     @property
@@ -274,9 +281,10 @@ class HestonModel:
 
     def resolve_kernel(self, grid: GridSpec):
         """The scheme's kernel on ``grid``: a :class:`RoughKernelSpec` or an exponential sum."""
-        if self.scheme in ("volterra", "integrated-volterra"):
+        if self.scheme in _ROUGH_SCHEMES:
             return RoughKernelSpec(self.hurst)
-        kernel = systematic_kernel(self.hurst, self.kernel_factors, grid.T)
+        n_total = 100 if self.kernel_factors is None else self.kernel_factors
+        kernel = systematic_kernel(self.hurst, n_total, grid.T)
         if self.scheme == "multifactor":
             return kernel
         return truncate_factors(kernel, grid.T, grid.N)[0]
@@ -321,21 +329,24 @@ BERGOMI_MODES = ("exact", "multifactor")
 class BergomiModel:
     """Rough Bergomi pricing descriptor: exact or multifactor sampling.
 
-    ``kernel_factors`` is the total factor count of the systematic
-    kernel; the short-maturity benchmark uses 40 (geometric half-count
-    20), which keeps the multifactor smile within the exact sampler's
-    Monte Carlo band.
+    ``kernel_factors`` is the total factor count of the multifactor
+    mode's systematic kernel (None: 40, geometric half-count 20, which
+    keeps the multifactor smile within the exact sampler's Monte Carlo
+    band). The exact mode runs on the rough kernel and raises
+    ``ValueError`` if given one.
     """
 
     mode: str
     params: BergomiParams = field(default_factory=BergomiParams)
-    kernel_factors: int = 40
+    kernel_factors: int | None = None
 
     def __post_init__(self):
         if self.mode not in BERGOMI_MODES:
             raise ValueError(
                 f"unknown bergomi mode {self.mode!r}; expected one of {BERGOMI_MODES}"
             )
+        if self.mode == "exact" and self.kernel_factors is not None:
+            raise ValueError("mode 'exact' runs on the rough kernel; it reads no kernel_factors")
 
     @property
     def label(self) -> str:
@@ -345,7 +356,8 @@ class BergomiModel:
         """The systematic kernel in multifactor mode, None in exact mode."""
         if self.mode == "exact":
             return None
-        return systematic_kernel(self.params.H, self.kernel_factors, grid.T)
+        n_total = 40 if self.kernel_factors is None else self.kernel_factors
+        return systematic_kernel(self.params.H, n_total, grid.T)
 
     def components_per_step(self, grid: GridSpec) -> int:
         return step_components(self._kernel(grid))
@@ -480,7 +492,7 @@ def bergomi_smile(
     grid: GridSpec,
     cfg: McConfig,
     log_strikes,
-    kernel_factors: int = BergomiModel.kernel_factors,
+    kernel_factors: int | None = None,
 ):
     """Implied-vol smile rows for both sampling modes at shared strikes.
 
@@ -488,30 +500,34 @@ def bergomi_smile(
     price-driving components first, so the Brownian increments of the
     price are common random numbers and mode differences reflect the
     kernel approximation rather than independent Monte Carlo noise.
-    Returns rows (mode, k, price, ci_halfwidth, implied_vol).
+    ``kernel_factors`` goes to the multifactor mode only (None: its
+    default). Returns rows (mode, k, price, ci_halfwidth, implied_vol).
 
     Raises ``ValueError`` before any simulation for a log strike k that
     is not finite or whose exp(k) is not a finite positive float, and
     after both modes, listing every strike whose Monte Carlo price has
-    no implied volatility (say, a sampled price below intrinsic value).
+    no implied volatility: a sampled price below intrinsic value, or one
+    equal to it (as when no path ends past the strike), for which
+    :func:`implied_vol` would report 0.
     """
     ks = np.atleast_1d(np.asarray(log_strikes, dtype=float)).tolist()
     strikes = [(k, _strike(k)) for k in ks]
     rows, failures, cause = [], [], None
-    for mode in BERGOMI_MODES:
-        model = BergomiModel(mode=mode, params=params, kernel_factors=kernel_factors)
+    for mode, factors in (("exact", None), ("multifactor", kernel_factors)):
+        model = BergomiModel(mode=mode, params=params, kernel_factors=factors)
         stats = simulate_stats(model, grid, cfg)
         for k, strike in strikes:
             mean, half_width = _estimate(model, euro_call(strike), stats)
+            intrinsic = max(params.S0 - strike, 0.0)
             try:
-                vol = implied_vol(mean, params.S0, strike, grid.T)
+                vol = None if mean == intrinsic else implied_vol(mean, params.S0, strike, grid.T)
             except ValueError as exc:
-                intrinsic = max(params.S0 - strike, 0.0)
+                vol, cause = None, exc
+            if vol is None:
                 failures.append(
                     f"{mode} at k = {k}: price {mean} +/- {half_width} "
                     f"against intrinsic value {intrinsic}"
                 )
-                cause = exc
                 continue
             rows.append((mode, k, mean, half_width, vol))
     if failures:

@@ -13,7 +13,7 @@ from .mc import HestonModel, McConfig, euro_call, lookback_call, price, rate_fac
 from .quadrature import build_geometric, build_newton_cotes, build_riemann, build_systematic
 from .schemes import GridSpec, HestonParams
 
-__all__ = ["TABLE_IDS", "table_rows"]
+__all__ = ["TABLE_IDS", "PRICING_TABLE_IDS", "table_rows"]
 
 _HURSTS = (0.45, 0.25, 0.05)
 _HORIZON = 1.0
@@ -35,7 +35,8 @@ _PRICING = {
     "t9": (euro_call(1.0), _INTEGRATED, _STEPS[:-1]),
     "t10": (lookback_call(1.0), _INTEGRATED, _STEPS),
 }
-TABLE_IDS = (*_DOUBLING, "t5", "t6", *_PRICING)
+PRICING_TABLE_IDS = tuple(_PRICING)  # the tables that read a Monte Carlo config
+TABLE_IDS = (*_DOUBLING, "t5", "t6", *PRICING_TABLE_IDS)
 
 
 def _doubling_table(builder, rule: str, n: int):

@@ -115,6 +115,25 @@ class TestTableCommand:
         first = lines[1].split(",")
         assert float(first[2]) > 1e-3  # wide half-width at 300 paths
 
+    @pytest.mark.parametrize(
+        "flags, names",
+        [
+            (["--paths", "7", "--seed", "3", "--workers", "2"], "--paths, --seed, --workers"),
+            (["--seed", "0"], "--seed"),
+            (["--paper-scale"], "--paper-scale"),
+        ],
+    )
+    def test_deterministic_table_rejects_mc_flags(self, capsys, flags, names):
+        # `table --id t1 --paths 7 --seed 3 --workers 2` once printed t1, ignoring all three
+        code, stdout, err = run_cli(capsys, ["table", "--id", "t1", *flags])
+        assert (code, stdout) == (1, "")
+        assert err == f"error: table 't1' runs no Monte Carlo; it reads no {names}\n"
+
+    def test_deterministic_table_takes_worker_environment(self, monkeypatch, capsys):
+        monkeypatch.setenv("RVOL_WORKERS", "2")
+        code, stdout, _ = run_cli(capsys, ["table", "--id", "t1"])
+        assert code == 0 and len(stdout.splitlines()) == 4
+
 
 class TestPriceCommand:
     def test_heston_json(self, capsys):
@@ -287,7 +306,8 @@ class TestInputErrors:
         argv = [command, "--model", model, "--scheme", scheme, "--factors", "10", "--steps", "2"]
         code, stdout, err = run_cli(capsys, argv + (["--paths", "8"] if command == "price" else []))
         assert (code, stdout) == (1, "")
-        assert err == f"error: scheme {scheme!r} runs on the rough kernel; it reads no --factors\n"
+        field = "scheme" if model == "heston" else "mode"
+        assert err == f"error: {field} {scheme!r} runs on the rough kernel; it reads no kernel_factors\n"
 
     @pytest.mark.parametrize(
         "model, scheme", [("heston", "multifactor"), ("heston", "hybrid"), ("bergomi", "multifactor")]
@@ -312,6 +332,13 @@ class TestInputErrors:
             assert run_cli(capsys, argv) == (0, "{}\n", "")
         (_, _, _, cfg), _ = priced.call_args
         assert cfg.paths == 1_000_000
+
+    def test_paper_scale_rejects_paths(self, capsys):
+        # --paper-scale once overrode an explicit --paths
+        argv = ["price", "--model", "heston", "--scheme", "volterra", "--paper-scale"]
+        code, stdout, err = run_cli(capsys, argv + ["--paths", "8"])
+        assert (code, stdout) == (1, "")
+        assert err == "error: --paper-scale sets the path count; it does not combine with --paths\n"
 
     def test_zero_smile_points(self, capsys):
         code, stdout, err = run_cli(capsys, ["smile", "--points", "0", "--paths", "8"])
@@ -343,11 +370,11 @@ class TestSmileCommand:
     @pytest.mark.parametrize(
         "flags, fields, factors",
         [
-            ([], {}, {}),
-            (["--hurst", "0.1"], {"H": 0.1}, {}),
-            (["--spot", "2", "--rho", "0.5"], {"S0": 2.0, "rho": 0.5}, {}),
-            (["--variance", "0.04", "--eta", "1.2"], {"v0": 0.04, "eta": 1.2}, {}),
-            (["--factors", "12"], {}, {"kernel_factors": 12}),
+            ([], {}, None),
+            (["--hurst", "0.1"], {"H": 0.1}, None),
+            (["--spot", "2", "--rho", "0.5"], {"S0": 2.0, "rho": 0.5}, None),
+            (["--variance", "0.04", "--eta", "1.2"], {"v0": 0.04, "eta": 1.2}, None),
+            (["--factors", "12"], {}, 12),
         ],
         ids=["bare", "hurst-only", "spot-rho", "variance-eta", "factors-only"],
     )
@@ -357,7 +384,7 @@ class TestSmileCommand:
         assert code == 0
         (params, _, _, _), kwargs = smile.call_args
         assert params == BergomiParams(**fields)
-        assert kwargs == factors
+        assert kwargs == {"kernel_factors": factors}
 
     def test_single_point(self, tmp_path, capsys):
         out = tmp_path / "smile.csv"

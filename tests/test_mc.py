@@ -244,9 +244,13 @@ class TestInputValidation:
             assert McConfig(seed=seed).seed == seed
 
     def test_config_accepts_numpy_integers(self):
-        cfg = McConfig(paths=np.int64(8), workers=np.int32(2))
+        # the report once kept the numpy integers, and to_json raised TypeError
+        cfg = McConfig(paths=np.int64(8), seed=np.int64(2), workers=np.int32(2))
         model = HestonModel(scheme="volterra")
-        assert price(model, euro_call(1.0), GridSpec(T=1.0, N=2), cfg).paths == 8
+        report = price(model, euro_call(1.0), GridSpec(T=1.0, N=2), cfg)
+        assert (report.paths, report.seed) == (8, 2)
+        decoded = json.loads(report.to_json())
+        assert (decoded["paths"], decoded["seed"]) == (8, 2)
 
     @pytest.mark.parametrize(
         "make_payoff",
@@ -327,14 +331,45 @@ class TestDescriptors:
         fine = model.resolve_kernel(GridSpec(T=1.0, N=160))
         assert coarse.n < fine.n <= 100
 
+    @pytest.mark.parametrize(
+        "model, field, name",
+        [
+            (HestonModel, "scheme", "volterra"),
+            (HestonModel, "scheme", "integrated-volterra"),
+            (BergomiModel, "mode", "exact"),
+        ],
+    )
+    def test_rough_kernel_reads_no_factor_count(self, model, field, name):
+        # HestonModel('volterra', kernel_factors=7) once priced, ignoring the odd count
+        with pytest.raises(ValueError) as info:
+            model(name, kernel_factors=7)
+        assert str(info.value) == (
+            f"{field} {name!r} runs on the rough kernel; it reads no kernel_factors"
+        )
+
+    def test_default_factor_counts(self):
+        # no kernel_factors: 100 factors for Heston, 40 for Bergomi
+        grid = GridSpec(T=1.0, N=40)
+        heston = systematic_kernel(0.1, 100, 1.0)
+        assert HestonModel("multifactor").resolve_kernel(grid) is heston
+        truncated = HestonModel("multifactor-truncated").resolve_kernel(grid)
+        expected = mc.truncate_factors(heston, 1.0, 40)[0]
+        assert np.array_equal(truncated.weights, expected.weights)
+        assert np.array_equal(truncated.rates, expected.rates)
+        bergomi = BergomiModel("multifactor")
+        assert bergomi._kernel(grid) is systematic_kernel(bergomi.params.H, 40, 1.0)
+
 
 class TestSimulatePaths:
     """``simulate`` is the path-stats reduction of ``simulate_paths``."""
 
     @pytest.mark.parametrize(
         "model",
-        [HestonModel(scheme=s, kernel_factors=20) for s in mc.HESTON_SCHEMES]
-        + [BergomiModel(mode=m, kernel_factors=10) for m in mc.BERGOMI_MODES],
+        [
+            HestonModel(scheme=s, kernel_factors=None if s in mc._ROUGH_SCHEMES else 20)
+            for s in mc.HESTON_SCHEMES
+        ]
+        + [BergomiModel(mode="exact"), BergomiModel(mode="multifactor", kernel_factors=10)],
         ids=lambda m: m.label,
     )
     def test_simulate_reduces_paths(self, model):
@@ -372,7 +407,7 @@ class TestSimulatePaths:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(mc, engine, spy)
-        model = HestonModel(scheme=scheme, kernel_factors=20)
+        model = HestonModel(scheme=scheme)
         grid = GridSpec(T=0.5, N=6)
         normals = CounterRng(1).normals_block(
             np.arange(8, dtype=np.uint64), grid.N, model.components_per_step(grid)
@@ -477,6 +512,12 @@ class TestSmile:
             assert half > 0.0
             assert 0.0 < vol < 2.0
 
+    def test_factor_count_reaches_multifactor_mode_only(self):
+        args = (BergomiParams(), GridSpec(T=0.041, N=4), McConfig(paths=512, seed=3), [0.0])
+        default, ten = bergomi_smile(*args), bergomi_smile(*args, kernel_factors=10)
+        assert ten[0][0] == "exact" and ten[0] == default[0]
+        assert ten[1][0] == "multifactor" and ten[1] != default[1]
+
     @pytest.mark.parametrize("k", [800.0, -800.0, math.inf, -math.inf, math.nan])
     def test_bad_log_strike_fails_before_any_draw(self, k):
         def no_draws(*args, **kwargs):
@@ -499,3 +540,15 @@ class TestSmile:
         assert "multifactor at k = -0.5: price 0.3932268" in message
         assert "+/- 0.0014625" in message and "intrinsic value 0.3934693" in message
         assert isinstance(info.value.__cause__, ValueError)
+
+    def test_price_at_intrinsic_value_has_no_implied_vol(self):
+        # no path reaches exp(4): both prices are 0, and the smile once
+        # reported an implied vol of 0 for each
+        with pytest.raises(ValueError, match="no implied volatility") as info:
+            bergomi_smile(
+                BergomiParams(), GridSpec(T=0.041, N=4), McConfig(paths=512, seed=0), [4.0, 5.0]
+            )
+        message = str(info.value)
+        for mode in mc.BERGOMI_MODES:
+            for k in (4.0, 5.0):
+                assert f"{mode} at k = {k}: price 0.0 +/- 0.0 against intrinsic value 0.0" in message
