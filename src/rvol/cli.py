@@ -57,36 +57,33 @@ _COMMON_KEYS = ("method", "hurst", "n", "horizon")
 _KERNEL_FLAGS = _COMMON_KEYS + ("truncation", "beta", "order", "tail_ratio", "node_rule")
 
 
-def _workers(flag: int | None) -> int:
-    """Worker count: ``--workers``, else ``RVOL_WORKERS``, else 1."""
-    if flag is not None:
-        return flag
-    env = os.environ.get("RVOL_WORKERS", "")
-    if not env:
-        return 1
-    if not env.strip().isdecimal() or int(env) < 1:
-        raise ValueError(f"RVOL_WORKERS must be a positive integer, got {env!r}")
-    return int(env)
-
-
-def _resolve_mc_flags(args) -> None:
-    """Fill in the Monte Carlo flags' defaults; ``ValueError`` for a flag the command ignores.
+def _mc_config(args) -> McConfig | None:
+    """The run's :class:`McConfig` from the flags given; None for a deterministic table.
 
     A deterministic table reads none of ``--paths``, ``--seed``,
-    ``--workers`` and ``--paper-scale``, and ``--paper-scale`` sets the
-    path count that ``--paths`` gives. ``RVOL_WORKERS`` is only a default.
+    ``--workers`` and ``--paper-scale``, and raises ``ValueError`` if
+    given one. ``--paper-scale`` means ``--paths 1000000`` and does not
+    combine with it; ``--workers`` falls back to ``RVOL_WORKERS``.
+    ``McConfig`` supplies every value no flag gives.
     """
-    given = [f"--{name}" for name in ("paths", "seed", "workers") if vars(args)[name] is not None]
-    given += ["--paper-scale"] if args.paper_scale else []
-    if given and args.command == "table" and args.id not in PRICING_TABLE_IDS:
-        raise ValueError(f"table {args.id!r} runs no Monte Carlo; it reads no {', '.join(given)}")
-    if args.paper_scale and args.paths is not None:
-        raise ValueError("--paper-scale sets the path count; it does not combine with --paths")
-    args.workers = _workers(args.workers)
-    if args.paths is None:
-        args.paths = 1_000_000 if args.paper_scale else McConfig.paths
-    if args.seed is None:
-        args.seed = McConfig.seed
+    flags = {name: vars(args)[name] for name in ("paths", "seed", "workers")}
+    flags = {name: value for name, value in flags.items() if value is not None}
+    given = [f"--{name}" for name in flags] + (["--paper-scale"] if args.paper_scale else [])
+    if args.command == "table" and args.id not in PRICING_TABLE_IDS:
+        if given:
+            names = ", ".join(given)
+            raise ValueError(f"table {args.id!r} runs no Monte Carlo; it reads no {names}")
+        return None
+    if args.paper_scale:
+        if "paths" in flags:
+            raise ValueError("--paper-scale sets the path count; it does not combine with --paths")
+        flags["paths"] = 1_000_000
+    env = os.environ.get("RVOL_WORKERS", "")
+    if env and "workers" not in flags:
+        if not env.strip().isdecimal() or int(env) < 1:
+            raise ValueError(f"RVOL_WORKERS must be a positive integer, got {env!r}")
+        flags["workers"] = int(env)
+    return McConfig(**flags)
 
 
 def _check_config(config: dict, from_flags: bool) -> None:
@@ -177,7 +174,7 @@ def _write_csv(path, header, rows) -> None:
 
 
 def _cmd_table(args) -> int:
-    header, rows = table_rows(args.id, paths=args.paths, seed=args.seed, workers=args.workers)
+    header, rows = table_rows(args.id, args.cfg)
     _write_csv(args.out, header, rows)
     return 0
 
@@ -195,8 +192,7 @@ def _cmd_price(args) -> int:
     grid = GridSpec(T=args.horizon, N=args.steps)
     model = _model(args)
     payoff = (euro_call if args.payoff == "euro-call" else lookback_call)(args.strike)
-    cfg = McConfig(paths=args.paths, seed=args.seed, workers=args.workers)
-    report = price(model, payoff, grid, cfg)
+    report = price(model, payoff, grid, args.cfg)
     print(report.to_json())
     return 0
 
@@ -214,9 +210,8 @@ def _cmd_smile(args) -> int:
     given = {field: getattr(args, flag) for flag, field in _SMILE_FIELDS.items()}
     params = BergomiParams(**{field: value for field, value in given.items() if value is not None})
     grid = GridSpec(T=args.horizon, N=args.steps)
-    cfg = McConfig(paths=args.paths, seed=args.seed, workers=args.workers)
     ks = np.linspace(args.kmin, args.kmax, args.points)  # [kmin] for one point
-    rows = bergomi_smile(params, grid, cfg, ks, kernel_factors=args.factors)
+    rows = bergomi_smile(params, grid, args.cfg, ks, kernel_factors=args.factors)
     _write_csv(args.out, ["mode", "k", "price", "ci_halfwidth", "implied_vol"], rows)
     return 0
 
@@ -318,7 +313,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if "workers" in vars(args):  # the Monte Carlo commands
-            _resolve_mc_flags(args)
+            args.cfg = _mc_config(args)
         return args.func(args)
     except (ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

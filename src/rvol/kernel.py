@@ -349,10 +349,8 @@ def expsum_inner_products(spec: RoughKernelSpec, kernel: ExpSumKernel, T: float)
 
 def write_kernel_csv(kernel: ExpSumKernel, path) -> None:
     """Write factors to CSV with header ``alpha,rho``, 17 significant digits."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("alpha,rho\n")
-        for w, r in zip(kernel.weights, kernel.rates):
-            fh.write(f"{w:.17g},{r:.17g}\n")
+    table = np.column_stack([kernel.weights, kernel.rates])
+    np.savetxt(path, table, fmt="%.17g", delimiter=",", header="alpha,rho", comments="")
 
 
 def read_kernel_csv(path) -> ExpSumKernel:
@@ -361,12 +359,7 @@ def read_kernel_csv(path) -> ExpSumKernel:
         header = fh.readline().strip()
         if header != "alpha,rho":
             raise ValueError(f"unexpected kernel CSV header: {header!r}")
-        weights, rates = [], []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            w_str, r_str = line.split(",")
-            weights.append(float(w_str))
-            rates.append(float(r_str))
-    return ExpSumKernel(weights, rates)
+        table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+    if table.shape[1] != 2:
+        raise ValueError(f"kernel CSV rows must hold alpha and rho, got shape {table.shape}")
+    return ExpSumKernel(table[:, 0], table[:, 1])

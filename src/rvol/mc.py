@@ -352,7 +352,7 @@ class BergomiModel:
     def label(self) -> str:
         return f"bergomi:{self.mode}"
 
-    def _kernel(self, grid: GridSpec) -> ExpSumKernel | None:
+    def resolve_kernel(self, grid: GridSpec) -> ExpSumKernel | None:
         """The systematic kernel in multifactor mode, None in exact mode."""
         if self.mode == "exact":
             return None
@@ -360,11 +360,11 @@ class BergomiModel:
         return systematic_kernel(self.params.H, n_total, grid.T)
 
     def components_per_step(self, grid: GridSpec) -> int:
-        return step_components(self._kernel(grid))
+        return step_components(self.resolve_kernel(grid))
 
     def simulate_paths(self, grid: GridSpec, normals: np.ndarray) -> HestonPaths:
         """Price and variance paths from (paths, N, comps) normals."""
-        return simulate_bergomi(self.params, grid, kernel=self._kernel(grid), normals=normals)
+        return simulate_bergomi(self.params, grid, self.resolve_kernel(grid), normals=normals)
 
     def simulate(self, grid: GridSpec, normals: np.ndarray) -> PathStats:
         return _path_stats(self.simulate_paths(grid, normals))
@@ -380,8 +380,10 @@ def simulate_stats(model, grid: GridSpec, cfg: McConfig) -> PathStats:
     Paths are generated in fixed-size blocks whose draws depend only on
     the seed and global path indices; blocks may be computed by several
     workers but are assembled in index order, so the result is
-    bit-identical for any worker count.
+    bit-identical for any worker count. The descriptor's kernel is
+    resolved first, so a kernel it cannot build raises before any draw.
     """
+    model.resolve_kernel(grid)
     rng = CounterRng(cfg.seed)
     comps = model.components_per_step(grid)
     terminal = np.empty(cfg.paths)
@@ -452,10 +454,13 @@ def paired_compare(model_a, model_b, payoff: Payoff, grid: GridSpec, cfg: McConf
     """Mean and half-width of payoff_a - payoff_b under common random numbers.
 
     Both descriptors must consume the same per-step component layout so
-    that the shared counter stream couples them path by path.
+    that the shared counter stream couples them path by path. Both
+    kernels are resolved before either descriptor draws.
     """
     if model_a.components_per_step(grid) != model_b.components_per_step(grid):
         raise ValueError("incompatible increment stream shapes")
+    for model in (model_a, model_b):
+        model.resolve_kernel(grid)
     payoff_a, payoff_b = (
         _finite(payoff.evaluate(simulate_stats(model, grid, cfg)), _label(model, payoff))
         for model in (model_a, model_b)
@@ -503,18 +508,23 @@ def bergomi_smile(
     ``kernel_factors`` goes to the multifactor mode only (None: its
     default). Returns rows (mode, k, price, ci_halfwidth, implied_vol).
 
-    Raises ``ValueError`` before any simulation for a log strike k that
-    is not finite or whose exp(k) is not a finite positive float, and
-    after both modes, listing every strike whose Monte Carlo price has
-    no implied volatility: a sampled price below intrinsic value, or one
-    equal to it (as when no path ends past the strike), for which
-    :func:`implied_vol` would report 0.
+    Raises ``ValueError`` before any simulation for an empty strike
+    list, a log strike k that is not finite or whose exp(k) is not a
+    finite positive float, or a ``kernel_factors`` the systematic kernel
+    rejects; and after both modes, listing every strike whose Monte
+    Carlo price has no implied volatility: a sampled price below
+    intrinsic value, or one equal to it (as when no path ends past the
+    strike), for which :func:`implied_vol` would report 0.
     """
     ks = np.atleast_1d(np.asarray(log_strikes, dtype=float)).tolist()
+    if not ks:
+        raise ValueError("the smile needs at least one log strike")
     strikes = [(k, _strike(k)) for k in ks]
+    models = [BergomiModel("exact", params), BergomiModel("multifactor", params, kernel_factors)]
+    for model in models:
+        model.resolve_kernel(grid)
     rows, failures, cause = [], [], None
-    for mode, factors in (("exact", None), ("multifactor", kernel_factors)):
-        model = BergomiModel(mode=mode, params=params, kernel_factors=factors)
+    for model in models:
         stats = simulate_stats(model, grid, cfg)
         for k, strike in strikes:
             mean, half_width = _estimate(model, euro_call(strike), stats)
@@ -525,11 +535,11 @@ def bergomi_smile(
                 vol, cause = None, exc
             if vol is None:
                 failures.append(
-                    f"{mode} at k = {k}: price {mean} +/- {half_width} "
+                    f"{model.mode} at k = {k}: price {mean} +/- {half_width} "
                     f"against intrinsic value {intrinsic}"
                 )
                 continue
-            rows.append((mode, k, mean, half_width, vol))
+            rows.append((model.mode, k, mean, half_width, vol))
     if failures:
         raise ValueError("no implied volatility for " + "; ".join(failures)) from cause
     return rows

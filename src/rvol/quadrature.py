@@ -47,6 +47,9 @@ _NODE_RULES = ("midpoint", "barycentric")
 # The optimal geometric ratio is O(1)-O(10) in practice; the bracket is
 # generous on both sides and the search runs on log ratio.
 _RATIO_BRACKET = (1.05, 50.0)
+# The barycenters raise the geometric edges to powers below 3/2, so edges
+# up to this ceiling keep every closed form of the kernel finite.
+_EDGE_CEILING = 1e150
 
 
 def paper_truncation(rule: str, H: float, n: int, node_rule: str = "barycentric"):
@@ -201,18 +204,30 @@ def build_geometric(
     return ExpSumKernel(lambda_mass(spec, lo, hi), barycenter(spec, lo, hi))
 
 
+def _ratio_bracket(n: int, K: float) -> tuple[float, float]:
+    """``_RATIO_BRACKET`` with its top capped so that K A^n stays below ``_EDGE_CEILING``."""
+    lo, hi = _RATIO_BRACKET
+    cap = math.exp((math.log(_EDGE_CEILING) - math.log(K)) / n)
+    if cap < lo:
+        raise ValueError(f"no ratio >= {lo} keeps K*A^n below {_EDGE_CEILING:g} at n = {n}")
+    return lo, min(hi, cap)
+
+
 def optimize_tail_ratio(spec: RoughKernelSpec, n: int, K: float, T: float):
     """Geometric ratio minimizing the exact L2 kernel error on (0, T).
 
     Golden-section search over the logarithm of the ratio in [1.05, 50],
     to 1e-9; the objective is smooth, cheap (closed forms only) and
-    empirically unimodal there. Returns ``(ratio, error)``.
+    empirically unimodal there. For large n the top of the bracket
+    drops to the ratio at which the last geometric edge K A^n reaches
+    1e150, so that every build stays finite; ``ValueError`` if even
+    1.05 passes it. Returns ``(ratio, error)``.
     """
 
     def objective(log_ratio):
         return l2_error_exact(spec, build_geometric(spec, n, math.exp(log_ratio), K), T)
 
-    lo, hi = _RATIO_BRACKET
+    lo, hi = _ratio_bracket(n, K)
     log_best, err = minimize_scalar(objective, math.log(lo), math.log(hi))
     return math.exp(log_best), err
 

@@ -77,12 +77,11 @@ def _systematic_table():
     return header, rows
 
 
-def _pricing_table(payoff, schemes, steps, paths: int, seed: int, workers: int):
+def _pricing_table(payoff, schemes, steps, cfg: McConfig):
     header = ["N"]
     for scheme in schemes:
         header += [f"{scheme}_mean", f"{scheme}_halfwidth", f"{scheme}_seconds"]
     params = HestonParams()
-    cfg = McConfig(paths=paths, seed=seed, workers=workers)
     rows = []
     for N in steps:
         grid = GridSpec(T=_HORIZON, N=N)
@@ -95,15 +94,21 @@ def _pricing_table(payoff, schemes, steps, paths: int, seed: int, workers: int):
     return header, rows
 
 
-def table_rows(table_id: str, paths: int = 100_000, seed: int = 0, workers: int = 1):
-    """Header and rows for one benchmark table id (``t1`` .. ``t10``)."""
+def table_rows(table_id: str, cfg: McConfig | None = None):
+    """Header and rows for one benchmark table id (``t1`` .. ``t10``).
+
+    The pricing tables t7-t10 run with ``cfg`` (None: ``McConfig()``);
+    the deterministic tables t1-t6 raise ``ValueError`` if given one.
+    """
     table_id = table_id.lower()
+    if table_id in _PRICING:
+        return _pricing_table(*_PRICING[table_id], McConfig() if cfg is None else cfg)
+    if table_id not in TABLE_IDS:
+        raise ValueError(f"unknown table id {table_id!r}; expected one of {TABLE_IDS}")
+    if cfg is not None:
+        raise ValueError(f"table {table_id!r} runs no Monte Carlo; it reads no McConfig")
     if table_id in _DOUBLING:
         return _doubling_table(*_DOUBLING[table_id])
     if table_id == "t5":
         return _geometric_table()
-    if table_id == "t6":
-        return _systematic_table()
-    if table_id in _PRICING:
-        return _pricing_table(*_PRICING[table_id], paths, seed, workers)
-    raise ValueError(f"unknown table id {table_id!r}; expected one of {TABLE_IDS}")
+    return _systematic_table()

@@ -6,6 +6,7 @@ import pytest
 from rvol import cli
 from rvol.bergomi import BergomiParams
 from rvol.cli import main
+from rvol.mc import McConfig
 from rvol.tables import table_rows
 
 
@@ -134,6 +135,21 @@ class TestTableCommand:
         code, stdout, _ = run_cli(capsys, ["table", "--id", "t1"])
         assert code == 0 and len(stdout.splitlines()) == 4
 
+    def test_deterministic_table_rows_reject_config(self):
+        # table_rows('t1', paths=7, seed=3, workers=2) once returned t1, ignoring all three
+        with pytest.raises(ValueError, match="table 't1' runs no Monte Carlo"):
+            table_rows("t1", McConfig())
+
+    def test_pricing_table_rows_match_command(self, capsys):
+        header, rows = table_rows("t7", McConfig(paths=600, seed=3))
+        code, stdout, _ = run_cli(capsys, ["table", "--id", "t7", "--paths", "600", "--seed", "3"])
+        assert code == 0
+        lines = [line.split(",") for line in stdout.splitlines()]
+        assert lines[0] == header and len(lines) == len(rows) + 1
+        kept = [i for i, name in enumerate(header) if not name.endswith("_seconds")]
+        for line, row in zip(lines[1:], rows):
+            assert [float(line[i]) for i in kept] == [row[i] for i in kept]
+
 
 class TestPriceCommand:
     def test_heston_json(self, capsys):
@@ -171,6 +187,26 @@ class TestPriceCommand:
         report_b.pop("wall_seconds")
         assert report_a == report_b
         assert report_a["half_width_95"] == 0.0
+
+    @pytest.mark.parametrize(
+        "flags, env, cfg",
+        [
+            ([], None, McConfig()),
+            (["--paper-scale"], None, McConfig(paths=1_000_000)),
+            (["--seed", "4"], "3", McConfig(seed=4, workers=3)),
+            (["--paths", "9", "--workers", "2"], "3", McConfig(paths=9, workers=2)),
+        ],
+        ids=["bare", "paper-scale", "environment-workers", "flag-workers"],
+    )
+    def test_one_config_from_the_flags_given(self, monkeypatch, capsys, flags, env, cfg):
+        monkeypatch.delenv("RVOL_WORKERS", raising=False)
+        if env is not None:
+            monkeypatch.setenv("RVOL_WORKERS", env)
+        with mock.patch.object(cli, "price") as priced:
+            priced.return_value.to_json.return_value = "{}"
+            code, _, _ = run_cli(capsys, ["price", "--model", "heston", "--scheme", "volterra", *flags])
+        assert code == 0
+        assert priced.call_args.args[3] == cfg
 
     def test_invalid_combo(self, capsys):
         code, _, err = run_cli(

@@ -496,3 +496,11 @@ class TestKernelCsv:
         path.write_text("a,b\n1.0,2.0\n")
         with pytest.raises(ValueError):
             read_kernel_csv(path)
+
+    @pytest.mark.filterwarnings("ignore:loadtxt")
+    @pytest.mark.parametrize("body", ["", "1.0\n", "1.0,2.0,3.0\n", "1.0,2.0\n3.0\n"])
+    def test_rejects_rows_without_two_values(self, tmp_path, body):
+        path = tmp_path / "bad.csv"
+        path.write_text("alpha,rho\n" + body)
+        with pytest.raises(ValueError):
+            read_kernel_csv(path)

@@ -194,6 +194,9 @@ class _NanTerminal:
 
     label = "stub:nan"
 
+    def resolve_kernel(self, grid):
+        return None
+
     def components_per_step(self, grid):
         return 2
 
@@ -269,6 +272,68 @@ class TestInputValidation:
         monkeypatch.setattr(CounterRng, "normals_block", no_draws)
         with pytest.raises(ValueError, match="payoff kind|strike must be finite"):
             price(HestonModel("volterra"), make_payoff(), GridSpec(1.0, 160), McConfig(paths=16384))
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """Shapes of the normals blocks drawn, seen by a spy on ``CounterRng.normals_block``."""
+    shapes = []
+    draw = CounterRng.normals_block
+
+    def spy(self, path_ids, n_steps, n_comp):
+        shapes.append((len(path_ids), n_steps, n_comp))
+        return draw(self, path_ids, n_steps, n_comp)
+
+    monkeypatch.setattr(CounterRng, "normals_block", spy)
+    return shapes
+
+
+class TestKernelResolvedBeforeDraws:
+    """A kernel the run cannot build fails before the run's first draw."""
+
+    GRID = GridSpec(T=1.0, N=4)
+    CFG = McConfig(paths=64, seed=0)
+
+    def test_spy_sees_draws(self, draws):
+        price(HestonModel("multifactor"), euro_call(1.0), self.GRID, self.CFG)
+        assert draws == [(64, 4, 2)]
+
+    @pytest.mark.parametrize("factors", [7, 0, 2.0])
+    def test_price_bad_factor_count(self, draws, factors):
+        # price(HestonModel('multifactor', kernel_factors=7), ...) once drew
+        # its first block before build_systematic rejected the count
+        model = HestonModel("multifactor", kernel_factors=factors)
+        with pytest.raises(ValueError, match="n_total must be"):
+            price(model, euro_call(1.0), self.GRID, self.CFG)
+        assert draws == []
+
+    @pytest.mark.parametrize("hurst", [0.7, math.nan])
+    def test_price_bad_hurst(self, draws, hurst):
+        model = HestonModel("volterra", hurst=hurst)
+        with pytest.raises(ValueError, match="Hurst parameter must lie in"):
+            price(model, euro_call(1.0), self.GRID, self.CFG)
+        assert draws == []
+
+    def test_paired_compare_resolves_both_kernels_first(self, draws):
+        # the first descriptor once simulated all its paths, and the second
+        # drew its first block, before the odd count was rejected
+        good, bad = HestonModel("multifactor"), HestonModel("multifactor", kernel_factors=7)
+        with pytest.raises(ValueError, match="n_total must be"):
+            paired_compare(good, bad, euro_call(1.0), self.GRID, self.CFG)
+        assert draws == []
+
+    def test_smile_resolves_both_kernels_first(self, draws):
+        # the exact mode once simulated all its paths before the
+        # multifactor mode's odd count was rejected
+        with pytest.raises(ValueError, match="n_total must be"):
+            bergomi_smile(BergomiParams(), self.GRID, self.CFG, [0.0], kernel_factors=7)
+        assert draws == []
+
+    def test_smile_rejects_empty_strikes(self, draws):
+        # [] once simulated both modes and returned no rows
+        with pytest.raises(ValueError, match="at least one log strike"):
+            bergomi_smile(BergomiParams(), self.GRID, self.CFG, [])
+        assert draws == []
 
 
 class TestPairedCompare:
@@ -357,7 +422,7 @@ class TestDescriptors:
         assert np.array_equal(truncated.weights, expected.weights)
         assert np.array_equal(truncated.rates, expected.rates)
         bergomi = BergomiModel("multifactor")
-        assert bergomi._kernel(grid) is systematic_kernel(bergomi.params.H, 40, 1.0)
+        assert bergomi.resolve_kernel(grid) is systematic_kernel(bergomi.params.H, 40, 1.0)
 
 
 class TestSimulatePaths:

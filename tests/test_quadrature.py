@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rvol import quadrature
 from rvol.kernel import (
     RoughKernelSpec,
     expsum_eval,
@@ -284,6 +285,39 @@ class TestSystematic:
         kernel = build_systematic(spec, 10, 1.0)
         err = math.sqrt(l2_error_exact(spec, kernel, 1.0))
         assert abs(err - 0.00209) / 0.00209 <= 0.10
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("H, n_total", [(0.05, 400), (0.1, 500), (0.45, 600)])
+    def test_large_factor_counts_stay_finite(self, monkeypatch, H, n_total):
+        # each build once failed inside the ratio search: a numpy overflow in
+        # the barycenters at 400 and 500 factors, K*A^n overflowing at 600
+        searches = []
+        search = quadrature.optimize_tail_ratio
+
+        def spy(spec, n, K, T):
+            ratio, err = search(spec, n, K, T)
+            searches.append((ratio, quadrature._ratio_bracket(n, K)))
+            return ratio, err
+
+        monkeypatch.setattr(quadrature, "optimize_tail_ratio", spy)
+        kernel = build_systematic(RoughKernelSpec(H), n_total, 1.0)
+        assert kernel.n == n_total
+        assert np.isfinite(kernel.weights).all() and np.isfinite(kernel.rates).all()
+        [(ratio, (lo, hi))] = searches
+        assert hi < quadrature._RATIO_BRACKET[1]  # the capped bracket
+        assert lo < ratio and math.log(hi / ratio) > 1e-6  # inside it, not at its top
+
+    def test_production_sizes_search_the_full_bracket(self):
+        # n_total <= 160 covers every production build, so their kernels are
+        # those of the uncapped search
+        for n in range(1, 81):
+            K, _ = paper_truncation("interval", 0.1, n)
+            assert quadrature._ratio_bracket(n, K) == quadrature._RATIO_BRACKET
+
+    def test_no_finite_ratio(self):
+        # at n = 8000 geometric intervals even the ratio 1.05 passes the ceiling
+        with pytest.raises(ValueError, match="at n = 8000"):
+            build_systematic(RoughKernelSpec(0.1), 16000, 1.0)
 
 
 class TestTruncation:
