@@ -19,10 +19,10 @@ form each step's increments themselves, so no (paths, N) increment
 array is formed. Callers may equally pass C-ordered arrays of the same
 shapes, at the cost of one transposing copy. When only prices are
 needed (:meth:`HestonModel.simulate`), the engines run with
-``prices_only=True`` and keep their state rows in a ring of two step
-blocks plus row 0, so a priced block holds the normals, the
-(N+1, paths) log price, and the (n, paths) factors of a factor scheme
-or the (N, paths) history of step terms of a direct one.
+``prices_only=True`` and keep each state in two rows, used in turn,
+so a priced block holds the normals, the (N+1, paths) log price, and
+the (n, paths) factors of a factor scheme or the (N, paths) history of
+step terms of a direct one.
 """
 
 from __future__ import annotations
@@ -422,21 +422,42 @@ def _finite(values: np.ndarray, descriptor: str) -> np.ndarray:
     return values
 
 
+def _positive(stats: PathStats, descriptor: str) -> PathStats:
+    """``stats``, after checking that every price is finite and above 0.
+
+    A path whose log price falls below about -745 ends at S = 0, and
+    its payoffs are finite but mean nothing.
+    """
+    for name, prices in (("terminal", stats.terminal), ("running-max", stats.running_max)):
+        bad = prices.size - int(np.count_nonzero((prices > 0.0) & (prices < math.inf)))
+        if bad:
+            raise ValueError(
+                f"{descriptor}: {bad} of {prices.size} {name} prices are 0 or not finite"
+            )
+    return stats
+
+
 def _label(model, payoff: Payoff) -> str:
     return f"{model.label}|{payoff.kind}({payoff.strike})"
 
 
+def _payoffs(model, payoff: Payoff, stats: PathStats) -> np.ndarray:
+    """Payoff values; ``ValueError`` if a price is 0 or not finite, or a payoff not finite."""
+    label = _label(model, payoff)
+    return _finite(payoff.evaluate(_positive(stats, label)), label)
+
+
 def _estimate(model, payoff: Payoff, stats: PathStats) -> tuple[float, float]:
-    """Payoff mean and 95% half-width; ``ValueError`` if a payoff is not finite."""
-    values = _finite(payoff.evaluate(stats), _label(model, payoff))
+    """Payoff mean and 95% half-width, from :func:`_payoffs`."""
+    values = _payoffs(model, payoff, stats)
     return float(values.mean()), _half_width(values)
 
 
 def price(model, payoff: Payoff, grid: GridSpec, cfg: McConfig) -> McReport:
     """Monte Carlo price of the payoff under the descriptor's scheme.
 
-    Raises ``ValueError`` naming the descriptor if any payoff value is
-    NaN or infinite.
+    Raises ``ValueError`` naming the descriptor if any terminal or
+    running-max price is 0 or not finite, or any payoff value is.
     """
     start = time.perf_counter()
     mean, half_width = _estimate(model, payoff, simulate_stats(model, grid, cfg))
@@ -462,8 +483,7 @@ def paired_compare(model_a, model_b, payoff: Payoff, grid: GridSpec, cfg: McConf
     for model in (model_a, model_b):
         model.resolve_kernel(grid)
     payoff_a, payoff_b = (
-        _finite(payoff.evaluate(simulate_stats(model, grid, cfg)), _label(model, payoff))
-        for model in (model_a, model_b)
+        _payoffs(model, payoff, simulate_stats(model, grid, cfg)) for model in (model_a, model_b)
     )
     diff = payoff_a - payoff_b
     return float(diff.mean()), _half_width(diff)
@@ -514,7 +534,9 @@ def bergomi_smile(
     rejects; and after both modes, listing every strike whose Monte
     Carlo price has no implied volatility: a sampled price below
     intrinsic value, or one equal to it (as when no path ends past the
-    strike), for which :func:`implied_vol` would report 0.
+    strike), for which :func:`implied_vol` would report 0. A price that
+    is 0 or not finite raises ``ValueError`` naming its mode, as in
+    :func:`price`.
     """
     ks = np.atleast_1d(np.asarray(log_strikes, dtype=float)).tolist()
     if not ks:

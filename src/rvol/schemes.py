@@ -28,10 +28,12 @@ window (the block's step terms against the first ``_BLOCK`` kernel
 lags), and the far memory enters once per block as one matrix product
 with the (n, paths) factors or the (N, paths) history of step terms;
 the factor engines keep the block's step terms in one (``_BLOCK``,
-paths) array. With ``prices_only=True`` the state rows (variance, or
-raw integrated variance) live in a ring of 2 ``_BLOCK`` + 1 rows
-instead of N+1, the running max of the integrated variance in two rows,
-and only the log price is returned whole.
+paths) array. The memory only convolves: it hands each step its output
+row from a (``_BLOCK``, paths) block. Each step loop keeps its own
+state, state k in row k % R: the variance and the running max of the
+integrated variance in R = N+1 rows, or in R = 2 with
+``prices_only=True``, when only the log price is returned whole; the
+raw integrated variance, never returned, always in R = 2.
 """
 
 from __future__ import annotations
@@ -170,7 +172,7 @@ def _sve_loop(plant: SvePlant, grid: GridSpec, dw, make_memories):
     ``make_memories(columns)`` builds one memory (equal kernels) or a (drift,
     diffusion) pair whose paths axis holds the paths x d state columns.
     Step k writes b(X_k) dt + sigma(X_k) dW_k into the one memory or its
-    two terms into the pair; X_{k+1} is x0 plus their rows k+1. Returns
+    two terms into the pair; X_{k+1} is x0 plus their outputs k+1. Returns
     the (paths, N+1, d) states, a view of a step-major buffer.
     """
     d, dt, N = plant.dim, grid.dt, grid.N
@@ -198,8 +200,7 @@ def _sve_loop(plant: SvePlant, grid: GridSpec, dw, make_memories):
         x = states[k + 1]
         x[:] = plant.x0
         for memory in memories:
-            memory.convolve(k)
-            x += memory.result[k + 1].reshape(paths, d)
+            x += memory.convolve(k).reshape(paths, d)
     return states.transpose(1, 0, 2)
 
 
@@ -217,7 +218,7 @@ def volterra_euler(plant: SvePlant, g1, g2, grid: GridSpec, dw) -> np.ndarray:
     t1, t2 = _kernel_table(g1, grid), _kernel_table(g2, grid)
     tables = (t1,) if np.array_equal(t1, t2) else (t1, t2)
     return _sve_loop(
-        plant, grid, dw, lambda columns: [_HistoryMemory(t, columns, False) for t in tables]
+        plant, grid, dw, lambda columns: [_HistoryMemory(t, columns) for t in tables]
     )
 
 
@@ -237,7 +238,7 @@ def multifactor_euler(
         raise ValueError("drift and diffusion kernels must share the same rates")
     kernels = (k1,) if k1 == k2 else (k1, k2)
     return _sve_loop(
-        plant, grid, dw, lambda columns: [_expsum_memory(k, grid, columns, False) for k in kernels]
+        plant, grid, dw, lambda columns: [_expsum_memory(k, grid, columns) for k in kernels]
     )
 
 
@@ -262,41 +263,35 @@ _BLOCK = 16  # steps per block of the step loop (16/32/64 sweep: see CHANGES.md)
 class _BlockedMemory:
     """Convolution of step terms with a kernel, advanced block by block.
 
-    Row k+1 of the output accumulates the sum over j <= k of the kernel
-    at lag (k + 1 - j) dt times the step term S_j; row 0 stays zero for
-    the caller. At the start of block b, :meth:`term` writes the far part
-    (j < b) of all the block's rows with one product (:meth:`_far`);
-    :meth:`convolve` then adds the near window (b <= j <= k).
-
-    Row k lives in ``result[slot(k)]``. By default ``result`` holds all
-    N+1 rows; with ``ring`` it holds row 0 and a ring of 2 ``_BLOCK``
-    rows, enough for the current block's rows and the row before them.
+    Output k+1 is the sum over j <= k of the kernel at lag (k + 1 - j) dt
+    times the step term S_j. ``out`` holds the current block's outputs,
+    output k+1 in row k % ``_BLOCK``: at the start of block b,
+    :meth:`term` writes their far part (j < b) with one product
+    (:meth:`_far`); :meth:`convolve` then adds the near window
+    (b <= j <= k). The step loops keep their own state rows.
     """
 
-    def __init__(self, near, n_steps: int, n_paths: int, terms, ring: bool):
+    def __init__(self, near, n_steps: int, n_paths: int, terms):
         self.near_rev = np.ascontiguousarray(near[::-1])
-        self.n_steps, self.ring = n_steps, ring
-        self.period = min(n_steps, 2 * _BLOCK) if ring else n_steps
-        self.result = np.zeros((self.period + 1, n_paths))
+        self.n_steps = n_steps
+        self.out = np.zeros((min(n_steps, _BLOCK), n_paths))
         self.terms = terms  # rows of the current block's step terms
         self.row = np.empty(n_paths)
-
-    def slot(self, k: int) -> int:
-        """Index of row k in ``result`` (and in arrays laid out alike)."""
-        return (k - 1) % self.period + 1 if k else 0
 
     def term(self, k: int) -> np.ndarray:
         """Row to fill with S_k, after step k-1's :meth:`convolve`."""
         i = k % _BLOCK
         if i == 0 and k:
-            first = self.slot(k + 1)
-            self._far(k, self.result[first : first + min(_BLOCK, self.n_steps - k)])
+            self._far(k, self.out[: self.n_steps - k])
         return self.terms[i]
 
-    def convolve(self, k: int):
+    def convolve(self, k: int) -> np.ndarray:
+        """Add the near window to output k+1 and return that row of ``out``."""
         i = k % _BLOCK
         np.dot(self.near_rev[-1 - i :], self.terms[: i + 1], out=self.row)
-        self.result[self.slot(k + 1)] += self.row
+        out = self.out[i]
+        out += self.row
+        return out
 
 
 class _HistoryMemory(_BlockedMemory):
@@ -306,11 +301,11 @@ class _HistoryMemory(_BlockedMemory):
     history rows j < b with the kernel values at lags b + i + 1 - j.
     """
 
-    def __init__(self, kernel_values, n_paths: int, ring: bool):
+    def __init__(self, kernel_values, n_paths: int):
         n_steps = kernel_values.size
         self.kernel_values = kernel_values
         self.history = np.empty((n_steps, n_paths))
-        super().__init__(kernel_values[:_BLOCK], n_steps, n_paths, self.history, ring)
+        super().__init__(kernel_values[:_BLOCK], n_steps, n_paths, self.history)
 
     def _far(self, b: int, rows):
         lags = b + np.arange(rows.shape[0])[:, None] - np.arange(b)[None, :]
@@ -327,9 +322,7 @@ class _FactorMemory(_BlockedMemory):
     ``exact_last_step`` the lag-one weight is zero (the caller adds it).
     """
 
-    def __init__(
-        self, u, damp, n_steps: int, n_paths: int, ring: bool, exact_last_step=False
-    ):
+    def __init__(self, u, damp, n_steps: int, n_paths: int, exact_last_step=False):
         self.damp = damp
         powers = damp[None, :] ** np.arange(_BLOCK + 1)[:, None]
         self.far_weights = u * powers[:-1]
@@ -339,7 +332,7 @@ class _FactorMemory(_BlockedMemory):
         self.carry = np.ascontiguousarray(powers[:0:-1].T)  # column j: damp^(B-j)
         self.block_damp = powers[-1][:, None]
         self.factors = np.zeros((damp.size, n_paths))
-        super().__init__(near, n_steps, n_paths, np.empty((_BLOCK, n_paths)), ring)
+        super().__init__(near, n_steps, n_paths, np.empty((_BLOCK, n_paths)))
 
     def _far(self, b: int, rows):
         f = self.factors
@@ -349,9 +342,9 @@ class _FactorMemory(_BlockedMemory):
         np.matmul(self.far_weights[: rows.shape[0]], f, out=rows)
 
 
-def _expsum_memory(kernel: ExpSumKernel, grid: GridSpec, n_paths: int, ring: bool):
+def _expsum_memory(kernel: ExpSumKernel, grid: GridSpec, n_paths: int):
     """Factor memory of an exponential sum: u = w e^{-r dt}, damped by e^{-r dt}."""
-    return _FactorMemory(*kernel.damped(grid.dt), grid.N, n_paths, ring)
+    return _FactorMemory(*kernel.damped(grid.dt), grid.N, n_paths)
 
 
 class _LogPrice:
@@ -387,45 +380,46 @@ class _LogPrice:
         return vol
 
 
-def _heston_variance(params, grid, memory, z, z_perp, exact=None) -> HestonPaths:
+def _heston_variance(params, grid, memory, z, z_perp, prices_only, exact=None) -> HestonPaths:
     """Step loop of the variance engines, which differ only in their memory.
 
     V_{k+1} = V0 + convolution of S_j = (theta - lam V_j^+) dt
     + sigma sqrt(V_j^+) dW_j, with dW_j = sqrt(dt) z_j formed in scratch;
     ``exact = (drift_weight, l21, l22, z_frac)`` adds the hybrid scheme's
     exact last step (theta - lam V_k^+) drift_weight + sigma sqrt(V_k^+)
-    d_frac_k, with d_frac_k = l21 z_k + l22 z_frac_k. The log price is
-    the :class:`_LogPrice` of V^+.
+    d_frac_k, with d_frac_k = l21 z_k + l22 z_frac_k, to the far part of
+    the convolution before its near window. The log price is the
+    :class:`_LogPrice` of V^+. V_k lives in row k % R of R = N+1 rows, or
+    of R = 2 with ``prices_only``.
     """
-    variance, slot = memory.result, memory.slot
+    n_paths = z.shape[1]
+    variance = np.empty((2 if prices_only else grid.N + 1, n_paths))
     variance[0] = params.V0
-    n_paths = variance.shape[1]
     prices = _LogPrice(params, grid, n_paths)
     dw, shock, d_frac = (np.empty(n_paths) for _ in range(3))
     for k in range(grid.N):
         np.multiply(z[k], prices.sqrt_dt, out=dw)
-        v_next = variance[slot(k + 1)]
         step = memory.term(k)
-        np.maximum(variance[slot(k)], 0.0, out=step)  # positive part of V
+        np.maximum(variance[k % len(variance)], 0.0, out=step)  # positive part of V
         vol = prices.step(k, step, dw, z_perp[k])
         vol *= params.sigma
         step *= -params.lam
         step += params.theta
         if exact is not None:
             drift_weight, l21, l22, z_frac = exact
+            far = memory.out[k % _BLOCK]  # the row that convolve(k) finishes
             np.multiply(step, drift_weight, out=shock)
-            v_next += shock
+            far += shock
             np.multiply(z[k], l21, out=d_frac)
             np.multiply(z_frac[k], l22, out=shock)
             d_frac += shock
             d_frac *= vol
-            v_next += d_frac
+            far += d_frac
         step *= grid.dt
         np.multiply(vol, dw, out=shock)
         step += shock
-        memory.convolve(k)
-        v_next += params.V0
-    return HestonPaths(log_price=prices.path.T, variance=None if memory.ring else variance.T)
+        np.add(memory.convolve(k), params.V0, out=variance[(k + 1) % len(variance)])
+    return HestonPaths(log_price=prices.path.T, variance=None if prices_only else variance.T)
 
 
 def heston_volterra_euler(
@@ -438,12 +432,12 @@ def heston_volterra_euler(
     log price advances by the usual explicit step with correlation ``rho``.
     ``z`` and ``z_perp`` are (paths, N) standard normals; step k's
     Brownian increments are sqrt(dt) z_k and sqrt(dt) z_perp_k.
-    ``prices_only=True`` keeps the variance in a ring of rows and
-    returns ``variance=None``.
+    ``prices_only=True`` keeps the variance in two rows, used in turn,
+    and returns ``variance=None``.
     """
     z, z_perp = _check_normals(grid, z, z_perp)
-    memory = _HistoryMemory(_kernel_table(kernel, grid), z.shape[1], prices_only)
-    return _heston_variance(params, grid, memory, z, z_perp)
+    memory = _HistoryMemory(_kernel_table(kernel, grid), z.shape[1])
+    return _heston_variance(params, grid, memory, z, z_perp, prices_only)
 
 
 def heston_multifactor_euler(
@@ -464,8 +458,8 @@ def heston_multifactor_euler(
     ``prices_only`` as in :func:`heston_volterra_euler`.
     """
     z, z_perp = _check_normals(grid, z, z_perp)
-    memory = _expsum_memory(kernel, grid, z.shape[1], prices_only)
-    return _heston_variance(params, grid, memory, z, z_perp)
+    memory = _expsum_memory(kernel, grid, z.shape[1])
+    return _heston_variance(params, grid, memory, z, z_perp, prices_only)
 
 
 def hybrid_step_covariance(spec: RoughKernelSpec, dt: float) -> np.ndarray:
@@ -522,42 +516,41 @@ def heston_hybrid_multifactor(
     l22 = math.sqrt(max(cov[1, 1] - l21 * l21, 0.0))
     predict, _ = kernel.damped(dt)  # w e^{-r dt}
     damp = 1.0 / (1.0 + kernel.rates * dt)
-    memory = _FactorMemory(
-        predict, damp, grid.N, z.shape[1], prices_only, exact_last_step=True
-    )
-    return _heston_variance(params, grid, memory, z, z_perp, (cov[0, 1], l21, l22, z_frac))
+    memory = _FactorMemory(predict, damp, grid.N, z.shape[1], exact_last_step=True)
+    exact = (cov[0, 1], l21, l22, z_frac)
+    return _heston_variance(params, grid, memory, z, z_perp, prices_only, exact)
 
 
-def _integrated_loop(params, grid, memory, z, z_perp, runmax: bool) -> IntegratedPaths:
+def _integrated_loop(params, grid, memory, z, z_perp, prices_only, runmax) -> IntegratedPaths:
     """Step loop of the integrated-variance engines, which differ in memory and floor.
 
     X_{k+1} = V0 t_{k+1} + convolution of (theta t_j - lam X_j^+ + sigma M_j) dt,
     X^+ being the running max of X (``runmax``) or its positive part; M and
-    M_perp grow by sqrt(increase of max X) times z and z_perp. When the
-    memory keeps a ring of rows, the running max keeps two, used in turn.
+    M_perp grow by sqrt(increase of max X) times z and z_perp. Raw X_k,
+    never returned, lives in row k % 2 of two rows; its running max in row
+    k % R of R = N+1 rows, or of R = 2 with ``prices_only``.
     """
     p, dt = params, grid.dt
-    raw, slot = memory.result, memory.slot
-    n_paths = raw.shape[1]
-    clamped = np.zeros((2 if memory.ring else grid.N + 1, n_paths))
+    n_paths = z.shape[1]
+    raw = np.zeros((2, n_paths))
+    clamped = np.zeros((2 if prices_only else grid.N + 1, n_paths))
     prices = _LogPrice(p, grid, n_paths)
     log_s0, rho_perp, log_price = prices.log_s0, prices.rho_perp, prices.path
     mart, mart_perp, inc, tmp = (np.zeros(n_paths) for _ in range(4))
     for k in range(grid.N):
         x_now, x_next = clamped[k % len(clamped)], clamped[(k + 1) % len(clamped)]
-        raw_next = raw[slot(k + 1)]
+        raw_next = raw[(k + 1) % 2]
         step = memory.term(k)
         if runmax:
             np.multiply(x_now, p.lam, out=step)
         else:
-            np.maximum(raw[slot(k)], 0.0, out=step)
+            np.maximum(raw[k % 2], 0.0, out=step)
             step *= p.lam
         np.subtract(p.theta * (k * dt), step, out=step)
         np.multiply(mart, p.sigma, out=tmp)
         step += tmp
         step *= dt
-        memory.convolve(k)
-        raw_next += p.V0 * (k * dt + dt)
+        np.add(memory.convolve(k), p.V0 * (k * dt + dt), out=raw_next)
         # running max, martingale parts and log price at t_{k+1}
         np.maximum(x_now, raw_next, out=x_next)
         np.subtract(x_next, x_now, out=inc)
@@ -574,7 +567,7 @@ def _integrated_loop(params, grid, memory, z, z_perp, runmax: bool) -> Integrate
         np.multiply(mart_perp, rho_perp, out=tmp)
         lp += tmp
     return IntegratedPaths(
-        log_price=log_price.T, integrated_variance=None if memory.ring else clamped.T
+        log_price=log_price.T, integrated_variance=None if prices_only else clamped.T
     )
 
 
@@ -594,8 +587,9 @@ def heston_integrated_volterra(
     of the running maximum of X, driven by the standard normal arrays
     ``z`` and ``z_perp`` of shape (paths, N). The mean reversion term
     reads the running maximum of X. ``kernel`` as in
-    :func:`heston_volterra_euler`; ``prices_only=True`` keeps X in a
-    ring of rows and returns both integrated variances as None.
+    :func:`heston_volterra_euler`; ``prices_only=True`` keeps the running
+    maximum of X in two rows, used in turn, and returns
+    ``integrated_variance=None``.
 
     The scheme is chaotic on fine grids: at N = 640, a one-ulp change of
     every input normal moved an 8192-path call price by about 3e-3
@@ -604,8 +598,8 @@ def heston_integrated_volterra(
     bit-identity.
     """
     z, z_perp = _check_normals(grid, z, z_perp)
-    memory = _HistoryMemory(_kernel_table(kernel, grid), z.shape[1], prices_only)
-    return _integrated_loop(params, grid, memory, z, z_perp, runmax=True)
+    memory = _HistoryMemory(_kernel_table(kernel, grid), z.shape[1])
+    return _integrated_loop(params, grid, memory, z, z_perp, prices_only, runmax=True)
 
 
 def heston_integrated_multifactor(
@@ -631,5 +625,5 @@ def heston_integrated_multifactor(
     Carlo half-width, not for bit-identity.
     """
     z, z_perp = _check_normals(grid, z, z_perp)
-    memory = _expsum_memory(kernel, grid, z.shape[1], prices_only)
-    return _integrated_loop(params, grid, memory, z, z_perp, runmax=False)
+    memory = _expsum_memory(kernel, grid, z.shape[1])
+    return _integrated_loop(params, grid, memory, z, z_perp, prices_only, runmax=False)

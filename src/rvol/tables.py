@@ -11,7 +11,7 @@ from __future__ import annotations
 from .kernel import RoughKernelSpec, l2_error_exact
 from .mc import HestonModel, McConfig, euro_call, lookback_call, price, rate_factor_estimate
 from .quadrature import build_geometric, build_newton_cotes, build_riemann, build_systematic
-from .schemes import GridSpec, HestonParams
+from .schemes import GridSpec
 
 __all__ = ["TABLE_IDS", "PRICING_TABLE_IDS", "table_rows"]
 
@@ -81,14 +81,12 @@ def _pricing_table(payoff, schemes, steps, cfg: McConfig):
     header = ["N"]
     for scheme in schemes:
         header += [f"{scheme}_mean", f"{scheme}_halfwidth", f"{scheme}_seconds"]
-    params = HestonParams()
     rows = []
     for N in steps:
         grid = GridSpec(T=_HORIZON, N=N)
         row = [N]
         for scheme in schemes:
-            model = HestonModel(scheme=scheme, params=params, hurst=0.1)
-            report = price(model, payoff, grid, cfg)
+            report = price(HestonModel(scheme), payoff, grid, cfg)
             row += [report.mean, report.half_width_95, report.wall_seconds]
         rows.append(row)
     return header, rows

@@ -206,7 +206,36 @@ class _NanTerminal:
         return PathStats(terminal=terminal, running_max=terminal.copy())
 
 
+class _ZeroTerminal(_NanTerminal):
+    """Stub descriptor whose first path ends at 0."""
+
+    label = "stub:zero"
+
+    def simulate(self, grid, normals):
+        terminal = np.ones(normals.shape[0])
+        terminal[0] = 0.0
+        return PathStats(terminal=terminal, running_max=np.ones_like(terminal))
+
+
 class TestNonFinitePayoffs:
+    def test_zero_price_raises(self):
+        # a price of 0 has finite payoffs, so only the price check sees it
+        cfg = McConfig(paths=100, seed=0)
+        with pytest.raises(ValueError, match=r"stub:zero\|euro_call\(1.0\): 1 of 100 terminal"):
+            price(_ZeroTerminal(), euro_call(1.0), GridSpec(T=1.0, N=2), cfg)
+        with pytest.raises(ValueError, match="stub:zero"):
+            paired_compare(_ZeroTerminal(), _NanTerminal(), euro_call(1.0), GridSpec(1.0, 2), cfg)
+
+    @pytest.mark.parametrize(
+        "scheme", ["volterra", "multifactor-truncated", "hybrid", "integrated-multifactor"]
+    )
+    def test_underflowing_price_raises(self, scheme):
+        # with lam dt = 7500 every S_T = exp(log S_T) underflows to 0, and
+        # price() once reported the call at 0 +- 0
+        cfg = McConfig(paths=64, seed=0)
+        with pytest.raises(ValueError, match=rf"heston:{scheme}\|euro_call\(1.0\): 64 of 64"):
+            price(HestonModel(scheme), euro_call(1.0), GridSpec(T=1e5, N=4), cfg)
+
     def test_price_raises(self):
         cfg = McConfig(paths=100, seed=0)
         with pytest.raises(ValueError, match=r"stub:nan\|euro_call"):

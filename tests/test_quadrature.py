@@ -314,6 +314,19 @@ class TestSystematic:
             K, _ = paper_truncation("interval", 0.1, n)
             assert quadrature._ratio_bracket(n, K) == quadrature._RATIO_BRACKET
 
+    @settings(max_examples=12, deadline=None)
+    @given(
+        H=st.floats(0.005, 0.495, exclude_min=True, exclude_max=True),
+        T=st.floats(0.01, 10.0),
+        n_total=st.integers(1, 125).map(lambda m: 2 * m),
+    )
+    def test_error_does_not_rise_when_the_factor_count_doubles(self, H, T, n_total):
+        spec = RoughKernelSpec(H)
+        err_n, err_2n = (
+            l2_error_exact(spec, build_systematic(spec, n, T), T) for n in (n_total, 2 * n_total)
+        )
+        assert err_2n <= err_n
+
     def test_no_finite_ratio(self):
         # at n = 8000 geometric intervals even the ratio 1.05 passes the ceiling
         with pytest.raises(ValueError, match="at n = 8000"):

@@ -83,11 +83,10 @@ def integrated(params, kernel, grid, z, zp, *, factors, runmax, prices_only=Fals
     """
     z, zp = schemes._check_normals(grid, z, zp)
     if factors:
-        memory = schemes._expsum_memory(kernel, grid, z.shape[1], prices_only)
+        memory = schemes._expsum_memory(kernel, grid, z.shape[1])
     else:
-        table = schemes._kernel_table(kernel, grid)
-        memory = schemes._HistoryMemory(table, z.shape[1], prices_only)
-    return schemes._integrated_loop(params, grid, memory, z, zp, runmax)
+        memory = schemes._HistoryMemory(schemes._kernel_table(kernel, grid), z.shape[1])
+    return schemes._integrated_loop(params, grid, memory, z, zp, prices_only, runmax)
 
 
 class TestGridAndTypes:
