@@ -127,11 +127,19 @@ class CounterRng:
         The result is a transposed view of a C-ordered (n_comp, n_steps,
         paths) buffer: ``normals[:, k, c]`` is a contiguous row, and
         ``normals[:, :, c].T`` a C-ordered (n_steps, paths) array.
+        ``path_ids`` must be a 1-d integer array with no negative entry.
         """
         if n_comp >= _COMP_STRIDE:
             raise ValueError(f"at most {_COMP_STRIDE - 1} components per step")
+        ids = np.asarray(path_ids)
+        negative = ids.dtype.kind == "i" and bool((ids < 0).any())
+        if ids.ndim != 1 or ids.dtype.kind not in "iu" or negative:
+            raise ValueError(
+                f"path_ids must be a 1-d array of nonnegative integers, got {ids.dtype} "
+                f"of shape {ids.shape}"
+            )
         keys = self._keys(n_steps, n_comp).reshape(-1, 1)
-        offsets = np.asarray(path_ids).astype(np.uint64) * _GOLDEN
+        offsets = ids.astype(np.uint64) * _GOLDEN
         n_paths = offsets.size
         out = np.empty((n_comp, n_steps, n_paths))
         rows = out.reshape(-1, n_paths)

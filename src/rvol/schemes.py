@@ -26,14 +26,16 @@ copy for a C-ordered array). Each engine is one step loop over a
 memory term, run in blocks of ``_BLOCK`` steps: every step adds a near
 window (the block's step terms against the first ``_BLOCK`` kernel
 lags), and the far memory enters once per block as one matrix product
-with the (n, paths) factors or the (N, paths) history of step terms;
-the factor engines keep the block's step terms in one (``_BLOCK``,
-paths) array. The memory only convolves: it hands each step its output
-row from a (``_BLOCK``, paths) block. Each step loop keeps its own
-state, state k in row k % R: the variance and the running max of the
-integrated variance in R = N+1 rows, or in R = 2 with
-``prices_only=True``, when only the log price is returned whole; the
-raw integrated variance, never returned, always in R = 2.
+with the (n, paths) factors or the (N, paths) history of step terms.
+The factor engines keep the block's step terms in one (``_BLOCK``,
+paths) array and first fold them into the factors, a group of factor
+rows at a time through the spent output block, so every product runs
+on numpy's BLAS and its one thread pool. The memory only convolves: it
+hands each step its output row from a (``_BLOCK``, paths) block. Each
+step loop keeps its own state, state k in row k % R: the variance and
+the running max of the integrated variance in R = N+1 rows, or in
+R = 2 with ``prices_only=True``, when only the log price is returned
+whole; the raw integrated variance, never returned, always in R = 2.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dgemm
 
 from .kernel import ExpSumKernel, RoughKernelSpec, expsum_eval, rough_kernel_eval
 from .numerics import require_count, require_finite, require_positive
@@ -318,7 +319,11 @@ class _FactorMemory(_BlockedMemory):
 
     Step b + i reads (u damp^i) . f with f taken at the block start, so
     the kernel at lag m is u . damp^(m-1), the exponential sum on the
-    grid. A full block moves f to damp^B f + sum_j damp^(B-j) S_j. With
+    grid. A full block moves f to damp^B f + sum_j damp^(B-j) S_j, formed
+    ``len(out)`` factor rows at a time on numpy's BLAS. The product's
+    scratch is the spent ``out`` block: at a block start the step loops
+    have already copied its rows, and it takes the far rows only after
+    the update, so the update allocates no (n, paths) array. With
     ``exact_last_step`` the lag-one weight is zero (the caller adds it).
     """
 
@@ -335,11 +340,28 @@ class _FactorMemory(_BlockedMemory):
         super().__init__(near, n_steps, n_paths, np.empty((_BLOCK, n_paths)))
 
     def _far(self, b: int, rows):
-        f = self.factors
-        f *= self.block_damp
-        # f.T += S.T @ carry.T, accumulated in place by BLAS on the F-ordered views
-        dgemm(1.0, self.terms.T, self.carry.T, beta=1.0, c=f.T, overwrite_c=True)
+        f, size = self.factors, len(self.out)
+        for lo in range(0, len(f), size):
+            g = slice(lo, lo + size)
+            part = self.out[: len(f[g])]
+            _gemm(self.carry[g], self.terms, part)
+            f[g] *= self.block_damp[g]
+            f[g] += part
         np.matmul(self.far_weights[: rows.shape[0]], f, out=rows)
+
+
+def _gemm(a, b, out):
+    """``out = a @ b`` on BLAS gemm, also for a one-row ``a`` or a one-column ``b``.
+
+    numpy's matmul sends those two shapes to gemv, which orders its sums
+    differently; doubling the row or column keeps them on gemm.
+    """
+    rows, cols = out.shape
+    if rows > 1 and cols > 1:
+        np.matmul(a, b, out=out)
+    else:
+        wide = np.repeat(a, 1 + (rows == 1), axis=0) @ np.repeat(b, 1 + (cols == 1), axis=1)
+        out[...] = wide[:rows, :cols]
 
 
 def _expsum_memory(kernel: ExpSumKernel, grid: GridSpec, n_paths: int):

@@ -111,6 +111,25 @@ class TestCounterRng:
         draws = CounterRng(1).normals_block(np.arange(1_000_000, dtype=np.uint64), 1, 1)
         assert np.all(np.isfinite(draws))
 
+    def test_signed_and_list_ids_draw_the_same_bits(self):
+        rng = CounterRng(9)
+        want = rng.normals_block(np.arange(5, dtype=np.uint64), 3, 2)
+        assert np.array_equal(rng.normals_block(np.arange(5), 3, 2), want)
+        assert np.array_equal(rng.normals_block([0, 1, 2, 3, 4], 3, 2), want)
+
+    @pytest.mark.parametrize(
+        "path_ids",
+        [
+            np.array([0.5, 1.7]),  # would draw paths 0 and 1
+            np.array([0, -1]),  # would alias path 2**64 - 1
+            np.arange(4).reshape(2, 2),  # would fail in numpy broadcasting
+        ],
+        ids=["float", "negative", "2-d"],
+    )
+    def test_rejects_bad_path_ids(self, path_ids):
+        with pytest.raises(ValueError, match="path_ids must be a 1-d array of nonnegative"):
+            CounterRng(9).normals_block(path_ids, 3, 2)
+
 
 class TestPrice:
     def test_deterministic_given_seed(self):
@@ -535,6 +554,29 @@ class TestStreamedHestonPricing:
             McConfig(paths=2048, seed=7),
         )
         assert (report.mean, report.half_width_95) == self.GOLDEN[scheme]
+
+    # the terminal log price of `simulate_paths` on path 0 alone (the
+    # `path-dump` shape), T = 1, N = 64, seed 7, as given by the factor
+    # update on BLAS gemm; numpy's matmul would send its one-path products
+    # to gemv, which rounds its sums in another order and moves the last
+    # bits of all four factor schemes (recorded as GOLDEN)
+    GOLDEN_ONE_PATH = {
+        "volterra": -0.06859609559246461,
+        "multifactor": -0.06964110647921948,
+        "multifactor-truncated": -0.0696509719853449,
+        "hybrid": -0.08634246742024268,
+        "integrated-volterra": -0.044465005046005146,
+        "integrated-multifactor": -0.054403090377217536,
+    }
+
+    @pytest.mark.parametrize("scheme", mc.HESTON_SCHEMES)
+    def test_golden_one_path(self, scheme):
+        model, grid = HestonModel(scheme=scheme), GridSpec(T=1.0, N=64)
+        normals = CounterRng(7).normals_block(
+            np.arange(1, dtype=np.uint64), grid.N, model.components_per_step(grid)
+        )
+        paths = model.simulate_paths(grid, normals)
+        assert paths.log_price[0, -1] == self.GOLDEN_ONE_PATH[scheme]
 
     @pytest.mark.parametrize("scheme", mc.HESTON_SCHEMES)
     def test_pricing_peak_memory(self, scheme):

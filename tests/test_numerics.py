@@ -238,16 +238,28 @@ def test_step_counts_must_be_integers(call):
     call(np.int64(3))  # numpy integers pass
 
 
-def test_package_import_leaves_out_scipy_integrate():
-    # scipy.integrate (and the scipy.optimize and scipy.sparse it imports)
-    # loads only when a quadrature first runs
+def _loaded_by_package_import(module: str) -> bool:
+    """Whether ``module`` is in ``sys.modules`` after ``import rvol`` in a fresh interpreter."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(rvol.__file__)))
-    probe = "import sys, rvol; print('scipy.integrate' in sys.modules)"
+    probe = f"import sys, rvol; print({module!r} in sys.modules)"
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_package_import_leaves_out_scipy_integrate():
+    # scipy.integrate (and the scipy.optimize and scipy.sparse it imports)
+    # loads only when a quadrature first runs
+    assert not _loaded_by_package_import("scipy.integrate")
+
+
+def test_package_import_leaves_out_scipy_linalg():
+    # the factor engines run their far update on numpy's BLAS alone;
+    # scipy.linalg would load scipy's own OpenBLAS, whose thread pool then
+    # competes with numpy's for the cores
+    assert not _loaded_by_package_import("scipy.linalg")
 
 
 class TestPsdFactorize:
