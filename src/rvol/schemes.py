@@ -20,13 +20,15 @@ and the hybrid engine also its kernel-weighted increment.
 
 Layout: the batched engines take (paths, N) normals and return
 (paths, N+1) paths, transposed views of step-major (N+1, paths)
-buffers. Inside, each normals array is an (N, paths) view (free for the
-slices of :meth:`rvol.mc.CounterRng.normals_block`, one transposing
-copy for a C-ordered array). Each engine is one step loop over a
-memory term, run in blocks of ``_BLOCK`` steps: every step adds a near
-window (the block's step terms against the first ``_BLOCK`` kernel
-lags), and the far memory enters once per block as one matrix product
-with the (n, paths) factors or the (N, paths) history of step terms.
+buffers. Inside, each normals array is an (N, paths) view whose rows
+are contiguous, and may be path slices of a wider block's rows: free
+for the component slices of :meth:`rvol.mc.CounterRng.normals_block`
+and for path slices of them, one transposing copy for a C-ordered
+array. Each engine is one step loop over a memory term, run in blocks
+of ``_BLOCK`` steps: every step adds a near window (the block's step
+terms against the first ``_BLOCK`` kernel lags), and the far memory
+enters once per block as one matrix product with the (n, paths)
+factors or the (N, paths) history of step terms.
 The factor engines keep the block's step terms in one (``_BLOCK``,
 paths) array and first fold them into the factors, a group of factor
 rows at a time through the spent output block, so every product runs
@@ -244,18 +246,19 @@ def multifactor_euler(
 
 
 def _check_normals(grid: GridSpec, *arrays):
-    """Validate (paths, N) normals; return their C-ordered (N, paths) transposes.
+    """Validate (paths, N) normals; return their (N, paths) transposes.
 
-    Each step then reads one contiguous row; for the transposed views
-    that :meth:`rvol.mc.CounterRng.normals_block` hands out this costs
-    no copy.
+    Each step reads one row, which must be contiguous. The transposed
+    views that :meth:`rvol.mc.CounterRng.normals_block` hands out, and
+    path slices of them, have such rows and pass uncopied; any other
+    layout costs one transposing copy.
     """
-    rows = [np.ascontiguousarray(np.asarray(arr, dtype=float).T) for arr in arrays]
+    rows = [np.asarray(arr, dtype=float).T for arr in arrays]
     if rows[0].ndim != 2 or rows[0].shape[0] != grid.N:
         raise ValueError(f"normals must have shape (paths, {grid.N})")
     if any(r.shape != rows[0].shape for r in rows):
         raise ValueError("all normals arrays must share one shape")
-    return rows
+    return [r if r[0].flags.c_contiguous else np.ascontiguousarray(r) for r in rows]
 
 
 _BLOCK = 16  # steps per block of the step loop (16/32/64 sweep: see CHANGES.md)

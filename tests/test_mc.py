@@ -580,28 +580,39 @@ class TestStreamedHestonPricing:
 
     @pytest.mark.parametrize("scheme", mc.HESTON_SCHEMES)
     def test_pricing_peak_memory(self, scheme):
-        # one priced block holds the normals, the (N+1, paths) log price,
-        # the (n, paths) factors or the (N, paths) history of step terms,
-        # and rows of (paths,) scratch
+        # a priced block holds its normals, and each engine call on it the
+        # (N+1, paths) log price, the (n, paths) factors or the (N, paths)
+        # history of step terms, and rows of (paths,) scratch: 4096 paths
+        # run as one call, a full block through simulate_stats in slices
         import tracemalloc
 
-        paths, grid = 4096, GridSpec(T=1.0, N=160)
+        grid = GridSpec(T=1.0, N=160)
         model = HestonModel(scheme=scheme)
         comps = model.components_per_step(grid)
         rng = CounterRng(3)
-        ids = np.arange(paths, dtype=np.uint64)
-        model.simulate(grid, rng.normals_block(ids[:8], grid.N, comps))  # warm the kernel caches
+        # warm the kernel caches
+        model.simulate(grid, rng.normals_block(np.arange(8), grid.N, comps))
         kernel = model.resolve_kernel(grid)
         state_rows = kernel.n if hasattr(kernel, "n") else grid.N
-        budget = 8 * paths * (grid.N * comps + grid.N + 1 + state_rows)
-        tracemalloc.start()
-        try:
-            model.simulate(grid, rng.normals_block(ids, grid.N, comps))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        runs = {
+            4096: lambda: model.simulate(
+                grid, rng.normals_block(np.arange(4096, dtype=np.uint64), grid.N, comps)
+            ),
+            mc._BLOCK: lambda: mc.simulate_stats(model, grid, McConfig(paths=mc._BLOCK, seed=3)),
+        }
         mib = 2.0**20
-        assert peak <= 1.15 * budget, f"peak {peak / mib:.1f} MiB, budget {budget / mib:.1f} MiB"
+        for paths, run in runs.items():
+            engine_paths = min(paths, mc._SLICE)
+            budget = 8 * (paths * grid.N * comps + engine_paths * (grid.N + 1 + state_rows))
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.15 * budget, (
+                f"{paths} paths: peak {peak / mib:.1f} MiB, budget {budget / mib:.1f} MiB"
+            )
 
     def test_hybrid_near_half(self):
         # within ~4e-9 of H = 1/2 the hybrid step's Cholesky radicand
@@ -609,6 +620,71 @@ class TestStreamedHestonPricing:
         model = HestonModel(scheme="hybrid", hurst=0.4999999965)
         report = price(model, euro_call(1.0), GridSpec(T=1.0, N=160), McConfig(paths=64, seed=0))
         assert math.isfinite(report.mean) and report.mean > 0.0
+
+
+@pytest.fixture
+def engine_calls(monkeypatch):
+    """Path counts of the engine calls made at the engines' ``rvol.mc`` names."""
+    widths = []
+
+    def spy(engine):
+        def run(*args, **kwargs):
+            out = engine(*args, **kwargs)
+            widths.append(out.log_price.shape[0])
+            return out
+
+        return run
+
+    for name in (
+        "heston_volterra_euler",
+        "heston_multifactor_euler",
+        "heston_hybrid_multifactor",
+        "heston_integrated_volterra",
+        "heston_integrated_multifactor",
+        "simulate_bergomi",
+    ):
+        monkeypatch.setattr(mc, name, spy(getattr(mc, name)))
+    return widths
+
+
+class TestSlicedPricing:
+    """Each drawn block runs its engine on path slices, to the bits of one whole run."""
+
+    @pytest.mark.parametrize(
+        "model, grid",
+        [pytest.param(HestonModel(s), GridSpec(1.0, 160), id=s) for s in mc.HESTON_SCHEMES]
+        + [pytest.param(BergomiModel(m), GridSpec(0.041, 20), id=m) for m in mc.BERGOMI_MODES],
+    )
+    def test_full_block_matches_one_whole_block_run(self, engine_calls, model, grid):
+        normals = CounterRng(13).normals_block(
+            np.arange(mc._BLOCK, dtype=np.uint64), grid.N, model.components_per_step(grid)
+        )
+        whole = model.simulate(grid, normals)
+        sliced = mc.simulate_stats(model, grid, McConfig(paths=mc._BLOCK, seed=13))
+        assert engine_calls == [mc._BLOCK] + [mc._SLICE] * (mc._BLOCK // mc._SLICE)
+        assert np.array_equal(sliced.terminal, whole.terminal)
+        assert np.array_equal(sliced.running_max, whole.running_max)
+
+    @pytest.mark.parametrize(
+        "paths, widths",
+        [
+            (1, [1]),
+            (2 * mc._SLICE - 1, [2 * mc._SLICE - 1]),
+            (2 * mc._SLICE, [mc._SLICE, mc._SLICE]),
+            (3 * mc._SLICE + 57, [mc._SLICE, mc._SLICE, mc._SLICE + 57]),
+            (mc._BLOCK + 5, [mc._SLICE] * 4 + [5]),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "model",
+        [HestonModel(scheme="multifactor-truncated"), BergomiModel(mode="exact")],
+        ids=lambda m: m.label,
+    )
+    def test_slice_widths(self, engine_calls, model, paths, widths):
+        # a block of fewer than two slices runs whole, as one engine call;
+        # a wider one runs in slices, the last taking the remainder
+        mc.simulate_stats(model, GridSpec(T=0.5, N=2), McConfig(paths=paths, seed=1))
+        assert engine_calls == widths
 
 
 class TestSmile:

@@ -678,6 +678,17 @@ class TestIncrementLayout:
                 2,
             )
 
+    def test_path_slices_pass_uncopied(self):
+        # step rows of a path slice of the drawn block are contiguous, so the
+        # engines read the block itself; another layout is copied once
+        view, copy = self._normals(2)
+        grid = GridSpec(T=1.0, N=self.N)
+        for part in (view[8:24, :, 0], view[:, :, 1]):
+            (rows,) = schemes._check_normals(grid, part)
+            assert np.shares_memory(rows, view) and np.array_equal(rows, part.T)
+        (rows,) = schemes._check_normals(grid, copy[8:24, :, 0])
+        assert rows.flags.c_contiguous and not np.shares_memory(rows, copy)
+
 
 @st.composite
 def blocked_grids(draw):
