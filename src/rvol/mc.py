@@ -20,11 +20,11 @@ array is formed. Callers may equally pass C-ordered arrays of the same
 shapes, at the cost of one transposing copy. When only prices are
 needed (:meth:`HestonModel.simulate`), the engines run with
 ``prices_only=True`` and keep each state in two rows, used in turn.
-:func:`simulate_stats` draws each block's normals at once and runs the
-model on path slices of ``_SLICE`` paths, which are views of the block:
-so a priced block holds its normals, and one slice at a time holds the
-(N+1, slice) log price and the (n, slice) factors of a factor scheme or
-the (N, slice) history of step terms of a direct one.
+:func:`simulate_stats` runs each block in path slices of ``_SLICE``
+paths, and each slice draws its own normals: so one slice at a time
+holds its (slice, N, comps) normals, the (N+1, slice) log price and the
+(n, slice) factors of a factor scheme or the (N, slice) history of step
+terms of a direct one.
 """
 
 from __future__ import annotations
@@ -84,9 +84,9 @@ _COMP_STRIDE = 4096  # max components per step
 
 # Fixed reduction granularity: results are identical for any worker count.
 _BLOCK = 16384
-# Paths per engine call: a drawn block is simulated in slices of this
-# width, so the engines' state scales with the slice, not the block
-# (chosen by measurement: see CHANGES.md).
+# Paths per draw and engine call: a block is drawn and simulated in
+# slices of this width, so the normals and the engines' state scale with
+# the slice, not the block (chosen by measurement: see CHANGES.md).
 _SLICE = 4096
 # Entries hashed per tile in normals_block: the tile's uint64 and float64
 # scratch stay resident in L2 cache.
@@ -389,7 +389,7 @@ def _block_ranges(paths: int):
 
 
 def _slice_ranges(paths: int):
-    """Path slices of a drawn block: ``_SLICE`` wide, the last taking the remainder."""
+    """Path slices of a block: ``_SLICE`` wide, the last taking the remainder."""
     cuts = [_SLICE * i for i in range(max(1, paths // _SLICE))]
     return list(zip(cuts, cuts[1:] + [paths]))
 
@@ -400,12 +400,12 @@ def simulate_stats(model, grid: GridSpec, cfg: McConfig) -> PathStats:
     Paths are generated in fixed-size blocks whose draws depend only on
     the seed and global path indices; blocks may be computed by several
     workers but are assembled in index order, so the result is
-    bit-identical for any worker count. Each block's normals are drawn
-    at once, and the model runs on slices of ``_SLICE`` paths of them,
-    the last slice taking the remainder; so a block of fewer than
-    twice ``_SLICE`` paths runs whole, and the engines' state scales
-    with the slice. The descriptor's kernel is resolved first, so a kernel
-    it cannot build raises before any draw.
+    bit-identical for any worker count. Each block runs in slices of
+    ``_SLICE`` paths, the last slice taking the remainder, so a block of
+    fewer than twice ``_SLICE`` paths runs whole. Each slice draws its
+    own normals and runs the model on them, so both the normals and the
+    engines' state scale with the slice. The descriptor's kernel is
+    resolved first, so a kernel it cannot build raises before any draw.
     """
     model.resolve_kernel(grid)
     rng = CounterRng(cfg.seed)
@@ -413,14 +413,17 @@ def simulate_stats(model, grid: GridSpec, cfg: McConfig) -> PathStats:
     terminal = np.empty(cfg.paths)
     running_max = np.empty(cfg.paths)
 
+    def run_slice(lo, hi):
+        # the slice's normals die with this call, before the next slice draws
+        ids = np.arange(lo, hi, dtype=np.uint64)
+        stats = model.simulate(grid, rng.normals_block(ids, grid.N, comps))
+        terminal[lo:hi] = stats.terminal
+        running_max[lo:hi] = stats.running_max
+
     def run_block(block):
         lo, hi = block
-        ids = np.arange(lo, hi, dtype=np.uint64)
-        normals = rng.normals_block(ids, grid.N, comps)
         for a, b in _slice_ranges(hi - lo):
-            stats = model.simulate(grid, normals[a:b])
-            terminal[lo + a : lo + b] = stats.terminal
-            running_max[lo + a : lo + b] = stats.running_max
+            run_slice(lo + a, lo + b)
 
     blocks = _block_ranges(cfg.paths)
     if cfg.workers == 1 or len(blocks) == 1:

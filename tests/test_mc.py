@@ -580,10 +580,11 @@ class TestStreamedHestonPricing:
 
     @pytest.mark.parametrize("scheme", mc.HESTON_SCHEMES)
     def test_pricing_peak_memory(self, scheme):
-        # a priced block holds its normals, and each engine call on it the
+        # each engine call holds its (paths, N, comps) normals, the
         # (N+1, paths) log price, the (n, paths) factors or the (N, paths)
         # history of step terms, and rows of (paths,) scratch: 4096 paths
         # run as one call, a full block through simulate_stats in slices
+        # that each draw their own normals
         import tracemalloc
 
         grid = GridSpec(T=1.0, N=160)
@@ -602,8 +603,7 @@ class TestStreamedHestonPricing:
         }
         mib = 2.0**20
         for paths, run in runs.items():
-            engine_paths = min(paths, mc._SLICE)
-            budget = 8 * (paths * grid.N * comps + engine_paths * (grid.N + 1 + state_rows))
+            budget = 8 * min(paths, mc._SLICE) * (grid.N * comps + grid.N + 1 + state_rows)
             tracemalloc.start()
             try:
                 run()
@@ -648,7 +648,7 @@ def engine_calls(monkeypatch):
 
 
 class TestSlicedPricing:
-    """Each drawn block runs its engine on path slices, to the bits of one whole run."""
+    """Each block draws and runs its engine in path slices, to the bits of one whole run."""
 
     @pytest.mark.parametrize(
         "model, grid",
@@ -673,6 +673,7 @@ class TestSlicedPricing:
             (2 * mc._SLICE, [mc._SLICE, mc._SLICE]),
             (3 * mc._SLICE + 57, [mc._SLICE, mc._SLICE, mc._SLICE + 57]),
             (mc._BLOCK + 5, [mc._SLICE] * 4 + [5]),
+            (mc._BLOCK, [mc._SLICE] * 4),
         ],
     )
     @pytest.mark.parametrize(
@@ -680,11 +681,38 @@ class TestSlicedPricing:
         [HestonModel(scheme="multifactor-truncated"), BergomiModel(mode="exact")],
         ids=lambda m: m.label,
     )
-    def test_slice_widths(self, engine_calls, model, paths, widths):
-        # a block of fewer than two slices runs whole, as one engine call;
-        # a wider one runs in slices, the last taking the remainder
-        mc.simulate_stats(model, GridSpec(T=0.5, N=2), McConfig(paths=paths, seed=1))
+    def test_slice_widths(self, draws, engine_calls, model, paths, widths):
+        # a block of fewer than two slices runs whole, as one draw and one
+        # engine call; a wider one runs in slices, the last taking the
+        # remainder, and each slice draws its own normals
+        grid = GridSpec(T=0.5, N=2)
+        mc.simulate_stats(model, grid, McConfig(paths=paths, seed=1))
+        assert draws == [(w, grid.N, model.components_per_step(grid)) for w in widths]
         assert engine_calls == widths
+
+    @pytest.mark.parametrize("mode", mc.BERGOMI_MODES)
+    def test_bergomi_peak_memory(self, mode):
+        # one slice at a time holds its (slice, N, comps) normals and the
+        # sampler's state: the three (n, slice) factor rows of the
+        # multifactor mode or the (2N, slice) joint sample and its input
+        # of the exact mode, plus five (N+1, slice) path arrays (increments,
+        # factor sums, exponent, variance, log price)
+        import tracemalloc
+
+        grid, model = GridSpec(T=0.041, N=20), BergomiModel(mode)
+        comps, kernel = model.components_per_step(grid), model.resolve_kernel(grid)
+        # warm the kernel and covariance caches
+        mc.simulate_stats(model, grid, McConfig(paths=8, seed=3))
+        sampler_rows = 4 * grid.N if kernel is None else 3 * kernel.n
+        budget = 8 * mc._SLICE * (grid.N * comps + sampler_rows + 5 * (grid.N + 1))
+        tracemalloc.start()
+        try:
+            mc.simulate_stats(model, grid, McConfig(paths=mc._BLOCK, seed=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        mib = 2.0**20
+        assert peak <= 1.15 * budget, f"peak {peak / mib:.1f} MiB, budget {budget / mib:.1f} MiB"
 
 
 class TestSmile:
