@@ -7,13 +7,14 @@ convolution equations driven by the kernel into finite systems of
 exponentially damped factors. This module holds the kernel types, the
 spectral density geometry (interval masses and barycenters), and the
 exact L2 distance between the rough kernel and any exponential sum:
-one exact sum of the streamed Gram terms of the sum, its cross terms
-with the rough kernel, and the rough kernel's squared norm.
+one correctly rounded sum of the upper triangle of the sum's Gram, its
+cross terms with the rough kernel, and the rough kernel's squared norm.
+The exact sum bins the terms by binary exponent, and a Gram too large
+for one array streams through it in fixed-size blocks.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -225,46 +226,177 @@ def _pair_gram(rates: np.ndarray, t: float, rows=slice(None)) -> np.ndarray:
     return out
 
 
-# Entries per row block of a streamed Gram: every kernel of up to 256
-# factors is one block, and table t5's 800 x 800 Grams are ten.
+# Terms per streamed block of the Gram's upper triangle: the triangle of
+# every kernel of up to 361 factors is one block, and table t5's
+# 800-factor triangles are five.
 _BLOCK_ENTRIES = 1 << 16
 
+# np.frexp writes a finite double as m 2^e with 1/2 <= |m| < 1 and
+# -1073 <= e <= 1024. trunc(m 2^27), and the other 26 bits of m times
+# 2^26, are integers of weights 2^(e-27) and 2^(e-53). Bin j of an exact
+# sum holds an integer of weight 2^(j - _BIN_SHIFT): a term's low half
+# lands in bin e + _LO_BIN and its high half 26 bins up.
+_BIN_SHIFT = 1152
+_LO_BIN = _BIN_SHIFT - 53
+_BINS = _LO_BIN + 1024 + 27
+# Terms binned before a bin's integer sum may pass 2^53 and round.
+_BIN_ROOM = 1 << 26
+# Terms binned per pass: the two temporaries of a pass are 256 KiB.
+_CHUNK_TERMS = 1 << 14
+# Both halves of a double are multiples of 2^-1074, so the integer of a
+# bin, below 2^53, scales to a double exactly, subnormals included, up
+# to this bin; above it the scaled integer may overflow.
+_TOP_EXACT_BIN = _BIN_SHIFT + 1024 - 53
+# Up to this many terms math.fsum is the faster exact sum.
+_FSUM_TERMS = 512
+_OVERFLOW = "a term or the total of an exact sum overflows the float range"
 
-def _finite_fsum(terms) -> float:
-    """``math.fsum`` of ``terms``; ``ValueError`` if a term or the sum overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):
+
+class _ExactSum:
+    """Exact running sum of float arrays, rounded once at the end.
+
+    The small superaccumulator of Neal (arXiv:1505.05571): each term is
+    split into two integers that np.bincount adds, exactly, into the bin
+    of their binary exponent. The total depends neither on the order
+    nor on the grouping of the terms, and :meth:`value` equals
+    ``math.fsum`` over all of them, bit for bit; an exact zero is +0.0.
+    """
+
+    __slots__ = ("bins", "room", "carry")
+
+    def __init__(self):
+        self.bins = np.zeros(_BINS)
+        self.room = _BIN_ROOM
+        self.carry = 0  # emptied bins, in units of 2^-_BIN_SHIFT
+
+    def add(self, terms: np.ndarray) -> None:
+        """Add the terms of a float array, overwriting the array."""
+        with np.errstate(invalid="ignore"):  # inf - inf: a nan bin
+            for k in range(0, terms.size, _CHUNK_TERMS):
+                self._add_chunk(terms[k : k + _CHUNK_TERMS])
+
+    def _add_chunk(self, terms: np.ndarray) -> None:
+        if terms.size > self.room:
+            self.carry = self._integer(*self._nonzero())
+            self.bins[:] = 0.0
+            self.room = _BIN_ROOM
+        self.room -= terms.size
+        e = np.empty(terms.size, dtype=np.intp)
+        m = np.frexp(terms, out=(terms, e))[0]
+        m *= 2.0**27
+        hi = np.trunc(m)
+        m -= hi
+        m *= 2.0**26
+        e += _LO_BIN
+        self.bins[:-26] += np.bincount(e, weights=m, minlength=_BINS - 26)
+        self.bins[26:] += np.bincount(e, weights=hi, minlength=_BINS - 26)
+
+    def _nonzero(self):
+        """Indices and integers of the nonzero bins; ``ValueError`` if one is not finite."""
+        j = (self.bins != 0.0).nonzero()[0]
+        b = self.bins[j]
+        if not math.isfinite(b.sum()):
+            raise ValueError(_OVERFLOW)
+        return j, b
+
+    def _integer(self, j, b) -> int:
+        """The sum in units of 2^-_BIN_SHIFT."""
+        total = self.carry
+        for k, x in zip(j.tolist(), b.tolist()):
+            total += int(x) << k
+        return total
+
+    def value(self) -> float:
+        """The correctly rounded sum; ``ValueError`` when it overflows."""
+        j, b = self._nonzero()
+        if self.carry == 0 and (j.size == 0 or j[-1] <= _TOP_EXACT_BIN):
+            try:  # each scaled bin is exact, so fsum rounds the true sum
+                return math.fsum(np.ldexp(b, j - _BIN_SHIFT).tolist())
+            except OverflowError:
+                pass
+        try:  # integer true division rounds correctly, also to subnormals
+            return self._integer(j, b) / (1 << _BIN_SHIFT)
+        except OverflowError:
+            raise ValueError(_OVERFLOW) from None
+
+
+def _exact_sum(terms: np.ndarray) -> float:
+    """Correctly rounded sum of a float array, which it may overwrite.
+
+    Equals :meth:`_ExactSum.value`, bit for bit. Up to ``_FSUM_TERMS``
+    terms, ``math.fsum`` over a list rounds the same sum faster than the
+    bins do; they still decide when fsum meets an infinity or an
+    intermediate overflow.
+    """
+    if terms.size <= _FSUM_TERMS:
         try:
-            total = math.fsum(terms)
+            total = math.fsum(terms.tolist())
         except (OverflowError, ValueError):  # intermediate overflow, or -inf + inf
             total = math.nan
-    if not math.isfinite(total):
-        raise ValueError("a term of an exact L2 pairing overflows the float range")
-    return total
+        if math.isfinite(total):
+            return total
+    acc = _ExactSum()
+    acc.add(terms)
+    return acc.value()
 
 
-def _gram_terms(w: np.ndarray, rates: np.ndarray, t: float):
-    """Diagonal and doubled strict upper part of (w_i w_j) G_ij, by row block.
+def _wrapped(x: np.ndarray, d0: int, d1: int) -> np.ndarray:
+    """View V[d - d0, i] = x[(i + d) mod n] for d = d0..d1-1, n = x.size."""
+    twice = np.concatenate((x, x))
+    step = twice.itemsize
+    return np.ndarray((d1 - d0, x.size), twice.dtype, twice, d0 * step, (step, step))
 
-    G is the Gram of ``rates`` on (0, t), read about ``_BLOCK_ENTRIES``
-    entries at a time, so the memory held is O(block). The terms are
-    exactly symmetric and doubling is exact, so fsum over the pieces
-    equals fsum over all n^2 terms, bit for bit, whatever the blocking.
+
+def _gram_diagonals(w: np.ndarray, rates: np.ndarray, t: float, d0: int, d1: int, out: np.ndarray):
+    """Write the terms (w_i w_j) G_ij of the pairs i <= j at offsets d0..d1-1 into ``out``.
+
+    G is the Gram of ``rates`` on (0, t). Offset d holds the n pairs
+    (i, (i + d) mod n), and offsets 0..n//2 hold each pair of the upper
+    triangle once, except offset n/2 for even n, which holds each of its
+    pairs twice and is cut to its first half. The terms off the
+    diagonal (d > 0) are doubled, so the terms of all offsets sum to the
+    full quadratic form: G and the weight products are exactly symmetric
+    and doubling is exact. Only the triangle's n(n+1)/2 entries reach
+    expm1. ``out`` needs (d1 - d0) n entries; returns how many terms were
+    written.
     """
-    m = w.size
-    step = max(1, _BLOCK_ENTRIES // m)
-    cols = np.arange(m)
-    for i0 in range(0, m, step):
-        i1 = min(i0 + step, m)
-        # G_ij (w_i w_j) rounds as (w_i w_j) G_ij; forming the block first
-        # keeps at most two block-sized arrays alive
-        terms = _pair_gram(rates, t, slice(i0, i1))
-        terms *= np.multiply.outer(w[i0:i1], w)
-        yield terms.diagonal(i0).tolist()
-        doubled = terms[cols > cols[i0:i1, None]]
-        del terms  # free each block before the next one is built
-        doubled *= 2.0
-        yield memoryview(doubled)
-        del doubled
+    n = w.size
+    grid = out[: (d1 - d0) * n].reshape(d1 - d0, n)
+    np.add(rates, _wrapped(rates, d0, d1), out=grid)
+    count = grid.size - (n // 2 if 2 * (d1 - 1) == n else 0)
+    gram = out[:count]
+    gram *= t
+    _phi(gram, out=gram)
+    gram *= t
+    # G_ij (w_i w_j), rounded as in the full matrix
+    gram *= np.multiply(w, _wrapped(w, d0, d1)).ravel()[:count]
+    gram[n if d0 == 0 else 0 :] *= 2.0
+    return count
+
+
+def _quadratic_form(w: np.ndarray, rates: np.ndarray, t: float, tail: np.ndarray) -> float:
+    """Exact sum of w' G w, G the Gram of ``rates`` on (0, t), and the terms ``tail``.
+
+    A triangle of at most ``_BLOCK_ENTRIES`` terms is summed with the
+    tail as one array. A larger one streams blocks of offsets, each of at
+    most ``_BLOCK_ENTRIES`` entries (or one offset), through one buffer,
+    so the memory held is O(block), not O(n^2).
+    """
+    n = w.size
+    offsets = n // 2 + 1
+    triangle = n * (n + 1) // 2
+    if triangle <= _BLOCK_ENTRIES:
+        terms = np.empty(max(offsets * n, triangle + tail.size))
+        _gram_diagonals(w, rates, t, 0, offsets, terms)
+        terms[triangle : triangle + tail.size] = tail
+        return _exact_sum(terms[: triangle + tail.size])
+    acc = _ExactSum()
+    step = max(1, _BLOCK_ENTRIES // n)
+    block = np.empty(step * n)
+    for d0 in range(0, offsets, step):
+        acc.add(block[: _gram_diagonals(w, rates, t, d0, min(d0 + step, offsets), block)])
+    acc.add(tail)
+    return acc.value()
 
 
 def _fractional_cross_column(spec: RoughKernelSpec, rates: np.ndarray, t: float):
@@ -284,39 +416,28 @@ def _fractional_cross_column(spec: RoughKernelSpec, rates: np.ndarray, t: float)
     return col
 
 
-def _pairings(spec: RoughKernelSpec, kernel: ExpSumKernel, t: float):
-    """Terms of the L2 pairings on (0, t) for exact summation.
-
-    The streamed Gram terms, the cross terms w_i c_i and the rough
-    kernel's squared norm. ``ValueError`` for a horizon that is not
-    finite and positive.
-    """
-    t = require_positive(t, "horizon t")
-    w, r = kernel.weights, kernel.rates
-    gram = itertools.chain.from_iterable(_gram_terms(w, r, t))
-    with np.errstate(over="ignore"):
-        cross = (w * _fractional_cross_column(spec, r, t)).tolist()
-    return gram, cross, spec.square_integral(t)
-
-
 def l2_error_exact(spec: RoughKernelSpec, kernel: ExpSumKernel, t: float) -> float:
     """Exact squared L2 distance on (0, t) between rough kernel and sum.
 
-    <sum, sum> - 2 <sum, rough> + <rough, rough> as one exact (Shewchuk)
-    sum of the streamed Gram terms, the doubled cross terms and the rough
-    kernel's squared norm, clamped at zero: for accurate kernels the
-    result sits many orders of magnitude below the individual terms.
-    The sum is correctly rounded, so it equals v' Sigma v with v =
-    (weights, -1) and Sigma the (n+1) x (n+1) covariance of the n damped
-    factor integrals and the rough kernel's integral against one
-    Brownian motion on (0, t), whatever the Gram's row blocking, while
-    only O(block) memory is held, not O(n^2).
+    <sum, sum> - 2 <sum, rough> + <rough, rough> as one exact, binned
+    sum of the Gram's upper-triangle terms (the strict ones doubled),
+    the doubled cross terms w_i c_i and the rough kernel's squared norm,
+    clamped at zero: for accurate kernels the result sits many orders of
+    magnitude below the individual terms. The sum is correctly rounded,
+    so it equals v' Sigma v with v = (weights, -1) and Sigma the
+    (n+1) x (n+1) covariance of the n damped factor integrals and the
+    rough kernel's integral against one Brownian motion on (0, t),
+    whatever the Gram's blocking, while only O(block) memory is held,
+    not O(n^2).
     Raises ``ValueError`` for a horizon that is not finite and positive,
-    and when a term overflows.
+    and when a term or the total overflows.
     """
-    gram, cross, rough = _pairings(spec, kernel, t)
-    terms = itertools.chain(gram, (-2.0 * c for c in cross), (rough,))
-    return max(_finite_fsum(terms), 0.0)
+    t = require_positive(t, "horizon t")
+    w, r = kernel.weights, kernel.rates
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0: a nan term
+        cross = -2.0 * (w * _fractional_cross_column(spec, r, t))
+        tail = np.concatenate((cross, [spec.square_integral(t)]))
+        return max(_quadratic_form(w, r, t, tail), 0.0)
 
 
 def l2_error_discrete(
@@ -325,13 +446,18 @@ def l2_error_discrete(
     """Root mean square kernel gap on the grid kT/N, k = 1..N.
 
     The grid starts at T/N: the rough kernel is singular at zero, and
-    discretization schemes never evaluate it there.
+    discretization schemes never evaluate it there. Raises
+    ``ValueError`` when a squared gap or the result overflows.
     """
     T = require_positive(T, "horizon T")
     N = require_count(N, "step count N")
     t_grid = np.arange(1, N + 1) * (T / N)
-    gap = expsum_eval(kernel, t_grid) - rough_kernel_eval(spec, t_grid)
-    return math.sqrt((T / N) * math.fsum((gap * gap).tolist()))
+    with np.errstate(over="ignore"):
+        gap = expsum_eval(kernel, t_grid) - rough_kernel_eval(spec, t_grid)
+        error = math.sqrt((T / N) * _exact_sum(gap * gap))
+    if not math.isfinite(error):
+        raise ValueError(f"the discrete L2 error overflows the float range: {error}")
+    return error
 
 
 def expsum_inner_products(spec: RoughKernelSpec, kernel: ExpSumKernel, T: float):
@@ -340,11 +466,16 @@ def expsum_inner_products(spec: RoughKernelSpec, kernel: ExpSumKernel, T: float)
     All in closed form and summed exactly from the same terms as
     :func:`l2_error_exact`: the cross pairing uses the lower incomplete
     gamma function factor by factor, and the self pairing streams the
-    Gram in row blocks. Raises ``ValueError`` for a horizon that is not
-    finite and positive, and when a term overflows.
+    Gram's upper triangle in blocks. Raises ``ValueError`` for a horizon
+    that is not finite and positive, and when a term or a total
+    overflows.
     """
-    gram, cross, rough = _pairings(spec, kernel, T)
-    return _finite_fsum(gram), _finite_fsum(cross), rough
+    T = require_positive(T, "horizon t")
+    w, r = kernel.weights, kernel.rates
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0: a nan term
+        cross = w * _fractional_cross_column(spec, r, T)
+        self_product = _quadratic_form(w, r, T, np.empty(0))
+    return self_product, _exact_sum(cross), spec.square_integral(T)
 
 
 def write_kernel_csv(kernel: ExpSumKernel, path) -> None:

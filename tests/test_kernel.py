@@ -1,6 +1,8 @@
 import math
+import sys
 import tracemalloc
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -14,6 +16,8 @@ from rvol import kernel as kernel_module
 from rvol.kernel import (
     ExpSumKernel,
     RoughKernelSpec,
+    _ExactSum,
+    _exact_sum,
     barycenter,
     expsum_eval,
     expsum_inner_products,
@@ -25,6 +29,7 @@ from rvol.kernel import (
     truncation_error_bound,
     write_kernel_csv,
 )
+from rvol.quadrature import build_geometric, build_systematic
 
 # scipy's QUADPACK is the independent oracle
 TIGHT = dict(epsabs=1e-13, epsrel=1e-13, limit=400)
@@ -359,6 +364,26 @@ class TestL2Error:
                 tracemalloc.stop()
             assert peak < 3 * 2**20, (form.__name__, peak)
 
+    def test_memory_of_the_largest_one_block_triangle(self):
+        # 361 factors: the largest triangle summed as one array. It peaks at a
+        # few blocks and leaves nothing behind, as an index array cached per
+        # factor count would
+        n = 361
+        block = kernel_module._BLOCK_ENTRIES
+        assert n * (n + 1) // 2 <= block < (n + 1) * (n + 2) // 2
+        spec = RoughKernelSpec(0.1)
+        kernel = ExpSumKernel(np.linspace(1.0, 0.01, n), np.geomspace(0.1, 1e8, n))
+        for form in (l2_error_exact, expsum_inner_products):
+            form(spec, ExpSumKernel([1.0], [2.0]), 1.0)  # warm any lazily imported module
+            tracemalloc.start()
+            try:
+                form(spec, kernel, 1.0)
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * 8 * block, (form.__name__, peak)
+            assert kept < block // 4, (form.__name__, kept)
+
     @pytest.mark.parametrize("t", [math.inf, math.nan, 0.0, -1.0])
     def test_rejects_bad_horizon(self, t):
         spec = RoughKernelSpec(0.25)
@@ -378,6 +403,19 @@ class TestL2Error:
             with pytest.raises(ValueError, match="overflows"):
                 expsum_inner_products(spec, kernel, 1.0)
 
+    @pytest.mark.parametrize(
+        "weights, rates", [([1.0, 1e200], [1.0, 1e308]), ([1e-300, 1e300], [0.0, 1e308])]
+    )
+    def test_rejects_infinite_times_zero_terms(self, weights, rates):
+        # r_i + r_j overflows, so G_ij is 0, while w_i w_j overflows: a nan term
+        spec = RoughKernelSpec(0.25)
+        kernel = ExpSumKernel(weights, rates)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for form in (l2_error_exact, expsum_inner_products):
+                with pytest.raises(ValueError, match="overflows"):
+                    form(spec, kernel, 1.0)
+
     def test_discrete_hand_sum(self):
         spec = RoughKernelSpec(0.2)
         kernel = ExpSumKernel([0.7, 0.3], [0.5, 4.0])
@@ -389,6 +427,14 @@ class TestL2Error:
             total += gap * gap
         expected = math.sqrt(total * T / N)
         assert math.isclose(l2_error_discrete(spec, kernel, T, N), expected, rel_tol=1e-14)
+
+    def test_discrete_rejects_overflow(self):
+        spec = RoughKernelSpec(0.25)
+        kernel = ExpSumKernel([1e200, 1.0], [1.0, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows"):
+                l2_error_discrete(spec, kernel, 1.0, 10)
 
     def test_discrete_validation(self):
         spec = RoughKernelSpec(0.2)
@@ -464,6 +510,129 @@ class TestInnerProducts:
         zeta = l2_error_exact(spec, kernel, 1.0)
         # identical summands in different order; rounding-limited near zero
         assert abs(zeta - (GG - 2.0 * gG + gg)) <= 1e-10 * GG
+
+
+class TestGoldenPairings:
+    # hex floats of the pairings as math.fsum over every term rounded them;
+    # t5's 400- and 800-factor triangles stream through the blocked path
+    CASES = {
+        "desk systematic, n = 100": (
+            0.1,
+            lambda spec: build_systematic(spec, 100, 1.0),
+            "0x1.e690acc984a4ap-13",
+            ("0x1.208ef45fb93cep+1", "0x1.208ef45fb93cep+1", "0x1.20968ea26c630p+1"),
+        ),
+        "t6 systematic, n = 80": (
+            0.05,
+            lambda spec: build_systematic(spec, 80, 1.0),
+            "0x1.d2322655159acp-8",
+            ("0x1.e929801794b90p+1", "0x1.e929801794b90p+1", "0x1.ea12992abf43dp+1"),
+        ),
+        "t5 geometric, 400 factors": (
+            0.05,
+            lambda spec: build_geometric(spec, 200, 3.0),
+            "0x1.4dca1eca01aa1p-9",
+            ("0x1.d4a2dbf8591e3p+1", "0x1.df31014db2f0dp+1", "0x1.ea12992abf43dp+1"),
+        ),
+        "t5 geometric, 800 factors": (
+            0.05,
+            lambda spec: build_geometric(spec, 400, 3.0),
+            "0x1.3ba988d4fd392p-9",
+            ("0x1.d5d636037335fp+1", "0x1.dfccf265fe9d4p+1", "0x1.ea12992abf43dp+1"),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_pairings_keep_their_bits(self, case):
+        H, build, l2, pairings = self.CASES[case]
+        spec = RoughKernelSpec(H)
+        kernel = build(spec)
+        assert l2_error_exact(spec, kernel, 1.0).hex() == l2
+        assert tuple(x.hex() for x in expsum_inner_products(spec, kernel, 1.0)) == pairings
+
+
+def reference_sum(terms):
+    """math.fsum, or the rounded Fraction sum where fsum overflows on the way."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return float(sum(map(Fraction, terms)))  # OverflowError if the total overflows
+
+
+def binned_sum(terms):
+    """The exact sum through the bins alone, also for short arrays."""
+    acc = _ExactSum()
+    acc.add(terms)
+    return acc.value()
+
+
+@st.composite
+def float_terms(draw):
+    """Finite doubles of any exponent, subnormals included, some cancelling exactly."""
+    base = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
+    mirrored = [-x for x in base if draw(st.booleans())]
+    tiny = draw(st.lists(st.floats(-1e-300, 1e-300), max_size=10))
+    return draw(st.permutations(base + mirrored + tiny))
+
+
+class TestExactSum:
+    def check(self, terms):
+        """Both paths of the exact sum against the reference, hex for hex."""
+        x = np.array(terms, dtype=float)
+        try:
+            want = reference_sum(terms)
+        except OverflowError:
+            for exact in (_exact_sum, binned_sum):
+                with pytest.raises(ValueError, match="overflows"):
+                    exact(x.copy())
+            return
+        for exact in (_exact_sum, binned_sum):
+            assert exact(x.copy()).hex() == want.hex(), exact.__name__
+
+    @settings(max_examples=300, deadline=None)
+    @given(terms=float_terms())
+    def test_equals_fsum_bit_for_bit(self, terms):
+        self.check(terms)
+
+    @settings(max_examples=60, deadline=None)
+    @given(terms=float_terms(), chunk=st.integers(1, 8), room=st.integers(1, 8))
+    def test_chunks_and_full_bins_change_nothing(self, terms, chunk, room):
+        with mock.patch.multiple(kernel_module, _CHUNK_TERMS=chunk, _BIN_ROOM=room):
+            self.check(terms)
+
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            [],
+            [0.0, -0.0],
+            [-0.0, -0.0],
+            [5e-324] * 1000,
+            [2.0**-1022, -5e-324, 3 * 5e-324],
+            [sys.float_info.max, sys.float_info.max, -sys.float_info.max],
+            [sys.float_info.max, 2.0**969],  # below half an ulp: rounds to DBL_MAX
+            [1e308, -1e308, 1e-308, -1e-308, 1.0],
+            [2.0**-1074 * k for k in range(-600, 601)],
+            [1.0, 2.0**-53, 2.0**-106],  # a tie broken by the last term
+        ],
+    )
+    def test_edge_cases(self, terms):
+        self.check(terms)
+
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            [sys.float_info.max, sys.float_info.max],
+            [sys.float_info.max, 2.0**970],  # half an ulp: ties to 2^1024
+            [-sys.float_info.max] * 3 + [1.0] * 600,
+            [1.0, math.inf],
+            [math.inf, -math.inf],
+            [math.nan] + [1.0] * 600,
+        ],
+    )
+    def test_rejects_overflow_and_nonfinite_terms(self, terms):
+        for exact in (_exact_sum, binned_sum):
+            with pytest.raises(ValueError, match="overflows"):
+                exact(np.array(terms))
 
 
 class TestKernelCsv:
