@@ -13,6 +13,7 @@ from .bergomi import (
     implied_vol,
     sample_factors_exact,
     sample_fractional_exact,
+    sampler_law,
     simulate_bergomi,
 )
 from .kernel import (
@@ -26,7 +27,6 @@ from .kernel import (
     lambda_mass,
     read_kernel_csv,
     rough_kernel_eval,
-    truncation_error_bound,
     write_kernel_csv,
 )
 from .mc import (

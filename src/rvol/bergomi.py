@@ -7,17 +7,17 @@ Brownian path, and a multifactor sampler that replaces the fractional
 kernel by an exponential sum whose factors follow an exact per-step
 Gaussian recursion. Both take standard normals as a pair ``(z0, z)``,
 z0 driving the Brownian increments, and return the variance-driving
-integral and the increments. The compensator is the variance of the
-law sampled, so in both modes the variance is an exponential
-martingale. The multifactor sampler holds two (n, paths) factor
-states, so its memory is O(n paths), not O(N n paths).
+integral and the increments, from the law that :func:`sampler_law`
+builds once per run. The compensator is the variance of the law
+sampled, so in both modes the variance is an exponential martingale.
+The multifactor sampler holds two (n, paths) factor states, so its
+memory is O(n paths), not O(N n paths).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -28,6 +28,8 @@ from .schemes import GridSpec, HestonPaths, _LogPrice
 __all__ = [
     "BergomiParams",
     "factor_step_law",
+    "SamplerLaw",
+    "sampler_law",
     "sample_factors_exact",
     "fractional_joint_covariance",
     "sample_fractional_exact",
@@ -105,32 +107,70 @@ def _pair(grid: GridSpec, width: int, normals):
     return z0, z
 
 
-def sample_factors_exact(kernel: ExpSumKernel, grid: GridSpec, normals):
+@dataclass(frozen=True)
+class SamplerLaw:
+    """A sampler's law on one grid, from :func:`sampler_law`; its arrays are read-only."""
+
+    factor: np.ndarray
+    cross: np.ndarray | None = None  # multifactor mode only, as is var
+    var: np.ndarray | None = None
+
+
+def sampler_law(spec: RoughKernelSpec, kernel: ExpSumKernel | None, grid: GridSpec) -> SamplerLaw:
+    """The law :func:`simulate_bergomi` samples on ``grid``, to be built once per run.
+
+    With ``kernel=None``, ``factor`` is the unpivoted factor of the joint
+    covariance of ``spec``'s fractional integral. Else (``spec`` unread)
+    ``cross`` and ``factor`` are the kernel's :func:`factor_step_law` on
+    the grid step, cut to its rank, and ``var`` is each step's factor-sum
+    variance w' C_l w: C_l = D C_(l-1) D + Q with D = diag(exp(-r dt))
+    and Q the step law's innovation covariance as factored.
+    """
+    if kernel is None:
+        law = SamplerLaw(psd_factorize(fractional_joint_covariance(spec, grid), pivot=False))
+    else:
+        cross, cond_factor = factor_step_law(kernel, grid.dt)
+        # only the first `rank` normals of each step reach a nonzero column
+        rank = int(np.count_nonzero(cond_factor.any(axis=0)))
+        cond_factor = np.ascontiguousarray(cond_factor[:, :rank])
+        step_cov = np.outer(cross, cross) + cond_factor @ cond_factor.T
+        damp_col = kernel.damped(grid.dt)[1][:, None]
+        decay = damp_col * damp_col.T
+        w = kernel.weights
+        cov = np.zeros((kernel.n, kernel.n))
+        var = np.empty(grid.N)
+        for k in range(grid.N):
+            cov = decay * cov + step_cov
+            var[k] = w @ cov @ w
+        law = SamplerLaw(cond_factor, cross, var)
+    for array in (law.factor, law.cross, law.var):
+        if array is not None:
+            array.setflags(write=False)  # worker threads share the law
+    return law
+
+
+def sample_factors_exact(kernel: ExpSumKernel, law: SamplerLaw, grid: GridSpec, normals):
     """Exact sample of the kernel-weighted factor sum and Brownian increments.
 
     Factor i at grid time t_l is the integral of exp(-r_i (t_l - s))
     against the Brownian motion up to t_l; the recursion damps the
     previous value by exp(-r_i dt) and adds the one-step innovation
-    drawn exactly via :func:`factor_step_law`. Two (n, paths) states
-    are used in turn and only the weighted sum w . f of each step is
-    kept, so the memory held is O(n paths).
+    drawn exactly from ``law``, the kernel's :func:`sampler_law` on
+    ``grid``. Two (n, paths) states are used in turn and only the
+    weighted sum w . f of each step is kept, so the memory held is
+    O(n paths).
 
     ``normals`` is the pair ``(z0, z)``: z0, shape (paths, N), drives
     the Brownian increments and z, shape (paths, N, n), the conditional
-    innovations. Returns ``(integral, dw, var)``: the weighted factor
-    sums and the increments, both (paths, N), and var, shape (N,), the
-    variance of each step's sum under the law sampled, w' C_l w with
-    C_l = D C_(l-1) D + Q, D = diag(exp(-r dt)) and Q the step law's
-    innovation covariance as factored.
+    innovations. Returns ``(integral, dw)``: the weighted factor sums
+    and the increments, both (paths, N). The variance of each step's
+    sum is ``law.var``.
     """
     n = kernel.n
     z0, z = _pair(grid, n, normals)
     dt = grid.dt
-    cross_coef, cond_factor = factor_step_law(kernel, dt)
-    # only the first `rank` normals of each step reach a nonzero column
-    rank = int(np.count_nonzero(cond_factor.any(axis=0)))
-    cond_factor = np.ascontiguousarray(cond_factor[:, :rank])
-    cross_col = cross_coef[:, None]
+    rank = law.factor.shape[1]
+    cross_col = law.cross[:, None]
     damp_col = kernel.damped(dt)[1][:, None]
     w = kernel.weights
     z0_steps = z0.T  # (N, paths)
@@ -141,26 +181,30 @@ def sample_factors_exact(kernel: ExpSumKernel, grid: GridSpec, normals):
     scratch = np.empty((n, n_paths))
     for k in range(grid.N):
         current = states[k % 2]
-        np.matmul(cond_factor, z_steps[k, :rank], out=current)
+        np.matmul(law.factor, z_steps[k, :rank], out=current)
         np.multiply(cross_col, z0_steps[k], out=scratch)
         current += scratch
         if k:
             np.multiply(damp_col, states[(k - 1) % 2], out=scratch)
             current += scratch
         np.matmul(w, current, out=integral[k])
-    step_cov = np.outer(cross_coef, cross_coef) + cond_factor @ cond_factor.T
-    decay = damp_col * damp_col.T
-    cov = np.zeros((n, n))
-    var = np.empty(grid.N)
-    for k in range(grid.N):
-        cov = decay * cov + step_cov
-        var[k] = w @ cov @ w
     dw = z0_steps * math.sqrt(dt)
-    return integral.T, dw.T, var
+    return integral.T, dw.T
 
 
-@lru_cache(maxsize=8)
-def _fractional_joint_covariance_cached(H: float, T: float, N: int):
+def fractional_joint_covariance(spec: RoughKernelSpec, grid: GridSpec) -> np.ndarray:
+    """Covariance of (W at grid times, fractional integrals at grid times).
+
+    Ordered with the Brownian block first so that an unpivoted Cholesky
+    factor maps the first N standard normals to the Brownian path. The
+    fractional integral here carries the bare power kernel (t-s)^(H-1/2)
+    without the gamma normalization. Cross-time entry (l, l+j) is
+    dt^(2H) sum_{i<=l+1} P(i, j) with unit pieces P(i, j) = integral over
+    (i-1, i) of s^(H-1/2) (s+j)^(H-1/2) ds: one adaptive quadrature per
+    i + j <= N, of which only i = 1 meets the singularity, summed
+    cumulatively over i.
+    """
+    H, T, N = spec.H, grid.T, grid.N
     e = H - 0.5
 
     def piece(i, j):  # unit piece P(i, j): s^e (s + j)^e integrated over (i - 1, i)
@@ -185,40 +229,22 @@ def _fractional_joint_covariance_cached(H: float, T: float, N: int):
     for j, lag_pieces in enumerate(pieces, start=1):
         rows = np.arange(N - j)
         frac[rows, rows + j] = frac[rows + j, rows] = scale * np.cumsum(lag_pieces)
-    cov.setflags(write=False)
     return cov
 
 
-def fractional_joint_covariance(spec: RoughKernelSpec, grid: GridSpec) -> np.ndarray:
-    """Covariance of (W at grid times, fractional integrals at grid times).
-
-    Ordered with the Brownian block first so that an unpivoted Cholesky
-    factor maps the first N standard normals to the Brownian path. The
-    fractional integral here carries the bare power kernel (t-s)^(H-1/2)
-    without the gamma normalization. Cross-time entry (l, l+j) is
-    dt^(2H) sum_{i<=l+1} P(i, j) with unit pieces P(i, j) = integral over
-    (i-1, i) of s^(H-1/2) (s+j)^(H-1/2) ds: one adaptive quadrature per
-    i + j <= N, of which only i = 1 meets the singularity, summed
-    cumulatively over i. The result is cached per (H, T, N).
-    """
-    return _fractional_joint_covariance_cached(spec.H, grid.T, grid.N)
-
-
-def sample_fractional_exact(spec: RoughKernelSpec, grid: GridSpec, normals):
+def sample_fractional_exact(law: SamplerLaw, grid: GridSpec, normals):
     """Exact joint sample of the fractional integral and Brownian increments.
 
-    Factorizes the full 2N x 2N covariance once (suitable for the
-    moderate N of short-maturity smiles). ``normals`` is the pair
-    ``(z0, z)`` of :func:`sample_factors_exact` with width 1: z0,
-    shape (paths, N), feeds the Brownian block and z, shape
-    (paths, N, 1), the fractional block. Returns ``(fractional, dw)``
-    of shapes (paths, N) and (paths, N).
+    Multiplies ``law.factor``, the factor of the full 2N x 2N covariance
+    (suitable for the moderate N of short-maturity smiles), into the
+    normals: the pair ``(z0, z)`` of :func:`sample_factors_exact` with
+    width 1. z0, shape (paths, N), feeds the Brownian block and z, shape
+    (paths, N, 1), the fractional block. Returns ``(fractional, dw)`` of
+    shapes (paths, N) and (paths, N).
     """
     z0, z = _pair(grid, 1, normals)
-    cov = fractional_joint_covariance(spec, grid)
-    factor = psd_factorize(cov, pivot=False)
     # step-major (2N, paths): Brownian rows, then fractional rows, per grid time
-    joint = factor @ np.concatenate([z0.T, z[:, :, 0].T])
+    joint = law.factor @ np.concatenate([z0.T, z[:, :, 0].T])
     w_path = joint[: grid.N]
     fractional = joint[grid.N :]
     dw = np.diff(w_path, axis=0, prepend=0.0)
@@ -233,18 +259,20 @@ def step_components(kernel: ExpSumKernel | None) -> int:
 def simulate_bergomi(
     params: BergomiParams,
     grid: GridSpec,
-    kernel: ExpSumKernel | None = None,
+    kernel: ExpSumKernel | None,
+    law: SamplerLaw,
     *,
     normals,
 ) -> HestonPaths:
     """Simulate rough Bergomi price and variance paths on the grid.
 
-    With ``kernel=None`` the variance is sampled through the exact
-    fractional-integral law (reference mode) and compensated in closed
-    form. With an exponential-sum kernel it is sampled through the
-    factor recursion and compensated by the variance of that sampled
-    law. Either way it is an exponential martingale with mean v0 at
-    every grid time.
+    ``law`` is :func:`sampler_law` of ``params.spec``, ``kernel`` and
+    ``grid``. With ``kernel=None`` the variance is sampled through the
+    exact fractional-integral law (reference mode) and compensated in
+    closed form. With an exponential-sum kernel it is sampled through
+    the factor recursion and compensated by the variance of that
+    sampled law. Either way it is an exponential martingale with mean
+    v0 at every grid time.
 
     ``normals`` has shape (paths, N, :func:`step_components`).
     Component 0 drives the variance Brownian motion and component 1
@@ -263,21 +291,24 @@ def simulate_bergomi(
 
     # step-major throughout: rows are grid times, paths are contiguous
     if kernel is None:
-        fractional, dw = sample_fractional_exact(params.spec, grid, pair)
+        integral, dw = sample_fractional_exact(law, grid, pair)
         # variance exponent: eta sqrt(2H) I_t with Var = eta^2 t^{2H}
-        exponent = params.eta * math.sqrt(2.0 * params.H) * fractional.T
+        scale = params.eta * math.sqrt(2.0 * params.H)
         t = np.arange(1, grid.N + 1) * grid.dt
         compensator = 0.5 * params.eta**2 * t ** (2.0 * params.H)
     else:
-        factor_sum, dw, var = sample_factors_exact(kernel, grid, pair)
+        integral, dw = sample_factors_exact(kernel, law, grid, pair)
         scale = params.vol_scale
-        exponent = scale * factor_sum.T
-        compensator = 0.5 * scale**2 * var
+        compensator = 0.5 * scale**2 * law.var
     dw = dw.T
 
     variance = np.empty((grid.N + 1, n_paths))
     variance[0] = params.v0
-    variance[1:] = params.v0 * np.exp(exponent - compensator[:, None])
+    exponent = variance[1:]  # compensated and exponentiated in place
+    np.multiply(integral.T, scale, out=exponent)
+    exponent -= compensator[:, None]
+    np.exp(exponent, out=exponent)
+    exponent *= params.v0
 
     prices = _LogPrice(params, grid, n_paths)
     z_perp = normals[:, :, 1].T

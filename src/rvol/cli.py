@@ -219,11 +219,9 @@ def _cmd_smile(args) -> int:
 def _cmd_path_dump(args) -> int:
     grid = GridSpec(T=args.horizon, N=args.steps)
     model = _model(args)
-    rng = CounterRng(args.seed)
-    normals = rng.normals_block(
-        np.array([0], dtype=np.uint64), grid.N, model.components_per_step(grid)
-    )
-    paths = model.simulate_paths(grid, normals)
+    rng, plan = CounterRng(args.seed), model.plan(grid)
+    normals = rng.normals_block(np.array([0], dtype=np.uint64), grid.N, plan.comps)
+    paths = model.simulate_paths(plan, normals)
     column = "integrated_variance" if isinstance(paths, IntegratedPaths) else "variance"
     states = [np.exp(paths.log_price[0]), getattr(paths, column)[0]]
     header = ["t", "price", column]

@@ -29,7 +29,6 @@ __all__ = [
     "expsum_eval",
     "lambda_mass",
     "barycenter",
-    "truncation_error_bound",
     "l2_error_exact",
     "l2_error_discrete",
     "expsum_inner_products",
@@ -183,16 +182,6 @@ def barycenter(spec: RoughKernelSpec, a, b):
         raise ValueError(f"interval [{a}, {b}] too narrow for the barycenter closed form")
     out = (e / f) * (b_arr**f - a_arr**f) / spread
     return float(out) if np.ndim(out) == 0 else out
-
-
-def truncation_error_bound(spec: RoughKernelSpec, cutoff: float) -> float:
-    """L2 error bound from discarding the density above ``cutoff``.
-
-    Equals (1/2) (c_H cutoff^-H / H)^2 and scales as cutoff^(-2H).
-    """
-    cutoff = require_positive(cutoff, "cutoff")
-    tail = spec.density_const * cutoff ** (-spec.H) / spec.H
-    return 0.5 * tail * tail
 
 
 def _phi(x, out=None):

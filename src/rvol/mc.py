@@ -20,11 +20,12 @@ array is formed. Callers may equally pass C-ordered arrays of the same
 shapes, at the cost of one transposing copy. When only prices are
 needed (:meth:`HestonModel.simulate`), the engines run with
 ``prices_only=True`` and keep each state in two rows, used in turn.
+A run's set-up is one :class:`Plan`, built before its first draw.
 :func:`simulate_stats` runs each block in path slices of ``_SLICE``
-paths, and each slice draws its own normals: so one slice at a time
-holds its (slice, N, comps) normals, the (N+1, slice) log price and the
-(n, slice) factors of a factor scheme or the (N, slice) history of step
-terms of a direct one.
+paths, and each slice draws its own normals and only simulates: so one
+slice at a time holds its (slice, N, comps) normals, the (N+1, slice)
+log price and the (n, slice) factors of a factor scheme or the
+(N, slice) history of step terms of a direct one.
 """
 
 from __future__ import annotations
@@ -39,7 +40,9 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import ndtri
 
-from .bergomi import BergomiParams, implied_vol, simulate_bergomi, step_components
+from .bergomi import (
+    BergomiParams, SamplerLaw, implied_vol, sampler_law, simulate_bergomi, step_components
+)
 from .kernel import ExpSumKernel, RoughKernelSpec
 from .numerics import require_count, require_integer, require_positive
 from .quadrature import build_systematic, truncate_factors
@@ -63,6 +66,7 @@ __all__ = [
     "euro_call",
     "lookback_call",
     "PathStats",
+    "Plan",
     "HestonModel",
     "BergomiModel",
     "HESTON_SCHEMES",
@@ -249,6 +253,22 @@ def systematic_kernel(H: float, n_total: int, T: float) -> ExpSumKernel:
     return build_systematic(RoughKernelSpec(H), n_total, T)
 
 
+@dataclass(frozen=True)
+class Plan:
+    """A descriptor's set-up on one grid, built once per run by ``model.plan(grid)``.
+
+    It holds ``comps`` normals per step, the resolved kernel (None for
+    exact Bergomi) and the Bergomi sampler's law (None for Heston). Its
+    arrays are read-only, so a run's worker threads share it.
+    """
+
+    model: HestonModel | BergomiModel
+    grid: GridSpec
+    comps: int
+    kernel: RoughKernelSpec | ExpSumKernel | None
+    law: SamplerLaw | None = None
+
+
 HESTON_SCHEMES = (
     "volterra",
     "multifactor",
@@ -290,35 +310,31 @@ class HestonModel:
     def label(self) -> str:
         return f"heston:{self.scheme}"
 
-    def components_per_step(self, grid: GridSpec) -> int:
-        return 3 if self.scheme == "hybrid" else 2
-
-    def resolve_kernel(self, grid: GridSpec):
+    def plan(self, grid: GridSpec) -> Plan:
         """The scheme's kernel on ``grid``: a :class:`RoughKernelSpec` or an exponential sum."""
         if self.scheme in _ROUGH_SCHEMES:
-            return RoughKernelSpec(self.hurst)
-        n_total = 100 if self.kernel_factors is None else self.kernel_factors
-        kernel = systematic_kernel(self.hurst, n_total, grid.T)
-        if self.scheme == "multifactor":
-            return kernel
-        return truncate_factors(kernel, grid.T, grid.N)[0]
+            kernel = RoughKernelSpec(self.hurst)
+        else:
+            n_total = 100 if self.kernel_factors is None else self.kernel_factors
+            kernel = systematic_kernel(self.hurst, n_total, grid.T)
+            if self.scheme != "multifactor":
+                kernel = truncate_factors(kernel, grid.T, grid.N)[0]
+        return Plan(self, grid, 3 if self.scheme == "hybrid" else 2, kernel)
 
-    def simulate_paths(
-        self, grid: GridSpec, normals: np.ndarray
-    ) -> HestonPaths | IntegratedPaths:
-        """The scheme's paths from (paths, N, comps) normals.
+    def simulate_paths(self, plan: Plan, normals: np.ndarray) -> HestonPaths | IntegratedPaths:
+        """The scheme's paths from (paths, N, comps) normals, on this descriptor's plan.
 
         The integrated schemes return :class:`IntegratedPaths`, the
         others :class:`HestonPaths`.
         """
-        return self._run_engine(grid, normals, prices_only=False)
+        return self._run_engine(plan, normals, prices_only=False)
 
-    def simulate(self, grid: GridSpec, normals: np.ndarray) -> PathStats:
-        return _path_stats(self._run_engine(grid, normals, prices_only=True))
+    def simulate(self, plan: Plan, normals: np.ndarray) -> PathStats:
+        return _path_stats(self._run_engine(plan, normals, prices_only=True))
 
-    def _run_engine(self, grid: GridSpec, normals: np.ndarray, prices_only: bool):
+    def _run_engine(self, plan: Plan, normals: np.ndarray, prices_only: bool):
         """The scheme's engine on the normals' component slices."""
-        kern = self.resolve_kernel(grid)
+        kern, grid = plan.kernel, plan.grid
         z = [normals[:, :, c] for c in range(normals.shape[2])]
         if self.scheme == "hybrid":
             spec = RoughKernelSpec(self.hurst)
@@ -366,22 +382,21 @@ class BergomiModel:
     def label(self) -> str:
         return f"bergomi:{self.mode}"
 
-    def resolve_kernel(self, grid: GridSpec) -> ExpSumKernel | None:
-        """The systematic kernel in multifactor mode, None in exact mode."""
-        if self.mode == "exact":
-            return None
-        n_total = 40 if self.kernel_factors is None else self.kernel_factors
-        return systematic_kernel(self.params.H, n_total, grid.T)
+    def plan(self, grid: GridSpec) -> Plan:
+        """The systematic kernel in multifactor mode (None in exact mode) and the sampler's law."""
+        kernel = None
+        if self.mode == "multifactor":
+            n_total = 40 if self.kernel_factors is None else self.kernel_factors
+            kernel = systematic_kernel(self.params.H, n_total, grid.T)
+        law = sampler_law(self.params.spec, kernel, grid)
+        return Plan(self, grid, step_components(kernel), kernel, law)
 
-    def components_per_step(self, grid: GridSpec) -> int:
-        return step_components(self.resolve_kernel(grid))
+    def simulate_paths(self, plan: Plan, normals: np.ndarray) -> HestonPaths:
+        """Price and variance paths from (paths, N, comps) normals, on this descriptor's plan."""
+        return simulate_bergomi(self.params, plan.grid, plan.kernel, plan.law, normals=normals)
 
-    def simulate_paths(self, grid: GridSpec, normals: np.ndarray) -> HestonPaths:
-        """Price and variance paths from (paths, N, comps) normals."""
-        return simulate_bergomi(self.params, grid, self.resolve_kernel(grid), normals=normals)
-
-    def simulate(self, grid: GridSpec, normals: np.ndarray) -> PathStats:
-        return _path_stats(self.simulate_paths(grid, normals))
+    def simulate(self, plan: Plan, normals: np.ndarray) -> PathStats:
+        return _path_stats(self.simulate_paths(plan, normals))
 
 
 def _block_ranges(paths: int):
@@ -394,8 +409,8 @@ def _slice_ranges(paths: int):
     return list(zip(cuts, cuts[1:] + [paths]))
 
 
-def simulate_stats(model, grid: GridSpec, cfg: McConfig) -> PathStats:
-    """Terminal and running-max prices for all configured paths.
+def simulate_stats(plan: Plan, cfg: McConfig) -> PathStats:
+    """Terminal and running-max prices for all configured paths of a plan.
 
     Paths are generated in fixed-size blocks whose draws depend only on
     the seed and global path indices; blocks may be computed by several
@@ -403,20 +418,18 @@ def simulate_stats(model, grid: GridSpec, cfg: McConfig) -> PathStats:
     bit-identical for any worker count. Each block runs in slices of
     ``_SLICE`` paths, the last slice taking the remainder, so a block of
     fewer than twice ``_SLICE`` paths runs whole. Each slice draws its
-    own normals and runs the model on them, so both the normals and the
-    engines' state scale with the slice. The descriptor's kernel is
-    resolved first, so a kernel it cannot build raises before any draw.
+    own normals and runs the plan's descriptor on them, so both the
+    normals and the engines' state scale with the slice.
     """
-    model.resolve_kernel(grid)
+    model, grid = plan.model, plan.grid
     rng = CounterRng(cfg.seed)
-    comps = model.components_per_step(grid)
     terminal = np.empty(cfg.paths)
     running_max = np.empty(cfg.paths)
 
     def run_slice(lo, hi):
         # the slice's normals die with this call, before the next slice draws
         ids = np.arange(lo, hi, dtype=np.uint64)
-        stats = model.simulate(grid, rng.normals_block(ids, grid.N, comps))
+        stats = model.simulate(plan, rng.normals_block(ids, grid.N, plan.comps))
         terminal[lo:hi] = stats.terminal
         running_max[lo:hi] = stats.running_max
 
@@ -485,10 +498,12 @@ def price(model, payoff: Payoff, grid: GridSpec, cfg: McConfig) -> McReport:
     """Monte Carlo price of the payoff under the descriptor's scheme.
 
     Raises ``ValueError`` naming the descriptor if any terminal or
-    running-max price is 0 or not finite, or any payoff value is.
+    running-max price is 0 or not finite, or any payoff value is. The
+    descriptor's plan is built first, so a kernel it cannot build
+    raises before any draw.
     """
     start = time.perf_counter()
-    mean, half_width = _estimate(model, payoff, simulate_stats(model, grid, cfg))
+    mean, half_width = _estimate(model, payoff, simulate_stats(model.plan(grid), cfg))
     return McReport(
         mean=mean,
         half_width_95=half_width,
@@ -504,14 +519,13 @@ def paired_compare(model_a, model_b, payoff: Payoff, grid: GridSpec, cfg: McConf
 
     Both descriptors must consume the same per-step component layout so
     that the shared counter stream couples them path by path. Both
-    kernels are resolved before either descriptor draws.
+    plans are built before either descriptor draws.
     """
-    if model_a.components_per_step(grid) != model_b.components_per_step(grid):
+    plans = [model.plan(grid) for model in (model_a, model_b)]
+    if plans[0].comps != plans[1].comps:
         raise ValueError("incompatible increment stream shapes")
-    for model in (model_a, model_b):
-        model.resolve_kernel(grid)
     payoff_a, payoff_b = (
-        _payoffs(model, payoff, simulate_stats(model, grid, cfg)) for model in (model_a, model_b)
+        _payoffs(plan.model, payoff, simulate_stats(plan, cfg)) for plan in plans
     )
     diff = payoff_a - payoff_b
     return float(diff.mean()), _half_width(diff)
@@ -555,6 +569,7 @@ def bergomi_smile(
     kernel approximation rather than independent Monte Carlo noise.
     ``kernel_factors`` goes to the multifactor mode only (None: its
     default). Returns rows (mode, k, price, ci_halfwidth, implied_vol).
+    Both modes' plans are built once, before either draws.
 
     Raises ``ValueError`` before any simulation for an empty strike
     list, a log strike k that is not finite or whose exp(k) is not a
@@ -571,11 +586,10 @@ def bergomi_smile(
         raise ValueError("the smile needs at least one log strike")
     strikes = [(k, _strike(k)) for k in ks]
     models = [BergomiModel("exact", params), BergomiModel("multifactor", params, kernel_factors)]
-    for model in models:
-        model.resolve_kernel(grid)
+    plans = [model.plan(grid) for model in models]
     rows, failures, cause = [], [], None
-    for model in models:
-        stats = simulate_stats(model, grid, cfg)
+    for model, plan in zip(models, plans):
+        stats = simulate_stats(plan, cfg)
         for k, strike in strikes:
             mean, half_width = _estimate(model, euro_call(strike), stats)
             intrinsic = max(params.S0 - strike, 0.0)

@@ -1,9 +1,10 @@
-"""The exact joint covariance matrix behind the L2 pairings.
+"""The exact joint covariance matrix behind the L2 pairings, and a tail bound.
 
 ``rvol.kernel`` sums the pairings from streamed terms and never forms
 this matrix. The tests form it in full as the reference that those
 streamed sums must reproduce bit for bit, and as a realistic
-rank-deficient input for the factorization.
+rank-deficient input for the factorization. The tests also check the
+closed-form L2 bound of the density tail that a quadrature discards.
 """
 
 import numpy as np
@@ -36,3 +37,13 @@ def build_joint_covariance(spec, rates, t):
     cov[:n, n] = cov[n, :n] = _fractional_cross_column(spec, r, t)
     cov[n, n] = spec.square_integral(t)
     return cov
+
+
+def truncation_error_bound(spec, cutoff):
+    """L2 error bound from discarding the density above ``cutoff``.
+
+    Equals (1/2) (c_H cutoff^-H / H)^2 and scales as cutoff^(-2H).
+    """
+    cutoff = require_positive(cutoff, "cutoff")
+    tail = spec.density_const * cutoff ** (-spec.H) / spec.H
+    return 0.5 * tail * tail

@@ -48,7 +48,7 @@ from rvol.schemes import (
     multifactor_euler,
     volterra_euler,
 )
-from rvol.bergomi import BergomiParams, implied_vol, simulate_bergomi, step_components
+from rvol.bergomi import BergomiParams, implied_vol, sampler_law, simulate_bergomi, step_components
 
 HURSTS = (0.45, 0.25, 0.05)
 
@@ -402,7 +402,8 @@ def test_criterion_12_bergomi_smile_band():
             normals = np.random.default_rng(77).standard_normal(
                 (DESK_PATHS, grid.N, step_components(kernel))
             )
-            paths = simulate_bergomi(params, grid, kernel=kernel, normals=normals)
+            law = sampler_law(params.spec, kernel, grid)
+            paths = simulate_bergomi(params, grid, kernel, law, normals=normals)
             for col in range(1, grid.N + 1):
                 sample = paths.variance[:, col]
                 se = sample.std(ddof=1) / math.sqrt(sample.size)

@@ -16,6 +16,7 @@ from rvol.bergomi import (
     implied_vol,
     sample_factors_exact,
     sample_fractional_exact,
+    sampler_law,
     simulate_bergomi,
     step_components,
 )
@@ -31,6 +32,17 @@ BS_1_1_1_02 = 0.07965567455405796293080923648
 def _one_hot(kernel, i):
     """``kernel``'s rates with weight 1 on factor i: its sample is that factor alone."""
     return ExpSumKernel(np.eye(kernel.n)[i], kernel.rates)
+
+
+def _factor_sample(kernel, grid, pair):
+    """:func:`sample_factors_exact` on the kernel's own :func:`sampler_law`."""
+    return sample_factors_exact(kernel, sampler_law(None, kernel, grid), grid, pair)
+
+
+def _simulate(params, grid, kernel, normals):
+    """:func:`simulate_bergomi` on the mode's own :func:`sampler_law`."""
+    law = sampler_law(params.spec, kernel, grid)
+    return simulate_bergomi(params, grid, kernel, law, normals=normals)
 
 
 class TestParams:
@@ -56,7 +68,7 @@ class TestFactorSampling:
         grid = GridSpec(T=1.0, N=8)
         rng = np.random.default_rng(0)
         normals = rng.standard_normal((500, grid.N, kernel.n + 1))
-        factor, dw, _ = sample_factors_exact(kernel, grid, (normals[:, :, 0], normals[:, :, 1:]))
+        factor, dw = _factor_sample(kernel, grid, (normals[:, :, 0], normals[:, :, 1:]))
         cum = np.cumsum(dw, axis=1)
         assert np.allclose(factor, cum, atol=1e-12)
 
@@ -69,7 +81,7 @@ class TestFactorSampling:
         assert abs(cond_factor[0, 0]) <= 1e-7 * math.sqrt(grid.dt)
         assert math.isclose(cross_coef[0], math.sqrt(grid.dt), rel_tol=1e-15)
         normals = np.random.default_rng(N).standard_normal((200, grid.N, kernel.n + 1))
-        factor, dw, _ = sample_factors_exact(kernel, grid, (normals[:, :, 0], normals[:, :, 1:]))
+        factor, dw = _factor_sample(kernel, grid, (normals[:, :, 0], normals[:, :, 1:]))
         assert np.allclose(factor, np.cumsum(dw, axis=1), atol=1e-12)
 
     def test_step_law_moments(self):
@@ -98,7 +110,7 @@ class TestFactorSampling:
         pair = (normals[:, :, 0], normals[:, :, 1:])
         t_end = grid.T
         for i, rate in enumerate(kernel.rates):
-            sample, dw, _ = sample_factors_exact(_one_hot(kernel, i), grid, pair)
+            sample, dw = _factor_sample(_one_hot(kernel, i), grid, pair)
             sample = sample[:, -1]
             w_path = np.cumsum(dw, axis=1)
             want_var = -math.expm1(-2.0 * rate * t_end) / (2.0 * rate)
@@ -134,15 +146,15 @@ class TestWeightedFactorSum:
     def test_matches_full_factors(self, case):
         kernel, grid, normals = case
         pair = (normals[:, :, 0], normals[:, :, 1:])
-        total, dw, _ = sample_factors_exact(kernel, grid, pair)
+        total, dw = _factor_sample(kernel, grid, pair)
         assert total.shape == dw.shape == (normals.shape[0], grid.N)
-        singles = [sample_factors_exact(_one_hot(kernel, i), grid, pair) for i in range(kernel.n)]
-        factors = np.stack([factor for factor, _, _ in singles], axis=-1)
+        singles = [_factor_sample(_one_hot(kernel, i), grid, pair) for i in range(kernel.n)]
+        factors = np.stack([factor for factor, _ in singles], axis=-1)
         # 1e-13 of the magnitude of the terms summed, the scale of w . f's roundoff
         w = kernel.weights
         scale = np.abs(factors) @ w
         assert np.all(np.abs(total - factors @ w) <= 1e-13 * scale)
-        assert all(np.array_equal(single_dw, dw) for _, single_dw, _ in singles)
+        assert all(np.array_equal(single_dw, dw) for _, single_dw in singles)
 
     def test_one_hot_weights_pick_a_factor(self):
         # each one-hot sample is its factor of f_l = d f_(l-1) + c z0_l + L z_l
@@ -163,7 +175,7 @@ class TestWeightedFactorSum:
             one_hot = _one_hot(kernel, i)
             for got, want in zip(factor_step_law(one_hot, grid.dt), (cross, cond)):
                 assert np.array_equal(got, want)
-            picked, _, _ = sample_factors_exact(one_hot, grid, pair)
+            picked, _ = _factor_sample(one_hot, grid, pair)
             assert np.allclose(picked, factors[:, :, i], rtol=1e-13, atol=1e-15)
 
     @pytest.mark.parametrize("T, N, n", [(0.041, 20, 40), (1.0, 30, 40), (0.041, 20, 10)])
@@ -175,8 +187,9 @@ class TestWeightedFactorSum:
         kernel = systematic_kernel(0.07, n, T)
         grid = GridSpec(T=T, N=N)
         units = np.eye(N * (n + 1)).reshape(-1, N, n + 1)
-        total, _, var = sample_factors_exact(kernel, grid, (units[:, :, 0], units[:, :, 1:]))
-        assert np.allclose((total**2).sum(axis=0), var, rtol=1e-12, atol=0.0)
+        law = sampler_law(None, kernel, grid)
+        total, _ = sample_factors_exact(kernel, law, grid, (units[:, :, 0], units[:, :, 1:]))
+        assert np.allclose((total**2).sum(axis=0), law.var, rtol=1e-12, atol=0.0)
 
     def test_multifactor_simulation_memory(self):
         # one warm N = 20, n = 40, 4096-path call holds O(n paths) memory; an
@@ -190,10 +203,11 @@ class TestWeightedFactorSum:
         normals = CounterRng(1).normals_block(
             np.arange(n_paths, dtype=np.uint64), grid.N, kernel.n + 2
         )
-        simulate_bergomi(params, grid, kernel=kernel, normals=normals)
+        law = sampler_law(params.spec, kernel, grid)
+        simulate_bergomi(params, grid, kernel, law, normals=normals)
         tracemalloc.start()
         try:
-            simulate_bergomi(params, grid, kernel=kernel, normals=normals)
+            simulate_bergomi(params, grid, kernel, law, normals=normals)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -314,7 +328,8 @@ class TestFractionalSampling:
         spec = RoughKernelSpec(0.07)
         grid = GridSpec(T=0.041, N=10)
         z = np.random.default_rng(3).standard_normal((80_000, grid.N, 2))
-        frac, dw = sample_fractional_exact(spec, grid, (z[:, :, 0], z[:, :, 1:]))
+        law = sampler_law(spec, None, grid)
+        frac, dw = sample_fractional_exact(law, grid, (z[:, :, 0], z[:, :, 1:]))
         t_end = grid.T
         want = t_end ** (2.0 * 0.07) / (2.0 * 0.07)
         got = frac[:, -1].var(ddof=1)
@@ -324,13 +339,34 @@ class TestFractionalSampling:
 
 
 class TestSimulate:
+    def test_exact_simulation_memory(self):
+        # one warm N = 20, 4096-path exact-mode call holds the (2N, paths)
+        # joint sample, the (N, paths) increments and the (N+1, paths)
+        # variance and log price, plus rows of scratch: 106 rows in all. The
+        # variance is compensated and exponentiated in place; three (N, paths)
+        # temporaries there once made it 141 rows
+        from rvol.mc import CounterRng
+
+        params, grid, n_paths = BergomiParams(), GridSpec(T=0.041, N=20), 4096
+        law = sampler_law(params.spec, None, grid)
+        normals = CounterRng(1).normals_block(np.arange(n_paths, dtype=np.uint64), grid.N, 3)
+        simulate_bergomi(params, grid, None, law, normals=normals)
+        tracemalloc.start()
+        try:
+            simulate_bergomi(params, grid, None, law, normals=normals)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows = 3 * grid.N + 2 * (grid.N + 1)
+        assert peak <= 1.15 * 8 * n_paths * rows
+
     def test_zero_vol_of_vol_is_black_scholes(self):
         params = BergomiParams(v0=0.04, eta=0.0, rho=-0.5, H=0.1)
         grid = GridSpec(T=1.0, N=8)
         kernel = ExpSumKernel([1.0], [1.0])
         rng = np.random.default_rng(4)
         normals = rng.standard_normal((64, 8, 3))
-        paths = simulate_bergomi(params, grid, kernel=kernel, normals=normals)
+        paths = _simulate(params, grid, kernel, normals)
         assert np.allclose(paths.variance, 0.04)
         # log increments are exactly -v dt / 2 + sqrt(v) dW
         incs = np.diff(paths.log_price, axis=1)
@@ -344,7 +380,7 @@ class TestSimulate:
         kernel = systematic_kernel(params.H, 20, grid.T)
         rng = np.random.default_rng(5)
         normals = rng.standard_normal((100_000, grid.N, step_components(kernel)))
-        paths = simulate_bergomi(params, grid, kernel=kernel, normals=normals)
+        paths = _simulate(params, grid, kernel, normals)
         for col in (1, 10, 20):
             sample = paths.variance[:, col]
             se = sample.std(ddof=1) / math.sqrt(sample.size)
@@ -355,7 +391,7 @@ class TestSimulate:
         grid = GridSpec(T=0.041, N=20)
         rng = np.random.default_rng(6)
         normals = rng.standard_normal((100_000, grid.N, step_components(None)))
-        paths = simulate_bergomi(params, grid, normals=normals)
+        paths = _simulate(params, grid, None, normals)
         for col in (1, 10, 20):
             sample = paths.variance[:, col]
             se = sample.std(ddof=1) / math.sqrt(sample.size)
@@ -385,7 +421,7 @@ class TestSimulate:
         rng = np.random.default_rng(seed)
         normals = rng.standard_normal((paths, N, step_components(kernel)))
         for mode_kernel, mode_normals in ((None, normals[:, :, :3]), (kernel, normals)):
-            run = simulate_bergomi(params, grid, mode_kernel, normals=mode_normals)
+            run = _simulate(params, grid, mode_kernel, mode_normals)
             ratio = run.variance[:, 1:] / params.v0
             se = ratio.std(axis=0, ddof=1) / math.sqrt(paths)
             assert np.all(np.abs(ratio.mean(axis=0) - 1.0) <= 4.0 * se)
@@ -416,8 +452,7 @@ class TestSimulate:
         kernel = ExpSumKernel([0.7, 0.5, 0.1], [0.0, 2.0, 15.0])
         grid = GridSpec(T=1.0, N=4)
         z = np.zeros((1, grid.N, kernel.n))
-        _, _, var = sample_factors_exact(kernel, grid, (z[:, :, 0], z))
-        for t, got in zip(grid.times()[1:], var):
+        for t, got in zip(grid.times()[1:], sampler_law(None, kernel, grid).var):
             oracle = quad(lambda s: expsum_eval(kernel, s) ** 2, 0.0, t, **TIGHT)[0]
             assert abs(got - oracle) <= 1e-10
 
@@ -473,17 +508,14 @@ class TestNormalsLayout:
         kernel = ExpSumKernel([0.8, 0.4, 0.2, 0.1], [0.5, 6.0, 40.0, 41.0])
         grid = GridSpec(T=0.5, N=12)
         view, copy = self._normals(50, grid.N, kernel.n + 1)
-        f_view, dw_view, var_view = sample_factors_exact(
-            kernel, grid, (view[:, :, 0], view[:, :, 1:])
-        )
-        f_copy, dw_copy, _ = sample_factors_exact(kernel, grid, (copy[:, :, 0], copy[:, :, 1:]))
-        f_pair, dw_pair, var_pair = sample_factors_exact(
+        f_view, dw_view = _factor_sample(kernel, grid, (view[:, :, 0], view[:, :, 1:]))
+        f_copy, dw_copy = _factor_sample(kernel, grid, (copy[:, :, 0], copy[:, :, 1:]))
+        f_pair, dw_pair = _factor_sample(
             kernel,
             grid,
             (np.ascontiguousarray(copy[:, :, 0]), np.ascontiguousarray(copy[:, :, 1:])),
         )
-        assert f_view.shape == dw_view.shape == (50, grid.N) and var_view.shape == (grid.N,)
-        assert np.array_equal(var_view, var_pair)
+        assert f_view.shape == dw_view.shape == (50, grid.N)
         assert np.allclose(f_view, f_copy, rtol=0.0, atol=1e-14)
         assert np.array_equal(f_copy, f_pair)
         assert np.array_equal(dw_view, dw_copy) and np.array_equal(dw_copy, dw_pair)
@@ -493,32 +525,33 @@ class TestNormalsLayout:
         grid = GridSpec(T=0.5, N=4)
         bad = np.zeros((3, 4, 2))
         with pytest.raises(ValueError):
-            sample_factors_exact(kernel, grid, (bad[:, :, 0], bad[:, :, 1:]))
+            _factor_sample(kernel, grid, (bad[:, :, 0], bad[:, :, 1:]))
         with pytest.raises(ValueError):
-            sample_factors_exact(kernel, grid, (np.zeros(4), np.zeros((1, 4, 2))))
+            _factor_sample(kernel, grid, (np.zeros(4), np.zeros((1, 4, 2))))
         with pytest.raises(ValueError):
-            sample_factors_exact(kernel, grid, (np.zeros((3, 4)), np.zeros((2, 4, 2))))
+            _factor_sample(kernel, grid, (np.zeros((3, 4)), np.zeros((2, 4, 2))))
 
     @pytest.mark.parametrize("sampler", ["factors", "fractional", "simulate"])
     def test_inputs_checked_alike(self, sampler):
         kernel = ExpSumKernel([0.8, 0.4], [0.5, 6.0])
         grid = GridSpec(T=0.5, N=4)
         params = BergomiParams()
+        exact_law = sampler_law(params.spec, None, grid)
         run, comps = {
             "factors": (
-                lambda normals: sample_factors_exact(
+                lambda normals: _factor_sample(
                     kernel, grid, (normals[:, :, 0], normals[:, :, 1:])
                 ),
                 kernel.n + 1,
             ),
             "fractional": (
                 lambda normals: sample_fractional_exact(
-                    params.spec, grid, (normals[:, :, 0], normals[:, :, 1:])
+                    exact_law, grid, (normals[:, :, 0], normals[:, :, 1:])
                 ),
                 2,
             ),
             "simulate": (
-                lambda **kw: simulate_bergomi(params, grid, kernel=kernel, **kw),
+                lambda normals: _simulate(params, grid, kernel, normals),
                 step_components(kernel),
             ),
         }[sampler]
@@ -534,8 +567,7 @@ class TestNormalsLayout:
         kernel = None if mode == "exact" else systematic_kernel(params.H, 10, grid.T)
         comps = 3 if kernel is None else kernel.n + 2
         view, copy = self._normals(60, grid.N, comps)
-        a = simulate_bergomi(params, grid, kernel=kernel, normals=view)
-        b = simulate_bergomi(params, grid, kernel=kernel, normals=copy)
+        a, b = (_simulate(params, grid, kernel, normals) for normals in (view, copy))
         for name in ("log_price", "variance"):
             assert getattr(a, name).shape == (60, grid.N + 1)
             assert np.allclose(getattr(a, name), getattr(b, name), rtol=1e-14, atol=0.0)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_pairings import build_joint_covariance
+from reference_pairings import build_joint_covariance, truncation_error_bound
 from scipy.integrate import quad
 
 from rvol import kernel as kernel_module
@@ -26,7 +26,6 @@ from rvol.kernel import (
     lambda_mass,
     read_kernel_csv,
     rough_kernel_eval,
-    truncation_error_bound,
     write_kernel_csv,
 )
 from rvol.quadrature import build_geometric, build_systematic

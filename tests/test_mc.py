@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -213,13 +214,10 @@ class _NanTerminal:
 
     label = "stub:nan"
 
-    def resolve_kernel(self, grid):
-        return None
+    def plan(self, grid):
+        return mc.Plan(self, grid, comps=2, kernel=None)
 
-    def components_per_step(self, grid):
-        return 2
-
-    def simulate(self, grid, normals):
+    def simulate(self, plan, normals):
         terminal = np.ones(normals.shape[0])
         terminal[0] = np.nan
         return PathStats(terminal=terminal, running_max=terminal.copy())
@@ -230,7 +228,7 @@ class _ZeroTerminal(_NanTerminal):
 
     label = "stub:zero"
 
-    def simulate(self, grid, normals):
+    def simulate(self, plan, normals):
         terminal = np.ones(normals.shape[0])
         terminal[0] = 0.0
         return PathStats(terminal=terminal, running_max=np.ones_like(terminal))
@@ -267,7 +265,7 @@ class TestNonFinitePayoffs:
             paired_compare(finite, _NanTerminal(), euro_call(1.0), GridSpec(T=1.0, N=2), cfg)
 
     def test_smile_raises(self, monkeypatch):
-        def infinite(self, grid, normals):
+        def infinite(self, plan, normals):
             terminal = np.full(normals.shape[0], np.inf)
             return PathStats(terminal=terminal, running_max=terminal)
 
@@ -384,6 +382,90 @@ class TestKernelResolvedBeforeDraws:
         assert draws == []
 
 
+@pytest.fixture
+def calls(monkeypatch):
+    """Names of the set-up calls made and the normals blocks drawn, in order."""
+    from rvol import bergomi
+
+    seen = []
+
+    def spy(owner, name, label=None):
+        original = getattr(owner, name)
+
+        def run(*args, **kwargs):
+            seen.append(label or name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, run)
+
+    for name in ("psd_factorize", "factor_step_law", "fractional_joint_covariance"):
+        spy(bergomi, name)
+    spy(mc, "truncate_factors")
+    spy(HestonModel, "plan")
+    spy(BergomiModel, "plan")
+    spy(CounterRng, "normals_block", "draw")
+    return seen
+
+
+class TestOnePlanPerRun:
+    """A run sets its grid up once, before its first draw, and its slices only simulate."""
+
+    @pytest.mark.parametrize("paths", [4096, 32768])
+    def test_smile_factorizes_once_per_mode(self, calls, paths):
+        # each 4096-path slice once ran the step law and both factorizations
+        grid = GridSpec(T=0.041, N=4)
+        bergomi_smile(BergomiParams(), grid, McConfig(paths=paths, seed=0), [0.0])
+        assert Counter(calls) == {
+            "plan": 2,
+            "fractional_joint_covariance": 1,
+            "psd_factorize": 2,
+            "factor_step_law": 1,
+            "draw": 2 * paths // mc._SLICE,
+        }
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_price_truncates_once(self, calls, workers):
+        # two blocks of four slices each once truncated the kernel eight times
+        cfg = McConfig(paths=2 * mc._BLOCK, seed=0, workers=workers)
+        price(HestonModel("multifactor-truncated"), euro_call(1.0), GridSpec(1.0, 4), cfg)
+        assert calls.count("truncate_factors") == 1
+        assert calls.count("draw") == 2 * mc._BLOCK // mc._SLICE
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda cfg: paired_compare(
+                HestonModel("multifactor"),
+                HestonModel("multifactor-truncated"),
+                euro_call(1.0),
+                GridSpec(1.0, 4),
+                cfg,
+            ),
+            lambda cfg: bergomi_smile(BergomiParams(), GridSpec(0.041, 4), cfg, [0.0]),
+        ],
+        ids=["paired_compare", "bergomi_smile"],
+    )
+    def test_every_plan_before_the_first_draw(self, calls, run):
+        # two slices per plan, and no set-up call once the first slice draws
+        run(McConfig(paths=2 * mc._SLICE, seed=0))
+        first_draw = calls.index("draw")
+        assert calls[:first_draw].count("plan") == 2
+        assert calls[first_draw:] == ["draw"] * 4
+
+    @pytest.mark.parametrize("mode", mc.BERGOMI_MODES)
+    def test_plan_arrays_are_read_only(self, mode):
+        # the worker threads of a run share its plan
+        plan = BergomiModel(mode, kernel_factors=None if mode == "exact" else 10).plan(
+            GridSpec(0.041, 4)
+        )
+        arrays = [plan.law.factor, plan.law.cross, plan.law.var]
+        if plan.kernel is not None:
+            arrays += [plan.kernel.weights, plan.kernel.rates]
+        for array in arrays:
+            assert array is None or not array.flags.writeable
+        assert (plan.law.cross is None) == (mode == "exact")
+
+
 class TestPairedCompare:
     def test_self_difference_is_zero(self):
         model = HestonModel(scheme="multifactor-truncated")
@@ -440,8 +522,8 @@ class TestDescriptors:
 
     def test_truncated_kernel_depends_on_grid(self):
         model = HestonModel(scheme="multifactor-truncated")
-        coarse = model.resolve_kernel(GridSpec(T=1.0, N=10))
-        fine = model.resolve_kernel(GridSpec(T=1.0, N=160))
+        coarse = model.plan(GridSpec(T=1.0, N=10)).kernel
+        fine = model.plan(GridSpec(T=1.0, N=160)).kernel
         assert coarse.n < fine.n <= 100
 
     @pytest.mark.parametrize(
@@ -464,13 +546,13 @@ class TestDescriptors:
         # no kernel_factors: 100 factors for Heston, 40 for Bergomi
         grid = GridSpec(T=1.0, N=40)
         heston = systematic_kernel(0.1, 100, 1.0)
-        assert HestonModel("multifactor").resolve_kernel(grid) is heston
-        truncated = HestonModel("multifactor-truncated").resolve_kernel(grid)
+        assert HestonModel("multifactor").plan(grid).kernel is heston
+        truncated = HestonModel("multifactor-truncated").plan(grid).kernel
         expected = mc.truncate_factors(heston, 1.0, 40)[0]
         assert np.array_equal(truncated.weights, expected.weights)
         assert np.array_equal(truncated.rates, expected.rates)
         bergomi = BergomiModel("multifactor")
-        assert bergomi.resolve_kernel(grid) is systematic_kernel(bergomi.params.H, 40, 1.0)
+        assert bergomi.plan(grid).kernel is systematic_kernel(bergomi.params.H, 40, 1.0)
 
 
 class TestSimulatePaths:
@@ -488,15 +570,13 @@ class TestSimulatePaths:
     def test_simulate_reduces_paths(self, model):
         from rvol.schemes import HestonPaths, IntegratedPaths
 
-        grid = GridSpec(T=0.5, N=12)
-        normals = CounterRng(5).normals_block(
-            np.arange(40, dtype=np.uint64), grid.N, model.components_per_step(grid)
-        )
-        paths = model.simulate_paths(grid, normals)
+        plan = model.plan(GridSpec(T=0.5, N=12))
+        normals = CounterRng(5).normals_block(np.arange(40, dtype=np.uint64), 12, plan.comps)
+        paths = model.simulate_paths(plan, normals)
         integrated = getattr(model, "scheme", "").startswith("integrated")
         assert isinstance(paths, IntegratedPaths if integrated else HestonPaths)
-        assert paths.log_price.shape == (40, grid.N + 1)
-        stats = model.simulate(grid, normals)
+        assert paths.log_price.shape == (40, 13)
+        stats = model.simulate(plan, normals)
         assert np.array_equal(stats.terminal, np.exp(paths.log_price[:, -1]))
         assert np.array_equal(stats.running_max, np.exp(paths.log_price.max(axis=1)))
 
@@ -521,11 +601,9 @@ class TestSimulatePaths:
 
         monkeypatch.setattr(mc, engine, spy)
         model = HestonModel(scheme=scheme)
-        grid = GridSpec(T=0.5, N=6)
-        normals = CounterRng(1).normals_block(
-            np.arange(8, dtype=np.uint64), grid.N, model.components_per_step(grid)
-        )
-        model.simulate(grid, normals)
+        plan = model.plan(GridSpec(T=0.5, N=6))
+        normals = CounterRng(1).normals_block(np.arange(8, dtype=np.uint64), 6, plan.comps)
+        model.simulate(plan, normals)
         assert calls == [engine]
 
 
@@ -571,11 +649,10 @@ class TestStreamedHestonPricing:
 
     @pytest.mark.parametrize("scheme", mc.HESTON_SCHEMES)
     def test_golden_one_path(self, scheme):
-        model, grid = HestonModel(scheme=scheme), GridSpec(T=1.0, N=64)
-        normals = CounterRng(7).normals_block(
-            np.arange(1, dtype=np.uint64), grid.N, model.components_per_step(grid)
-        )
-        paths = model.simulate_paths(grid, normals)
+        model = HestonModel(scheme=scheme)
+        plan = model.plan(GridSpec(T=1.0, N=64))
+        normals = CounterRng(7).normals_block(np.arange(1, dtype=np.uint64), 64, plan.comps)
+        paths = model.simulate_paths(plan, normals)
         assert paths.log_price[0, -1] == self.GOLDEN_ONE_PATH[scheme]
 
     @pytest.mark.parametrize("scheme", mc.HESTON_SCHEMES)
@@ -589,17 +666,17 @@ class TestStreamedHestonPricing:
 
         grid = GridSpec(T=1.0, N=160)
         model = HestonModel(scheme=scheme)
-        comps = model.components_per_step(grid)
+        plan = model.plan(grid)
+        comps, kernel = plan.comps, plan.kernel
         rng = CounterRng(3)
-        # warm the kernel caches
-        model.simulate(grid, rng.normals_block(np.arange(8), grid.N, comps))
-        kernel = model.resolve_kernel(grid)
+        # keep first-call allocations out of the measured peak
+        model.simulate(plan, rng.normals_block(np.arange(8), grid.N, comps))
         state_rows = kernel.n if hasattr(kernel, "n") else grid.N
         runs = {
             4096: lambda: model.simulate(
-                grid, rng.normals_block(np.arange(4096, dtype=np.uint64), grid.N, comps)
+                plan, rng.normals_block(np.arange(4096, dtype=np.uint64), grid.N, comps)
             ),
-            mc._BLOCK: lambda: mc.simulate_stats(model, grid, McConfig(paths=mc._BLOCK, seed=3)),
+            mc._BLOCK: lambda: mc.simulate_stats(plan, McConfig(paths=mc._BLOCK, seed=3)),
         }
         mib = 2.0**20
         for paths, run in runs.items():
@@ -656,11 +733,12 @@ class TestSlicedPricing:
         + [pytest.param(BergomiModel(m), GridSpec(0.041, 20), id=m) for m in mc.BERGOMI_MODES],
     )
     def test_full_block_matches_one_whole_block_run(self, engine_calls, model, grid):
+        plan = model.plan(grid)
         normals = CounterRng(13).normals_block(
-            np.arange(mc._BLOCK, dtype=np.uint64), grid.N, model.components_per_step(grid)
+            np.arange(mc._BLOCK, dtype=np.uint64), grid.N, plan.comps
         )
-        whole = model.simulate(grid, normals)
-        sliced = mc.simulate_stats(model, grid, McConfig(paths=mc._BLOCK, seed=13))
+        whole = model.simulate(plan, normals)
+        sliced = mc.simulate_stats(plan, McConfig(paths=mc._BLOCK, seed=13))
         assert engine_calls == [mc._BLOCK] + [mc._SLICE] * (mc._BLOCK // mc._SLICE)
         assert np.array_equal(sliced.terminal, whole.terminal)
         assert np.array_equal(sliced.running_max, whole.running_max)
@@ -685,9 +763,9 @@ class TestSlicedPricing:
         # a block of fewer than two slices runs whole, as one draw and one
         # engine call; a wider one runs in slices, the last taking the
         # remainder, and each slice draws its own normals
-        grid = GridSpec(T=0.5, N=2)
-        mc.simulate_stats(model, grid, McConfig(paths=paths, seed=1))
-        assert draws == [(w, grid.N, model.components_per_step(grid)) for w in widths]
+        plan = model.plan(GridSpec(T=0.5, N=2))
+        mc.simulate_stats(plan, McConfig(paths=paths, seed=1))
+        assert draws == [(w, 2, plan.comps) for w in widths]
         assert engine_calls == widths
 
     @pytest.mark.parametrize("mode", mc.BERGOMI_MODES)
@@ -695,19 +773,20 @@ class TestSlicedPricing:
         # one slice at a time holds its (slice, N, comps) normals and the
         # sampler's state: the three (n, slice) factor rows of the
         # multifactor mode or the (2N, slice) joint sample and its input
-        # of the exact mode, plus five (N+1, slice) path arrays (increments,
-        # factor sums, exponent, variance, log price)
+        # of the exact mode, plus four (N+1, slice) path arrays (increments,
+        # factor sums, variance, log price): the variance is exponentiated
+        # in place
         import tracemalloc
 
-        grid, model = GridSpec(T=0.041, N=20), BergomiModel(mode)
-        comps, kernel = model.components_per_step(grid), model.resolve_kernel(grid)
-        # warm the kernel and covariance caches
-        mc.simulate_stats(model, grid, McConfig(paths=8, seed=3))
-        sampler_rows = 4 * grid.N if kernel is None else 3 * kernel.n
-        budget = 8 * mc._SLICE * (grid.N * comps + sampler_rows + 5 * (grid.N + 1))
+        grid = GridSpec(T=0.041, N=20)
+        plan = BergomiModel(mode).plan(grid)
+        # keep first-call allocations out of the measured peak
+        mc.simulate_stats(plan, McConfig(paths=8, seed=3))
+        sampler_rows = 4 * grid.N if plan.kernel is None else 3 * plan.kernel.n
+        budget = 8 * mc._SLICE * (grid.N * plan.comps + sampler_rows + 4 * (grid.N + 1))
         tracemalloc.start()
         try:
-            mc.simulate_stats(model, grid, McConfig(paths=mc._BLOCK, seed=3))
+            mc.simulate_stats(plan, McConfig(paths=mc._BLOCK, seed=3))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

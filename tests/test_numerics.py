@@ -8,19 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_pairings import truncation_error_bound
 from scipy.integrate import quad
 from scipy.special import gammainc
 
 import rvol
 from rvol import numerics
 from rvol.bergomi import factor_step_law
-from rvol.kernel import (
-    ExpSumKernel,
-    RoughKernelSpec,
-    l2_error_discrete,
-    l2_error_exact,
-    truncation_error_bound,
-)
+from rvol.kernel import ExpSumKernel, RoughKernelSpec, l2_error_discrete, l2_error_exact
 from rvol.mc import rate_factor_estimate
 from rvol.numerics import (
     IntegrationError,
