@@ -25,7 +25,6 @@ from .kernel import (
     l2_error_discrete,
     l2_error_exact,
     lambda_mass,
-    read_kernel_csv,
     rough_kernel_eval,
     write_kernel_csv,
 )

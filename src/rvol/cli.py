@@ -220,7 +220,7 @@ def _cmd_path_dump(args) -> int:
     grid = GridSpec(T=args.horizon, N=args.steps)
     model = _model(args)
     rng, plan = CounterRng(args.seed), model.plan(grid)
-    normals = rng.normals_block(np.array([0], dtype=np.uint64), grid.N, plan.comps)
+    normals = rng.normals_block(0, 1, grid.N, plan.comps)
     paths = model.simulate_paths(plan, normals)
     column = "integrated_variance" if isinstance(paths, IntegratedPaths) else "variance"
     states = [np.exp(paths.log_price[0]), getattr(paths, column)[0]]

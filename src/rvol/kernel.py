@@ -33,7 +33,6 @@ __all__ = [
     "l2_error_discrete",
     "expsum_inner_products",
     "write_kernel_csv",
-    "read_kernel_csv",
 ]
 
 
@@ -471,15 +470,3 @@ def write_kernel_csv(kernel: ExpSumKernel, path) -> None:
     """Write factors to CSV with header ``alpha,rho``, 17 significant digits."""
     table = np.column_stack([kernel.weights, kernel.rates])
     np.savetxt(path, table, fmt="%.17g", delimiter=",", header="alpha,rho", comments="")
-
-
-def read_kernel_csv(path) -> ExpSumKernel:
-    """Read a kernel written by :func:`write_kernel_csv`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "alpha,rho":
-            raise ValueError(f"unexpected kernel CSV header: {header!r}")
-        table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-    if table.shape[1] != 2:
-        raise ValueError(f"kernel CSV rows must hold alpha and rho, got shape {table.shape}")
-    return ExpSumKernel(table[:, 0], table[:, 1])

@@ -8,9 +8,9 @@ with the same seed consume common random numbers wherever their draw
 layouts agree. Gaussians come from the inverse normal CDF applied to
 the hashed uniforms.
 
-Layout: :meth:`CounterRng.normals_block` fills a C-ordered
-(components, steps, paths) buffer and returns it as a transposed
-(paths, steps, components) view. Every per-component slice
+Layout: :meth:`CounterRng.normals_block` draws the paths [lo, hi) of a
+run into a C-ordered (components, steps, paths) buffer and returns it
+as a transposed (paths, steps, components) view. Every per-component slice
 ``normals[:, :, c]`` is then a (paths, steps) array whose transpose is
 C-ordered, which is the step-major layout the engines of
 :mod:`rvol.schemes` and :mod:`rvol.bergomi` work in. Descriptors pass
@@ -21,11 +21,12 @@ shapes, at the cost of one transposing copy. When only prices are
 needed (:meth:`HestonModel.simulate`), the engines run with
 ``prices_only=True`` and keep each state in two rows, used in turn.
 A run's set-up is one :class:`Plan`, built before its first draw.
-:func:`simulate_stats` runs each block in path slices of ``_SLICE``
-paths, and each slice draws its own normals and only simulates: so one
-slice at a time holds its (slice, N, comps) normals, the (N+1, slice)
-log price and the (n, slice) factors of a factor scheme or the
-(N, slice) history of step terms of a direct one.
+:func:`simulate_stats` splits a run into path slices of ``_SLICE``
+paths within each ``_BLOCK``-path block, runs them in order or on its
+worker pool, and each slice draws its own normals and only simulates:
+so a slice holds its (slice, N, comps) normals, the (N+1, slice) log
+price and the (n, slice) factors of a factor scheme or the (N, slice)
+history of step terms of a direct one.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ _SEED_SALT = 0x5851F42D4C957F2D
 _KEY_SALT = 0xD1342543DE82EF95
 _COMP_STRIDE = 4096  # max components per step
 
-# Fixed reduction granularity: results are identical for any worker count.
+# Paths per block: slices are cut per block, whatever the worker count.
 _BLOCK = 16384
 # Paths per draw and engine call: a block is drawn and simulated in
 # slices of this width, so the normals and the engines' state scale with
@@ -131,25 +132,23 @@ class CounterRng:
         keys = np.uint64(self._base) ^ (counter * np.uint64(_KEY_SALT))
         return _mix_inplace(keys, np.empty_like(keys))
 
-    def normals_block(self, path_ids: np.ndarray, n_steps: int, n_comp: int):
-        """Standard normals of shape (len(path_ids), n_steps, n_comp).
+    def normals_block(self, lo: int, hi: int, n_steps: int, n_comp: int):
+        """Standard normals of paths [lo, hi), shape (hi - lo, n_steps, n_comp).
 
         The result is a transposed view of a C-ordered (n_comp, n_steps,
         paths) buffer: ``normals[:, k, c]`` is a contiguous row, and
         ``normals[:, :, c].T`` a C-ordered (n_steps, paths) array.
-        ``path_ids`` must be a 1-d integer array with no negative entry.
+        ``lo`` and ``hi`` are integers with ``0 <= lo < hi <= 2**64``. The
+        one hash whose uniform would round to 1 draws the largest uniform
+        below 1, so every normal is finite.
         """
         if n_comp >= _COMP_STRIDE:
             raise ValueError(f"at most {_COMP_STRIDE - 1} components per step")
-        ids = np.asarray(path_ids)
-        negative = ids.dtype.kind == "i" and bool((ids < 0).any())
-        if ids.ndim != 1 or ids.dtype.kind not in "iu" or negative:
-            raise ValueError(
-                f"path_ids must be a 1-d array of nonnegative integers, got {ids.dtype} "
-                f"of shape {ids.shape}"
-            )
+        lo, hi = require_integer(lo, "lo"), require_integer(hi, "hi")
+        if not 0 <= lo < hi <= 2**64:
+            raise ValueError(f"the path range needs 0 <= lo < hi <= 2**64, got [{lo}, {hi})")
         keys = self._keys(n_steps, n_comp).reshape(-1, 1)
-        offsets = ids.astype(np.uint64) * _GOLDEN
+        offsets = np.arange(lo, hi, dtype=np.uint64) * _GOLDEN
         n_paths = offsets.size
         out = np.empty((n_comp, n_steps, n_paths))
         rows = out.reshape(-1, n_paths)
@@ -167,6 +166,7 @@ class CounterRng:
                 h >>= np.uint64(11)
                 np.add(h, 0.5, out=tile)
                 tile *= 2.0**-53
+                np.minimum(tile, 1.0 - 2.0**-53, out=tile)  # ndtri(1) is inf
                 ndtri(tile, out=tile)
         return out.transpose(2, 1, 0)
 
@@ -399,52 +399,50 @@ class BergomiModel:
         return _path_stats(self.simulate_paths(plan, normals))
 
 
-def _block_ranges(paths: int):
-    return [(lo, min(lo + _BLOCK, paths)) for lo in range(0, paths, _BLOCK)]
+def _path_slices(paths: int) -> list[tuple[int, int]]:
+    """Every (lo, hi) path slice of a run, in path order.
 
-
-def _slice_ranges(paths: int):
-    """Path slices of a block: ``_SLICE`` wide, the last taking the remainder."""
-    cuts = [_SLICE * i for i in range(max(1, paths // _SLICE))]
-    return list(zip(cuts, cuts[1:] + [paths]))
+    Each ``_BLOCK``-path block runs in slices of ``_SLICE`` paths, the
+    last slice taking the block's remainder, so a block of fewer than
+    twice ``_SLICE`` paths runs whole.
+    """
+    slices = []
+    for lo in range(0, paths, _BLOCK):
+        width = min(_BLOCK, paths - lo)
+        cuts = [lo + _SLICE * i for i in range(max(1, width // _SLICE))]
+        slices += zip(cuts, cuts[1:] + [lo + width])
+    return slices
 
 
 def simulate_stats(plan: Plan, cfg: McConfig) -> PathStats:
     """Terminal and running-max prices for all configured paths of a plan.
 
-    Paths are generated in fixed-size blocks whose draws depend only on
-    the seed and global path indices; blocks may be computed by several
-    workers but are assembled in index order, so the result is
-    bit-identical for any worker count. Each block runs in slices of
-    ``_SLICE`` paths, the last slice taking the remainder, so a block of
-    fewer than twice ``_SLICE`` paths runs whole. Each slice draws its
-    own normals and runs the plan's descriptor on them, so both the
-    normals and the engines' state scale with the slice.
+    The run's paths split into the slices of :func:`_path_slices`, whose
+    draws depend only on the seed and the global path indices. Each
+    slice draws its own normals and runs the plan's descriptor on them,
+    so both the normals and the engines' state scale with the slice.
+    Several workers may run the slices, each writing its own path range,
+    so the result is bit-identical for any worker count.
     """
     model, grid = plan.model, plan.grid
     rng = CounterRng(cfg.seed)
     terminal = np.empty(cfg.paths)
     running_max = np.empty(cfg.paths)
 
-    def run_slice(lo, hi):
+    def run_slice(bounds):
         # the slice's normals die with this call, before the next slice draws
-        ids = np.arange(lo, hi, dtype=np.uint64)
-        stats = model.simulate(plan, rng.normals_block(ids, grid.N, plan.comps))
+        lo, hi = bounds
+        stats = model.simulate(plan, rng.normals_block(lo, hi, grid.N, plan.comps))
         terminal[lo:hi] = stats.terminal
         running_max[lo:hi] = stats.running_max
 
-    def run_block(block):
-        lo, hi = block
-        for a, b in _slice_ranges(hi - lo):
-            run_slice(lo + a, lo + b)
-
-    blocks = _block_ranges(cfg.paths)
-    if cfg.workers == 1 or len(blocks) == 1:
-        for block in blocks:
-            run_block(block)
+    slices = _path_slices(cfg.paths)
+    if cfg.workers == 1 or len(slices) == 1:
+        for bounds in slices:
+            run_slice(bounds)
     else:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            list(pool.map(run_block, blocks))
+            list(pool.map(run_slice, slices))
     return PathStats(terminal=terminal, running_max=running_max)
 
 

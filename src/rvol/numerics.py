@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -144,17 +143,16 @@ def integrate(f, lo: float, hi: float) -> float:
     """
     from scipy import integrate as scipy_integrate  # slow import, needed only here
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy_integrate.IntegrationWarning)
-        value, abserr, info, *rest = scipy_integrate.quad(
-            f,
-            lo,
-            hi,
-            epsabs=_QUAD_TOL,
-            epsrel=_QUAD_TOL,
-            limit=_QUAD_LIMIT,
-            full_output=1,
-        )
+    # full_output makes quad return its message in ``rest`` and warn of nothing
+    value, abserr, info, *rest = scipy_integrate.quad(
+        f,
+        lo,
+        hi,
+        epsabs=_QUAD_TOL,
+        epsrel=_QUAD_TOL,
+        limit=_QUAD_LIMIT,
+        full_output=1,
+    )
     if rest and abserr > _QUAD_TOL * max(1.0, abs(value)):
         raise IntegrationError(
             f"quadrature did not converge within {_QUAD_LIMIT} subdivisions "

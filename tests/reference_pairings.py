@@ -1,15 +1,17 @@
-"""The exact joint covariance matrix behind the L2 pairings, and a tail bound.
+"""The exact joint covariance matrix behind the L2 pairings, a tail bound, a CSV reader.
 
 ``rvol.kernel`` sums the pairings from streamed terms and never forms
 this matrix. The tests form it in full as the reference that those
 streamed sums must reproduce bit for bit, and as a realistic
 rank-deficient input for the factorization. The tests also check the
-closed-form L2 bound of the density tail that a quadrature discards.
+closed-form L2 bound of the density tail that a quadrature discards,
+and read back the kernel CSVs that ``rvol.kernel.write_kernel_csv``
+writes.
 """
 
 import numpy as np
 
-from rvol.kernel import _fractional_cross_column, _pair_gram
+from rvol.kernel import ExpSumKernel, _fractional_cross_column, _pair_gram
 from rvol.numerics import require_positive
 
 
@@ -47,3 +49,15 @@ def truncation_error_bound(spec, cutoff):
     cutoff = require_positive(cutoff, "cutoff")
     tail = spec.density_const * cutoff ** (-spec.H) / spec.H
     return 0.5 * tail * tail
+
+
+def read_kernel_csv(path):
+    """Read a kernel written by :func:`rvol.kernel.write_kernel_csv`."""
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip()
+        if header != "alpha,rho":
+            raise ValueError(f"unexpected kernel CSV header: {header!r}")
+        table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+    if table.shape[1] != 2:
+        raise ValueError(f"kernel CSV rows must hold alpha and rho, got shape {table.shape}")
+    return ExpSumKernel(table[:, 0], table[:, 1])

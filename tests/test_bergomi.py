@@ -200,9 +200,7 @@ class TestWeightedFactorSum:
         grid = GridSpec(T=0.041, N=20)
         kernel = systematic_kernel(params.H, 40, grid.T)
         n_paths = 4096
-        normals = CounterRng(1).normals_block(
-            np.arange(n_paths, dtype=np.uint64), grid.N, kernel.n + 2
-        )
+        normals = CounterRng(1).normals_block(0, n_paths, grid.N, kernel.n + 2)
         law = sampler_law(params.spec, kernel, grid)
         simulate_bergomi(params, grid, kernel, law, normals=normals)
         tracemalloc.start()
@@ -349,7 +347,7 @@ class TestSimulate:
 
         params, grid, n_paths = BergomiParams(), GridSpec(T=0.041, N=20), 4096
         law = sampler_law(params.spec, None, grid)
-        normals = CounterRng(1).normals_block(np.arange(n_paths, dtype=np.uint64), grid.N, 3)
+        normals = CounterRng(1).normals_block(0, n_paths, grid.N, 3)
         simulate_bergomi(params, grid, None, law, normals=normals)
         tracemalloc.start()
         try:
@@ -499,7 +497,7 @@ class TestNormalsLayout:
     def _normals(self, paths, steps, comps):
         from rvol.mc import CounterRng
 
-        view = CounterRng(17).normals_block(np.arange(paths, dtype=np.uint64), steps, comps)
+        view = CounterRng(17).normals_block(0, paths, steps, comps)
         copy = np.ascontiguousarray(view)
         assert not view.flags.c_contiguous and copy.flags.c_contiguous
         return view, copy

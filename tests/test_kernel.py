@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_pairings import build_joint_covariance, truncation_error_bound
+from reference_pairings import build_joint_covariance, read_kernel_csv, truncation_error_bound
 from scipy.integrate import quad
 
 from rvol import kernel as kernel_module
@@ -24,7 +24,6 @@ from rvol.kernel import (
     l2_error_discrete,
     l2_error_exact,
     lambda_mass,
-    read_kernel_csv,
     rough_kernel_eval,
     write_kernel_csv,
 )

@@ -35,46 +35,43 @@ def scalar_normal(seed: int, path: int, step: int, comp: int) -> float:
     base = mc._mix_scalar((seed & _MASK) ^ 0x5851F42D4C957F2D)
     key = mc._mix_scalar(base ^ (((step * 4096 + comp) * 0xD1342543DE82EF95) & _MASK))
     hashed = mc._mix_scalar(path * 0x9E3779B97F4A7C15 + key)
-    return ndtri(((hashed >> 11) + 0.5) * 2.0**-53)
+    # the top hash's uniform rounds to 1, whose ndtri is inf: it takes the largest below 1
+    return ndtri(min(((hashed >> 11) + 0.5) * 2.0**-53, 1.0 - 2.0**-53))
 
 
-def assert_matches_scalar(seed, path_ids, n_steps, n_comp):
-    got = CounterRng(seed).normals_block(np.asarray(path_ids, dtype=np.uint64), n_steps, n_comp)
-    assert got.shape == (len(path_ids), n_steps, n_comp)
+def assert_matches_scalar(seed, lo, hi, n_steps, n_comp):
+    got = CounterRng(seed).normals_block(lo, hi, n_steps, n_comp)
+    assert got.shape == (hi - lo, n_steps, n_comp)
     want = np.array(
         [
             [[scalar_normal(seed, p, s, c) for c in range(n_comp)] for s in range(n_steps)]
-            for p in path_ids
+            for p in range(lo, hi)
         ]
     ).reshape(got.shape)
     assert np.array_equal(got, want)
+    return got
 
 
 class TestCounterRng:
     def test_deterministic(self):
-        ids = np.arange(100, dtype=np.uint64)
-        a = CounterRng(42).normals_block(ids, 16, 3)
-        b = CounterRng(42).normals_block(ids, 16, 3)
+        a = CounterRng(42).normals_block(0, 100, 16, 3)
+        b = CounterRng(42).normals_block(0, 100, 16, 3)
         assert np.array_equal(a, b)
 
     def test_seed_sensitivity(self):
-        ids = np.arange(100, dtype=np.uint64)
-        a = CounterRng(42).normals_block(ids, 4, 2)
-        b = CounterRng(43).normals_block(ids, 4, 2)
+        a = CounterRng(42).normals_block(0, 100, 4, 2)
+        b = CounterRng(43).normals_block(0, 100, 4, 2)
         assert not np.allclose(a, b)
 
     def test_partition_invariance(self):
         # draws for path p do not depend on which batch generated them
         rng = CounterRng(7)
-        whole = rng.normals_block(np.arange(64, dtype=np.uint64), 8, 2)
-        parts = [
-            rng.normals_block(np.arange(lo, lo + 16, dtype=np.uint64), 8, 2)
-            for lo in range(0, 64, 16)
-        ]
+        whole = rng.normals_block(0, 64, 8, 2)
+        parts = [rng.normals_block(lo, lo + 16, 8, 2) for lo in range(0, 64, 16)]
         assert np.array_equal(whole, np.concatenate(parts, axis=0))
 
     def test_moments(self):
-        draws = CounterRng(11).normals_block(np.arange(200_000, dtype=np.uint64), 5, 2)
+        draws = CounterRng(11).normals_block(0, 200_000, 5, 2)
         flat = draws.ravel()
         n = flat.size
         assert abs(flat.mean()) <= 4.0 / math.sqrt(n)
@@ -86,50 +83,89 @@ class TestCounterRng:
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(-(2**63), 2**64 - 1),
-        path_ids=st.lists(st.integers(0, 2**48), min_size=1, max_size=40, unique=True),
+        lo=st.integers(0, 2**48),
+        width=st.integers(1, 40),
+        split=st.integers(0, 40),
         n_steps=st.integers(1, 4),
         n_comp=st.integers(1, 50),
         chunk=st.integers(1, 96),
     )
-    def test_matches_scalar_formula(self, seed, path_ids, n_steps, n_comp, chunk):
-        # a small tile size makes the generated path sets straddle tile edges
+    def test_matches_scalar_formula(self, seed, lo, width, split, n_steps, n_comp, chunk):
+        # a small tile size makes the generated ranges straddle tile edges;
+        # the two halves of a split range concatenate to the whole range
+        hi, mid = lo + width, lo + split % width
         with mock.patch.object(mc, "_CHUNK", chunk):
-            assert_matches_scalar(seed, path_ids, n_steps, n_comp)
+            whole = assert_matches_scalar(seed, lo, hi, n_steps, n_comp)
+            if mid > lo:
+                rng = CounterRng(seed)
+                halves = [
+                    rng.normals_block(a, b, n_steps, n_comp) for a, b in ((lo, mid), (mid, hi))
+                ]
+                assert np.array_equal(np.concatenate(halves, axis=0), whole)
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_matches_scalar_formula_at_tile_edge(self, offset):
         paths = mc._CHUNK + offset
-        assert_matches_scalar(2024, list(range(3, 3 + paths)), 2, 1)
+        assert_matches_scalar(2024, 3, 3 + paths, 2, 1)
 
     def test_single_path(self):
-        assert_matches_scalar(5, [123456789], 30, 7)
+        assert_matches_scalar(5, 123456789, 123456790, 30, 7)
 
     def test_step_major_view(self):
-        draws = CounterRng(3).normals_block(np.arange(10, dtype=np.uint64), 4, 3)
+        draws = CounterRng(3).normals_block(0, 10, 4, 3)
         assert draws[:, :, 1].T.flags.c_contiguous
 
     def test_finite_extremes(self):
-        draws = CounterRng(1).normals_block(np.arange(1_000_000, dtype=np.uint64), 1, 1)
+        draws = CounterRng(1).normals_block(0, 1_000_000, 1, 1)
         assert np.all(np.isfinite(draws))
 
-    def test_signed_and_list_ids_draw_the_same_bits(self):
+    def test_top_hash_draws_finite_normals(self):
+        # (2**53 - 1 + 0.5) * 2**-53 rounds to 1.0, and ndtri(1.0) is inf
+        def top_hash(x, tmp):
+            x.fill(_MASK)
+            return x
+
+        with mock.patch.object(mc, "_mix_inplace", top_hash):
+            draws = CounterRng(0).normals_block(0, 3, 2, 2)
+        assert np.all(draws == ndtri(1.0 - 2.0**-53))
+        assert np.all(np.isfinite(draws))
+
+    def test_numpy_integer_bounds_draw_the_same_bits(self):
         rng = CounterRng(9)
-        want = rng.normals_block(np.arange(5, dtype=np.uint64), 3, 2)
-        assert np.array_equal(rng.normals_block(np.arange(5), 3, 2), want)
-        assert np.array_equal(rng.normals_block([0, 1, 2, 3, 4], 3, 2), want)
+        want = rng.normals_block(2, 7, 3, 2)
+        for lo, hi in ((np.int64(2), np.int64(7)), (np.uint64(2), np.uint64(7)), (np.int32(2), 7)):
+            assert np.array_equal(rng.normals_block(lo, hi, 3, 2), want)
+        top = rng.normals_block(2**64 - 2, 2**64, 1, 1)
+        assert top.shape == (2, 1, 1) and np.all(np.isfinite(top))
 
     @pytest.mark.parametrize(
-        "path_ids",
+        "lo, hi, match",
         [
-            np.array([0.5, 1.7]),  # would draw paths 0 and 1
-            np.array([0, -1]),  # would alias path 2**64 - 1
-            np.arange(4).reshape(2, 2),  # would fail in numpy broadcasting
+            (-1, 3, "0 <= lo < hi"),  # would alias path 2**64 - 1
+            (3, 3, "0 <= lo < hi"),  # would draw no path
+            (4, 3, "0 <= lo < hi"),
+            (0, 2**64 + 1, "0 <= lo < hi"),  # path 2**64 does not fit uint64
+            (0.0, 3, "lo must be an integer"),
+            (0, 3.0, "hi must be an integer"),
+            (False, 3, "lo must be an integer"),
+            (0, True, "hi must be an integer"),
+            (np.float64(0), 3, "lo must be an integer"),
         ],
-        ids=["float", "negative", "2-d"],
+        ids=[
+            "negative",
+            "empty",
+            "reversed",
+            "past-uint64",
+            "float",
+            "float-hi",
+            "bool",
+            "bool-hi",
+            "numpy-float",
+        ],
     )
-    def test_rejects_bad_path_ids(self, path_ids):
-        with pytest.raises(ValueError, match="path_ids must be a 1-d array of nonnegative"):
-            CounterRng(9).normals_block(path_ids, 3, 2)
+    def test_rejects_bad_path_range(self, lo, hi, match):
+        with pytest.raises(ValueError, match=match):
+            CounterRng(9).normals_block(lo, hi, 3, 2)
 
 
 class TestPrice:
@@ -326,9 +362,9 @@ def draws(monkeypatch):
     shapes = []
     draw = CounterRng.normals_block
 
-    def spy(self, path_ids, n_steps, n_comp):
-        shapes.append((len(path_ids), n_steps, n_comp))
-        return draw(self, path_ids, n_steps, n_comp)
+    def spy(self, lo, hi, n_steps, n_comp):
+        shapes.append((hi - lo, n_steps, n_comp))
+        return draw(self, lo, hi, n_steps, n_comp)
 
     monkeypatch.setattr(CounterRng, "normals_block", spy)
     return shapes
@@ -571,7 +607,7 @@ class TestSimulatePaths:
         from rvol.schemes import HestonPaths, IntegratedPaths
 
         plan = model.plan(GridSpec(T=0.5, N=12))
-        normals = CounterRng(5).normals_block(np.arange(40, dtype=np.uint64), 12, plan.comps)
+        normals = CounterRng(5).normals_block(0, 40, 12, plan.comps)
         paths = model.simulate_paths(plan, normals)
         integrated = getattr(model, "scheme", "").startswith("integrated")
         assert isinstance(paths, IntegratedPaths if integrated else HestonPaths)
@@ -602,7 +638,7 @@ class TestSimulatePaths:
         monkeypatch.setattr(mc, engine, spy)
         model = HestonModel(scheme=scheme)
         plan = model.plan(GridSpec(T=0.5, N=6))
-        normals = CounterRng(1).normals_block(np.arange(8, dtype=np.uint64), 6, plan.comps)
+        normals = CounterRng(1).normals_block(0, 8, 6, plan.comps)
         model.simulate(plan, normals)
         assert calls == [engine]
 
@@ -651,7 +687,7 @@ class TestStreamedHestonPricing:
     def test_golden_one_path(self, scheme):
         model = HestonModel(scheme=scheme)
         plan = model.plan(GridSpec(T=1.0, N=64))
-        normals = CounterRng(7).normals_block(np.arange(1, dtype=np.uint64), 64, plan.comps)
+        normals = CounterRng(7).normals_block(0, 1, 64, plan.comps)
         paths = model.simulate_paths(plan, normals)
         assert paths.log_price[0, -1] == self.GOLDEN_ONE_PATH[scheme]
 
@@ -670,12 +706,10 @@ class TestStreamedHestonPricing:
         comps, kernel = plan.comps, plan.kernel
         rng = CounterRng(3)
         # keep first-call allocations out of the measured peak
-        model.simulate(plan, rng.normals_block(np.arange(8), grid.N, comps))
+        model.simulate(plan, rng.normals_block(0, 8, grid.N, comps))
         state_rows = kernel.n if hasattr(kernel, "n") else grid.N
         runs = {
-            4096: lambda: model.simulate(
-                plan, rng.normals_block(np.arange(4096, dtype=np.uint64), grid.N, comps)
-            ),
+            4096: lambda: model.simulate(plan, rng.normals_block(0, 4096, grid.N, comps)),
             mc._BLOCK: lambda: mc.simulate_stats(plan, McConfig(paths=mc._BLOCK, seed=3)),
         }
         mib = 2.0**20
@@ -734,9 +768,7 @@ class TestSlicedPricing:
     )
     def test_full_block_matches_one_whole_block_run(self, engine_calls, model, grid):
         plan = model.plan(grid)
-        normals = CounterRng(13).normals_block(
-            np.arange(mc._BLOCK, dtype=np.uint64), grid.N, plan.comps
-        )
+        normals = CounterRng(13).normals_block(0, mc._BLOCK, grid.N, plan.comps)
         whole = model.simulate(plan, normals)
         sliced = mc.simulate_stats(plan, McConfig(paths=mc._BLOCK, seed=13))
         assert engine_calls == [mc._BLOCK] + [mc._SLICE] * (mc._BLOCK // mc._SLICE)

@@ -629,7 +629,7 @@ class TestIncrementLayout:
     def _normals(self, comps):
         from rvol.mc import CounterRng
 
-        view = CounterRng(31).normals_block(np.arange(40, dtype=np.uint64), self.N, comps)
+        view = CounterRng(31).normals_block(0, 40, self.N, comps)
         copy = np.ascontiguousarray(view)
         assert not view.flags.c_contiguous and copy.flags.c_contiguous
         return view, copy
