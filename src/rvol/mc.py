@@ -19,14 +19,16 @@ form each step's increments themselves, so no (paths, N) increment
 array is formed. Callers may equally pass C-ordered arrays of the same
 shapes, at the cost of one transposing copy. When only prices are
 needed (:meth:`HestonModel.simulate`), the engines run with
-``prices_only=True`` and keep each state in two rows, used in turn.
+``prices_only=True`` and keep each state in two rows, used in turn;
+the direct engines then keep their history of step terms in the rows
+of the normals they have read, so ``simulate`` consumes its normals.
 A run's set-up is one :class:`Plan`, built before its first draw.
 :func:`simulate_stats` splits a run into path slices of ``_SLICE``
 paths within each ``_BLOCK``-path block, runs them in order or on its
 worker pool, and each slice draws its own normals and only simulates:
 so a slice holds its (slice, N, comps) normals, the (N+1, slice) log
-price and the (n, slice) factors of a factor scheme or the (N, slice)
-history of step terms of a direct one.
+price and the (n, slice) factors of a factor scheme; a direct scheme
+holds nothing more than its normals and its log price.
 """
 
 from __future__ import annotations
@@ -330,6 +332,12 @@ class HestonModel:
         return self._run_engine(plan, normals, prices_only=False)
 
     def simulate(self, plan: Plan, normals: np.ndarray) -> PathStats:
+        """Terminal and running-max prices from (paths, N, comps) normals.
+
+        Consumes ``normals``: the direct schemes keep their history of
+        step terms in the rows of its first component once read (see
+        :func:`rvol.schemes.heston_volterra_euler`). Pass a copy to reuse them.
+        """
         return _path_stats(self._run_engine(plan, normals, prices_only=True))
 
     def _run_engine(self, plan: Plan, normals: np.ndarray, prices_only: bool):

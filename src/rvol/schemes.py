@@ -28,7 +28,10 @@ array. Each engine is one step loop over a memory term, run in blocks
 of ``_BLOCK`` steps: every step adds a near window (the block's step
 terms against the first ``_BLOCK`` kernel lags), and the far memory
 enters once per block as one matrix product with the (n, paths)
-factors or the (N, paths) history of step terms.
+factors or the (N, paths) history of step terms. With
+``prices_only=True`` the direct engines keep that history in the rows
+of their ``z`` normals, each row once its step has read it, when they
+may overwrite them (:func:`_spent_rows`).
 The factor engines keep the block's step terms in one (``_BLOCK``,
 paths) array and first fold them into the factors, a group of factor
 rows at a time through the spent output block, so every product runs
@@ -138,7 +141,12 @@ class HestonParams:
 class HestonPaths:
     """Batch of rough Heston trajectories on the grid (log price, variance).
 
-    ``variance`` is None when the engine ran with ``prices_only=True``.
+    ``variance`` is the raw Euler variance V, which can be negative: the
+    engines feed its positive part V^+ to the drift and the volatility.
+    At T = 1000 (64 paths, seed 0) the hybrid's mean terminal V read
+    -5.29 at N = 4 and -0.78 at N = 16, against +0.046 and +0.021 for
+    the direct scheme. It is None when the engine ran with
+    ``prices_only=True``.
     """
 
     log_price: np.ndarray
@@ -261,6 +269,22 @@ def _check_normals(grid: GridSpec, *arrays):
     return [r if r[0].flags.c_contiguous else np.ascontiguousarray(r) for r in rows]
 
 
+def _spent_rows(prices_only: bool, z, *others):
+    """``z`` itself, when a direct engine may keep its history in its rows; else None.
+
+    The step loops are done with row k of ``z`` when they ask for history
+    row k, so with ``prices_only=True`` the history takes over the
+    normals. Only rows the engine may overwrite qualify: writeable, not
+    overlapping each other and sharing no memory with the other normals.
+    A full run keeps its inputs untouched.
+    """
+    distinct = abs(z.strides[0]) >= z.shape[1] * z.itemsize
+    if prices_only and z.flags.writeable and distinct:
+        if not any(np.may_share_memory(z, other) for other in others):
+            return z
+    return None
+
+
 _BLOCK = 16  # steps per block of the step loop (16/32/64 sweep: see CHANGES.md)
 
 
@@ -303,12 +327,15 @@ class _HistoryMemory(_BlockedMemory):
 
     The far part of block b is one Toeplitz product: row i weighs the
     history rows j < b with the kernel values at lags b + i + 1 - j.
+    ``history`` is the (N, paths) array to keep it in, whose row k no
+    one else reads from step k's :meth:`term` on, such as the spent
+    normals of :func:`_spent_rows`; None allocates one.
     """
 
-    def __init__(self, kernel_values, n_paths: int):
+    def __init__(self, kernel_values, n_paths: int, history=None):
         n_steps = kernel_values.size
         self.kernel_values = kernel_values
-        self.history = np.empty((n_steps, n_paths))
+        self.history = np.empty((n_steps, n_paths)) if history is None else history
         super().__init__(kernel_values[:_BLOCK], n_steps, n_paths, self.history)
 
     def _far(self, b: int, rows):
@@ -415,7 +442,8 @@ def _heston_variance(params, grid, memory, z, z_perp, prices_only, exact=None) -
     d_frac_k, with d_frac_k = l21 z_k + l22 z_frac_k, to the far part of
     the convolution before its near window. The log price is the
     :class:`_LogPrice` of V^+. V_k lives in row k % R of R = N+1 rows, or
-    of R = 2 with ``prices_only``.
+    of R = 2 with ``prices_only``. Step k reads z_k before
+    ``memory.term(k)``, so a direct memory may keep S_k in row k of ``z``.
     """
     n_paths = z.shape[1]
     variance = np.empty((2 if prices_only else grid.N + 1, n_paths))
@@ -458,10 +486,17 @@ def heston_volterra_euler(
     ``z`` and ``z_perp`` are (paths, N) standard normals; step k's
     Brownian increments are sqrt(dt) z_k and sqrt(dt) z_perp_k.
     ``prices_only=True`` keeps the variance in two rows, used in turn,
-    and returns ``variance=None``.
+    and returns ``variance=None``; it also consumes ``z``: the (N, paths)
+    history of step terms takes over the rows of ``z`` when they are
+    writeable, do not overlap and share no memory with ``z_perp``, and
+    else gets an array of its own. A step-major ``z`` (the layout of
+    :meth:`rvol.mc.CounterRng.normals_block`) is then overwritten; any
+    other layout is copied first, so the caller's array is kept. A full
+    run leaves its normals untouched.
     """
     z, z_perp = _check_normals(grid, z, z_perp)
-    memory = _HistoryMemory(_kernel_table(kernel, grid), z.shape[1])
+    history = _spent_rows(prices_only, z, z_perp)
+    memory = _HistoryMemory(_kernel_table(kernel, grid), z.shape[1], history)
     return _heston_variance(params, grid, memory, z, z_perp, prices_only)
 
 
@@ -522,6 +557,9 @@ def heston_hybrid_multifactor(
     independent of ``z``. Normals and ``prices_only`` as in
     :func:`heston_volterra_euler`.
 
+    Its raw variance goes far below zero on coarse steps, further than
+    the direct scheme's (see :class:`HestonPaths`); prices read V^+.
+
     The scheme is chaotic on fine grids: at N = 640, a one-ulp change of
     every input normal moved an 8192-path call price by about 1e-2
     half-widths. Check a float-level change to it against the Monte
@@ -561,10 +599,11 @@ def _integrated_loop(params, grid, memory, z, z_perp, prices_only, runmax) -> In
     clamped = np.zeros((2 if prices_only else grid.N + 1, n_paths))
     prices = _LogPrice(p, grid, n_paths)
     log_s0, rho_perp, log_price = prices.log_s0, prices.rho_perp, prices.path
-    mart, mart_perp, inc, tmp = (np.zeros(n_paths) for _ in range(4))
+    mart, mart_perp, inc, tmp, z_k = (np.zeros(n_paths) for _ in range(5))
     for k in range(grid.N):
         x_now, x_next = clamped[k % len(clamped)], clamped[(k + 1) % len(clamped)]
         raw_next = raw[(k + 1) % 2]
+        z_k[:] = z[k]  # a direct memory may keep its step term in row k of z
         step = memory.term(k)
         if runmax:
             np.multiply(x_now, p.lam, out=step)
@@ -580,7 +619,7 @@ def _integrated_loop(params, grid, memory, z, z_perp, prices_only, runmax) -> In
         np.maximum(x_now, raw_next, out=x_next)
         np.subtract(x_next, x_now, out=inc)
         np.sqrt(inc, out=inc)
-        np.multiply(inc, z[k], out=tmp)
+        np.multiply(inc, z_k, out=tmp)
         mart += tmp
         np.multiply(inc, z_perp[k], out=tmp)
         mart_perp += tmp
@@ -613,8 +652,9 @@ def heston_integrated_volterra(
     ``z`` and ``z_perp`` of shape (paths, N). The mean reversion term
     reads the running maximum of X. ``kernel`` as in
     :func:`heston_volterra_euler`; ``prices_only=True`` keeps the running
-    maximum of X in two rows, used in turn, and returns
-    ``integrated_variance=None``.
+    maximum of X in two rows, used in turn, returns
+    ``integrated_variance=None`` and consumes ``z`` as
+    :func:`heston_volterra_euler` does, its history taking over the rows.
 
     The scheme is chaotic on fine grids: at N = 640, a one-ulp change of
     every input normal moved an 8192-path call price by about 3e-3
@@ -623,7 +663,8 @@ def heston_integrated_volterra(
     bit-identity.
     """
     z, z_perp = _check_normals(grid, z, z_perp)
-    memory = _HistoryMemory(_kernel_table(kernel, grid), z.shape[1])
+    history = _spent_rows(prices_only, z, z_perp)
+    memory = _HistoryMemory(_kernel_table(kernel, grid), z.shape[1], history)
     return _integrated_loop(params, grid, memory, z, z_perp, prices_only, runmax=True)
 
 

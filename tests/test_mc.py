@@ -608,7 +608,9 @@ class TestSimulatePaths:
 
         plan = model.plan(GridSpec(T=0.5, N=12))
         normals = CounterRng(5).normals_block(0, 40, 12, plan.comps)
+        kept = normals.copy()
         paths = model.simulate_paths(plan, normals)
+        assert np.array_equal(normals, kept)  # only simulate may consume them
         integrated = getattr(model, "scheme", "").startswith("integrated")
         assert isinstance(paths, IntegratedPaths if integrated else HestonPaths)
         assert paths.log_price.shape == (40, 13)
@@ -694,10 +696,11 @@ class TestStreamedHestonPricing:
     @pytest.mark.parametrize("scheme", mc.HESTON_SCHEMES)
     def test_pricing_peak_memory(self, scheme):
         # each engine call holds its (paths, N, comps) normals, the
-        # (N+1, paths) log price, the (n, paths) factors or the (N, paths)
-        # history of step terms, and rows of (paths,) scratch: 4096 paths
-        # run as one call, a full block through simulate_stats in slices
-        # that each draw their own normals
+        # (N+1, paths) log price, the (n, paths) factors of a factor
+        # scheme, and rows of (paths,) scratch: a direct scheme keeps its
+        # history of step terms in the rows of its normals, with at most
+        # one scratch row more; 4096 paths run as one call, a full block
+        # through simulate_stats in slices that each draw their own normals
         import tracemalloc
 
         grid = GridSpec(T=1.0, N=160)
@@ -707,7 +710,7 @@ class TestStreamedHestonPricing:
         rng = CounterRng(3)
         # keep first-call allocations out of the measured peak
         model.simulate(plan, rng.normals_block(0, 8, grid.N, comps))
-        state_rows = kernel.n if hasattr(kernel, "n") else grid.N
+        state_rows = kernel.n if hasattr(kernel, "n") else 1
         runs = {
             4096: lambda: model.simulate(plan, rng.normals_block(0, 4096, grid.N, comps)),
             mc._BLOCK: lambda: mc.simulate_stats(plan, McConfig(paths=mc._BLOCK, seed=3)),

@@ -771,6 +771,12 @@ class TestBlockedStepLoop:
         assert np.max(np.abs(direct.log_price - fast.log_price)) <= 1e-10
 
 
+DIRECT_ENGINES = [
+    pytest.param(heston_volterra_euler, id="volterra"),
+    pytest.param(heston_integrated_volterra, id="integrated-volterra"),
+]
+
+
 class TestStreamedPricing:
     """``prices_only`` leaves the log price bit-identical."""
 
@@ -811,6 +817,45 @@ class TestStreamedPricing:
                 priced = run(prices_only=True)
                 assert priced.integrated_variance is None
                 assert np.array_equal(priced.log_price, full.log_price)
+
+    @pytest.mark.parametrize("engine", DIRECT_ENGINES)
+    @settings(max_examples=30, deadline=None)
+    @given(case=blocked_grids(), kernel=expsum_kernels(), seed=st.integers(0, 2**32 - 1))
+    def test_direct_engines_on_step_major_normals(self, engine, case, kernel, seed):
+        # the layout of normals_block: (paths, N) views of C-ordered (N,
+        # paths) rows, which _check_normals passes uncopied, so with
+        # prices_only the history takes over the rows of z
+        block, grid = case
+        params = HestonParams()
+        drawn = np.random.default_rng(seed).standard_normal((2, grid.N, 5))
+        copy = drawn.copy()
+        with mock.patch.object(schemes, "_BLOCK", block):
+            full = engine(params, kernel, grid, *copy.transpose(0, 2, 1))
+            priced = engine(params, kernel, grid, *drawn.transpose(0, 2, 1), prices_only=True)
+        assert np.array_equal(priced.log_price, full.log_price)
+        assert np.array_equal(copy[1], drawn[1])  # a full run keeps its normals
+        assert not np.array_equal(copy[0], drawn[0])  # the history took over z
+
+    @pytest.mark.parametrize("engine", DIRECT_ENGINES)
+    @pytest.mark.parametrize("case", ["aliased", "read-only", "overlapping"])
+    def test_direct_engines_keep_normals_they_may_not_overwrite(self, engine, case):
+        # z_perp sharing memory with z, read-only normals, or rows of z
+        # that overlap each other leave the history to its own array: the
+        # same bits as private copies
+        params, kernel, grid = HestonParams(), RoughKernelSpec(0.1), GridSpec(T=1.0, N=40)
+        drawn = np.random.default_rng(3).standard_normal((2, grid.N, 64))
+        if case == "read-only":
+            drawn.setflags(write=False)
+        z, zp = drawn.transpose(0, 2, 1)
+        if case == "aliased":
+            zp = z
+        elif case == "overlapping":  # row k + 1 of z starts one path after row k
+            z = np.lib.stride_tricks.as_strided(drawn[0], (grid.N, 64), (8, 8)).T
+        private = engine(params, kernel, grid, z.copy(), zp.copy(), prices_only=True)
+        kept = drawn.copy()
+        priced = engine(params, kernel, grid, z, zp, prices_only=True)
+        assert np.array_equal(priced.log_price, private.log_price)
+        assert np.array_equal(drawn, kept)
 
     def test_increment_validation(self):
         params = HestonParams()
