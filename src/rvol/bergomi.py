@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import ExpSumKernel, RoughKernelSpec, _pair_gram, _phi
+from .kernel import ExpSumKernel, RoughKernelSpec, _gram_of_sums
 from .numerics import integrate, psd_factorize, require_finite, require_positive
 from .schemes import GridSpec, HestonPaths, _LogPrice
 
@@ -89,14 +89,14 @@ def factor_step_law(kernel: ExpSumKernel, dt: float):
     ``cond_factor`` past its rank are zero.
     """
     dt = require_positive(dt, "dt")
-    r = kernel.rates
-    cov = _pair_gram(r, dt)
-    cross = dt * _phi(r * dt)
-    cond_cov = cov - np.outer(cross, cross) / dt
+    rates = np.append(kernel.rates, 0.0)  # the increment is the factor of rate 0
+    gram = _gram_of_sums(np.add.outer(rates, rates), dt)
+    cross, var = gram[:-1, -1], gram[-1, -1]  # var is dt, exactly
+    cond_cov = gram[:-1, :-1] - np.outer(cross, cross) / var
     # entries are differences of terms up to dt: a lone slow factor, nearly
     # fixed by the increment, leaves a conditional variance of rounding size
     cond_factor = psd_factorize(cond_cov, floor=1e-6 * dt)
-    return cross / math.sqrt(dt), cond_factor
+    return cross / math.sqrt(var), cond_factor
 
 
 def _pair(grid: GridSpec, width: int, normals):

@@ -292,7 +292,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_mc_flags(p_smile)
     p_smile.set_defaults(func=_cmd_smile)
 
-    p_dump = sub.add_parser("path-dump", help="dump one simulated trajectory as CSV")
+    p_dump = sub.add_parser(
+        "path-dump",
+        help="dump one simulated trajectory as CSV",
+        description="Dump one simulated trajectory as CSV. The path is simulated alone, so "
+        "its last bits can differ from path 0 of a priced run with the same seed: the "
+        "engines' products pick gemv or gemm, and their kernels, by the number of paths.",
+    )
     p_dump.add_argument("--model", required=True, choices=("heston", "bergomi"))
     p_dump.add_argument("--scheme", required=True)
     p_dump.add_argument("--hurst", type=float, default=None)

@@ -183,35 +183,23 @@ def barycenter(spec: RoughKernelSpec, a, b):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _phi(x, out=None):
-    """(1 - exp(-x)) / x with the removable singularity at 0 filled in.
+def _gram_of_sums(sums: np.ndarray, t: float) -> np.ndarray:
+    """Overwrite rate sums s = r_i + r_j with the Gram entries t phi(s t); returns ``sums``.
 
-    ``out`` may be ``x`` itself: the result then overwrites x, and the
-    only full-size temporary is exp(-x) - 1.
+    phi(x) = (1 - exp(-x)) / x, with its removable singularity phi(0) = 1
+    filled in. t phi((r_i + r_j) t) is the covariance on (0, t) of the
+    damped factors of rates r_i and r_j; ``np.add.outer(r, r)`` gives the
+    full Gram. The only other array of that size alive is exp(-s t) - 1.
     """
-    x = np.asarray(x, dtype=float)
-    if out is None:
-        out = np.empty_like(x)
-    numerator = np.negative(x, out=np.empty_like(x))
+    sums *= t
+    numerator = np.negative(sums, out=np.empty_like(sums))
     np.expm1(numerator, out=numerator)
-    positive = x > 0.0
-    np.divide(numerator, x, out=out, where=positive)
-    np.copyto(out, -1.0, where=~positive)
-    return np.negative(out, out=out)
-
-
-def _pair_gram(rates: np.ndarray, t: float, rows=slice(None)) -> np.ndarray:
-    """t phi((r_i + r_j) t), the Gram matrix of the damped factors on (0, t).
-
-    Returns the rows ``rows`` (a slice of the rate indices) against every
-    rate, built in place in the result: the only other array of that
-    size alive is the one temporary of :func:`_phi`.
-    """
-    out = np.add.outer(rates[rows], rates)
-    out *= t
-    _phi(out, out=out)
-    out *= t
-    return out
+    positive = sums > 0.0
+    np.divide(numerator, sums, out=sums, where=positive)
+    np.copyto(sums, -1.0, where=~positive)
+    np.negative(sums, out=sums)
+    sums *= t
+    return sums
 
 
 # Terms per streamed block of the Gram's upper triangle: the triangle of
@@ -352,10 +340,7 @@ def _gram_diagonals(w: np.ndarray, rates: np.ndarray, t: float, d0: int, d1: int
     grid = out[: (d1 - d0) * n].reshape(d1 - d0, n)
     np.add(rates, _wrapped(rates, d0, d1), out=grid)
     count = grid.size - (n // 2 if 2 * (d1 - 1) == n else 0)
-    gram = out[:count]
-    gram *= t
-    _phi(gram, out=gram)
-    gram *= t
+    gram = _gram_of_sums(out[:count], t)
     # G_ij (w_i w_j), rounded as in the full matrix
     gram *= np.multiply(w, _wrapped(w, d0, d1)).ravel()[:count]
     gram[n if d0 == 0 else 0 :] *= 2.0

@@ -121,10 +121,10 @@ def _mix_inplace(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
 
 
 class CounterRng:
-    """Counter-based Gaussian stream keyed by (seed, path, step, component)."""
+    """Counter-based Gaussian stream keyed by (integer seed mod 2^64, path, step, component)."""
 
     def __init__(self, seed: int):
-        self._base = _mix_scalar((int(seed) & _MASK) ^ _SEED_SALT)
+        self._base = _mix_scalar((require_integer(seed, "seed") & _MASK) ^ _SEED_SALT)
 
     def _keys(self, n_steps: int, n_comp: int) -> np.ndarray:
         """Per-(component, step) stream keys, shape (n_comp, n_steps)."""

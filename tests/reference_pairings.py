@@ -11,7 +11,7 @@ writes.
 
 import numpy as np
 
-from rvol.kernel import ExpSumKernel, _fractional_cross_column, _pair_gram
+from rvol.kernel import ExpSumKernel, _fractional_cross_column, _gram_of_sums
 from rvol.numerics import require_positive
 
 
@@ -35,7 +35,7 @@ def build_joint_covariance(spec, rates, t):
     t = require_positive(t, "horizon t")
     n = r.size
     cov = np.empty((n + 1, n + 1))
-    cov[:n, :n] = _pair_gram(r, t)
+    cov[:n, :n] = _gram_of_sums(np.add.outer(r, r), t)
     cov[:n, n] = cov[n, :n] = _fractional_cross_column(spec, r, t)
     cov[n, n] = spec.square_integral(t)
     return cov

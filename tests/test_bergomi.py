@@ -21,6 +21,7 @@ from rvol.bergomi import (
     step_components,
 )
 from rvol.kernel import ExpSumKernel
+from rvol.numerics import _ZERO_TOL
 from rvol.schemes import GridSpec
 
 TIGHT = dict(epsabs=1e-13, epsrel=1e-13, limit=400)  # for scipy's quad, the oracle
@@ -84,22 +85,36 @@ class TestFactorSampling:
         factor, dw = _factor_sample(kernel, grid, (normals[:, :, 0], normals[:, :, 1:]))
         assert np.allclose(factor, np.cumsum(dw, axis=1), atol=1e-12)
 
-    def test_step_law_moments(self):
-        kernel = ExpSumKernel([0.8, 0.4], [0.5, 6.0])
-        dt = 0.125
+    @settings(max_examples=60, deadline=None)
+    @given(
+        log_rates=st.lists(st.floats(-3.0, 4.0), min_size=1, max_size=8, unique=True),
+        zero_rate=st.booleans(),
+        dt=st.floats(1e-4, 4.0),
+    )
+    def test_step_law_moments(self, log_rates, zero_rate, dt):
+        # the joint covariance of (innovations, increment) rebuilt from the step
+        # law is the integral of exp(-(r_i + r_j) s) over (0, dt), with the rate
+        # of the increment 0: the cross entry of a zero rate is dt
+        rates = np.unique(10.0 ** np.array(log_rates))
+        if zero_rate:
+            rates = np.concatenate(([0.0], rates))
+        kernel = ExpSumKernel(np.ones(rates.size), rates)
         cross_coef, cond_factor = factor_step_law(kernel, dt)
-        # reconstruct the joint covariance of (innovations, increment)
         n = kernel.n
-        joint = np.zeros((n + 1, n + 1))
+        joint = np.empty((n + 1, n + 1))
         joint[:n, :n] = np.outer(cross_coef, cross_coef) + cond_factor @ cond_factor.T
         joint[:n, n] = joint[n, :n] = cross_coef * math.sqrt(dt)
         joint[n, n] = dt
-        r = kernel.rates
-        pair = r[:, None] + r[None, :]
-        want_cov = -np.expm1(-pair * dt) / pair
-        want_cross = -np.expm1(-r * dt) / r
-        assert np.allclose(joint[:n, :n], want_cov, atol=1e-14)
-        assert np.allclose(joint[:n, n], want_cross, atol=1e-14)
+        both = np.append(rates, 0.0)
+        sums = np.add.outer(both, both).ravel().tolist()
+        want = [-math.expm1(-s * dt) / s if s > 0.0 else dt for s in sums]
+        want = np.reshape(want, joint.shape)
+        # psd_factorize drops conditional variances up to _ZERO_TOL of the
+        # largest variance, dt; the rest is rounding of terms up to dt
+        tol = (_ZERO_TOL + 64 * np.finfo(float).eps) * dt
+        assert np.allclose(joint, want, rtol=0.0, atol=tol)
+        if zero_rate:
+            assert math.isclose(joint[0, n], dt, rel_tol=1e-15)
 
     def test_marginal_moments_monte_carlo(self):
         kernel = ExpSumKernel([1.0, 1.0], [0.7, 4.0])

@@ -239,14 +239,17 @@ class TestJointCovariance:
             assert self_product == full_matrix_fsum(k.weights, gram)
 
     def test_phi_in_place(self):
-        from rvol.kernel import _phi
+        # at t = 1 the Gram entry t phi(s t) is phi(s) itself
+        from rvol.kernel import _gram_of_sums
 
         x = np.array([0.0, 1e-300, 1e-8, 0.5, 3.0, 800.0, np.inf])
-        want = _phi(x.copy())
+        want = _gram_of_sums(x.copy(), 1.0)
         assert want[0] == 1.0 and want[-1] == 0.0
-        assert _phi(x, out=x) is x and np.array_equal(x, want)
-        scalar = _phi(0.25)
+        assert _gram_of_sums(x, 1.0) is x and np.array_equal(x, want)
+        scalar = _gram_of_sums(np.array(0.25), 1.0)
         assert scalar.shape == () and scalar == -math.expm1(-0.25) / 0.25
+        # the zero rate sum's entry is t, exactly
+        assert _gram_of_sums(np.zeros(2), 0.041).tolist() == [0.041, 0.041]
 
     def test_zero_rate_limit(self):
         spec = RoughKernelSpec(0.3)

@@ -138,6 +138,14 @@ class TestCounterRng:
         top = rng.normals_block(2**64 - 2, 2**64, 1, 1)
         assert top.shape == (2, 1, 1) and np.all(np.isfinite(top))
 
+    def test_seed_must_be_an_integer(self):
+        # int() would draw seed 1's stream for 1.9 and for True
+        for seed in (1.9, 2.0, True):
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                CounterRng(seed)
+        want = CounterRng(7).normals_block(0, 5, 3, 2)
+        assert np.array_equal(CounterRng(np.int64(7)).normals_block(0, 5, 3, 2), want)
+
     @pytest.mark.parametrize(
         "lo, hi, match",
         [
