@@ -314,7 +314,7 @@ def simulate_bergomi(
     z_perp = normals[:, :, 1].T
     for k in range(grid.N):
         prices.step(k, variance[k], dw[k], z_perp[k])
-    return HestonPaths(log_price=prices.path.T, variance=variance.T)
+    return HestonPaths(log_price=prices.finish(), variance=variance.T)
 
 
 _SQRT2 = math.sqrt(2.0)

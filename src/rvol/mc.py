@@ -20,21 +20,26 @@ array is formed. Callers may equally pass C-ordered arrays of the same
 shapes, at the cost of one transposing copy. When only prices are
 needed (:meth:`HestonModel.simulate`), the engines run with
 ``prices_only=True`` and keep each state in two rows, used in turn;
-the direct engines then keep their history of step terms in the rows
-of the normals they have read, so ``simulate`` consumes its normals.
-A run's set-up is one :class:`Plan`, built before its first draw.
-:func:`simulate_stats` splits a run into path slices of ``_SLICE``
-paths within each ``_BLOCK``-path block, runs them in order or on its
-worker pool, and each slice draws its own normals and only simulates:
-so a slice holds its (slice, N, comps) normals, the (N+1, slice) log
-price and the (n, slice) factors of a factor scheme; a direct scheme
-holds nothing more than its normals and its log price.
+every engine then keeps its log price in the rows of normals it has
+read, z's last row and z_perp's rows, and the direct engines their
+history of step terms in the rows of z, so ``simulate`` consumes z and
+z_perp. A run's set-up is one :class:`Plan`, built before its first
+draw. :func:`simulate_stats` splits a run into path slices of
+``_SLICE`` paths within each ``_BLOCK``-path block and runs them in
+order or on its worker pool. Each worker holds one workspace for the
+whole run, an anonymous mapping as large as the widest slice's
+normals; every slice draws its normals into it and only simulates. So
+a slice holds its (slice, N, comps) normals and, for a factor scheme,
+the (n, slice) factors; a direct scheme holds nothing more than its
+normals.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import mmap
+import queue
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -100,6 +105,33 @@ _SLICE = 4096
 _CHUNK = 16384
 
 
+def _workspace_view(out, shape) -> np.ndarray:
+    """The first entries of ``out`` as a C-ordered array of ``shape``, checked."""
+    size = math.prod(shape)
+    if not isinstance(out, np.ndarray) or out.dtype != np.float64:
+        raise ValueError(f"out must be a float64 array, got {getattr(out, 'dtype', type(out))}")
+    if not (out.flags.c_contiguous and out.flags.writeable):
+        raise ValueError("out must be C-contiguous and writeable")
+    if out.size < size:
+        raise ValueError(f"out holds {out.size} entries; the draw needs {size}")
+    return out.reshape(-1)[:size].reshape(shape)
+
+
+def _workspace(entries: int) -> np.ndarray:
+    """A flat float64 array of ``entries`` in an anonymous private mapping.
+
+    Unlike a freed heap buffer, which the allocator may keep, the
+    mapping goes back to the system once the last view of it is gone.
+    It is advised for huge pages, as numpy advises its own large arrays,
+    so that a run faults its pages in 2 MiB pieces where it can.
+    """
+    flags = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
+    mapping = mmap.mmap(-1, 8 * entries, **flags)
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        mapping.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(mapping, dtype=np.float64)
+
+
 def _mix_scalar(x: int) -> int:
     x &= _MASK
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
@@ -134,7 +166,7 @@ class CounterRng:
         keys = np.uint64(self._base) ^ (counter * np.uint64(_KEY_SALT))
         return _mix_inplace(keys, np.empty_like(keys))
 
-    def normals_block(self, lo: int, hi: int, n_steps: int, n_comp: int):
+    def normals_block(self, lo: int, hi: int, n_steps: int, n_comp: int, *, out=None):
         """Standard normals of paths [lo, hi), shape (hi - lo, n_steps, n_comp).
 
         The result is a transposed view of a C-ordered (n_comp, n_steps,
@@ -142,7 +174,9 @@ class CounterRng:
         ``normals[:, :, c].T`` a C-ordered (n_steps, paths) array.
         ``lo`` and ``hi`` are integers with ``0 <= lo < hi <= 2**64``. The
         one hash whose uniform would round to 1 draws the largest uniform
-        below 1, so every normal is finite.
+        below 1, so every normal is finite. ``out``, a writeable
+        C-contiguous float64 array of at least that many entries, holds
+        the buffer in its first entries; None allocates one.
         """
         if n_comp >= _COMP_STRIDE:
             raise ValueError(f"at most {_COMP_STRIDE - 1} components per step")
@@ -152,7 +186,8 @@ class CounterRng:
         keys = self._keys(n_steps, n_comp).reshape(-1, 1)
         offsets = np.arange(lo, hi, dtype=np.uint64) * _GOLDEN
         n_paths = offsets.size
-        out = np.empty((n_comp, n_steps, n_paths))
+        shape = (n_comp, n_steps, n_paths)
+        out = np.empty(shape) if out is None else _workspace_view(out, shape)
         rows = out.reshape(-1, n_paths)
         # each chunk is a (row_step, col_step) tile of at most _CHUNK entries
         col_step = max(1, min(n_paths, _CHUNK))
@@ -334,8 +369,10 @@ class HestonModel:
     def simulate(self, plan: Plan, normals: np.ndarray) -> PathStats:
         """Terminal and running-max prices from (paths, N, comps) normals.
 
-        Consumes ``normals``: the direct schemes keep their history of
-        step terms in the rows of its first component once read (see
+        Consumes the first two components, z and z_perp, of step-major
+        ``normals`` (the layout of :meth:`CounterRng.normals_block`): the
+        log price takes over z's last row and z_perp's rows once read,
+        and the direct schemes' history of step terms the rows of z (see
         :func:`rvol.schemes.heston_volterra_euler`). Pass a copy to reuse them.
         """
         return _path_stats(self._run_engine(plan, normals, prices_only=True))
@@ -427,24 +464,36 @@ def simulate_stats(plan: Plan, cfg: McConfig) -> PathStats:
 
     The run's paths split into the slices of :func:`_path_slices`, whose
     draws depend only on the seed and the global path indices. Each
-    slice draws its own normals and runs the plan's descriptor on them,
-    so both the normals and the engines' state scale with the slice.
-    Several workers may run the slices, each writing its own path range,
-    so the result is bit-identical for any worker count.
+    slice draws its normals into a workspace and runs the plan's
+    descriptor on them, so both the normals and the engines' state
+    scale with the slice. Several workers may run the slices, each
+    writing its own path range, so the result is bit-identical for any
+    worker count. The min(workers, slices) workspaces, each as large as
+    the widest slice's normals, pass from slice to slice through a
+    queue, and are unmapped when the run ends.
     """
     model, grid = plan.model, plan.grid
     rng = CounterRng(cfg.seed)
     terminal = np.empty(cfg.paths)
     running_max = np.empty(cfg.paths)
 
-    def run_slice(bounds):
-        # the slice's normals die with this call, before the next slice draws
-        lo, hi = bounds
-        stats = model.simulate(plan, rng.normals_block(lo, hi, grid.N, plan.comps))
-        terminal[lo:hi] = stats.terminal
-        running_max[lo:hi] = stats.running_max
-
     slices = _path_slices(cfg.paths)
+    entries = plan.comps * grid.N * max(hi - lo for lo, hi in slices)
+    workspaces = queue.SimpleQueue()
+    for _ in range(min(cfg.workers, len(slices))):
+        workspaces.put(_workspace(entries))
+
+    def run_slice(bounds):
+        lo, hi = bounds
+        workspace = workspaces.get()
+        try:
+            normals = rng.normals_block(lo, hi, grid.N, plan.comps, out=workspace)
+            stats = model.simulate(plan, normals)
+            terminal[lo:hi] = stats.terminal
+            running_max[lo:hi] = stats.running_max
+        finally:
+            workspaces.put(workspace)
+
     if cfg.workers == 1 or len(slices) == 1:
         for bounds in slices:
             run_slice(bounds)

@@ -29,9 +29,14 @@ of ``_BLOCK`` steps: every step adds a near window (the block's step
 terms against the first ``_BLOCK`` kernel lags), and the far memory
 enters once per block as one matrix product with the (n, paths)
 factors or the (N, paths) history of step terms. With
-``prices_only=True`` the direct engines keep that history in the rows
-of their ``z`` normals, each row once its step has read it, when they
-may overwrite them (:func:`_spent_rows`).
+``prices_only=True`` the engines keep what they write in normals they
+have read, when they may overwrite them (:func:`_spent_rows`): the
+direct engines their history in the rows of ``z``, and every engine
+its (N+1, paths) log price in z's last row and the N rows of
+``z_perp``, where these follow z's rows in one buffer, as in the
+(comps, N, paths) block of ``normals_block``. Step k writes row k+1
+of the log price once it has read z_perp_k, and row 0 is written after
+the loop, once no step reads z's last row or the history row it holds.
 The factor engines keep the block's step terms in one (``_BLOCK``,
 paths) array and first fold them into the factors, a group of factor
 rows at a time through the spent output block, so every product runs
@@ -269,20 +274,46 @@ def _check_normals(grid: GridSpec, *arrays):
     return [r if r[0].flags.c_contiguous else np.ascontiguousarray(r) for r in rows]
 
 
-def _spent_rows(prices_only: bool, z, *others):
-    """``z`` itself, when a direct engine may keep its history in its rows; else None.
+def _spent_rows(prices_only: bool, parts, *others):
+    """One view of the rows of ``parts`` in turn, when an engine may overwrite them; else None.
 
-    The step loops are done with row k of ``z`` when they ask for history
-    row k, so with ``prices_only=True`` the history takes over the
-    normals. Only rows the engine may overwrite qualify: writeable, not
-    overlapping each other and sharing no memory with the other normals.
-    A full run keeps its inputs untouched.
+    The step loops are done with a row of normals before they write to
+    it, so with ``prices_only=True`` the direct engines' history takes
+    over the rows of ``z`` and every engine's log price takes over z's
+    last row and the rows of ``z_perp``. Only rows the engine may
+    overwrite qualify: writeable, each part's rows directly following
+    the last part's in one buffer with equal strides, not overlapping
+    each other and sharing no memory with the ``others``. A full run
+    keeps its inputs untouched.
     """
-    distinct = abs(z.strides[0]) >= z.shape[1] * z.itemsize
-    if prices_only and z.flags.writeable and distinct:
-        if not any(np.may_share_memory(z, other) for other in others):
-            return z
-    return None
+    if not prices_only:
+        return None
+    head = parts[0]
+    root, address = _root(head), _address(head)
+    for part in parts:
+        follows = _address(part) == address and _root(part) is root
+        if not (follows and part.strides == head.strides and part.flags.writeable):
+            return None
+        address += part.shape[0] * part.strides[0]
+    rows = np.lib.stride_tricks.as_strided(
+        head, (sum(len(part) for part in parts), head.shape[1]), head.strides
+    )
+    if abs(rows.strides[0]) < rows.shape[1] * rows.itemsize:  # rows overlap
+        return None
+    if any(np.may_share_memory(rows, other) for other in others):
+        return None
+    return rows
+
+
+def _root(arr: np.ndarray) -> np.ndarray:
+    """The array at the bottom of ``arr``'s chain of views."""
+    while isinstance(arr.base, np.ndarray):
+        arr = arr.base
+    return arr
+
+
+def _address(arr: np.ndarray) -> int:
+    return arr.__array_interface__["data"][0]
 
 
 _BLOCK = 16  # steps per block of the step loop (16/32/64 sweep: see CHANGES.md)
@@ -406,14 +437,18 @@ class _LogPrice:
     -V_j dt / 2 + sqrt(V_j) (rho dW_j + rho_perp dW_perp_j), V_j >= 0,
     where dW_perp_j = sqrt(dt) z_perp_j is formed here from its normal.
     The integrated engines form their own rows from ``log_s0`` and ``rho_perp``.
+    ``path`` is the (N+1, paths) array to write into, None allocating
+    one; the Heston engines pass the spent rows of z's last row and
+    z_perp (:func:`_spent_rows`) when they may. Step k writes row k+1
+    after it has read z_perp_k, and row 0, log S0, is written last, by
+    :meth:`finish`, once no step reads z's last row.
     """
 
-    def __init__(self, params, grid: GridSpec, n_paths: int):
+    def __init__(self, params, grid: GridSpec, n_paths: int, path=None):
         self.log_s0, self.rho = math.log(params.S0), params.rho
         self.rho_perp = math.sqrt(1.0 - params.rho * params.rho)
         self.sqrt_dt, self.half_dt = math.sqrt(grid.dt), -0.5 * grid.dt
-        self.path = np.empty((grid.N + 1, n_paths))
-        self.path[0] = self.log_s0
+        self.path = np.empty((grid.N + 1, n_paths)) if path is None else path
         self.total, self.vol, self.mix, self.shock = (np.zeros(n_paths) for _ in range(4))
 
     def step(self, k: int, variance, dw, z_perp) -> np.ndarray:
@@ -431,6 +466,11 @@ class _LogPrice:
         np.add(self.total, self.log_s0, out=self.path[k + 1])
         return vol
 
+    def finish(self) -> np.ndarray:
+        """Write row 0 after the step loop; return the (paths, N+1) log price."""
+        self.path[0] = self.log_s0
+        return self.path.T
+
 
 def _heston_variance(params, grid, memory, z, z_perp, prices_only, exact=None) -> HestonPaths:
     """Step loop of the variance engines, which differ only in their memory.
@@ -441,14 +481,17 @@ def _heston_variance(params, grid, memory, z, z_perp, prices_only, exact=None) -
     exact last step (theta - lam V_k^+) drift_weight + sigma sqrt(V_k^+)
     d_frac_k, with d_frac_k = l21 z_k + l22 z_frac_k, to the far part of
     the convolution before its near window. The log price is the
-    :class:`_LogPrice` of V^+. V_k lives in row k % R of R = N+1 rows, or
-    of R = 2 with ``prices_only``. Step k reads z_k before
-    ``memory.term(k)``, so a direct memory may keep S_k in row k of ``z``.
+    :class:`_LogPrice` of V^+, kept in spent normals when it may be. V_k
+    lives in row k % R of R = N+1 rows, or of R = 2 with ``prices_only``.
+    Step k reads z_k before ``memory.term(k)``, so a direct memory may
+    keep S_k in row k of ``z``.
     """
     n_paths = z.shape[1]
     variance = np.empty((2 if prices_only else grid.N + 1, n_paths))
     variance[0] = params.V0
-    prices = _LogPrice(params, grid, n_paths)
+    z_frac = () if exact is None else (exact[3],)
+    path = _spent_rows(prices_only, (z[-1:], z_perp), *z_frac)
+    prices = _LogPrice(params, grid, n_paths, path)
     dw, shock, d_frac = (np.empty(n_paths) for _ in range(3))
     for k in range(grid.N):
         np.multiply(z[k], prices.sqrt_dt, out=dw)
@@ -472,7 +515,7 @@ def _heston_variance(params, grid, memory, z, z_perp, prices_only, exact=None) -
         np.multiply(vol, dw, out=shock)
         step += shock
         np.add(memory.convolve(k), params.V0, out=variance[(k + 1) % len(variance)])
-    return HestonPaths(log_price=prices.path.T, variance=None if prices_only else variance.T)
+    return HestonPaths(log_price=prices.finish(), variance=None if prices_only else variance.T)
 
 
 def heston_volterra_euler(
@@ -486,16 +529,19 @@ def heston_volterra_euler(
     ``z`` and ``z_perp`` are (paths, N) standard normals; step k's
     Brownian increments are sqrt(dt) z_k and sqrt(dt) z_perp_k.
     ``prices_only=True`` keeps the variance in two rows, used in turn,
-    and returns ``variance=None``; it also consumes ``z``: the (N, paths)
-    history of step terms takes over the rows of ``z`` when they are
-    writeable, do not overlap and share no memory with ``z_perp``, and
-    else gets an array of its own. A step-major ``z`` (the layout of
-    :meth:`rvol.mc.CounterRng.normals_block`) is then overwritten; any
-    other layout is copied first, so the caller's array is kept. A full
-    run leaves its normals untouched.
+    and returns ``variance=None``; it also consumes ``z`` and ``z_perp``:
+    the (N, paths) history of step terms takes over the rows of ``z``
+    when they are writeable, do not overlap and share no memory with
+    ``z_perp``, and the (N+1, paths) log price z's last row and the rows
+    of ``z_perp`` when these follow z's rows in one writeable buffer with
+    equal strides; each else gets an array of its own. Step-major normals
+    (the layout of :meth:`rvol.mc.CounterRng.normals_block`) are then
+    overwritten, and the returned log price is a view of them; any other
+    layout is copied first, so the caller's arrays are kept. A full run
+    leaves its normals untouched.
     """
     z, z_perp = _check_normals(grid, z, z_perp)
-    history = _spent_rows(prices_only, z, z_perp)
+    history = _spent_rows(prices_only, (z,), z_perp)
     memory = _HistoryMemory(_kernel_table(kernel, grid), z.shape[1], history)
     return _heston_variance(params, grid, memory, z, z_perp, prices_only)
 
@@ -515,7 +561,8 @@ def heston_multifactor_euler(
     share the common drift/diffusion term evaluated at the aggregated
     variance's positive part. Pass an already truncated kernel to drop
     factors that vanish within one time step. Normals and
-    ``prices_only`` as in :func:`heston_volterra_euler`.
+    ``prices_only`` as in :func:`heston_volterra_euler`, but with no
+    history: ``prices_only`` consumes z's last row and ``z_perp`` only.
     """
     z, z_perp = _check_normals(grid, z, z_perp)
     memory = _expsum_memory(kernel, grid, z.shape[1])
@@ -555,7 +602,7 @@ def heston_hybrid_multifactor(
     :func:`hybrid_step_covariance`. So (dW, d_frac) has that joint law
     whenever ``z_frac``, a third (paths, N) array of standard normals, is
     independent of ``z``. Normals and ``prices_only`` as in
-    :func:`heston_volterra_euler`.
+    :func:`heston_multifactor_euler`; ``z_frac`` is never overwritten.
 
     Its raw variance goes far below zero on coarse steps, further than
     the direct scheme's (see :class:`HestonPaths`); prices read V^+.
@@ -591,13 +638,14 @@ def _integrated_loop(params, grid, memory, z, z_perp, prices_only, runmax) -> In
     X^+ being the running max of X (``runmax``) or its positive part; M and
     M_perp grow by sqrt(increase of max X) times z and z_perp. Raw X_k,
     never returned, lives in row k % 2 of two rows; its running max in row
-    k % R of R = N+1 rows, or of R = 2 with ``prices_only``.
+    k % R of R = N+1 rows, or of R = 2 with ``prices_only``. The log
+    price is kept as :func:`_heston_variance` keeps it.
     """
     p, dt = params, grid.dt
     n_paths = z.shape[1]
     raw = np.zeros((2, n_paths))
     clamped = np.zeros((2 if prices_only else grid.N + 1, n_paths))
-    prices = _LogPrice(p, grid, n_paths)
+    prices = _LogPrice(p, grid, n_paths, _spent_rows(prices_only, (z[-1:], z_perp)))
     log_s0, rho_perp, log_price = prices.log_s0, prices.rho_perp, prices.path
     mart, mart_perp, inc, tmp, z_k = (np.zeros(n_paths) for _ in range(5))
     for k in range(grid.N):
@@ -631,7 +679,7 @@ def _integrated_loop(params, grid, memory, z, z_perp, prices_only, runmax) -> In
         np.multiply(mart_perp, rho_perp, out=tmp)
         lp += tmp
     return IntegratedPaths(
-        log_price=log_price.T, integrated_variance=None if prices_only else clamped.T
+        log_price=prices.finish(), integrated_variance=None if prices_only else clamped.T
     )
 
 
@@ -653,8 +701,8 @@ def heston_integrated_volterra(
     reads the running maximum of X. ``kernel`` as in
     :func:`heston_volterra_euler`; ``prices_only=True`` keeps the running
     maximum of X in two rows, used in turn, returns
-    ``integrated_variance=None`` and consumes ``z`` as
-    :func:`heston_volterra_euler` does, its history taking over the rows.
+    ``integrated_variance=None`` and consumes ``z`` and ``z_perp`` as
+    :func:`heston_volterra_euler` does.
 
     The scheme is chaotic on fine grids: at N = 640, a one-ulp change of
     every input normal moved an 8192-path call price by about 3e-3
@@ -663,7 +711,7 @@ def heston_integrated_volterra(
     bit-identity.
     """
     z, z_perp = _check_normals(grid, z, z_perp)
-    history = _spent_rows(prices_only, z, z_perp)
+    history = _spent_rows(prices_only, (z,), z_perp)
     memory = _HistoryMemory(_kernel_table(kernel, grid), z.shape[1], history)
     return _integrated_loop(params, grid, memory, z, z_perp, prices_only, runmax=True)
 
@@ -683,7 +731,7 @@ def heston_integrated_multifactor(
     with the history sums replaced by damped factor recursions. The mean
     reversion reads the positive part of the aggregated state, not the
     running maximum of the direct scheme. ``prices_only`` as in
-    :func:`heston_integrated_volterra`.
+    :func:`heston_multifactor_euler`.
 
     The scheme is chaotic on fine grids: at N = 640, a one-ulp change of
     every input normal moved an 8192-path call price by about 8e-2

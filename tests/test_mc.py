@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 from collections import Counter
 from unittest import mock
 
@@ -9,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
-from rvol import mc
+from rvol import mc, schemes
 from rvol.bergomi import BergomiParams
 from rvol.mc import (
     BergomiModel,
@@ -176,6 +180,147 @@ class TestCounterRng:
             CounterRng(9).normals_block(lo, hi, 3, 2)
 
 
+@pytest.fixture
+def mapped(monkeypatch):
+    """Entry counts of the workspaces mapped, seen by a spy on ``mc._workspace``."""
+    sizes = []
+    make = mc._workspace
+
+    def spy(entries):
+        sizes.append(entries)
+        return make(entries)
+
+    monkeypatch.setattr(mc, "_workspace", spy)
+    return sizes
+
+
+class TestWorkspace:
+    """A run draws every slice into one mapped workspace per worker."""
+
+    @pytest.mark.parametrize("workspace", [np.empty, mc._workspace], ids=["heap", "mapped"])
+    def test_drawn_into_out_the_same_bits(self, workspace):
+        rng = CounterRng(21)
+        out = workspace(3 * 5 * 40 + 7)
+        out[:] = np.nan
+        got = rng.normals_block(10, 50, 5, 3, out=out)
+        assert np.array_equal(got, rng.normals_block(10, 50, 5, 3))
+        assert np.shares_memory(got, out) and got[:, :, 1].T.flags.c_contiguous
+        assert np.isnan(out[3 * 5 * 40 :]).all()  # only the first entries are written
+
+    @pytest.mark.parametrize(
+        "make_out, match",
+        [
+            (lambda n: np.empty(n - 1), "holds 59 entries; the draw needs 60"),
+            (lambda n: np.empty(n).reshape(2, -1)[:, ::2], "C-contiguous and writeable"),
+            (lambda n: np.empty(2 * n)[::2], "C-contiguous and writeable"),
+            (lambda n: np.frombuffer(bytes(8 * n)), "C-contiguous and writeable"),
+            (lambda n: np.empty(n, dtype=np.float32), "float64 array, got float32"),
+            (lambda n: np.empty(n, dtype=np.int64), "float64 array, got int64"),
+            (lambda n: bytearray(8 * n), "float64 array, got <class 'bytearray'>"),
+        ],
+        ids=["small", "strided-2d", "strided", "read-only", "float32", "int64", "not-an-array"],
+    )
+    def test_rejects_a_bad_out(self, make_out, match):
+        with pytest.raises(ValueError, match=match):
+            CounterRng(2).normals_block(0, 10, 3, 2, out=make_out(60))
+
+    @pytest.mark.parametrize(
+        "paths, workers, count",
+        [(2 * mc._SLICE, 8, 2), (2 * mc._SLICE, 1, 1), (mc._BLOCK + 5, 3, 3), (100, 4, 1)],
+    )
+    def test_one_workspace_per_worker(self, mapped, paths, workers, count):
+        # at most min(workers, slices), each as wide as the widest slice
+        plan = HestonModel("volterra").plan(GridSpec(T=1.0, N=3))
+        mc.simulate_stats(plan, McConfig(paths=paths, seed=0, workers=workers))
+        widest = max(hi - lo for lo, hi in mc._path_slices(paths))
+        assert mapped == [plan.comps * 3 * widest] * count
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_pooled_runs_share_workspaces_to_the_same_bits(self, mapped, workers):
+        # two slices drawing into one workspace at once would mix their
+        # normals; a short switch interval makes the threads interleave
+        grid = GridSpec(T=1.0, N=5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for model in (HestonModel("volterra"), HestonModel("hybrid"), BergomiModel("exact")):
+                plan = model.plan(grid)
+                serial = mc.simulate_stats(plan, McConfig(paths=mc._BLOCK + 5, seed=4))
+                cfg = McConfig(paths=mc._BLOCK + 5, seed=4, workers=workers)
+                pooled = mc.simulate_stats(plan, cfg)
+                assert np.array_equal(serial.terminal, pooled.terminal)
+                assert np.array_equal(serial.running_max, pooled.running_max)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(mapped) == 3 * (1 + workers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_failing_slice_hands_its_workspace_back(self, monkeypatch, workers):
+        # otherwise a pool whose slices all fail would wait for a
+        # workspace forever
+        import queue
+        import threading
+        from types import SimpleNamespace
+
+        made = []
+
+        def recorded():
+            made.append(queue.SimpleQueue())
+            return made[-1]
+
+        simulate, lock, failed = HestonModel.simulate, threading.Lock(), []
+
+        def fail_first(self, plan, normals):
+            with lock:
+                first = not failed
+                failed.append(first)
+            if first:
+                raise ValueError("slice failed")
+            return simulate(self, plan, normals)
+
+        monkeypatch.setattr(mc, "queue", SimpleNamespace(SimpleQueue=recorded))
+        monkeypatch.setattr(HestonModel, "simulate", fail_first)
+        plan = HestonModel("volterra").plan(GridSpec(T=1.0, N=2))
+        with pytest.raises(ValueError, match="slice failed"):
+            mc.simulate_stats(plan, McConfig(paths=mc._BLOCK, seed=0, workers=workers))
+        assert made[0].qsize() == workers
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB on Linux")
+    @pytest.mark.parametrize("scheme", ["volterra", "multifactor-truncated"])
+    def test_fine_grid_peak_rss(self, scheme):
+        # a price() of two 4096-path slices at N = 640 in a fresh
+        # interpreter, BLAS pinned: after a 64-path warm-up (imports, the
+        # kernel, BLAS buffers), the high-water mark grows by the one
+        # mapped workspace and the factor state, not by a slice's normals
+        # plus its (N+1, slice) log price, nor by heap the allocator keeps
+        # after a slice (engines with an (N+1, slice) log price of their own
+        # and normals on the heap grew by 60-62 MiB here)
+        script = f"""
+import resource
+from rvol.mc import HestonModel, McConfig, euro_call, price
+from rvol.schemes import GridSpec
+model, grid = HestonModel({scheme!r}), GridSpec(T=1.0, N=640)
+price(model, euro_call(1.0), grid, McConfig(paths=64, seed=1))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+price(model, euro_call(1.0), grid, McConfig(paths=8192, seed=1))
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(after - before, getattr(model.plan(grid).kernel, "n", 0))
+"""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(mc.__file__)))
+        pinned = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+        env = dict(os.environ, PYTHONPATH=src, **pinned)
+        run = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        growth_kib, n = map(int, run.stdout.split())
+        workspace = 8 * 2 * 640 * mc._SLICE
+        factor_state = 8 * (n + 2 * schemes._BLOCK) * mc._SLICE
+        slack = 4 * 2**20  # (slice,) scratch rows, the run's results, interpreter noise
+        assert 1024 * growth_kib <= workspace + factor_state + slack, (
+            f"grew {growth_kib / 1024:.1f} MiB; workspace {workspace / 2**20:.1f} MiB"
+        )
+
+
 class TestPrice:
     def test_deterministic_given_seed(self):
         model = HestonModel(scheme="multifactor-truncated")
@@ -297,6 +442,41 @@ class TestNonFinitePayoffs:
         with pytest.raises(ValueError, match=rf"heston:{scheme}\|euro_call\(1.0\): 64 of 64"):
             price(HestonModel(scheme), euro_call(1.0), GridSpec(T=1e5, N=4), cfg)
 
+    @settings(max_examples=120, deadline=None)
+    @given(
+        scheme=st.sampled_from(mc.HESTON_SCHEMES),
+        kind=st.sampled_from(mc._PAYOFF_KINDS),
+        hurst=st.floats(0.001, 0.4999),
+        T=st.floats(1e-4, 30.0),
+        N=st.integers(1, 16),
+        params=st.builds(
+            HestonParams,
+            V0=st.floats(0.0, 1.0),
+            theta=st.floats(0.0, 1.0),
+            lam=st.floats(0.0, 5.0),
+            sigma=st.floats(0.0, 2.0),
+            rho=st.floats(-1.0, 1.0),
+            S0=st.floats(1e-3, 1e3),
+        ),
+        moneyness=st.floats(-6.0, 6.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_report_is_finite_or_fails_by_name(
+        self, scheme, kind, hurst, T, N, params, moneyness, seed
+    ):
+        # across the parameters' edges and strikes 1e-6 to 1e6 times the
+        # spot, price() reports finite numbers or raises a ValueError that
+        # names the run and its non-finite or zero prices or payoffs
+        model = HestonModel(scheme, params, hurst=hurst)
+        payoff = mc.Payoff(kind, params.S0 * 10.0**moneyness)
+        try:
+            report = price(model, payoff, GridSpec(T=T, N=N), McConfig(paths=64, seed=seed))
+        except ValueError as exc:
+            assert str(exc).startswith(mc._label(model, payoff) + ": "), str(exc)
+            assert re.search("(prices are 0 or|payoff values are) not finite", str(exc))
+            return
+        assert math.isfinite(report.mean) and math.isfinite(report.half_width_95)
+
     def test_price_raises(self):
         cfg = McConfig(paths=100, seed=0)
         with pytest.raises(ValueError, match=r"stub:nan\|euro_call"):
@@ -356,7 +536,7 @@ class TestInputValidation:
     )
     def test_bad_payoff_raises_before_any_draw(self, monkeypatch, make_payoff):
         # both once simulated every path before raising
-        def no_draws(self, *args):
+        def no_draws(self, *args, **kwargs):
             raise AssertionError("drew normals for an invalid payoff")
 
         monkeypatch.setattr(CounterRng, "normals_block", no_draws)
@@ -370,9 +550,9 @@ def draws(monkeypatch):
     shapes = []
     draw = CounterRng.normals_block
 
-    def spy(self, lo, hi, n_steps, n_comp):
+    def spy(self, lo, hi, n_steps, n_comp, *, out=None):
         shapes.append((hi - lo, n_steps, n_comp))
-        return draw(self, lo, hi, n_steps, n_comp)
+        return draw(self, lo, hi, n_steps, n_comp, out=out)
 
     monkeypatch.setattr(CounterRng, "normals_block", spy)
     return shapes
@@ -702,13 +882,16 @@ class TestStreamedHestonPricing:
         assert paths.log_price[0, -1] == self.GOLDEN_ONE_PATH[scheme]
 
     @pytest.mark.parametrize("scheme", mc.HESTON_SCHEMES)
-    def test_pricing_peak_memory(self, scheme):
-        # each engine call holds its (paths, N, comps) normals, the
-        # (N+1, paths) log price, the (n, paths) factors of a factor
-        # scheme, and rows of (paths,) scratch: a direct scheme keeps its
-        # history of step terms in the rows of its normals, with at most
-        # one scratch row more; 4096 paths run as one call, a full block
-        # through simulate_stats in slices that each draw their own normals
+    def test_pricing_peak_memory(self, mapped, scheme):
+        # each engine call holds its (paths, N, comps) normals, the (n,
+        # paths) factors of a factor scheme, the memory's (_BLOCK, paths)
+        # output block and a factor memory's block of step terms, and rows
+        # of (paths,) scratch: a direct scheme keeps its history of step
+        # terms, and every scheme its log price, in the rows of its
+        # normals; 4096 paths run as one call on normals of their own, a
+        # full block through simulate_stats in slices that each draw into
+        # the run's one workspace, an anonymous mapping that tracemalloc
+        # does not see, so it is counted from its size
         import tracemalloc
 
         grid = GridSpec(T=1.0, N=160)
@@ -718,20 +901,24 @@ class TestStreamedHestonPricing:
         rng = CounterRng(3)
         # keep first-call allocations out of the measured peak
         model.simulate(plan, rng.normals_block(0, 8, grid.N, comps))
-        state_rows = kernel.n if hasattr(kernel, "n") else 1
+        state_rows = (kernel.n if hasattr(kernel, "n") else 1) + 2 * schemes._BLOCK
         runs = {
             4096: lambda: model.simulate(plan, rng.normals_block(0, 4096, grid.N, comps)),
             mc._BLOCK: lambda: mc.simulate_stats(plan, McConfig(paths=mc._BLOCK, seed=3)),
         }
         mib = 2.0**20
         for paths, run in runs.items():
-            budget = 8 * min(paths, mc._SLICE) * (grid.N * comps + grid.N + 1 + state_rows)
+            width = min(paths, mc._SLICE)
+            budget = 8 * width * (grid.N * comps + state_rows)
+            mapped.clear()
             tracemalloc.start()
             try:
                 run()
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
+            assert mapped == ([] if paths == 4096 else [grid.N * comps * width])
+            peak += 8 * sum(mapped)
             assert peak <= 1.15 * budget, (
                 f"{paths} paths: peak {peak / mib:.1f} MiB, budget {budget / mib:.1f} MiB"
             )
@@ -812,13 +999,14 @@ class TestSlicedPricing:
         assert engine_calls == widths
 
     @pytest.mark.parametrize("mode", mc.BERGOMI_MODES)
-    def test_bergomi_peak_memory(self, mode):
-        # one slice at a time holds its (slice, N, comps) normals and the
-        # sampler's state: the three (n, slice) factor rows of the
-        # multifactor mode or the (2N, slice) joint sample and its input
-        # of the exact mode, plus four (N+1, slice) path arrays (increments,
-        # factor sums, variance, log price): the variance is exponentiated
-        # in place
+    def test_bergomi_peak_memory(self, mapped, mode):
+        # one slice at a time holds its (slice, N, comps) normals, drawn
+        # into the run's one mapped workspace (counted from its size, as
+        # tracemalloc does not see it), and the sampler's state: the three
+        # (n, slice) factor rows of the multifactor mode or the (2N, slice)
+        # joint sample and its input of the exact mode, plus four (N+1,
+        # slice) path arrays (increments, factor sums, variance, log
+        # price): the variance is exponentiated in place
         import tracemalloc
 
         grid = GridSpec(T=0.041, N=20)
@@ -827,12 +1015,15 @@ class TestSlicedPricing:
         mc.simulate_stats(plan, McConfig(paths=8, seed=3))
         sampler_rows = 4 * grid.N if plan.kernel is None else 3 * plan.kernel.n
         budget = 8 * mc._SLICE * (grid.N * plan.comps + sampler_rows + 4 * (grid.N + 1))
+        mapped.clear()
         tracemalloc.start()
         try:
             mc.simulate_stats(plan, McConfig(paths=mc._BLOCK, seed=3))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert mapped == [grid.N * plan.comps * mc._SLICE]
+        peak += 8 * sum(mapped)
         mib = 2.0**20
         assert peak <= 1.15 * budget, f"peak {peak / mib:.1f} MiB, budget {budget / mib:.1f} MiB"
 

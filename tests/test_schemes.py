@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -824,7 +824,8 @@ class TestStreamedPricing:
     def test_direct_engines_on_step_major_normals(self, engine, case, kernel, seed):
         # the layout of normals_block: (paths, N) views of C-ordered (N,
         # paths) rows, which _check_normals passes uncopied, so with
-        # prices_only the history takes over the rows of z
+        # prices_only the history takes over the rows of z, and the log
+        # price z's last row and the rows of z_perp
         block, grid = case
         params = HestonParams()
         drawn = np.random.default_rng(seed).standard_normal((2, grid.N, 5))
@@ -833,8 +834,9 @@ class TestStreamedPricing:
             full = engine(params, kernel, grid, *copy.transpose(0, 2, 1))
             priced = engine(params, kernel, grid, *drawn.transpose(0, 2, 1), prices_only=True)
         assert np.array_equal(priced.log_price, full.log_price)
-        assert np.array_equal(copy[1], drawn[1])  # a full run keeps its normals
         assert not np.array_equal(copy[0], drawn[0])  # the history took over z
+        spent = drawn.reshape(2 * grid.N, 5)[grid.N - 1 :]
+        assert np.array_equal(spent, priced.log_price.T)  # and the log price z_perp
 
     @pytest.mark.parametrize("engine", DIRECT_ENGINES)
     @pytest.mark.parametrize("case", ["aliased", "read-only", "overlapping"])
@@ -865,3 +867,78 @@ class TestStreamedPricing:
             heston_volterra_euler(params, kern, grid, np.zeros((2, 4)), np.zeros((3, 4)))
         with pytest.raises(ValueError, match="must have shape"):
             heston_volterra_euler(params, kern, grid, np.zeros((2, 5)), np.zeros((2, 5)))
+
+
+HESTON_ENGINES = (
+    "volterra", "multifactor", "hybrid", "integrated-volterra", "integrated-multifactor"
+)
+
+
+def heston_engine(name, kernel, grid, normals, **kw):
+    """The Heston engine ``name`` on (paths, N) normals, three for the hybrid, else two."""
+    params = HestonParams()
+    if name == "hybrid":
+        spec = RoughKernelSpec(0.1)
+        return heston_hybrid_multifactor(params, spec, kernel, grid, *normals, **kw)
+    engine = {
+        "volterra": heston_volterra_euler,
+        "multifactor": heston_multifactor_euler,
+        "integrated-volterra": heston_integrated_volterra,
+        "integrated-multifactor": heston_integrated_multifactor,
+    }[name]
+    return engine(params, kernel, grid, *normals, **kw)
+
+
+class TestLogPriceInSpentRows:
+    """With ``prices_only``, the log price takes over z's last row and z_perp when it may."""
+
+    @pytest.mark.parametrize("name", HESTON_ENGINES)
+    @settings(max_examples=25, deadline=None)
+    @given(case=blocked_grids(), kernel=expsum_kernels(), seed=st.integers(0, 2**32 - 1))
+    @example(case=(1, GridSpec(T=1.0, N=1)), kernel=ExpSumKernel([1.0], [0.5]), seed=0)
+    @example(case=(3, GridSpec(T=1.0, N=1)), kernel=ExpSumKernel([1.0], [0.5]), seed=1)
+    def test_same_bits_as_an_allocated_log_price(self, name, case, kernel, seed):
+        # the step-major layout of normals_block: component c's (N, paths)
+        # rows follow component c-1's in one C-ordered buffer
+        block, grid = case
+        comps = 3 if name == "hybrid" else 2
+        drawn = np.random.default_rng(seed).standard_normal((comps, grid.N, 5))
+        kept = drawn.copy()
+        with mock.patch.object(schemes, "_BLOCK", block):
+            full = heston_engine(name, kernel, grid, drawn.transpose(0, 2, 1))
+            assert np.array_equal(drawn, kept)  # a full run keeps all its normals
+            priced = heston_engine(name, kernel, grid, drawn.transpose(0, 2, 1), prices_only=True)
+        assert np.array_equal(priced.log_price, full.log_price)
+        spent = drawn.reshape(comps * grid.N, 5)[grid.N - 1 : 2 * grid.N]
+        assert np.array_equal(spent, priced.log_price.T)
+        assert np.shares_memory(priced.log_price, drawn)
+        assert np.array_equal(drawn[2:], kept[2:])  # the hybrid's z_frac is untouched
+        if "volterra" not in name:  # the factor engines keep z's other rows
+            assert np.array_equal(drawn[0, :-1], kept[0, :-1])
+
+    @pytest.mark.parametrize("name", HESTON_ENGINES)
+    @pytest.mark.parametrize("case", ["apart", "swapped", "read-only", "aliased"])
+    def test_other_layouts_allocate_it(self, name, case):
+        # z_perp's rows not right after z's (a component between them, or z
+        # after z_perp), read-only normals and z_perp sharing z's rows leave
+        # z_perp untouched and the log price in an array of its own, with
+        # the same bits as private copies
+        kernel, grid = ExpSumKernel([0.9, 0.6, 0.3], [0.2, 3.0, 25.0]), GridSpec(T=1.0, N=40)
+        drawn = np.random.default_rng(5).standard_normal((4, grid.N, 64))
+        if case == "read-only":
+            drawn.setflags(write=False)
+        comps = {
+            "apart": (0, 2, 3),
+            "swapped": (1, 0, 3),
+            "read-only": (0, 1, 2),
+            "aliased": (0, 0, 2),
+        }[case][: 3 if name == "hybrid" else 2]
+        normals = [drawn[c].T for c in comps]
+        private = heston_engine(name, kernel, grid, [n.copy() for n in normals], prices_only=True)
+        kept = drawn.copy()
+        priced = heston_engine(name, kernel, grid, normals, prices_only=True)
+        assert np.array_equal(priced.log_price, private.log_price)
+        assert not np.shares_memory(priced.log_price, drawn)
+        assert np.array_equal(drawn[comps[1]], kept[comps[1]])  # z_perp
+        if case in ("read-only", "aliased"):
+            assert np.array_equal(drawn, kept)
