@@ -11,7 +11,10 @@ integral and the increments, from the law that :func:`sampler_law`
 builds once per run. The compensator is the variance of the law
 sampled, so in both modes the variance is an exponential martingale.
 The multifactor sampler holds two (n, paths) factor states, so its
-memory is O(n paths), not O(N n paths).
+memory is O(n paths), not O(N n paths). When only prices are needed,
+:func:`simulate_bergomi` keeps these states, the factor sums and the
+variance in the rows of the normals that the step law never reads, and
+the log price in the rows of the price normals once read.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 
 from .kernel import ExpSumKernel, RoughKernelSpec, _gram_of_sums
 from .numerics import integrate, psd_factorize, require_finite, require_positive
-from .schemes import GridSpec, HestonPaths, _LogPrice
+from .schemes import GridSpec, HestonPaths, _LogPrice, _spent_rows
 
 __all__ = [
     "BergomiParams",
@@ -109,11 +112,25 @@ def _pair(grid: GridSpec, width: int, normals):
 
 @dataclass(frozen=True)
 class SamplerLaw:
-    """A sampler's law on one grid, from :func:`sampler_law`; its arrays are read-only."""
+    """A sampler's law on one grid, from :func:`sampler_law`; its arrays are read-only.
 
+    ``mode`` is ``"exact"`` or ``"multifactor"``; the samplers raise
+    ``ValueError`` for a law of another grid or mode.
+    """
+
+    grid: GridSpec
+    mode: str
     factor: np.ndarray
     cross: np.ndarray | None = None  # multifactor mode only, as is var
     var: np.ndarray | None = None
+
+    def check(self, grid: GridSpec, mode: str) -> None:
+        """Raise ``ValueError`` naming both grids and modes unless they are the law's."""
+        if (self.grid, self.mode) != (grid, mode):
+            raise ValueError(
+                f"a sampler law built for the {self.mode} mode on {self.grid} "
+                f"cannot sample the {mode} mode on {grid}"
+            )
 
 
 def sampler_law(spec: RoughKernelSpec, kernel: ExpSumKernel | None, grid: GridSpec) -> SamplerLaw:
@@ -127,7 +144,8 @@ def sampler_law(spec: RoughKernelSpec, kernel: ExpSumKernel | None, grid: GridSp
     and Q the step law's innovation covariance as factored.
     """
     if kernel is None:
-        law = SamplerLaw(psd_factorize(fractional_joint_covariance(spec, grid), pivot=False))
+        factor = psd_factorize(fractional_joint_covariance(spec, grid), pivot=False)
+        law = SamplerLaw(grid, "exact", factor)
     else:
         cross, cond_factor = factor_step_law(kernel, grid.dt)
         # only the first `rank` normals of each step reach a nonzero column
@@ -142,14 +160,16 @@ def sampler_law(spec: RoughKernelSpec, kernel: ExpSumKernel | None, grid: GridSp
         for k in range(grid.N):
             cov = decay * cov + step_cov
             var[k] = w @ cov @ w
-        law = SamplerLaw(cond_factor, cross, var)
+        law = SamplerLaw(grid, "multifactor", cond_factor, cross, var)
     for array in (law.factor, law.cross, law.var):
         if array is not None:
             array.setflags(write=False)  # worker threads share the law
     return law
 
 
-def sample_factors_exact(kernel: ExpSumKernel, law: SamplerLaw, grid: GridSpec, normals):
+def sample_factors_exact(
+    kernel: ExpSumKernel, law: SamplerLaw, grid: GridSpec, normals, *, out=None
+):
     """Exact sample of the kernel-weighted factor sum and Brownian increments.
 
     Factor i at grid time t_l is the integral of exp(-r_i (t_l - s))
@@ -164,8 +184,14 @@ def sample_factors_exact(kernel: ExpSumKernel, law: SamplerLaw, grid: GridSpec, 
     the Brownian increments and z, shape (paths, N, n), the conditional
     innovations. Returns ``(integral, dw)``: the weighted factor sums
     and the increments, both (paths, N). The variance of each step's
-    sum is ``law.var``.
+    sum is ``law.var``. ``out``, None or float64 arrays ``(sums, dw,
+    work)`` of shapes (N, paths), (N, paths) and (3n, paths), takes the
+    sums, the increments sqrt(dt) z0 and the two states and scratch, and
+    the result is their transposes; dw may be z0's own (N, paths) rows,
+    as the increments are formed once the recursion has read z0. None
+    allocates them.
     """
+    law.check(grid, "multifactor")
     n = kernel.n
     z0, z = _pair(grid, n, normals)
     dt = grid.dt
@@ -176,9 +202,14 @@ def sample_factors_exact(kernel: ExpSumKernel, law: SamplerLaw, grid: GridSpec, 
     z0_steps = z0.T  # (N, paths)
     z_steps = z.transpose(1, 2, 0)  # (N, n, paths)
     n_paths = z.shape[0]
-    states = np.empty((2, n, n_paths))
-    integral = np.empty((grid.N, n_paths))
-    scratch = np.empty((n, n_paths))
+    if out is None:
+        integral, dw, work = np.empty((grid.N, n_paths)), None, np.empty((3 * n, n_paths))
+    else:
+        integral, dw, work = out
+        shapes = ((grid.N, n_paths), (grid.N, n_paths), (3 * n, n_paths))
+        if tuple(part.shape for part in out) != shapes:
+            raise ValueError(f"out must hold arrays of shapes {shapes}")
+    states, scratch = (work[:n], work[n : 2 * n]), work[2 * n :]
     for k in range(grid.N):
         current = states[k % 2]
         np.matmul(law.factor, z_steps[k, :rank], out=current)
@@ -188,7 +219,7 @@ def sample_factors_exact(kernel: ExpSumKernel, law: SamplerLaw, grid: GridSpec, 
             np.multiply(damp_col, states[(k - 1) % 2], out=scratch)
             current += scratch
         np.matmul(w, current, out=integral[k])
-    dw = z0_steps * math.sqrt(dt)
+    dw = np.multiply(z0_steps, math.sqrt(dt), out=dw)
     return integral.T, dw.T
 
 
@@ -242,6 +273,7 @@ def sample_fractional_exact(law: SamplerLaw, grid: GridSpec, normals):
     (paths, N, 1), the fractional block. Returns ``(fractional, dw)`` of
     shapes (paths, N) and (paths, N).
     """
+    law.check(grid, "exact")
     z0, z = _pair(grid, 1, normals)
     # step-major (2N, paths): Brownian rows, then fractional rows, per grid time
     joint = law.factor @ np.concatenate([z0.T, z[:, :, 0].T])
@@ -256,6 +288,33 @@ def step_components(kernel: ExpSumKernel | None) -> int:
     return 3 if kernel is None else kernel.n + 2
 
 
+def _sampler_rows(prices_only: bool, normals, kernel: ExpSumKernel, law: SamplerLaw, grid):
+    """The variance and the factor sampler's ``out`` in normals it may overwrite, or (None, None).
+
+    The step law reads the first ``rank`` of the n conditional normals
+    of each step, so components rank + 2 ... n + 1 of ``normals`` are
+    drawn but never read. With ``prices_only=True``, if their rows are
+    :func:`rvol.schemes._spent_rows`, number at least 3n + N + 1 and
+    hold all the paths of their buffer (a whole draw, not a path slice
+    of a wider one), they take the (N+1, paths) variance, whose rows
+    1 ... N take the factor sums, and the sampler's 3n rows of states
+    and scratch; the increments then take the rows of z0, each once read.
+    """
+    n, rank = kernel.n, law.factor.shape[1]
+    unread = tuple(normals[:, :, c].T for c in range(rank + 2, n + 2))
+    if not (prices_only and unread):
+        return None, None
+    rows = _spent_rows(True, unread, normals[:, :, : rank + 2])
+    dw = _spent_rows(True, (normals[:, :, 0].T,), normals[:, :, 1:])
+    if rows is None or dw is None or len(rows) < 3 * n + grid.N + 1:
+        return None, None
+    if rows.strides[0] != rows.shape[1] * rows.itemsize:
+        # BLAS may round w . f over a few strided paths in another order
+        return None, None
+    variance = rows[: grid.N + 1]
+    return variance, (variance[1:], dw, rows[grid.N + 1 : grid.N + 1 + 3 * n])
+
+
 def simulate_bergomi(
     params: BergomiParams,
     grid: GridSpec,
@@ -263,16 +322,18 @@ def simulate_bergomi(
     law: SamplerLaw,
     *,
     normals,
+    prices_only: bool = False,
 ) -> HestonPaths:
     """Simulate rough Bergomi price and variance paths on the grid.
 
     ``law`` is :func:`sampler_law` of ``params.spec``, ``kernel`` and
-    ``grid``. With ``kernel=None`` the variance is sampled through the
-    exact fractional-integral law (reference mode) and compensated in
-    closed form. With an exponential-sum kernel it is sampled through
-    the factor recursion and compensated by the variance of that
-    sampled law. Either way it is an exponential martingale with mean
-    v0 at every grid time.
+    ``grid``; a law of another grid or mode raises ``ValueError``. With
+    ``kernel=None`` the variance is sampled through the exact
+    fractional-integral law (reference mode) and compensated in closed
+    form. With an exponential-sum kernel it is sampled through the
+    factor recursion and compensated by the variance of that sampled
+    law. Either way it is an exponential martingale with mean v0 at
+    every grid time.
 
     ``normals`` has shape (paths, N, :func:`step_components`).
     Component 0 drives the variance Brownian motion and component 1
@@ -281,6 +342,19 @@ def simulate_bergomi(
     conditional innovations, so the sampler receives the pair
     ``(normals[:, :, 0], normals[:, :, 2:])``. The log price takes the
     Euler step of the rough Heston engines.
+
+    ``prices_only=True`` returns ``variance=None`` and consumes
+    step-major ``normals`` (the layout of
+    :meth:`rvol.mc.CounterRng.normals_block`), as the Heston engines
+    do: the (N+1, paths) log price takes over the last row of component
+    0 and the rows of component 1 once read, and in multifactor mode the
+    increments the rows of component 0, and the variance, the factor
+    sums and the sampler's state the rows of components
+    rank + 2 ... n + 1, which the step law never reads
+    (:func:`_sampler_rows`).
+    Read-only normals, another layout or too few unread rows get arrays
+    of their own, so the caller's normals are kept. A full run leaves
+    its normals untouched.
     """
     comps = step_components(kernel)
     normals = np.asarray(normals, dtype=float)
@@ -291,18 +365,21 @@ def simulate_bergomi(
 
     # step-major throughout: rows are grid times, paths are contiguous
     if kernel is None:
+        variance = None
         integral, dw = sample_fractional_exact(law, grid, pair)
         # variance exponent: eta sqrt(2H) I_t with Var = eta^2 t^{2H}
         scale = params.eta * math.sqrt(2.0 * params.H)
         t = np.arange(1, grid.N + 1) * grid.dt
         compensator = 0.5 * params.eta**2 * t ** (2.0 * params.H)
     else:
-        integral, dw = sample_factors_exact(kernel, law, grid, pair)
+        variance, out = _sampler_rows(prices_only, normals, kernel, law, grid)
+        integral, dw = sample_factors_exact(kernel, law, grid, pair, out=out)
         scale = params.vol_scale
         compensator = 0.5 * scale**2 * law.var
     dw = dw.T
 
-    variance = np.empty((grid.N + 1, n_paths))
+    if variance is None:
+        variance = np.empty((grid.N + 1, n_paths))
     variance[0] = params.v0
     exponent = variance[1:]  # compensated and exponentiated in place
     np.multiply(integral.T, scale, out=exponent)
@@ -310,11 +387,12 @@ def simulate_bergomi(
     np.exp(exponent, out=exponent)
     exponent *= params.v0
 
-    prices = _LogPrice(params, grid, n_paths)
-    z_perp = normals[:, :, 1].T
+    z0, z_perp = normals[:, :, 0].T, normals[:, :, 1].T
+    path = _spent_rows(prices_only, (z0[-1:], z_perp), normals[:, :, 2:])
+    prices = _LogPrice(params, grid, n_paths, path)
     for k in range(grid.N):
         prices.step(k, variance[k], dw[k], z_perp[k])
-    return HestonPaths(log_price=prices.finish(), variance=variance.T)
+    return HestonPaths(log_price=prices.finish(), variance=None if prices_only else variance.T)
 
 
 _SQRT2 = math.sqrt(2.0)

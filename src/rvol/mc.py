@@ -18,20 +18,24 @@ such slices straight through: the engines take standard normals and
 form each step's increments themselves, so no (paths, N) increment
 array is formed. Callers may equally pass C-ordered arrays of the same
 shapes, at the cost of one transposing copy. When only prices are
-needed (:meth:`HestonModel.simulate`), the engines run with
-``prices_only=True`` and keep each state in two rows, used in turn;
-every engine then keeps its log price in the rows of normals it has
-read, z's last row and z_perp's rows, and the direct engines their
-history of step terms in the rows of z, so ``simulate`` consumes z and
-z_perp. A run's set-up is one :class:`Plan`, built before its first
-draw. :func:`simulate_stats` splits a run into path slices of
+needed (:meth:`HestonModel.simulate`, :meth:`BergomiModel.simulate`),
+the engines run with ``prices_only=True``. The Heston engines then
+keep each state in two rows, used in turn, and every engine keeps what
+it writes in normals it has read or never reads: its log price in z's
+last row and z_perp's rows (z0's last row and component 1's rows for
+rough Bergomi), the direct Heston engines their history of step terms
+in the rows of z, and the multifactor Bergomi sampler its increments
+in z0's rows and its variance, factor sums and (n, paths) states in
+the components that its step law never reads. So ``simulate``
+consumes its normals. A run's set-up is one :class:`Plan`, built
+before its first draw. :func:`simulate_stats` splits a run into path slices of
 ``_SLICE`` paths within each ``_BLOCK``-path block and runs them in
 order or on its worker pool. Each worker holds one workspace for the
 whole run, an anonymous mapping as large as the widest slice's
 normals; every slice draws its normals into it and only simulates. So
-a slice holds its (slice, N, comps) normals and, for a factor scheme,
-the (n, slice) factors; a direct scheme holds nothing more than its
-normals.
+a slice holds its (slice, N, comps) normals and, for a Heston factor
+scheme, the (n, slice) factors; a direct scheme and a multifactor
+Bergomi slice hold little more than their normals.
 """
 
 from __future__ import annotations
@@ -441,7 +445,20 @@ class BergomiModel:
         return simulate_bergomi(self.params, plan.grid, plan.kernel, plan.law, normals=normals)
 
     def simulate(self, plan: Plan, normals: np.ndarray) -> PathStats:
-        return _path_stats(self.simulate_paths(plan, normals))
+        """Terminal and running-max prices from (paths, N, comps) normals.
+
+        Consumes step-major ``normals`` (the layout of
+        :meth:`CounterRng.normals_block`): the log price takes over the
+        rows of components 0 and 1 once read and, in multifactor mode,
+        the increments, the variance and the sampler's state the rows of
+        the components that the step law never reads (see
+        :func:`rvol.bergomi.simulate_bergomi`). Pass a copy to reuse them.
+        """
+        return _path_stats(
+            simulate_bergomi(
+                self.params, plan.grid, plan.kernel, plan.law, normals=normals, prices_only=True
+            )
+        )
 
 
 def _path_slices(paths: int) -> list[tuple[int, int]]:

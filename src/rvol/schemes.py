@@ -283,12 +283,19 @@ def _spent_rows(prices_only: bool, parts, *others):
     last row and the rows of ``z_perp``. Only rows the engine may
     overwrite qualify: writeable, each part's rows directly following
     the last part's in one buffer with equal strides, not overlapping
-    each other and sharing no memory with the ``others``. A full run
-    keeps its inputs untouched.
+    each other and sharing no memory with the ``others``; one path's
+    rows only when they are contiguous. A full run keeps its inputs
+    untouched.
     """
     if not prices_only:
         return None
     head = parts[0]
+    if not head[0].flags.c_contiguous:  # the overlap test below reads contiguous rows
+        return None
+    if head.shape[1] == 1 and head.strides[0] != head.itemsize:
+        # one path of a wider block: its rows form a strided column, whose
+        # BLAS products round in another order than a contiguous column's
+        return None
     root, address = _root(head), _address(head)
     for part in parts:
         follows = _address(part) == address and _root(part) is root

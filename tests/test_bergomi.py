@@ -1,9 +1,10 @@
 import math
 import tracemalloc
+from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import hyp2f1
@@ -504,6 +505,182 @@ class TestImpliedVol:
             args[slot] = value
             with pytest.raises(ValueError, match="must be finite"):
                 fn(*args)
+
+
+class TestSamplerLawChecks:
+    """A sampler given a law of another grid or mode fails by name."""
+
+    GRID, OTHER = GridSpec(T=0.041, N=20), GridSpec(T=1.0, N=20)
+
+    @staticmethod
+    def _law(mode, grid):
+        kernel = None if mode == "exact" else _smile_kernel(40, grid.T)
+        return kernel, sampler_law(BergomiParams().spec, kernel, grid)
+
+    def test_law_records_its_grid_and_mode(self):
+        for mode in ("exact", "multifactor"):
+            law = self._law(mode, self.GRID)[1]
+            assert (law.grid, law.mode) == (self.GRID, mode)
+
+    @pytest.mark.parametrize("mode", ["exact", "multifactor"])
+    def test_law_of_another_grid(self, mode):
+        # a law for T = 0.041 sampled on T = 1 with the same N once moved
+        # the log price by up to 0.52 (exact) and 0.31 (multifactor)
+        kernel, law = self._law(mode, self.GRID)
+        normals = np.random.default_rng(0).standard_normal((8, 20, step_components(kernel)))
+        match = (
+            rf"built for the {mode} mode on GridSpec\(T=0.041, N=20\) "
+            rf"cannot sample the {mode} mode on GridSpec\(T=1.0, N=20\)"
+        )
+        with pytest.raises(ValueError, match=match):
+            simulate_bergomi(BergomiParams(), self.OTHER, kernel, law, normals=normals)
+        pair = (normals[:, :, 0], normals[:, :, 2:])
+        with pytest.raises(ValueError, match=match):
+            if kernel is None:
+                sample_fractional_exact(law, self.OTHER, pair)
+            else:
+                sample_factors_exact(kernel, law, self.OTHER, pair)
+
+    def test_law_of_another_mode(self):
+        # an exact law in the factor sampler once raised TypeError
+        # ('NoneType' object is not subscriptable)
+        kernel = _smile_kernel(40, self.GRID.T)
+        exact_law = self._law("exact", self.GRID)[1]
+        factor_law = self._law("multifactor", self.GRID)[1]
+        normals = np.random.default_rng(1).standard_normal((8, 20, kernel.n + 2))
+        pair = (normals[:, :, 0], normals[:, :, 2:])
+        with pytest.raises(ValueError, match="exact mode on .* cannot sample the multifactor"):
+            sample_factors_exact(kernel, exact_law, self.GRID, pair)
+        with pytest.raises(ValueError, match="exact mode on .* cannot sample the multifactor"):
+            simulate_bergomi(BergomiParams(), self.GRID, kernel, exact_law, normals=normals)
+        pair = (normals[:, :, 0], normals[:, :, 2:3])
+        with pytest.raises(ValueError, match="multifactor mode on .* cannot sample the exact"):
+            sample_fractional_exact(factor_law, self.GRID, pair)
+        with pytest.raises(ValueError, match="multifactor mode on .* cannot sample the exact"):
+            simulate_bergomi(
+                BergomiParams(), self.GRID, None, factor_law, normals=normals[:, :, :3]
+            )
+
+
+def _smile_kernel(n_total, T):
+    from rvol.mc import systematic_kernel
+
+    return systematic_kernel(BergomiParams().H, n_total, T)
+
+
+@lru_cache(maxsize=None)
+def _plan(factors, T, N):
+    """The plan of the exact mode (``factors`` 0) or of the multifactor mode."""
+    from rvol.mc import BergomiModel
+
+    if factors == 0:
+        model = BergomiModel("exact")
+    else:
+        model = BergomiModel("multifactor", kernel_factors=factors)
+    return model, model.plan(GridSpec(T=T, N=N))
+
+
+class TestSamplerInSpentRows:
+    """``BergomiModel.simulate`` runs in the normals it has drawn, to the bits of a full run."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        # 40 factors: rank 18-22, so the unread rows hold the state from N = 8
+        # up; 4 factors at T = 1: a full-rank step law, so none are unread
+        factors=st.sampled_from([0, 40, 10, 4]),
+        T=st.sampled_from([0.041, 1.0]),
+        N=st.integers(1, 24),
+        width=st.integers(1, 40),
+        offset=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(factors=40, T=0.041, N=20, width=1, offset=0, seed=0)
+    @example(factors=40, T=0.041, N=1, width=5, offset=0, seed=1)
+    @example(factors=4, T=1.0, N=6, width=7, offset=2, seed=2)
+    @example(factors=40, T=0.041, N=6, width=1, offset=1, seed=95)
+    @example(factors=40, T=0.041, N=6, width=2, offset=1, seed=17)
+    def test_same_bits_as_a_full_run(self, factors, T, N, width, offset, seed):
+        # the normals are paths [offset, offset + width) of a wider
+        # normals_block draw, so their rows are strided unless offset is 0
+        from rvol.mc import CounterRng, _path_stats
+
+        model, plan = _plan(factors, T, N)
+        wide = CounterRng(seed).normals_block(0, width + offset + (offset > 0), N, plan.comps)
+        drawn = wide.transpose(2, 1, 0)  # the (comps, N, paths) buffer
+        kept = drawn.copy()
+        normals = wide[offset : offset + width]
+        copy = np.copy(normals)  # step-major too: a C-ordered copy may move the last bits
+        full = model.simulate_paths(plan, copy)
+        assert np.array_equal(copy, normals)  # a full run keeps its normals
+        want = _path_stats(full)
+        got = model.simulate(plan, normals)
+        assert np.array_equal(got.terminal, want.terminal)
+        assert np.array_equal(got.running_max, want.running_max)
+
+        if width == 1 and wide.shape[0] > 1:
+            # one path of a wider block keeps all its rows (schemes._spent_rows)
+            assert np.array_equal(drawn, kept)
+            return
+        paths = slice(offset, offset + width)
+        # the log price takes over z0's last row and the rows of component 1
+        spent = drawn[:2, :, paths].reshape(2 * N, width)[N - 1 :]
+        assert np.array_equal(spent, full.log_price.T)
+        for other in (slice(0, offset), slice(offset + width, None)):
+            assert np.array_equal(drawn[:, :, other], kept[:, :, other])  # other paths kept
+        if plan.kernel is None:
+            assert np.array_equal(drawn[2], kept[2])
+            assert np.array_equal(drawn[0, :-1], kept[0, :-1])
+            return
+        n, rank = plan.kernel.n, plan.law.factor.shape[1]
+        assert np.array_equal(drawn[2 : rank + 2], kept[2 : rank + 2])  # read, never written
+        if (n - rank) * N >= 3 * n + N + 1 and offset == 0:
+            # the increments sqrt(dt) z0 in z0's rows, and the variance in
+            # the first unread rows: its row 0 is v0
+            dw = kept[0, :-1, paths] * math.sqrt(plan.grid.dt)
+            assert np.array_equal(drawn[0, :-1, paths], dw)
+            assert np.all(drawn[rank + 2, 0, paths] == model.params.v0)
+            variance = drawn[rank + 2 :, :, paths].reshape(-1, width)[: N + 1]
+            assert np.array_equal(variance, full.variance.T)
+        else:  # too few unread rows, or a path slice of a wider draw: allocated
+            assert np.array_equal(drawn[2:], kept[2:])
+            assert np.array_equal(drawn[0, :-1], kept[0, :-1])
+
+    @pytest.mark.parametrize("factors", [0, 40])
+    @pytest.mark.parametrize("case", ["read-only", "float32", "C-ordered"])
+    def test_fallbacks_keep_their_normals(self, factors, case):
+        # normals the run may not overwrite, or whose rows do not follow
+        # each other, leave the state and the log price in arrays of their
+        # own, to the bits of a full run on a copy
+        from rvol.mc import CounterRng, _path_stats
+
+        model, plan = _plan(factors, 0.041, 20)
+        normals = CounterRng(5).normals_block(0, 37, 20, plan.comps)
+        if case == "read-only":
+            normals.setflags(write=False)
+        elif case == "float32":
+            normals = normals.astype(np.float32)
+        else:
+            normals = np.ascontiguousarray(normals)
+        kept = normals.copy()
+        want = _path_stats(model.simulate_paths(plan, np.copy(normals)))  # the same layout
+        got = model.simulate(plan, normals)
+        assert np.array_equal(normals, kept)
+        assert np.array_equal(got.terminal, want.terminal)
+        assert np.array_equal(got.running_max, want.running_max)
+
+    def test_sampler_out_has_the_shapes_of_its_state(self):
+        kernel = ExpSumKernel([0.8, 0.4], [0.5, 6.0])
+        grid = GridSpec(T=0.5, N=4)
+        law = sampler_law(None, kernel, grid)
+        normals = np.random.default_rng(2).standard_normal((3, 4, 3))
+        pair = (normals[:, :, 0], normals[:, :, 1:])
+        want = sample_factors_exact(kernel, law, grid, pair)
+        out = (np.empty((4, 3)), np.empty((4, 3)), np.empty((6, 3)))
+        got = sample_factors_exact(kernel, law, grid, pair, out=out)
+        for part, got_part, want_part in zip(out, got, want):
+            assert np.shares_memory(part, got_part) and np.array_equal(got_part, want_part)
+        with pytest.raises(ValueError, match=r"out must hold arrays of shapes"):
+            sample_factors_exact(kernel, law, grid, pair, out=out[:2] + (np.empty((5, 3)),))
 
 
 class TestNormalsLayout:

@@ -194,6 +194,39 @@ def mapped(monkeypatch):
     return sizes
 
 
+def price_peak_growth(model_src: str, grid_src: str, paths: int):
+    """KiB by which a fresh interpreter's peak resident memory grows over one price().
+
+    The interpreter, BLAS pinned to one thread, first prices 64 paths
+    (imports, the kernel, BLAS buffers), then ``paths``. The peak is
+    VmHWM, the high-water mark of the interpreter's own memory map:
+    ru_maxrss keeps the peak of the process that spawned it across exec,
+    so under a test runner larger than the run it reads too little.
+    """
+    script = f"""
+import re
+from rvol.mc import BergomiModel, HestonModel, McConfig, euro_call, price
+from rvol.schemes import GridSpec
+
+def peak():
+    with open("/proc/self/status") as status:
+        return int(re.search(r"VmHWM:\\s*(\\d+) kB", status.read()).group(1))
+
+model, grid = {model_src}, {grid_src}
+price(model, euro_call(1.0), grid, McConfig(paths=64, seed=1))
+before = peak()
+price(model, euro_call(1.0), grid, McConfig(paths={paths}, seed=1))
+print(peak() - before)
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mc.__file__)))
+    pinned = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+    env = dict(os.environ, PYTHONPATH=src, **pinned)
+    run = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    return int(run.stdout)
+
+
 class TestWorkspace:
     """A run draws every slice into one mapped workspace per worker."""
 
@@ -285,36 +318,18 @@ class TestWorkspace:
             mc.simulate_stats(plan, McConfig(paths=mc._BLOCK, seed=0, workers=workers))
         assert made[0].qsize() == workers
 
-    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB on Linux")
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM of /proc/self/status")
     @pytest.mark.parametrize("scheme", ["volterra", "multifactor-truncated"])
     def test_fine_grid_peak_rss(self, scheme):
-        # a price() of two 4096-path slices at N = 640 in a fresh
-        # interpreter, BLAS pinned: after a 64-path warm-up (imports, the
-        # kernel, BLAS buffers), the high-water mark grows by the one
-        # mapped workspace and the factor state, not by a slice's normals
-        # plus its (N+1, slice) log price, nor by heap the allocator keeps
-        # after a slice (engines with an (N+1, slice) log price of their own
-        # and normals on the heap grew by 60-62 MiB here)
-        script = f"""
-import resource
-from rvol.mc import HestonModel, McConfig, euro_call, price
-from rvol.schemes import GridSpec
-model, grid = HestonModel({scheme!r}), GridSpec(T=1.0, N=640)
-price(model, euro_call(1.0), grid, McConfig(paths=64, seed=1))
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-price(model, euro_call(1.0), grid, McConfig(paths=8192, seed=1))
-after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-print(after - before, getattr(model.plan(grid).kernel, "n", 0))
-"""
-        src = os.path.dirname(os.path.dirname(os.path.abspath(mc.__file__)))
-        pinned = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
-        env = dict(os.environ, PYTHONPATH=src, **pinned)
-        run = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
-        )
-        growth_kib, n = map(int, run.stdout.split())
+        # a price() of two 4096-path slices at N = 640: the high-water mark
+        # grows by the one mapped workspace and the factor state, not by a
+        # slice's normals plus its (N+1, slice) log price, nor by heap the
+        # allocator keeps after a slice (engines with an (N+1, slice) log
+        # price of their own and normals on the heap grew by 60-62 MiB here)
+        growth_kib = price_peak_growth(f"HestonModel({scheme!r})", "GridSpec(T=1.0, N=640)", 8192)
+        kernel = HestonModel(scheme).plan(GridSpec(T=1.0, N=640)).kernel
         workspace = 8 * 2 * 640 * mc._SLICE
-        factor_state = 8 * (n + 2 * schemes._BLOCK) * mc._SLICE
+        factor_state = 8 * (getattr(kernel, "n", 0) + 2 * schemes._BLOCK) * mc._SLICE
         slack = 4 * 2**20  # (slice,) scratch rows, the run's results, interpreter noise
         assert 1024 * growth_kib <= workspace + factor_state + slack, (
             f"grew {growth_kib / 1024:.1f} MiB; workspace {workspace / 2**20:.1f} MiB"
@@ -999,33 +1014,68 @@ class TestSlicedPricing:
         assert engine_calls == widths
 
     @pytest.mark.parametrize("mode", mc.BERGOMI_MODES)
-    def test_bergomi_peak_memory(self, mapped, mode):
-        # one slice at a time holds its (slice, N, comps) normals, drawn
-        # into the run's one mapped workspace (counted from its size, as
-        # tracemalloc does not see it), and the sampler's state: the three
-        # (n, slice) factor rows of the multifactor mode or the (2N, slice)
-        # joint sample and its input of the exact mode, plus four (N+1,
-        # slice) path arrays (increments, factor sums, variance, log
-        # price): the variance is exponentiated in place
+    def test_bergomi_peak_memory(self, monkeypatch, mapped, mode):
+        # each slice draws its (slice, N, comps) normals into the run's one
+        # mapped workspace, which tracemalloc does not see, and runs in it:
+        # the log price takes over components 0 and 1, and in multifactor
+        # mode the increments, the factor sums, the variance and the
+        # sampler's (n, slice) states and scratch the components that the
+        # step law never reads, so a slice's heap holds rows of (slice,)
+        # scratch alone; the exact mode also holds its (2N, slice) joint
+        # sample and its input, its (N, slice) increments and its (N+1,
+        # slice) variance. Beyond the slices, the run holds its results and
+        # the draw's hash tiles and path offsets
         import tracemalloc
 
         grid = GridSpec(T=0.041, N=20)
         plan = BergomiModel(mode).plan(grid)
         # keep first-call allocations out of the measured peak
         mc.simulate_stats(plan, McConfig(paths=8, seed=3))
-        sampler_rows = 4 * grid.N if plan.kernel is None else 3 * plan.kernel.n
-        budget = 8 * mc._SLICE * (grid.N * plan.comps + sampler_rows + 4 * (grid.N + 1))
+        simulate, slice_peaks, run_peaks = BergomiModel.simulate, [], []
+
+        def measured(self, plan, normals):
+            live, run_peak = tracemalloc.get_traced_memory()
+            run_peaks.append(run_peak)
+            tracemalloc.reset_peak()
+            stats = simulate(self, plan, normals)
+            slice_peaks.append(tracemalloc.get_traced_memory()[1] - live)
+            return stats
+
+        monkeypatch.setattr(BergomiModel, "simulate", measured)
         mapped.clear()
         tracemalloc.start()
         try:
             mc.simulate_stats(plan, McConfig(paths=mc._BLOCK, seed=3))
-            peak = tracemalloc.get_traced_memory()[1]
+            run_peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
         assert mapped == [grid.N * plan.comps * mc._SLICE]
-        peak += 8 * sum(mapped)
+        assert len(slice_peaks) == mc._BLOCK // mc._SLICE
+        sampler_rows = 4 * grid.N + 2 * grid.N + 1 if plan.kernel is None else 0
+        slice_budget = 8 * mc._SLICE * (sampler_rows + 8)
+        run_budget = slice_budget + 8 * (2 * mc._BLOCK + 2 * mc._CHUNK + 2 * mc._SLICE)
         mib = 2.0**20
-        assert peak <= 1.15 * budget, f"peak {peak / mib:.1f} MiB, budget {budget / mib:.1f} MiB"
+        assert max(slice_peaks) <= slice_budget, (
+            f"slice peak {max(slice_peaks) / mib:.2f} MiB, budget {slice_budget / mib:.2f} MiB"
+        )
+        assert max(run_peaks) <= run_budget, (
+            f"run peak {max(run_peaks) / mib:.2f} MiB, budget {run_budget / mib:.2f} MiB"
+        )
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM of /proc/self/status")
+    def test_bergomi_peak_rss(self):
+        # a 32768-path multifactor price() at the smile's grid: the
+        # high-water mark grows by the one mapped 4096-path workspace,
+        # 26.25 MiB, and little more; a sampler whose state, sums,
+        # increments, variance and log price were allocated per slice grew
+        # by about 31 MiB here
+        grid = GridSpec(T=0.041, N=20)
+        growth_kib = price_peak_growth('BergomiModel("multifactor")', repr(grid), 32768)
+        workspace = 8 * BergomiModel("multifactor").plan(grid).comps * grid.N * mc._SLICE
+        slack = 2 * 2**20  # (slice,) scratch rows, the run's results, interpreter noise
+        assert 1024 * growth_kib <= workspace + slack, (
+            f"grew {growth_kib / 1024:.1f} MiB; workspace {workspace / 2**20:.2f} MiB"
+        )
 
 
 class TestSmile:

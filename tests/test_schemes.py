@@ -942,3 +942,19 @@ class TestLogPriceInSpentRows:
         assert np.array_equal(drawn[comps[1]], kept[comps[1]])  # z_perp
         if case in ("read-only", "aliased"):
             assert np.array_equal(drawn, kept)
+
+    @pytest.mark.parametrize("name", HESTON_ENGINES)
+    def test_one_path_of_a_wider_block_keeps_its_rows(self, name):
+        # its rows form a strided column, whose BLAS products round in
+        # another order than a contiguous column's: the direct engines'
+        # far product over a history kept there moved the last bits
+        kernel, grid = ExpSumKernel([0.9, 0.6, 0.3], [0.2, 3.0, 25.0]), GridSpec(T=1.0, N=40)
+        comps = 3 if name == "hybrid" else 2
+        for seed in range(4):
+            drawn = np.random.default_rng(seed).standard_normal((comps, grid.N, 3))
+            kept = drawn.copy()
+            normals = [drawn[c, :, 1:2].T for c in range(comps)]
+            private = heston_engine(name, kernel, grid, [n.copy() for n in normals])
+            priced = heston_engine(name, kernel, grid, normals, prices_only=True)
+            assert np.array_equal(priced.log_price, private.log_price)
+            assert np.array_equal(drawn, kept)
