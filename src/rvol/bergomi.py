@@ -114,23 +114,55 @@ def _pair(grid: GridSpec, width: int, normals):
 class SamplerLaw:
     """A sampler's law on one grid, from :func:`sampler_law`; its arrays are read-only.
 
-    ``mode`` is ``"exact"`` or ``"multifactor"``; the samplers raise
-    ``ValueError`` for a law of another grid or mode.
+    It records what it was built for: ``spec``, the rough kernel of the
+    exact mode, or ``kernel``, the exponential sum of the multifactor
+    mode. The samplers raise ``ValueError`` for a law of another grid,
+    mode, Hurst index or kernel (:meth:`check`).
     """
 
     grid: GridSpec
-    mode: str
     factor: np.ndarray
-    cross: np.ndarray | None = None  # multifactor mode only, as is var
+    spec: RoughKernelSpec | None = None  # exact mode only
+    kernel: ExpSumKernel | None = None  # multifactor mode only, as are cross and var
+    cross: np.ndarray | None = None
     var: np.ndarray | None = None
 
-    def check(self, grid: GridSpec, mode: str) -> None:
-        """Raise ``ValueError`` naming both grids and modes unless they are the law's."""
+    @property
+    def mode(self) -> str:
+        """``"exact"`` or ``"multifactor"``."""
+        return "exact" if self.kernel is None else "multifactor"
+
+    def check(
+        self, grid: GridSpec, kernel: ExpSumKernel | None, spec: RoughKernelSpec | None = None
+    ) -> None:
+        """Raise ``ValueError`` naming both unless the law is the one asked for.
+
+        That is the law of ``grid`` and ``kernel``, None asking for the
+        exact mode; in that mode also of ``spec`` when one is given.
+        """
+        mode = "exact" if kernel is None else "multifactor"
         if (self.grid, self.mode) != (grid, mode):
             raise ValueError(
                 f"a sampler law built for the {self.mode} mode on {self.grid} "
                 f"cannot sample the {mode} mode on {grid}"
             )
+        built, asked = (self.spec, spec) if kernel is None else (self.kernel, kernel)
+        if asked is not None and built is not asked and built != asked:
+            raise ValueError(
+                f"a sampler law built for {_named(built)} on {grid} "
+                f"cannot sample {_named(asked)}"
+            )
+
+
+def _named(source: RoughKernelSpec | ExpSumKernel) -> str:
+    """A spec's repr, or a kernel by its factor count, rate range and total weight."""
+    if isinstance(source, ExpSumKernel):
+        w, r = source.weights, source.rates
+        return (
+            f"the {source.n}-factor kernel of rates {r[0]:.6g} to {r[-1]:.6g} "
+            f"and total weight {w.sum():.6g}"
+        )
+    return repr(source)
 
 
 def sampler_law(spec: RoughKernelSpec, kernel: ExpSumKernel | None, grid: GridSpec) -> SamplerLaw:
@@ -145,7 +177,7 @@ def sampler_law(spec: RoughKernelSpec, kernel: ExpSumKernel | None, grid: GridSp
     """
     if kernel is None:
         factor = psd_factorize(fractional_joint_covariance(spec, grid), pivot=False)
-        law = SamplerLaw(grid, "exact", factor)
+        law = SamplerLaw(grid, factor, spec=spec)
     else:
         cross, cond_factor = factor_step_law(kernel, grid.dt)
         # only the first `rank` normals of each step reach a nonzero column
@@ -160,7 +192,7 @@ def sampler_law(spec: RoughKernelSpec, kernel: ExpSumKernel | None, grid: GridSp
         for k in range(grid.N):
             cov = decay * cov + step_cov
             var[k] = w @ cov @ w
-        law = SamplerLaw(grid, "multifactor", cond_factor, cross, var)
+        law = SamplerLaw(grid, cond_factor, kernel=kernel, cross=cross, var=var)
     for array in (law.factor, law.cross, law.var):
         if array is not None:
             array.setflags(write=False)  # worker threads share the law
@@ -191,7 +223,7 @@ def sample_factors_exact(
     as the increments are formed once the recursion has read z0. None
     allocates them.
     """
-    law.check(grid, "multifactor")
+    law.check(grid, kernel)
     n = kernel.n
     z0, z = _pair(grid, n, normals)
     dt = grid.dt
@@ -273,10 +305,14 @@ def sample_fractional_exact(law: SamplerLaw, grid: GridSpec, normals):
     (paths, N, 1), the fractional block. Returns ``(fractional, dw)`` of
     shapes (paths, N) and (paths, N).
     """
-    law.check(grid, "exact")
+    law.check(grid, None)
     z0, z = _pair(grid, 1, normals)
-    # step-major (2N, paths): Brownian rows, then fractional rows, per grid time
-    joint = law.factor @ np.concatenate([z0.T, z[:, :, 0].T])
+    # step-major (2N, paths): Brownian rows, then fractional rows, per grid
+    # time; stacked in C order whatever the normals' layout, so that BLAS
+    # rounds the product alike for every layout
+    joint = law.factor @ np.concatenate(
+        [z0.T, z[:, :, 0].T], out=np.empty((2 * grid.N, z0.shape[0]))
+    )
     w_path = joint[: grid.N]
     fractional = joint[grid.N :]
     dw = np.diff(w_path, axis=0, prepend=0.0)
@@ -327,7 +363,8 @@ def simulate_bergomi(
     """Simulate rough Bergomi price and variance paths on the grid.
 
     ``law`` is :func:`sampler_law` of ``params.spec``, ``kernel`` and
-    ``grid``; a law of another grid or mode raises ``ValueError``. With
+    ``grid``; a law of another grid, mode or kernel, or in exact mode of
+    another Hurst index, raises ``ValueError``. With
     ``kernel=None`` the variance is sampled through the exact
     fractional-integral law (reference mode) and compensated in closed
     form. With an exponential-sum kernel it is sampled through the
@@ -356,6 +393,7 @@ def simulate_bergomi(
     of their own, so the caller's normals are kept. A full run leaves
     its normals untouched.
     """
+    law.check(grid, kernel, params.spec)
     comps = step_components(kernel)
     normals = np.asarray(normals, dtype=float)
     if normals.ndim != 3 or normals.shape[1:] != (grid.N, comps):

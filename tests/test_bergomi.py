@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from functools import lru_cache
 
@@ -521,6 +522,48 @@ class TestSamplerLawChecks:
         for mode in ("exact", "multifactor"):
             law = self._law(mode, self.GRID)[1]
             assert (law.grid, law.mode) == (self.GRID, mode)
+
+    def test_law_records_its_spec_or_kernel(self):
+        exact_law = self._law("exact", self.GRID)[1]
+        assert (exact_law.spec, exact_law.kernel) == (BergomiParams().spec, None)
+        kernel, factor_law = self._law("multifactor", self.GRID)
+        assert factor_law.kernel is kernel and factor_law.spec is None
+
+    def test_law_of_another_hurst_index(self):
+        # an exact law built at H = 0.07 and run at H = 0.3 once moved the
+        # log price by up to 6.9
+        law = self._law("exact", self.GRID)[1]
+        normals = np.random.default_rng(2).standard_normal((8, 20, 3))
+        match = (
+            r"built for RoughKernelSpec\(H=0.07\) on GridSpec\(T=0.041, N=20\) "
+            r"cannot sample RoughKernelSpec\(H=0.3\)"
+        )
+        with pytest.raises(ValueError, match=match):
+            simulate_bergomi(BergomiParams(H=0.3), self.GRID, None, law, normals=normals)
+        # the law's own Hurst index samples, through an equal spec
+        simulate_bergomi(BergomiParams(H=0.07), self.GRID, None, law, normals=normals)
+
+    def test_law_of_another_kernel(self):
+        # another kernel with the same factor count on the same grid once
+        # sampled silently
+        kernel, law = self._law("multifactor", self.GRID)
+        other = ExpSumKernel(2.0 * kernel.weights, kernel.rates)
+        normals = np.random.default_rng(3).standard_normal((8, 20, kernel.n + 2))
+        pair = (normals[:, :, 0], normals[:, :, 2:])
+        built, asked = (re.escape(f"{k.weights.sum():.6g}") for k in (kernel, other))
+        match = (
+            rf"built for the {kernel.n}-factor kernel of rates .* and total weight {built} "
+            rf"on GridSpec\(T=0.041, N=20\) cannot sample the {kernel.n}-factor kernel "
+            rf"of rates .* and total weight {asked}$"
+        )
+        with pytest.raises(ValueError, match=match):
+            sample_factors_exact(other, law, self.GRID, pair)
+        with pytest.raises(ValueError, match=match):
+            simulate_bergomi(BergomiParams(), self.GRID, other, law, normals=normals)
+        # an equal kernel samples to the same bits as the law's own
+        twin = ExpSumKernel(kernel.weights, kernel.rates)
+        own = sample_factors_exact(kernel, law, self.GRID, pair)
+        assert all(map(np.array_equal, sample_factors_exact(twin, law, self.GRID, pair), own))
 
     @pytest.mark.parametrize("mode", ["exact", "multifactor"])
     def test_law_of_another_grid(self, mode):

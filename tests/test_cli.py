@@ -384,12 +384,14 @@ class TestInputErrors:
 
 class TestSmileCommand:
     # `rvol smile --points 3 --paths 4096`, as printed when the smile flags
-    # carried their own copies of the BergomiParams and kernel defaults
+    # carried their own copies of the BergomiParams and kernel defaults;
+    # the exact rows recorded again when the covariance pieces left
+    # QUADPACK for numpy rules (moves of 1.5e-16 to 5.3e-16)
     DEFAULT_CSV = (
         "mode,k,price,ci_halfwidth,implied_vol\n"
-        "exact,-0.10000000000000001,0.095958946732172479,0.0012738308571196301,0.27710005268454552\n"
+        "exact,-0.10000000000000001,0.095958946732172493,0.0012738308571196304,0.27710005268454552\n"
         "exact,-0.024999999999999994,0.033530185116871669,0.00089145615685826129,0.23369183763861656\n"
-        "exact,0.050000000000000003,0.001223149108416632,0.00020688243322843281,0.17245127633213997\n"
+        "exact,0.050000000000000003,0.0012231491084166326,0.00020688243322843292,0.17245127633213997\n"
         "multifactor,-0.10000000000000001,0.095962609862288328,0.0012690567569782459,0.27733318880200386\n"
         "multifactor,-0.024999999999999994,0.03342704475464757,0.00089025417990989996,0.23220358416438103\n"
         "multifactor,0.050000000000000003,0.0012774676390951401,0.00018736092717867769,0.17426031455397606\n"

@@ -158,13 +158,42 @@ class TestMinimizeScalar:
         assert abs(found - grid_best) <= (hi - lo) / 10_000 + 1e-6
 
 
+HURSTS = st.floats(0.001, 0.4999)
+LAGS = st.integers(1, 80)
+BETAS = st.floats(-0.6, 0.0, exclude_min=True)
+WIDTHS = st.floats(1e-3, 1e3)
+
+
+def assert_matches_quad(f, lo, hi):
+    oracle = quad(f, lo, hi, **TIGHT)[0]
+    value = integrate(f, lo, hi)
+    assert abs(value - oracle) <= 1e-12 * max(1.0, abs(oracle)), (value, oracle)
+
+
 class TestIntegrate:
     def test_constant(self):
         assert math.isclose(integrate(lambda t: 1.0, 0.0, 1.0), 1.0, rel_tol=1e-13)
 
+    def test_gauss_kronrod_degrees(self):
+        # the written-in qk21 constants: Kronrod exact to degree 31, Gauss to 19
+        gauss = numerics._KRONROD - numerics._KRONROD_GAP
+        for p in range(32):
+            moment = (1.0 - (-1.0) ** (p + 1)) / (p + 1)  # of x^p over [-1, 1]
+            powers = numerics._GK_NODES**p
+            assert abs(numerics._KRONROD @ powers - moment) <= 1e-15
+            if p < 20:
+                assert abs(gauss @ powers - moment) <= 1e-15
+        assert np.count_nonzero(gauss) == 10
+
+    def test_scalar_constant_broadcasts(self):
+        # f is called on an array of nodes; a constant may return one scalar
+        assert math.isclose(integrate(lambda t: 2.5, -1.0, 3.0), 10.0, rel_tol=1e-14)
+        assert math.isclose(integrate(lambda t: np.float64(2.5), 3.0, -1.0), -10.0, rel_tol=1e-14)
+
     def test_power_singularity(self):
         value = integrate(lambda t: t ** (-0.4), 0.0, 1.0)
         assert math.isclose(value, 1.0 / 0.6, rel_tol=1e-11)
+        assert integrate(lambda t: t ** (-0.4), 1.0, 0.0) == -value  # reversed bounds
 
     def test_squared_rough_kernel(self):
         # H = 0.25: closed form 1 / (2H Gamma(3/4)^2) on (0, 1)
@@ -175,12 +204,73 @@ class TestIntegrate:
         assert math.isclose(value, 1.0 / (0.5 * GAMMA_3_4**2), rel_tol=1e-10)
 
     def test_nonconvergence_carries_estimate(self):
-        # integrate filters no warning: quad with full_output emits none
-        with mock.patch.object(numerics, "_QUAD_LIMIT", 1), warnings.catch_warnings():
+        # integrate filters no warning: the rules emit none
+        with mock.patch.object(numerics, "_DE_LEVELS", 1), warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(IntegrationError, match="within 1 subdivisions") as err:
-                integrate(lambda t: math.sin(50.0 / (t + 1e-3)), 0.0, 1.0)
+            with pytest.raises(IntegrationError, match="within 1 step halvings") as err:
+                integrate(lambda t: np.sin(50.0 / (t + 1e-3)), 0.0, 1.0)
         assert math.isfinite(err.value.best_estimate)
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            lambda s: np.full_like(s, np.nan),
+            lambda s: math.nan,
+            lambda s: np.where(s < 0.3, np.inf, 1.0),
+            lambda s: -math.inf,
+            # finite at every Gauss-Kronrod node, not at the first tanh-sinh ones
+            lambda s: np.where(s < 1e-3, np.nan, s**-0.5),
+        ],
+        ids=["nan", "scalar-nan", "inf", "scalar-minus-inf", "nan-near-endpoint"],
+    )
+    def test_non_finite_integrand_raises(self, f):
+        with pytest.raises(IntegrationError, match=r"integrand is (-?inf|nan) at s = ") as err:
+            integrate(f, 0.0, 1.0)
+        assert math.isnan(err.value.best_estimate)
+
+    def test_infinite_bound_rejected(self):
+        with pytest.raises(ValueError, match="finite bounds"):
+            integrate(lambda s: np.exp(-s), 0.0, math.inf)
+
+    def test_singularity_at_nonzero_endpoint_raises(self):
+        # nodes within a few ulps of 1 are rounded to its ulp, which moves
+        # (1 - s)^-0.5 there by tens of percent; quad extrapolates past
+        # them, this rule reports them with the estimate it stopped at
+        with pytest.raises(IntegrationError, match="rounding of the nodes nearest") as err:
+            integrate(lambda s: (1.0 - s) ** -0.5, 0.0, 1.0)
+        assert math.isclose(err.value.best_estimate, 2.0, rel_tol=1e-2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(H=HURSTS, i=LAGS, j=LAGS)
+    def test_unit_pieces_match_quad(self, H, i, j):
+        # the pieces of fractional_joint_covariance; i = 1 is singular at lo = 0
+        e = H - 0.5
+        assert_matches_quad(lambda s: s**e * (s + j) ** e, i - 1.0, float(i))
+
+    @settings(max_examples=150, deadline=None)
+    @given(beta=BETAS, width=WIDTHS, at_lo=st.booleans())
+    def test_endpoint_powers_match_quad(self, beta, width, at_lo):
+        # s^beta on (0, width) and (hi - s)^beta on (-width, hi = 0): the
+        # singular endpoint is 0, from which each node's distance is exact
+        if at_lo:
+            assert_matches_quad(lambda s: s**beta, 0.0, width)
+        else:
+            hi = 0.0
+            assert_matches_quad(lambda s: (hi - s) ** beta, -width, hi)
+
+    @settings(max_examples=150, deadline=None)
+    @given(beta=BETAS, lo=st.floats(-10.0, 10.0), width=WIDTHS, at_lo=st.booleans())
+    def test_singularity_at_nonzero_endpoint_matches_quad_or_raises(self, beta, lo, width, at_lo):
+        # the same powers at an endpoint that is not 0: never a silent miss
+        hi = lo + width
+        f = (lambda s: (s - lo) ** beta) if at_lo else (lambda s: (hi - s) ** beta)
+        try:
+            value = integrate(f, lo, hi)
+        except IntegrationError as err:
+            assert "rounding of the nodes nearest" in str(err)
+            return
+        oracle = quad(f, lo, hi, **TIGHT)[0]
+        assert abs(value - oracle) <= 1e-12 * max(1.0, abs(oracle)), (value, oracle)
 
 
 _SPEC, _KERNEL = RoughKernelSpec(0.1), ExpSumKernel([0.5, 0.5], [1.0, 2.0])
@@ -236,10 +326,13 @@ def test_step_counts_must_be_integers(call):
     call(np.int64(3))  # numpy integers pass
 
 
-def _loaded_by_package_import(module: str) -> bool:
-    """Whether ``module`` is in ``sys.modules`` after ``import rvol`` in a fresh interpreter."""
+def _loaded_by_package_import(module: str, then: str = "") -> bool:
+    """Whether ``module`` is in ``sys.modules`` after ``import rvol`` in a fresh interpreter.
+
+    ``then`` is run after the import, before the look.
+    """
     src = os.path.dirname(os.path.dirname(os.path.abspath(rvol.__file__)))
-    probe = f"import sys, rvol; print({module!r} in sys.modules)"
+    probe = f"import sys, rvol\n{then}\nprint({module!r} in sys.modules)"
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
@@ -249,7 +342,7 @@ def _loaded_by_package_import(module: str) -> bool:
 
 def test_package_import_leaves_out_scipy_integrate():
     # scipy.integrate (and the scipy.optimize and scipy.sparse it imports)
-    # loads only when a quadrature first runs
+    # is no dependency of the package
     assert not _loaded_by_package_import("scipy.integrate")
 
 
@@ -258,6 +351,21 @@ def test_package_import_leaves_out_scipy_linalg():
     # scipy.linalg would load scipy's own OpenBLAS, whose thread pool then
     # competes with numpy's for the cores
     assert not _loaded_by_package_import("scipy.linalg")
+
+
+EXACT_RUN = """
+from rvol import BergomiParams, GridSpec, McConfig, RoughKernelSpec, bergomi_smile
+from rvol.bergomi import fractional_joint_covariance
+fractional_joint_covariance(RoughKernelSpec(0.07), GridSpec(T=1.0, N=20))
+bergomi_smile(BergomiParams(), GridSpec(T=0.041, N=4), McConfig(paths=256, seed=1), [0.0])
+"""
+
+
+@pytest.mark.parametrize("module", ["scipy.integrate", "scipy.linalg"])
+def test_exact_bergomi_leaves_out_scipy(module):
+    # the exact covariance's quadrature runs on numpy alone, so a run of
+    # the exact mode keeps one BLAS pool too
+    assert not _loaded_by_package_import(module, then=EXACT_RUN)
 
 
 class TestPsdFactorize:
